@@ -9,15 +9,23 @@ tight          canonical tight window + gauge-identity residual
 chern          Connes-Chern number by both formulas
 energy         sigma-model energy (trace and window forms) and gap
 verify-soliton full soliton pipeline with pass/fail verdict
+run            a task subset (axioms, lattice stages, moyal) in one report
 moyal          Moyal identity, continuous energies and eigen residuals on a corpus
 sweep          parameter sweeps over alpha/beta, CSV output
+laurent-data   |F(t1,t2)| of the adjoint Gram symbol for plotting
+
+The lattice subcommands (frame to verify-soliton, run, sweep) are report
+views over one geometry.Pipeline, which computes each stage of the soliton
+chain once and only when a view reads it.
 
 Every run writes a JSON report embedding the full configuration, tolerance
 ladder, truncation radius, seed, and library version; identical
 configuration and seed reproduce identical reports apart from the
-timestamp.  Exit codes: 0 all checks passed, 1 an asserted identity failed
-its tolerance, 2 configuration error, 3 frame failure, 4 iterative-solver
-failure.
+timestamp.  Exit codes, assigned in main() alone: 0 all checks passed,
+1 an asserted identity failed its tolerance (a failed verdict, or a
+ToleranceError raised inside the chain), 2 configuration error or
+unreadable input (ValueError, OSError), 3 frame failure (NotAFrameError),
+4 iterative-solver failure (ConvergenceError).
 """
 
 from __future__ import annotations
@@ -35,13 +43,12 @@ from .lattice import LatticeKind, TorusParams
 from .signal import GridSpec, random_timefreq_probe, save_signal
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
-from .frame import (ConvergenceError, FrameSystem, NotAFrameError,
-                    canonical_dual, canonical_tight, frame_bounds,
-                    laurent_symbol, wexler_raz_residual,
-                    reconstruction_residual)
-from .geometry import (build_window, chern_sum, chern_trace, energy,
-                       energy_window_form, grid_for_radius,
-                       soliton_experiment, derive)
+from .frame import (ConvergenceError, NotAFrameError, ToleranceError,
+                    laurent_symbol, reconstruction_residual)
+# kept as a module attribute for tools that patch it here (perfbench/spans.py)
+from .frame import canonical_dual  # noqa: F401
+from .geometry import (Pipeline, build_window, derive, grid_for_radius,
+                       tolerance_ladder)
 from .moyal import (continuous_energy, default_window_corpus, eigen_residual,
                     load_corpus_file, moyal_check)
 
@@ -111,8 +118,6 @@ def _apply_config_defaults(args, argv):
         current = getattr(args, attr)
         if isinstance(val, list):
             setattr(args, attr, val)
-        elif isinstance(current, bool):
-            setattr(args, attr, val.lower() in ("1", "true", "yes"))
         elif isinstance(current, int):
             setattr(args, attr, int(val))
         elif isinstance(current, float):
@@ -146,22 +151,21 @@ def _window_from_args(args, spec, params):
     return build_window(kind, spec, params, lam=args.lam)
 
 
-def _report_skeleton(args, command):
-    return {
-        "command": command,
+def _emit(args, results, summary, passed) -> int:
+    """Write the JSON report to --out, print its summary, return exit 0 or 1."""
+    report = {
+        "command": args.command,
         "version": __version__,
         "seed": args.seed,
         "config": {k: (repr(v) if isinstance(v, complex) else v)
                    for k, v in sorted(vars(args).items())
                    if k not in ("func", "out", "config")},
-        "tolerances": {"algebra": args.eps0, "frame": 1e2 * args.eps0,
-                       "chern": 1e3 * args.eps0},
+        "tolerances": tolerance_ladder(args.eps0),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
+        "results": results,
+        "results_summary": summary,
+        "pass": bool(passed),
     }
-
-
-def _emit(report, args, passed):
-    report["pass"] = bool(passed)
     text = json.dumps(report, sort_keys=True, indent=2, default=str)
     if args.out:
         with open(args.out, "w") as fh:
@@ -180,17 +184,13 @@ def _random_seq(params, kind, rng, points=8, span=4):
     return seq * (1.0 / seq.l1_norm())  # unit ℓ¹ keeps identity residuals absolute
 
 
-def cmd_check_axioms(args) -> int:
-    params, grid = _setup(args)
-    rng = np.random.default_rng(args.seed)
-    tol = 1e-12
-    worst = {"assoc": 0.0, "involution": 0.0, "anti_hom": 0.0,
-             "trace_cyclic": 0.0, "leibniz": 0.0, "unit": 0.0}
+def _axiom_residuals(params, rng, rounds):
+    """Worst ℓ¹ residual of each twisted-algebra identity over random supports."""
+    worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
+                           "leibniz", "unit"), 0.0)
     for kind in (LatticeKind.TIME_FREQ, LatticeKind.ADJOINT):
-        for _ in range(40):
-            a = _random_seq(params, kind, rng)
-            b = _random_seq(params, kind, rng)
-            c = _random_seq(params, kind, rng)
+        for _ in range(rounds):
+            a, b, c = (_random_seq(params, kind, rng) for _ in range(3))
             worst["assoc"] = max(worst["assoc"], l1_diff(
                 twisted_conv(twisted_conv(a, b), c),
                 twisted_conv(a, twisted_conv(b, c))))
@@ -211,145 +211,89 @@ def cmd_check_axioms(args) -> int:
                         derive(twisted_conv(a, b), j),
                         twisted_conv(derive(a, j), b)
                         + twisted_conv(a, derive(b, j))))
-    passed = all(v < 1e-11 for v in worst.values())
-    report = _report_skeleton(args, "check-axioms")
-    report["results"] = {"residuals": worst, "tolerance": 1e-11}
-    report["results_summary"] = {k: f"{v:.2e}" for k, v in worst.items()}
-    return _emit(report, args, passed)
+    return worst
+
+
+def cmd_check_axioms(args) -> int:
+    params, _ = _setup(args)
+    worst = _axiom_residuals(params, np.random.default_rng(args.seed), 40)
+    return _emit(args, {"residuals": worst, "tolerance": 1e-11},
+                 {k: f"{v:.2e}" for k, v in worst.items()},
+                 all(v < 1e-11 for v in worst.values()))
+
+
+def _pipeline(args) -> Pipeline:
+    params, grid = _setup(args)
+    return Pipeline(params, _window_from_args(args, grid, params), args.radius,
+                    eps0=args.eps0, seed=args.seed,
+                    dual_max_iter=getattr(args, "cg_max_iter", 500))
+
+
+def _chern_ok(pipe) -> bool:
+    """c₁ by trace is an integer and agrees with c₁ by sum, at the Chern rung."""
+    c1t, tol = pipe.c1_trace, pipe.tolerances["chern"]
+    return abs(c1t - round(c1t.real)) < tol and abs(c1t - pipe.c1_sum) < tol
 
 
 def cmd_frame(args) -> int:
-    params, grid = _setup(args)
-    try:
-        window = _window_from_args(args, grid, params)
-        sys_ = FrameSystem(window, params, args.radius)
-        a_est, b_est = frame_bounds(sys_, seed=args.seed)
-    except NotAFrameError as exc:
-        print(f"frame failure: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    report = _report_skeleton(args, "frame")
-    report["results"] = {"A": a_est, "B": b_est, "radius": args.radius,
-                         "N": grid.N, "L": grid.L,
-                         "condition": b_est / a_est,
-                         "residuals": sys_.bounds_residuals}
-    report["results_summary"] = {"A": a_est, "B": b_est}
-    return _emit(report, args, True)
+    pipe = _pipeline(args)
+    a_est, b_est = pipe.bounds
+    spec = pipe.window.spec
+    return _emit(args, {"A": a_est, "B": b_est, "radius": args.radius,
+                        "N": spec.N, "L": spec.L, "condition": b_est / a_est,
+                        "residuals": pipe.system.bounds_residuals},
+                 {"A": a_est, "B": b_est}, True)
 
 
 def cmd_dual(args) -> int:
-    params, grid = _setup(args)
-    window = _window_from_args(args, grid, params)
-    sys_ = FrameSystem(window, params, args.radius)
-    try:
-        h = canonical_dual(sys_, max_iter=args.cg_max_iter)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    wr = wexler_raz_residual(window, h, params, args.radius)
-    rng = np.random.default_rng(args.seed)
+    pipe = _pipeline(args)
+    wr, rng = pipe.wexler_raz, np.random.default_rng(args.seed)
     rec = max(reconstruction_residual(
-        random_timefreq_probe(grid, rng, spread=2.5), window, h, params,
-        args.radius) for _ in range(5))
+        random_timefreq_probe(pipe.window.spec, rng, spread=2.5), pipe.window,
+        pipe.dual, pipe.params, args.radius) for _ in range(5))
     if args.export_window:
-        save_signal(h, args.export_window)
-    report = _report_skeleton(args, "dual")
-    report["results"] = {"wexler_raz_residual": wr,
-                         "reconstruction_residual": rec,
-                         "radius": args.radius}
-    report["results_summary"] = {"wr": f"{wr:.2e}", "recon": f"{rec:.2e}"}
-    return _emit(report, args, wr < 1e2 * args.eps0 and rec < 1e2 * args.eps0)
+        save_signal(pipe.dual, args.export_window)
+    tol = pipe.tolerances["frame"]
+    return _emit(args, {"wexler_raz_residual": wr,
+                        "reconstruction_residual": rec, "radius": args.radius},
+                 {"wr": f"{wr:.2e}", "recon": f"{rec:.2e}"},
+                 wr < tol and rec < tol)
 
 
 def cmd_tight(args) -> int:
-    params, grid = _setup(args)
-    window = _window_from_args(args, grid, params)
-    sys_ = FrameSystem(window, params, args.radius)
-    try:
-        h = canonical_dual(sys_)
-        t = canonical_tight(sys_)
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    gauge = l1_diff(inner_left(window, h, params, args.radius),
-                    inner_left(t, t, params, args.radius))
+    pipe = _pipeline(args)
+    gauge = l1_diff(pipe.projection,
+                    inner_left(pipe.tight, pipe.tight, pipe.params, args.radius))
     if args.export_window:
-        save_signal(t, args.export_window)
-    report = _report_skeleton(args, "tight")
-    report["results"] = {"gauge_identity_residual": gauge, "radius": args.radius}
-    report["results_summary"] = {"gauge": f"{gauge:.2e}"}
-    return _emit(report, args, gauge < 1e2 * args.eps0)
-
-
-def _chern_energy_core(args):
-    params, grid = _setup(args)
-    window = _window_from_args(args, grid, params)
-    sys_ = FrameSystem(window, params, args.radius)
-    h = canonical_dual(sys_)
-    p = inner_left(window, h, params, args.radius)
-    return params, grid, window, h, p
+        save_signal(pipe.tight, args.export_window)
+    return _emit(args, {"gauge_identity_residual": gauge, "radius": args.radius},
+                 {"gauge": f"{gauge:.2e}"}, gauge < pipe.tolerances["frame"])
 
 
 def cmd_chern(args) -> int:
-    try:
-        params, grid, window, h, p = _chern_energy_core(args)
-        c1t = chern_trace(p, params)
-        c1s = chern_sum(window, h, params, args.radius)
-    except NotAFrameError as exc:
-        print(f"frame failure: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    tol = 1e3 * args.eps0
-    ok = (abs(c1t - round(c1t.real)) < tol and abs(c1t - c1s) < tol)
-    report = _report_skeleton(args, "chern")
-    report["results"] = {"c1_trace": {"re": c1t.real, "im": c1t.imag},
-                         "c1_sum": {"re": c1s.real, "im": c1s.imag},
-                         "c1_rounded": int(round(c1t.real)),
-                         "two_formula_gap": abs(c1t - c1s)}
-    report["results_summary"] = {"c1": round(c1t.real, 10)}
-    return _emit(report, args, ok)
+    pipe = _pipeline(args)
+    c1t, c1s = pipe.c1_trace, pipe.c1_sum
+    return _emit(args, {"c1_trace": {"re": c1t.real, "im": c1t.imag},
+                        "c1_sum": {"re": c1s.real, "im": c1s.imag},
+                        "c1_rounded": int(round(c1t.real)),
+                        "two_formula_gap": abs(c1t - c1s)},
+                 {"c1": round(c1t.real, 10)}, _chern_ok(pipe))
 
 
 def cmd_energy(args) -> int:
-    try:
-        params, grid, window, h, p = _chern_energy_core(args)
-        e_tr = energy(p, params)
-        e_win = energy_window_form(window, h, params, args.radius)
-        c1t = chern_trace(p, params)
-    except NotAFrameError as exc:
-        print(f"frame failure: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    gap = e_tr - abs(c1t)
-    tol = 1e3 * args.eps0
-    report = _report_skeleton(args, "energy")
-    report["results"] = {"energy_trace": e_tr, "energy_window": e_win,
-                         "c1": c1t.real, "gap": gap}
-    report["results_summary"] = {"energy": round(e_tr, 10), "gap": gap}
-    return _emit(report, args, abs(e_tr - e_win) < tol and gap > -tol)
+    pipe = _pipeline(args)
+    e_tr, e_win, tol = pipe.energy_trace, pipe.energy_window, pipe.tolerances["chern"]
+    return _emit(args, {"energy_trace": e_tr, "energy_window": e_win,
+                        "c1": pipe.c1_trace.real, "gap": pipe.gap},
+                 {"energy": round(e_tr, 10), "gap": pipe.gap},
+                 abs(e_tr - e_win) < tol and pipe.gap > -tol)
 
 
 def cmd_verify_soliton(args) -> int:
-    params, grid = _setup(args)
-    window = _window_from_args(args, grid, params)
-    try:
-        rep = soliton_experiment(params, window, radius=args.radius,
-                                 eps0=args.eps0, bounds_seed=args.seed)
-    except NotAFrameError as exc:
-        print(f"frame failure: {exc}", file=sys.stderr)
-        return EXIT_FRAME
-    except ConvergenceError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    report = _report_skeleton(args, "verify-soliton")
-    report["results"] = rep.to_dict()
-    report["results_summary"] = {"c1": round(rep.c1_trace.real, 8),
-                                 "energy": round(rep.energy, 8),
-                                 "gap": rep.gap}
-    return _emit(report, args, rep.passes())
+    rep = _pipeline(args).report()
+    return _emit(args, rep.to_dict(),
+                 {"c1": round(rep.c1_trace.real, 8),
+                  "energy": round(rep.energy, 8), "gap": rep.gap}, rep.passes())
 
 
 def cmd_moyal(args) -> int:
@@ -371,21 +315,16 @@ def cmd_moyal(args) -> int:
         results.append({"window": name, "moyal_relerr": err, "energy": e,
                         "energy_gap": e - q, "eigen_residual_plus": res_plus,
                         "generalized_gaussian": is_gauss})
-        rows.append({"alpha": "", "beta": "", "r": "", "s": "", "q": q,
-                     "A": "", "B": "", "c1_re": "", "c1_im": "",
-                     "energy": e, "gap": e - q, "sd_plus": "",
-                     "sd_minus": "", "W_residual": res_plus,
-                     "radius": "", "N": grid.N, "L": grid.L})
+        rows.append({"q": q, "energy": e, "gap": e - q, "W_residual": res_plus,
+                     "N": grid.N, "L": grid.L})   # lattice columns stay empty
     if args.csv:
         _write_csv(args.csv, rows)
     ok = worst_moyal < args.eps0 and all(
         r["energy_gap"] > -1e-6 for r in results) and all(
         (r["energy_gap"] < 1e-6) == r["generalized_gaussian"] for r in results)
-    report = _report_skeleton(args, "moyal")
-    report["results"] = {"corpus": results, "worst_moyal_relerr": worst_moyal}
-    report["results_summary"] = {"worst_moyal": f"{worst_moyal:.2e}",
-                                 "windows": len(results)}
-    return _emit(report, args, ok)
+    return _emit(args, {"corpus": results, "worst_moyal_relerr": worst_moyal},
+                 {"worst_moyal": f"{worst_moyal:.2e}", "windows": len(results)},
+                 ok)
 
 
 def _parse_range(text):
@@ -400,29 +339,22 @@ def _parse_range(text):
 
 
 def _sweep_point(job):
-    (alpha, beta, args_dict) = job
-    args = argparse.Namespace(**args_dict)
-    args.alpha, args.beta = alpha, beta
-    params = TorusParams(alpha=alpha, beta=beta, r=args.r, s=args.s, q=args.q)
-    grid = (grid_for_radius(args.radius, n=args.N, q=args.q)
-            if args.L is None else GridSpec(L=args.L, N=args.N, q=args.q))
-    window = _window_from_args(args, grid, params)
+    """One CSV row; frame and solver failures go to its `error` column."""
+    alpha, beta, args_dict = job
+    args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
+    pipe = _pipeline(args)
+    row = {"alpha": alpha, "beta": beta, "r": args.r, "s": args.s,
+           "q": args.q, "radius": args.radius, "N": args.N,
+           "L": pipe.window.spec.L}
     try:
-        rep = soliton_experiment(params, window, radius=args.radius,
-                                 eps0=args.eps0, bounds_seed=args.seed)
+        rep = pipe.report()
     except (NotAFrameError, ConvergenceError) as exc:
-        return {"alpha": alpha, "beta": beta, "r": args.r, "s": args.s,
-                "q": args.q, "A": "", "B": "", "c1_re": "", "c1_im": "",
-                "energy": "", "gap": "", "sd_plus": "", "sd_minus": "",
-                "W_residual": "", "radius": args.radius, "N": args.N,
-                "L": grid.L, "error": str(exc)}
-    return {"alpha": alpha, "beta": beta, "r": args.r, "s": args.s,
-            "q": args.q, "A": rep.frame_bounds[0], "B": rep.frame_bounds[1],
+        return {**row, "error": str(exc)}
+    return {**row, "A": rep.frame_bounds[0], "B": rep.frame_bounds[1],
             "c1_re": rep.c1_trace.real, "c1_im": rep.c1_trace.imag,
             "energy": rep.energy, "gap": rep.gap,
             "sd_plus": rep.sd_residual_plus, "sd_minus": rep.sd_residual_minus,
-            "W_residual": rep.w_residual_plus, "radius": args.radius,
-            "N": args.N, "L": grid.L}
+            "W_residual": rep.w_residual_plus}
 
 
 def _write_csv(path, rows):
@@ -447,106 +379,74 @@ def cmd_sweep(args) -> int:
         rows = [_sweep_point(j) for j in jobs]
     out_csv = args.csv or "sweep.csv"
     _write_csv(out_csv, rows)
-    ok_rows = [r for r in rows if "error" not in r or not r["error"]]
-    bound_ok = all(float(r["gap"]) > -1e3 * args.eps0 for r in ok_rows if r["gap"] != "")
-    report = _report_skeleton(args, "sweep")
-    report["results"] = {"points": len(rows), "csv": out_csv,
-                         "failed_points": len(rows) - len(ok_rows)}
-    report["results_summary"] = {"points": len(rows), "csv": out_csv}
-    return _emit(report, args, bound_ok)
+    ok_rows = [r for r in rows if "error" not in r]
+    bound_ok = all(r["gap"] > -1e3 * args.eps0 for r in ok_rows)
+    return _emit(args, {"points": len(rows), "csv": out_csv,
+                        "failed_points": len(rows) - len(ok_rows)},
+                 {"points": len(rows), "csv": out_csv}, bound_ok)
 
 
 def cmd_laurent_data(args) -> int:
     """Emit |F(t1,t2)| heatmap columns for plotting."""
-    params, grid = _setup(args)
-    window = _window_from_args(args, grid, params)
-    sym = laurent_symbol(window, params, grid=args.mesh, radius=args.radius)
+    pipe = _pipeline(args)   # for its window and the seam check
+    sym = laurent_symbol(pipe.window, pipe.params, grid=args.mesh,
+                         radius=args.radius)
     path = args.csv or "laurent.dat"
     with open(path, "w") as fh:
         fh.write("# t1 t2 absF\n")
         for i, t1 in enumerate(sym.t1):
             for j, t2 in enumerate(sym.t2):
                 fh.write(f"{t1} {t2} {abs(sym.values[i, j])}\n")
-    report = _report_skeleton(args, "laurent-data")
-    report["results"] = {"min_abs": sym.min_abs, "max_abs": sym.max_abs,
-                         "is_riesz": sym.is_riesz, "path": path}
-    report["results_summary"] = {"min_abs": sym.min_abs, "riesz": sym.is_riesz}
-    return _emit(report, args, True)
+    return _emit(args, {"min_abs": sym.min_abs, "max_abs": sym.max_abs,
+                        "is_riesz": sym.is_riesz, "path": path},
+                 {"min_abs": sym.min_abs, "riesz": sym.is_riesz}, True)
 
 
 TASK_ORDER = ["axioms", "frame", "wexler_raz", "chern", "energy", "soliton", "moyal"]
+LATTICE_TASKS = {"frame", "wexler_raz", "chern", "energy", "soliton"}
 
 
 def cmd_run(args) -> int:
     """Execute a task subset in dependency order, one combined report."""
-    tasks = [t.strip() for t in
-             (args.tasks.split(",") if isinstance(args.tasks, str) else args.tasks)]
-    unknown = set(tasks) - set(TASK_ORDER)
-    if unknown or not tasks:
-        print(f"configuration error: unknown or empty tasks {sorted(unknown)}",
-              file=sys.stderr)
-        return EXIT_CONFIG
-    tasks = [t for t in TASK_ORDER if t in tasks]
+    requested = {t.strip() for t in
+                 (args.tasks.split(",") if isinstance(args.tasks, str) else args.tasks)}
+    unknown = requested - set(TASK_ORDER)
+    if unknown or not requested:
+        raise ValueError(f"unknown or empty tasks {sorted(unknown)}")
+    tasks = [t for t in TASK_ORDER if t in requested]
     params, grid = _setup(args)
     results, passed = {}, True
-    tol_frame, tol_chern = 1e2 * args.eps0, 1e3 * args.eps0
 
     if "axioms" in tasks:
-        rng = np.random.default_rng(args.seed)
-        worst = 0.0
-        for kind in (LatticeKind.TIME_FREQ, LatticeKind.ADJOINT):
-            for _ in range(25):
-                a, b, c = (_random_seq(params, kind, rng) for _ in range(3))
-                worst = max(worst, l1_diff(
-                    twisted_conv(twisted_conv(a, b), c),
-                    twisted_conv(a, twisted_conv(b, c))),
-                    l1_diff(twisted_star(twisted_conv(a, b)),
-                            twisted_conv(twisted_star(b), twisted_star(a))))
+        residuals = _axiom_residuals(params, np.random.default_rng(args.seed), 25)
+        worst = max(residuals["assoc"], residuals["anti_hom"])
         results["axioms"] = {"worst_identity_residual": worst}
         passed &= worst < 1e-11
 
-    needs_frame = set(tasks) & {"frame", "wexler_raz", "chern", "energy", "soliton"}
-    if needs_frame:
-        window = _window_from_args(args, grid, params)
-        sys_ = FrameSystem(window, params, args.radius)
-        try:
-            a_est, b_est = frame_bounds(sys_, seed=args.seed)
-        except NotAFrameError as exc:
-            print(f"frame failure: {exc}", file=sys.stderr)
-            return EXIT_FRAME
+    if requested & LATTICE_TASKS:
+        pipe = _pipeline(args)
+        tol = pipe.tolerances
+        a_est, b_est = pipe.bounds
         results["frame"] = {"A": a_est, "B": b_est,
-                            "residuals": sys_.bounds_residuals}
-        try:
-            h = canonical_dual(sys_)
-        except ConvergenceError as exc:
-            print(f"solver failure: {exc}", file=sys.stderr)
-            return EXIT_SOLVER
+                            "residuals": pipe.system.bounds_residuals}
         if "wexler_raz" in tasks:
-            wr = wexler_raz_residual(window, h, params, args.radius)
-            results["wexler_raz"] = {"residual": wr}
-            passed &= wr < tol_frame
-        if set(tasks) & {"chern", "energy", "soliton"}:
-            p = inner_left(window, h, params, args.radius)
-            c1t = chern_trace(p, params, tol=tol_frame)
-            if "chern" in tasks:
-                c1s = chern_sum(window, h, params, args.radius)
-                results["chern"] = {"c1_re": c1t.real, "c1_im": c1t.imag,
-                                    "c1_sum_re": c1s.real,
-                                    "rounded": int(round(c1t.real))}
-                passed &= (abs(c1t - round(c1t.real)) < tol_chern
-                           and abs(c1t - c1s) < tol_chern)
-            if "energy" in tasks:
-                e_tr = energy(p, params, tol=tol_frame)
-                results["energy"] = {"trace_form": e_tr,
-                                     "window_form": energy_window_form(
-                                         window, h, params, args.radius),
-                                     "gap": e_tr - abs(c1t)}
-                passed &= e_tr - abs(c1t) > -tol_chern
-            if "soliton" in tasks:
-                rep = soliton_experiment(params, window, radius=args.radius,
-                                         eps0=args.eps0, bounds_seed=args.seed)
-                results["soliton"] = rep.to_dict()
-                passed &= rep.passes()
+            results["wexler_raz"] = {"residual": pipe.wexler_raz}
+            passed &= pipe.wexler_raz < tol["frame"]
+        if "chern" in tasks:
+            c1t = pipe.c1_trace
+            results["chern"] = {"c1_re": c1t.real, "c1_im": c1t.imag,
+                                "c1_sum_re": pipe.c1_sum.real,
+                                "rounded": int(round(c1t.real))}
+            passed &= _chern_ok(pipe)
+        if "energy" in tasks:
+            results["energy"] = {"trace_form": pipe.energy_trace,
+                                 "window_form": pipe.energy_window,
+                                 "gap": pipe.gap}
+            passed &= pipe.gap > -tol["chern"]
+        if "soliton" in tasks:
+            rep = pipe.report()
+            results["soliton"] = rep.to_dict()
+            passed &= rep.passes()
 
     if "moyal" in tasks:
         rng = np.random.default_rng(args.seed + 1)
@@ -558,10 +458,7 @@ def cmd_run(args) -> int:
         results["moyal"] = {"worst_relative_error": worst}
         passed &= worst < args.eps0
 
-    report = _report_skeleton(args, "run")
-    report["results"] = results
-    report["results_summary"] = {"tasks": tasks}
-    return _emit(report, args, passed)
+    return _emit(args, results, {"tasks": tasks}, passed)
 
 
 def build_parser():
@@ -608,29 +505,32 @@ def build_parser():
     sp.add_argument("--alpha-range", type=str, default="0.5",
                     help="value, comma list, or start:stop:step")
     sp.add_argument("--beta-range", type=str, default="0.5")
-    sp.add_argument("--task", type=str, default="energy",
-                    choices=["energy", "chern", "soliton"])
     sp.add_argument("--csv", type=str, default=None)
     sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(func=cmd_sweep)
     return parser
 
 
+def _fail(label, exc, code) -> int:
+    print(f"{label}: {exc}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand; the only place where a failure becomes an exit code."""
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
-        args = _apply_config_defaults(args, argv)
-    except (ValueError, OSError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args = _apply_config_defaults(build_parser().parse_args(argv), argv)
         return args.func(args)
-    except (ValueError,) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except ToleranceError as exc:   # a ValueError, so it is matched first
+        return _fail("tolerance failure", exc, EXIT_IDENTITY)
+    except NotAFrameError as exc:
+        return _fail("frame failure", exc, EXIT_FRAME)
+    except ConvergenceError as exc:
+        return _fail("solver failure", exc, EXIT_SOLVER)
+    except (ValueError, OSError) as exc:
+        return _fail("configuration error", exc, EXIT_CONFIG)
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ reconstruction on probes; both agree for frames of Gaussian class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -39,9 +39,18 @@ class ConvergenceError(RuntimeError):
     """Raised when an iterative solve stalls above its tolerance."""
 
 
+class ToleranceError(ValueError):
+    """Raised when an asserted identity misses its tolerance."""
+
+
 @dataclass
 class FrameSystem:
     """A window with its lattice, truncation radius, and cached frame data.
+
+    `cache` holds the results of frame_bounds, canonical_dual and
+    canonical_tight keyed on the solver arguments they were computed with;
+    `bounds_residuals` are the Rayleigh residuals of the bounds that
+    frame_bounds returned last.
 
     `solve_margin` widens the lattice truncation used *inside* the dual and
     tight-window solves (never inside reported sums): the canonical dual of
@@ -54,9 +63,7 @@ class FrameSystem:
     params: TorusParams
     radius: float = 6.0
     solve_margin: float = 2.0
-    dual: Optional[GridSignal] = None
-    tight: Optional[GridSignal] = None
-    bounds: Optional[tuple] = None
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
     bounds_residuals: Optional[dict] = None
 
     def __post_init__(self):
@@ -67,16 +74,13 @@ class FrameSystem:
             raise ValueError("solve margin must be nonnegative")
 
     def apply(self, f: GridSignal) -> GridSignal:
-        return frame_operator(self, f)
+        """Truncated frame operator image S_g f = ⟨f,g⟩·g."""
+        return act_left(inner_left(f, self.window, self.params, self.radius),
+                        self.window)
 
     def _apply_solve(self, f: GridSignal) -> GridSignal:
         r = self.radius + self.solve_margin
         return act_left(inner_left(f, self.window, self.params, r), self.window)
-
-
-def frame_operator(sys: FrameSystem, f: GridSignal) -> GridSignal:
-    """Truncated frame operator image S_g f = ⟨f,g⟩·g."""
-    return act_left(inner_left(f, sys.window, sys.params, sys.radius), sys.window)
 
 
 def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int,
@@ -143,9 +147,8 @@ def frame_bounds(sys: FrameSystem, probes: int = 24, seed: int = 7,
         raise ValueError("need at least 16 probes")
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
-    if sys.bounds is not None:
-        a_est, b_est = sys.bounds
-    else:
+    key = ("bounds", probes, seed)
+    if key not in sys.cache:
         rng = np.random.default_rng(seed)
         spec = sys.window.spec
         basis = np.stack([
@@ -187,12 +190,12 @@ def frame_bounds(sys: FrameSystem, probes: int = 24, seed: int = 7,
         except ConvergenceError:
             pass  # keep the last Rayleigh quotient; S is effectively singular
         a_est, b_est = float(min(a_est, b_est)), float(max(a_est, b_est))
-        sys.bounds = (a_est, b_est)
         scale = max(b_est, 1e-300)
-        sys.bounds_residuals = {
+        sys.cache[key] = (a_est, b_est, {
             "rayleigh_B": norm(sys.apply(v) - b_est * v) / (scale * norm(v)),
             "rayleigh_A": norm(sys.apply(u) - a_est * u) / (scale * norm(u)),
-        }
+        })
+    a_est, b_est, sys.bounds_residuals = sys.cache[key]
     if require_frame and a_est < 1e-6 * b_est:
         raise NotAFrameError(a_est, b_est)
     return a_est, b_est
@@ -205,9 +208,11 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
     The solver pushes well below `tol` whenever the spectrum allows;
     `tol` is the acceptance threshold beyond which stagnation raises.
     """
-    if sys.dual is None:
-        sys.dual = _cg_solve(sys._apply_solve, sys.window, tol=tol, max_iter=max_iter)
-    return sys.dual
+    key = ("dual", tol, max_iter)
+    if key not in sys.cache:
+        sys.cache[key] = _cg_solve(sys._apply_solve, sys.window, tol=tol,
+                                   max_iter=max_iter)
+    return sys.cache[key]
 
 
 def _lanczos(apply_op, start: GridSignal, m: int):
@@ -242,8 +247,9 @@ def canonical_tight(sys: FrameSystem, tol: float = 1e-6,
     S_g started at g, doubling the Krylov dimension until the frame operator
     of the result acts as the identity on probes to within tol.
     """
-    if sys.tight is not None:
-        return sys.tight
+    key = ("tight", tol, max_steps)
+    if key in sys.cache:
+        return sys.cache[key]
     spec = sys.window.spec
     rng = np.random.default_rng(11)
     checks = [random_timefreq_probe(spec, rng, spread=1.8) for _ in range(3)]
@@ -265,7 +271,7 @@ def canonical_tight(sys: FrameSystem, tol: float = 1e-6,
         tight_sys = FrameSystem(tight, sys.params, sys.radius)
         residual = max(norm(tight_sys.apply(f) - f) / norm(f) for f in checks)
         if residual <= tol:
-            sys.tight = tight
+            sys.cache[key] = tight
             return tight
         if m >= max_steps:
             raise ConvergenceError(
@@ -301,15 +307,15 @@ def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,
     """
     wr = wexler_raz_residual(g, h, params, radius)
     if wr > wr_tol:
-        raise ValueError(f"not dual: Wexler-Raz residual {wr:.3e} > {wr_tol:.1e}")
+        raise ToleranceError(f"not dual: Wexler-Raz residual {wr:.3e} > {wr_tol:.1e}")
     a = inner_left(g, h, params, radius)
     idem = (twisted_conv(a, a) - a).l1_norm()
     if idem > idem_tol:
-        raise ValueError(f"projection residual too large: {idem:.3e}")
+        raise ToleranceError(f"projection residual too large: {idem:.3e}")
     if require_self_adjoint:
         sa = (twisted_star(a) - a).l1_norm()
         if sa > idem_tol:
-            raise ValueError(f"projection not self-adjoint: {sa:.3e}")
+            raise ToleranceError(f"projection not self-adjoint: {sa:.3e}")
     return a
 
 

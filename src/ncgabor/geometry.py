@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,8 +26,9 @@ from .lattice import (LatticeKind, TorusParams, index_bounds,
                       lattice_generators, soliton_admissible)
 from .algebra import (LatticeSeq, inner_left, trace_l, twisted_conv,
                       twisted_star, l1_diff, _raw_stft)
-from .frame import (FrameSystem, adjoint_span_residual, canonical_dual,
-                    frame_bounds, wexler_raz_residual)
+from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
+                    canonical_dual, canonical_tight, frame_bounds,
+                    wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, inner, norm)
 
@@ -61,7 +63,7 @@ def projection_residual(p: LatticeSeq) -> float:
 def _require_projection(p: LatticeSeq, tol: float):
     res = projection_residual(p)
     if res > tol:
-        raise ValueError(f"not a projection: idempotency residual {res:.3e} > {tol:.1e}")
+        raise ToleranceError(f"not a projection: idempotency residual {res:.3e} > {tol:.1e}")
 
 
 def chern_trace(p: LatticeSeq, params: TorusParams, tol: float = 1e-6) -> complex:
@@ -130,7 +132,7 @@ def energy(p: LatticeSeq, params: TorusParams,
         g, h = window_pair
         e_win = energy_window_form(g, h, params, p.radius)
         if abs(e_win - e_trace) > cross_check_tol * max(1.0, abs(e_trace)):
-            raise ValueError(
+            raise ToleranceError(
                 f"energy forms disagree: trace {e_trace!r} vs window {e_win!r}")
     return e_trace
 
@@ -156,6 +158,11 @@ def sd_residuals(p: LatticeSeq, params: TorusParams, tol: float = 1e-6):
     plus = twisted_conv(d1 + 1j * d2, p).l1_norm()
     minus = twisted_conv(d1 + (-1j) * d2, p).l1_norm()
     return plus, minus
+
+
+def tolerance_ladder(eps0: float) -> dict:
+    """One ladder from ε₀: algebra ε₀, frame 10²ε₀, Chern/energy 10³ε₀."""
+    return {"algebra": eps0, "frame": 1e2 * eps0, "chern": 1e3 * eps0}
 
 
 @dataclass
@@ -188,9 +195,7 @@ class ChernReport:
 
     @property
     def tolerances(self) -> dict:
-        """One ladder from ε₀: algebra ε₀, frame 10²ε₀, Chern/energy 10³ε₀."""
-        return {"algebra": self.eps0, "frame": 1e2 * self.eps0,
-                "chern": 1e3 * self.eps0}
+        return tolerance_ladder(self.eps0)
 
     def passes(self) -> bool:
         tol = self.tolerances
@@ -236,41 +241,129 @@ def grid_for_radius(radius: float, n: int = 512, q: int = 1) -> GridSpec:
     return GridSpec(L=2.0 * (radius + 5.0), N=n, q=q)
 
 
+def seam_mass(window: GridSignal, radius: float) -> float:
+    """Relative L² mass of the window outside |x| ≤ L/2 − radius.
+
+    Atoms translated by up to `radius` carry this mass across the
+    periodisation seam at ±L/2; a zero window has mass 0.
+    """
+    total = float(np.sum(np.abs(window.values) ** 2))
+    if total == 0.0:
+        return 0.0
+    outside = np.abs(window.spec.x()) > window.spec.L / 2 - radius
+    return float(np.sum(np.abs(window.values[:, outside]) ** 2)) / total
+
+
+class Pipeline:
+    """The soliton chain of one window on one lattice, each stage computed once.
+
+    window g → frame system → bounds (A, B) → canonical dual h → projection
+    p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
+    residuals.  Stages are computed on first access and cached, so a report
+    pays only for the stages it reads.  Checks on p run at the frame rung
+    10²ε₀ of the tolerance ladder.  A window that reaches the periodisation
+    seam is rejected before any solve.
+    """
+
+    def __init__(self, params: TorusParams, window: GridSignal,
+                 radius: float = 6.0, eps0: float = 1e-8, seed: int = 7,
+                 dual_max_iter: int = 500):
+        self.params, self.window, self.radius = params, window, radius
+        self.seed, self.dual_max_iter = seed, dual_max_iter
+        self.eps0 = eps0
+        self.tolerances = tolerance_ladder(eps0)
+        tail = seam_mass(window, radius)
+        if tail >= self.tolerances["frame"]:
+            raise ValueError(
+                f"window reaches the periodisation seam: relative mass "
+                f"{tail:.3e} outside |x| <= L/2 - radius = "
+                f"{window.spec.L / 2 - radius:g}; widen L or reduce the radius")
+
+    @cached_property
+    def system(self) -> FrameSystem:
+        return FrameSystem(self.window, self.params, self.radius)
+
+    @cached_property
+    def bounds(self) -> tuple:
+        return frame_bounds(self.system, seed=self.seed)
+
+    @cached_property
+    def dual(self) -> GridSignal:
+        return canonical_dual(self.system, max_iter=self.dual_max_iter)
+
+    @cached_property
+    def tight(self) -> GridSignal:
+        return canonical_tight(self.system)
+
+    @cached_property
+    def wexler_raz(self) -> float:
+        return wexler_raz_residual(self.window, self.dual, self.params, self.radius)
+
+    @cached_property
+    def projection(self) -> LatticeSeq:
+        return inner_left(self.window, self.dual, self.params, self.radius)
+
+    @cached_property
+    def defect(self) -> float:
+        return projection_residual(self.projection)
+
+    @cached_property
+    def c1_trace(self) -> complex:
+        return chern_trace(self.projection, self.params,
+                           tol=self.tolerances["frame"])
+
+    @cached_property
+    def c1_sum(self) -> complex:
+        return chern_sum(self.window, self.dual, self.params, self.radius)
+
+    @cached_property
+    def energy_trace(self) -> float:
+        return energy(self.projection, self.params, tol=self.tolerances["frame"])
+
+    @cached_property
+    def energy_window(self) -> float:
+        return energy_window_form(self.window, self.dual, self.params, self.radius)
+
+    @property
+    def gap(self) -> float:
+        return self.energy_trace - abs(self.c1_trace)
+
+    @cached_property
+    def self_duality(self) -> tuple:
+        """ℓ¹ norms of (∂₁p ± i∂₂p)♮p."""
+        return sd_residuals(self.projection, self.params,
+                            tol=self.tolerances["frame"])
+
+    @cached_property
+    def w_residuals(self) -> tuple:
+        """Distances of (∇₁ ± i∇₂)g from the adjoint-shift span of g."""
+        c1, c2 = covariant(self.window, 1), covariant(self.window, 2)
+        scale = norm(c1) + norm(c2)
+        return tuple(adjoint_span_residual(v, self.window, self.params,
+                                           self.radius, scale=scale)
+                     for v in (c1 + 1j * c2, c1 - 1j * c2))
+
+    def report(self) -> ChernReport:
+        """Every stage, in chain order, as one ChernReport."""
+        ok, diag = soliton_admissible(self.params)
+        return ChernReport(
+            params=self.params, grid=self.window.spec, radius=self.radius,
+            admissible=ok, admissibility=diag, frame_bounds=self.bounds,
+            wexler_raz=self.wexler_raz, projection_defect=self.defect,
+            c1_trace=self.c1_trace, c1_sum=self.c1_sum,
+            c1_rounded=int(round(self.c1_trace.real)),
+            energy=self.energy_trace, energy_window=self.energy_window,
+            gap=self.gap, sd_residual_plus=self.self_duality[0],
+            sd_residual_minus=self.self_duality[1],
+            w_residual_plus=self.w_residuals[0],
+            w_residual_minus=self.w_residuals[1], eps0=self.eps0)
+
+
 def soliton_experiment(params: TorusParams, window: GridSignal,
                        radius: float = 6.0, eps0: float = 1e-8,
                        bounds_seed: int = 7) -> ChernReport:
     """Full pipeline: frame bounds → canonical dual → projection → c₁, E, residuals."""
-    sys = FrameSystem(window, params, radius)
-    a_est, b_est = frame_bounds(sys, seed=bounds_seed)
-    h = canonical_dual(sys)
-    wr = wexler_raz_residual(window, h, params, radius)
-    p = inner_left(window, h, params, radius)
-    defect = projection_residual(p)
-    c1t = chern_trace(p, params)
-    c1s = chern_sum(window, h, params, radius)
-    c1r = int(round(c1t.real))
-    e_tr = energy(p, params)
-    e_win = energy_window_form(window, h, params, radius)
-    plus, minus = sd_residuals(p, params)
-    ok, diag = soliton_admissible(params)
-    c1, c2 = covariant(window, 1), covariant(window, 2)
-    deriv_scale = norm(c1) + norm(c2)
-    wplus = adjoint_span_residual(c1 + 1j * c2, window, params, radius,
-                                  scale=deriv_scale)
-    wminus = adjoint_span_residual(c1 - 1j * c2, window, params, radius,
-                                   scale=deriv_scale)
-    return ChernReport(
-        params=params, grid=window.spec, radius=radius,
-        admissible=ok, admissibility=diag,
-        frame_bounds=(a_est, b_est), wexler_raz=wr,
-        projection_defect=defect,
-        c1_trace=c1t, c1_sum=c1s, c1_rounded=c1r,
-        energy=e_tr, energy_window=e_win,
-        gap=e_tr - abs(c1t),
-        sd_residual_plus=plus, sd_residual_minus=minus,
-        w_residual_plus=wplus, w_residual_minus=wminus,
-        eps0=eps0,
-    )
+    return Pipeline(params, window, radius, eps0, bounds_seed).report()
 
 
 def build_window(kind: str, spec: GridSpec, params: TorusParams,

@@ -1,9 +1,11 @@
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
 
+from ncgabor import frame
 from ncgabor.cli import main
 from ncgabor.signal import GridSignal, GridSpec, save_signal
 
@@ -176,3 +178,65 @@ def test_laurent_data_emission(tmp_path):
     rows = dat.read_text().strip().splitlines()
     assert rows[0].startswith("#")
     assert len(rows) == 1 + 16 * 16
+
+
+@pytest.mark.parametrize("command", ["chern", "energy", "verify-soliton"])
+def test_tolerance_failure_exit_code(command, capsys):
+    # at radius 2 the truncated p = <g,h> misses idempotency at the frame rung
+    assert main([command, "--radius", "2"]) == 1
+    assert "tolerance failure: not a projection" in capsys.readouterr().err
+
+
+def test_missing_window_file_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.sig"
+    assert main(["dual", "--window", f"file:{missing}"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["frame", "laurent-data"])
+def test_window_reaching_the_seam_exit_code(command, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # laurent-data writes laurent.dat here
+    # on L = 6 the atoms shifted by |lambda| = 6 wrap around the whole circle
+    code = main([command, "--L", "6", "--radius", "6", "--window", "hermite:3"])
+    assert code == 2
+    assert "periodisation seam" in capsys.readouterr().err
+
+
+def _count_calls(monkeypatch, name):
+    """Count calls of ncgabor.frame.<name> through every module holding it."""
+    original, calls = getattr(frame, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("ncgabor") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_run_and_sweep_share_the_soliton_pipeline(tmp_path, monkeypatch):
+    sol, run, sweep = (tmp_path / n for n in ("sol.json", "run.json", "sweep.csv"))
+    assert main(["verify-soliton", "--seed", "3", "--out", str(sol)]) == 0
+    expected = _load(sol)["results"]
+
+    bounds_calls = _count_calls(monkeypatch, "frame_bounds")
+    dual_calls = _count_calls(monkeypatch, "canonical_dual")
+    assert main(["run", "--seed", "3", "--out", str(run), "--tasks",
+                 "frame,wexler_raz,chern,energy,soliton"]) == 0
+    assert (len(bounds_calls), len(dual_calls)) == (1, 1)
+    assert _load(run)["results"]["soliton"] == expected
+
+    assert main(["sweep", "--seed", "3", "--csv", str(sweep),
+                 "--out", str(tmp_path / "sweep.json")]) == 0
+    header, line = sweep.read_text().strip().splitlines()
+    row = {k: float(v) for k, v in zip(header.split(","), line.split(","))}
+    assert (row["A"], row["B"]) == (expected["frame_bounds"]["A"],
+                                    expected["frame_bounds"]["B"])
+    assert (row["c1_re"], row["c1_im"]) == (expected["c1"]["re"],
+                                            expected["c1"]["im"])
+    assert (row["energy"], row["gap"]) == (expected["energy"], expected["gap"])
+    assert (row["sd_plus"], row["sd_minus"], row["W_residual"]) == (
+        expected["sd_residuals"]["plus"], expected["sd_residuals"]["minus"],
+        expected["w_residuals"]["plus"])

@@ -133,6 +133,24 @@ def test_cg_failure_raises(sys_q2):
         _cg_solve(sys_q2._apply_solve, sys_q2.window, tol=1e-9, max_iter=2)
 
 
+def test_caches_are_keyed_on_solver_arguments(sys_q1):
+    fresh = FrameSystem(sys_q1.window, sys_q1.params, sys_q1.radius)
+    loose = canonical_dual(fresh, tol=1e-2, max_iter=3)
+    strict = canonical_dual(fresh, tol=1e-9)
+    assert strict is not loose and canonical_dual(fresh, tol=1e-9) is strict
+    assert norm(fresh._apply_solve(strict) - fresh.window) < 1e-9 * norm(fresh.window)
+
+    first = frame_bounds(fresh, seed=1)
+    other = frame_bounds(fresh, seed=2, probes=40)
+    assert other == frame_bounds(FrameSystem(sys_q1.window, sys_q1.params, 6.0),
+                                 seed=2, probes=40)
+    assert frame_bounds(fresh, seed=1) == first
+
+    canonical_tight(fresh, tol=1.0, max_steps=20)
+    with pytest.raises(ConvergenceError):
+        canonical_tight(fresh, tol=1e-30, max_steps=20)
+
+
 def test_tight_window(sys_q1):
     t = canonical_tight(sys_q1)
     tight_sys = FrameSystem(t, sys_q1.params, sys_q1.radius)
