@@ -1,8 +1,9 @@
 """Twisted convolution algebras on truncated lattices and the module actions.
 
 Finitely supported sequences a on Λ×Γ (or b on Γ⊥×Λ⊥) stand in for the
-weighted ℓ¹ algebra elements.  For lattice points indexed by integer pairs
-the 2-cocycle collapses to a single twist constant t per lattice:
+weighted ℓ¹ algebra elements, each stored as a complex box over a rectangle
+of generator index pairs (n₁,n₂).  For lattice points indexed by integer
+pairs the 2-cocycle collapses to a single twist constant t per lattice:
 
     (a₁ ♮ a₂)(m) = Σ_k a₁(k) a₂(m−k) · exp(2πi·t·k₁(m−k)₂),
     (a*)(m)      = exp(2πi·t·m₁m₂) · conj(a(−m)),
@@ -16,6 +17,7 @@ inner products are evaluated with batched FFT shift kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,54 +26,86 @@ from .lattice import (LatticeKind, TorusParams, index_bounds,
 from .signal import GridSignal, GridSpec, _check_same_spec
 
 PRUNE_TOL = 1e-14  # entries below this magnitude are dropped after arithmetic
+BOX_BUDGET = 1 << 22  # cells (64 MiB); larger boxes are refused before allocation
+
+
+def _zeros(rows, cols) -> np.ndarray:
+    """Zero box of the given shape, refused above BOX_BUDGET cells."""
+    if rows * cols > BOX_BUDGET:
+        raise ValueError(f"a {rows}x{cols} lattice box exceeds {BOX_BUDGET} cells")
+    return np.zeros((rows, cols), dtype=np.complex128)
 
 
 @dataclass(frozen=True)
 class LatticeSeq:
     """Finitely supported complex sequence on one of the two lattices.
 
-    `index` is an (M,2) integer array of generator pairs (n₁,n₂) in
-    lexicographic order with no duplicates; `values` the matching entries.
+    `box[i, j]` is the entry at the generator pair (n₁,n₂) = origin + (i,j),
+    trimmed by `from_box` to the entries above the prune threshold.
+    `index`, an (M,2) integer array in lexicographic order, and `values`
+    are read-only views of the nonzero entries.
     """
 
     params: TorusParams
     kind: LatticeKind
-    index: np.ndarray
-    values: np.ndarray
+    origin: tuple
+    box: np.ndarray
     radius: float = 0.0
 
     def __post_init__(self):
-        idx = np.asarray(self.index, dtype=np.int64).reshape(-1, 2)
-        vals = np.asarray(self.values, dtype=np.complex128).reshape(-1)
-        if idx.shape[0] != vals.shape[0]:
-            raise ValueError("index/values length mismatch")
+        box = np.asarray(self.box, dtype=np.complex128)
+        box.setflags(write=False)
+        object.__setattr__(self, "origin", (int(self.origin[0]), int(self.origin[1])))
+        object.__setattr__(self, "box", box)
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        idx = np.argwhere(self.box != 0) + self.origin
         idx.setflags(write=False)
+        return idx
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        vals = self.box[self.box != 0]
         vals.setflags(write=False)
-        object.__setattr__(self, "index", idx)
-        object.__setattr__(self, "values", vals)
+        return vals
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
+    def from_box(params, kind, origin, box, radius=0.0, prune=PRUNE_TOL):
+        """Canonical form: zero the entries not above `prune`, trim to the rest."""
+        keep = np.abs(box) > prune
+        rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+        if not rows.size:
+            return LatticeSeq(params, kind, (0, 0), _zeros(0, 0), radius)
+        trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        return LatticeSeq(params, kind, (origin[0] + rows[0], origin[1] + cols[0]),
+                          np.where(keep, box, 0.0)[trim], radius)
+
+    @staticmethod
     def from_entries(params, kind, index, values, radius=0.0, prune=PRUNE_TOL):
-        """Canonicalize: merge duplicate indices, sort, drop tiny entries."""
+        """Sum the values of repeated indices into a box, then `from_box`."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, 2)
         values = np.asarray(values, dtype=np.complex128).reshape(-1)
-        if index.shape[0]:
-            uniq, inv = np.unique(index, axis=0, return_inverse=True)
-            merged = np.zeros(uniq.shape[0], dtype=np.complex128)
-            np.add.at(merged, inv, values)
-            keep = np.abs(merged) > prune
-            index, values = uniq[keep], merged[keep]
-        return LatticeSeq(params, kind, index, values, radius)
+        if not index.shape[0]:
+            return LatticeSeq.from_box(params, kind, (0, 0), _zeros(0, 0), radius)
+        lo, hi = index.min(axis=0), index.max(axis=0)
+        box = _zeros(int(hi[0]) - int(lo[0]) + 1, int(hi[1]) - int(lo[1]) + 1)
+        np.add.at(box, tuple((index - lo).T), values)
+        return LatticeSeq.from_box(params, kind, lo, box, radius, prune)
 
     @staticmethod
     def delta(params, kind, radius=0.0):
         """δ₀, the unit of the twisted algebra."""
-        return LatticeSeq(params, kind, np.zeros((1, 2), dtype=np.int64),
-                          np.ones(1, dtype=np.complex128), radius)
+        return LatticeSeq(params, kind, (0, 0), np.ones((1, 1)), radius)
 
     # -- coordinates -------------------------------------------------------
+
+    def axes(self):
+        """Generator indices n₁ of the box rows and n₂ of its columns."""
+        return (self.origin[0] + np.arange(self.box.shape[0]),
+                self.origin[1] + np.arange(self.box.shape[1]))
 
     def phase_coords(self):
         """(λ, l, γ, c) arrays of the support points."""
@@ -81,41 +115,32 @@ class LatticeSeq:
         return t_step * n1, (t_slope * n1) % q, f_step * n2, (f_slope * n2) % q
 
     def value_at(self, n1: int, n2: int) -> complex:
-        hit = np.nonzero((self.index[:, 0] == n1) & (self.index[:, 1] == n2))[0]
-        return complex(self.values[hit[0]]) if hit.size else 0.0j
-
-    # -- norms -------------------------------------------------------------
+        i, j = n1 - self.origin[0], n2 - self.origin[1]
+        inside = 0 <= i < self.box.shape[0] and 0 <= j < self.box.shape[1]
+        return complex(self.box[i, j]) if inside else 0.0j
 
     def l1_norm(self, weight_s: float = 0.0) -> float:
-        if not self.values.size:
-            return 0.0
         if weight_s == 0.0:
             return float(np.sum(np.abs(self.values)))
         lam, _, gam, _ = self.phase_coords()
         w = (1.0 + np.abs(lam) + np.abs(gam)) ** weight_s
         return float(np.sum(np.abs(self.values) * w))
 
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.values))
-
     # -- linear structure ----------------------------------------------------
-
-    def _like(self, index, values, radius=None):
-        return LatticeSeq.from_entries(self.params, self.kind, index, values,
-                                       self.radius if radius is None else radius)
 
     def __add__(self, other):
         _check_compatible(self, other)
-        return self._like(np.vstack([self.index, other.index]),
-                          np.concatenate([self.values, other.values]),
-                          max(self.radius, other.radius))
+        return LatticeSeq.from_entries(self.params, self.kind,
+                                       np.vstack([self.index, other.index]),
+                                       np.concatenate([self.values, other.values]),
+                                       max(self.radius, other.radius))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return LatticeSeq(self.params, self.kind, self.index,
-                          self.values * scalar, self.radius)
+        return LatticeSeq(self.params, self.kind, self.origin,
+                          self.box * scalar, self.radius)
 
     __rmul__ = __mul__
 
@@ -131,42 +156,39 @@ def _check_compatible(a: LatticeSeq, b: LatticeSeq):
 def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
     """Exact ℓ¹ norm of a − b (no pruning; supports aligned automatically)."""
     _check_compatible(a, b)
-    idx = np.vstack([a.index, b.index])
-    vals = np.concatenate([a.values, -b.values])
-    if not idx.size:
-        return 0.0
-    uniq, inv = np.unique(idx, axis=0, return_inverse=True)
-    merged = np.zeros(uniq.shape[0], dtype=np.complex128)
-    np.add.at(merged, inv, vals)
-    return float(np.sum(np.abs(merged)))
+    return LatticeSeq.from_entries(a.params, a.kind, np.vstack([a.index, b.index]),
+                                   np.concatenate([a.values, -b.values]),
+                                   prune=0.0).l1_norm()
 
 
 # -- twisted algebra ---------------------------------------------------------
 
 
 def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
-    """♮-product; bilinear, supported on the Minkowski sum of supports."""
+    """♮-product: one shifted, phased copy of the a₂ box per nonzero entry of a₁."""
     _check_compatible(a1, a2)
+    radius = max(a1.radius, a2.radius)
     if not a1.values.size or not a2.values.size:
-        return LatticeSeq.from_entries(a1.params, a1.kind,
-                                       np.zeros((0, 2)), np.zeros(0),
-                                       max(a1.radius, a2.radius))
+        return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0), radius)
+    (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
+    out = _zeros(r1 + r2 - 1, c1 + c2 - 1)
     t = lattice_twist(a1.params, a1.kind)
-    phase = np.exp(2j * np.pi * t * np.outer(a1.index[:, 0], a2.index[:, 1]))
-    weights = np.outer(a1.values, a2.values) * phase
-    out_idx = (a1.index[:, None, :] + a2.index[None, :, :]).reshape(-1, 2)
-    return LatticeSeq.from_entries(a1.params, a1.kind, out_idx,
-                                   weights.reshape(-1),
-                                   max(a1.radius, a2.radius))
+    phase = np.exp(2j * np.pi * t * np.outer(a1.axes()[0], a2.axes()[1]))
+    for (k1, k2), v in zip(a1.index, a1.values):
+        i, j = k1 - a1.origin[0], k2 - a1.origin[1]
+        out[i:i + r2, j:j + c2] += (v * a2.box) * phase[i]
+    origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
+    return LatticeSeq.from_box(a1.params, a1.kind, origin, out, radius)
 
 
 def twisted_star(a: LatticeSeq) -> LatticeSeq:
     """Twisted involution; satisfies (a*)* = a and (a♮b)* = b*♮a*."""
     t = lattice_twist(a.params, a.kind)
-    idx = -a.index
-    diag = np.exp(2j * np.pi * t * idx[:, 0] * idx[:, 1])
-    return LatticeSeq.from_entries(a.params, a.kind, idx,
-                                   diag * np.conj(a.values), a.radius)
+    n1s, n2s = (-n[::-1] for n in a.axes())
+    diag = np.exp(2j * np.pi * t * n1s[:, None] * n2s[None, :])
+    origin = (-(a.origin[0] + a.box.shape[0] - 1), -(a.origin[1] + a.box.shape[1] - 1))
+    return LatticeSeq.from_box(a.params, a.kind, origin,
+                               diag * np.conj(a.box[::-1, ::-1]), a.radius)
 
 
 def trace_l(a: LatticeSeq) -> complex:
@@ -180,8 +202,7 @@ def trace_r(b: LatticeSeq) -> complex:
     """tr°(b) = q|αβ|·b(0) on the adjoint lattice."""
     if b.kind is not LatticeKind.ADJOINT:
         raise ValueError("trace_r expects a sequence on the adjoint lattice")
-    p = b.params
-    return p.q * abs(p.alpha * p.beta) * b.value_at(0, 0)
+    return b.params.q * abs(b.params.alpha * b.params.beta) * b.value_at(0, 0)
 
 
 # -- batched shift kernels ---------------------------------------------------
@@ -225,16 +246,6 @@ def _raw_superpose(coeff: np.ndarray, g: GridSignal, gen, n1s, n2s) -> GridSigna
     return GridSignal(spec, np.einsum("akj,akj->kj", w, tg))
 
 
-def _index_grid(seq: LatticeSeq):
-    """Bounding-box ranges and dense coefficient matrix of a sparse support."""
-    idx = seq.index
-    n1s = np.arange(idx[:, 0].min(), idx[:, 0].max() + 1)
-    n2s = np.arange(idx[:, 1].min(), idx[:, 1].max() + 1)
-    dense = np.zeros((n1s.size, n2s.size), dtype=np.complex128)
-    dense[idx[:, 0] - n1s[0], idx[:, 1] - n2s[0]] = seq.values
-    return n1s, n2s, dense
-
-
 def _adjoint_self_phase(params: TorusParams, n1s, n2s) -> np.ndarray:
     """φ(ν°,ν°) = exp(−2πi·θ̃·n₁n₂) on the adjoint index grid."""
     return np.exp(-2j * np.pi * params.adjoint_twist * np.outer(n1s, n2s))
@@ -253,11 +264,8 @@ def act_left(a: LatticeSeq, f: GridSignal) -> GridSignal:
     if a.kind is not LatticeKind.TIME_FREQ:
         raise ValueError("act_left expects a time-frequency lattice sequence")
     _check_params_spec(a.params, f.spec)
-    if not a.values.size:
-        return GridSignal(f.spec, np.zeros_like(f.values))
-    n1s, n2s, dense = _index_grid(a)
     gen = lattice_generators(a.params, LatticeKind.TIME_FREQ)
-    return _raw_superpose(dense, f, gen, n1s, n2s)
+    return _raw_superpose(a.box, f, gen, *a.axes())
 
 
 def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
@@ -265,11 +273,9 @@ def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
     if b.kind is not LatticeKind.ADJOINT:
         raise ValueError("act_right expects an adjoint lattice sequence")
     _check_params_spec(b.params, f.spec)
-    if not b.values.size:
-        return GridSignal(f.spec, np.zeros_like(f.values))
-    n1s, n2s, dense = _index_grid(b)
+    n1s, n2s = b.axes()
     gen = lattice_generators(b.params, LatticeKind.ADJOINT)
-    coeff = dense * _adjoint_self_phase(b.params, n1s, n2s)
+    coeff = b.box * _adjoint_self_phase(b.params, n1s, n2s)
     return _raw_superpose(coeff, f, gen, n1s, n2s)
 
 
@@ -282,9 +288,7 @@ def inner_left(f: GridSignal, g: GridSignal, params: TorusParams,
     n1s, n2s = np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
     gen = lattice_generators(params, LatticeKind.TIME_FREQ)
     v = _raw_stft(f, g, gen, n1s, n2s)
-    idx = np.stack(np.meshgrid(n1s, n2s, indexing="ij"), axis=-1).reshape(-1, 2)
-    return LatticeSeq.from_entries(params, LatticeKind.TIME_FREQ, idx,
-                                   v.reshape(-1), radius)
+    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-k1, -k2), v, radius)
 
 
 def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
@@ -298,9 +302,7 @@ def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
     v = _raw_stft(g, f, gen, n1s, n2s)
     v = v * np.conj(_adjoint_self_phase(params, n1s, n2s))
     v /= params.q * abs(params.alpha * params.beta)
-    idx = np.stack(np.meshgrid(n1s, n2s, indexing="ij"), axis=-1).reshape(-1, 2)
-    return LatticeSeq.from_entries(params, LatticeKind.ADJOINT, idx,
-                                   v.reshape(-1), radius)
+    return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (-k1, -k2), v, radius)
 
 
 # -- serialization ------------------------------------------------------------
@@ -327,6 +329,4 @@ def load_seq(path) -> LatticeSeq:
             n1, n2, re, im = line.split()
             idx.append((int(n1), int(n2)))
             vals.append(float(re) + 1j * float(im))
-    return LatticeSeq.from_entries(params, kind,
-                                   np.array(idx, dtype=np.int64).reshape(-1, 2),
-                                   np.array(vals, dtype=np.complex128), radius)
+    return LatticeSeq.from_entries(params, kind, idx, vals, radius)

@@ -328,14 +328,18 @@ def cmd_moyal(args) -> int:
 
 
 def _parse_range(text):
-    """'a', 'a:b:h' or comma list -> list of floats."""
-    if isinstance(text, list):
-        return [float(v) for v in text]
-    if ":" in text:
+    """'a', 'a:b:h' (finite, h > 0) or comma list -> non-empty list of floats."""
+    if isinstance(text, str) and ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
+        if not (step > 0 and np.isfinite([start, stop, step]).all()):
+            raise ValueError(f"range {text!r} needs finite start:stop:step with step > 0")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(n)]
-    return [float(v) for v in text.split(",")]
+        values = [start + i * step for i in range(n)]
+    else:
+        values = [float(v) for v in (text if isinstance(text, list) else text.split(","))]
+    if not values:
+        raise ValueError(f"empty range: {text!r}")
+    return values
 
 
 def _sweep_point(job):
@@ -367,13 +371,16 @@ def _write_csv(path, rows):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     alphas = _parse_range(args.alpha_range)
     betas = _parse_range(args.beta_range)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     jobs = [(a, b, args_dict) for a in alphas for b in betas]
-    if args.workers > 1:
+    processes = min(args.workers, len(jobs))
+    if processes > 1:
         from multiprocessing import Pool
-        with Pool(processes=args.workers) as pool:
+        with Pool(processes=processes) as pool:
             rows = pool.map(_sweep_point, jobs)
     else:
         rows = [_sweep_point(j) for j in jobs]

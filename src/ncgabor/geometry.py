@@ -37,10 +37,10 @@ def derive(a: LatticeSeq, j: int) -> LatticeSeq:
     """∂_j: multiply entries by 2πiλ (j=1) or 2πiγ (j=2); same form on both lattices."""
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
-    lam, _, gam, _ = a.phase_coords()
-    weight = 2j * np.pi * (lam if j == 1 else gam)
-    return LatticeSeq.from_entries(a.params, a.kind, a.index,
-                                   weight * a.values, a.radius)
+    t_step, _, f_step, _ = lattice_generators(a.params, a.kind)
+    n1s, n2s = a.axes()
+    weight = 2j * np.pi * (t_step * n1s[:, None] if j == 1 else f_step * n2s[None, :])
+    return LatticeSeq.from_box(a.params, a.kind, a.origin, weight * a.box, a.radius)
 
 
 def covariant(f: GridSignal, j: int) -> GridSignal:

@@ -53,6 +53,22 @@ class PhaseGrid:
         return 1.0 / self.spec.L
 
 
+def _stft_chunks(f: GridSignal, g: GridSignal, chunk: int):
+    """Per channel shift l and chunk js of roll-order x nodes, yield js and
+    V[b,c,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered ω nodes."""
+    spec = f.spec
+    sign = np.where(np.arange(spec.N) % 2 == 0, 1.0, -1.0)  # e^{−2πi x₀ ω_m}, x₀=−L/2
+    for l in range(spec.q):
+        gl = np.roll(g.values, l, axis=0)
+        for j0 in range(0, spec.N, chunk):
+            js = np.arange(j0, min(j0 + chunk, spec.N))
+            # u[b,k,t] = f(t,k)·conj(g(t−x_b, k−l)) via time rolls
+            rolled = np.stack([np.roll(gl, j, axis=1) for j in js], axis=0)
+            u = f.values[None, :, :] * np.conj(rolled)
+            v = spec.dx * sign[None, None, :] * np.fft.fft(u, axis=2)
+            yield js, np.fft.fft(v, axis=1)   # channel DFT over c
+
+
 def _phase_space_accumulate(f: GridSignal, g: GridSignal, weights, chunk: int = 64):
     """Σ_{x,l,ω,c} w_i(x,ω)·|⟨f, E_{ω,c}T_{x,l}g⟩|² for several weight tables.
 
@@ -61,23 +77,12 @@ def _phase_space_accumulate(f: GridSignal, g: GridSignal, weights, chunk: int = 
     accumulated quadrature value per weight, including the Δx·Δω node
     measure and plain counting over both channel indices.
     """
-    spec = f.spec
-    q, n = spec.q, spec.N
-    grid = PhaseGrid(spec)
-    sign = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)  # e^{−2πi x₀ ω_m}, x₀=−L/2
+    grid = PhaseGrid(f.spec)
     totals = [0.0 for _ in weights]
-    for l in range(q):
-        gl = np.roll(g.values, l, axis=0)
-        for j0 in range(0, n, chunk):
-            js = np.arange(j0, min(j0 + chunk, n))
-            # u[b,k,t] = f(t,k)·conj(g(t−x_b, k−l)) via time rolls
-            rolled = np.stack([np.roll(gl, j, axis=1) for j in js], axis=0)
-            u = f.values[None, :, :] * np.conj(rolled)
-            v = spec.dx * sign[None, None, :] * np.fft.fft(u, axis=2)
-            v = np.fft.fft(v, axis=1)          # channel DFT over c
-            av2 = np.abs(v) ** 2               # (chunk, c, ω)
-            for i, w in enumerate(weights):
-                totals[i] += float(np.einsum("bcm,bm->", av2, w[js, :]))
+    for js, v in _stft_chunks(f, g, chunk):
+        av2 = np.abs(v) ** 2               # (chunk, c, ω)
+        for i, w in enumerate(weights):
+            totals[i] += float(np.einsum("bcm,bm->", av2, w[js, :]))
     measure = grid.x_weight * grid.omega_weight
     return [t * measure for t in totals]
 
@@ -94,20 +99,10 @@ def weighted_stft_norm(f: GridSignal, g: GridSignal = None, s: float = 0.0,
         g = gaussian(f.spec)
     if f.spec != g.spec:
         raise ValueError("grid mismatch")
-    spec = f.spec
-    grid = PhaseGrid(spec)
+    grid = PhaseGrid(f.spec)
     weight = (1.0 + np.abs(grid.x)[:, None] + np.abs(grid.omega)[None, :]) ** s
-    sign = np.where(np.arange(spec.N) % 2 == 0, 1.0, -1.0)
-    total = 0.0
-    for l in range(spec.q):
-        gl = np.roll(g.values, l, axis=0)
-        for j0 in range(0, spec.N, chunk):
-            js = np.arange(j0, min(j0 + chunk, spec.N))
-            rolled = np.stack([np.roll(gl, j, axis=1) for j in js], axis=0)
-            u = f.values[None, :, :] * np.conj(rolled)
-            v = spec.dx * sign[None, None, :] * np.fft.fft(u, axis=2)
-            v = np.fft.fft(v, axis=1)
-            total += float(np.einsum("bcm,bm->", np.abs(v), weight[js, :]))
+    total = sum(float(np.einsum("bcm,bm->", np.abs(v), weight[js, :]))
+                for js, v in _stft_chunks(f, g, chunk))
     return total * grid.x_weight * grid.omega_weight
 
 

@@ -67,9 +67,6 @@ class GridSignal:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
-    def with_values(self, values: np.ndarray) -> "GridSignal":
-        return GridSignal(self.spec, values)
-
     def __add__(self, other: "GridSignal") -> "GridSignal":
         _check_same_spec(self, other)
         return GridSignal(self.spec, self.values + other.values)

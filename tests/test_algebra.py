@@ -265,3 +265,21 @@ def test_seq_roundtrip(tmp_path, params, rng):
     b = load_seq(path)
     assert b.params == a.params and b.kind == a.kind
     assert l1_diff(a, b) < 1e-15
+
+
+def test_far_apart_entries_are_refused_before_allocation(tmp_path):
+    # two entries at (0,0) and (10⁶,10⁶) would need a 10¹²-cell box
+    path = tmp_path / "far.dat"
+    path.write_text("0.5 0.5 0 0 1 time_freq 1.0\n"
+                    "0 0 1.0 0.0\n1000000 1000000 1.0 0.0\n")
+    with pytest.raises(ValueError, match="exceeds"):
+        load_seq(path)
+
+
+def test_product_box_is_refused_before_allocation(params_q1):
+    kind = LatticeKind.TIME_FREQ
+    row = LatticeSeq.from_entries(params_q1, kind, [(0, 0), (0, 2100)], [1.0, 1.0])
+    col = LatticeSeq.from_entries(params_q1, kind, [(0, 0), (2100, 0)], [1.0, 1.0])
+    assert twisted_conv(row, row).values.size == 3   # a 1x4201 box fits
+    with pytest.raises(ValueError, match="exceeds"):
+        twisted_conv(row, col)                       # 2101x2101 does not

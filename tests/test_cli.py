@@ -240,3 +240,42 @@ def test_run_and_sweep_share_the_soliton_pipeline(tmp_path, monkeypatch):
     assert (row["sd_plus"], row["sd_minus"], row["W_residual"]) == (
         expected["sd_residuals"]["plus"], expected["sd_residuals"]["minus"],
         expected["w_residuals"]["plus"])
+
+
+@pytest.mark.parametrize("flags", [
+    ["--alpha-range", "0.4:0.6:0"],     # zero step
+    ["--alpha-range", "0.4:0.6:-0.1"],  # negative step
+    ["--alpha-range", "0.6:0.4:0.1"],   # empty range
+    ["--workers", "0"],
+    ["--workers", "-2"],
+])
+def test_sweep_rejects_bad_input(flags, tmp_path, capsys):
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", *flags, "--csv", str(csv_path)]) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not csv_path.exists()
+
+
+def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
+    import multiprocessing
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    csv_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-range", "0.5,0.5", "--workers", "8",
+                 "--csv", str(csv_path), "--out", str(tmp_path / "s.json")]) == 0
+    assert sizes == [2]
+    assert len(csv_path.read_text().strip().splitlines()) == 3
