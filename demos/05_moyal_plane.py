@@ -31,7 +31,7 @@ _, _, err3 = moyal_check(random_timefreq_probe(spec3, rng),
 print(f"Moyal identity at q=3, arbitrary channel weights: error {err3:.1e}")
 
 print(f"\ncontinuous Chern number of the Gaussian projection: "
-      f"{continuous_chern(g).real:+.9f} (every window gives q)")
+      f"{continuous_chern(g).real:+.9f} (q for every window inside the box)")
 
 print("\nphase-space energy screening (minimum is q = 1):")
 for name, w, is_gauss in default_window_corpus(spec):

@@ -226,14 +226,15 @@ def _mod_phases(spec: GridSpec, f_step: float, f_slope: int, n2s: np.ndarray, si
 
 
 def _raw_stft(f: GridSignal, g: GridSignal, gen, n1s, n2s) -> np.ndarray:
-    """V[a,b] = ⟨f, E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g⟩."""
+    """V[a,b] = ⟨f, E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g⟩, one GEMM
+    of the (M₁, qN) products f·conj(T g) with the (M₂, qN) conjugate modulations."""
     t_step, t_slope, f_step, f_slope = gen
     spec = f.spec
     tg = _translate_batch(g.values, spec, t_step * n1s, (t_slope * n1s) % spec.q)
-    u = f.values[None, :, :] * np.conj(tg)
+    u = (f.values[None, :, :] * np.conj(tg)).reshape(len(n1s), -1)
     chph, xph = _mod_phases(spec, f_step, f_slope, n2s, sign=-1.0)
-    partial = np.einsum("akj,bk->abj", u, chph)
-    return spec.dx * np.einsum("abj,bj->ab", partial, xph)
+    atoms = (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), -1)
+    return spec.dx * (u @ atoms.T)
 
 
 def _raw_superpose(coeff: np.ndarray, g: GridSignal, gen, n1s, n2s) -> GridSignal:

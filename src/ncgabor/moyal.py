@@ -23,8 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .signal import (GridSignal, GridSpec, gaussian, hermite, inner, norm)
-from .geometry import covariant
+from .algebra import _raw_stft
+from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
+                     inner, norm, tf_shift)
+from .geometry import _chern_double_sum, covariant
 
 
 @dataclass(frozen=True)
@@ -159,82 +161,27 @@ def eigen_residual(g: GridSignal, sign: int):
     return lam_est, float(res)
 
 
-def _coarse_stft_table(g: GridSignal, step: float, box: float):
-    """V_gg(x,l,ω,c)/(q‖g‖²) on a symmetric coarse phase-space grid.
-
-    x nodes are grid samples (step snapped to a multiple of Δx); ω nodes use
-    the same spacing via direct DFT.  Returns (nodes, P[l,c,a,b]).
-    """
-    spec = g.spec
-    stride = max(1, int(round(step / spec.dx)))
-    step = stride * spec.dx
-    half = int(np.floor(box / step + 1e-12))
-    nodes = step * np.arange(-half, half + 1)
-    x = spec.x()
-    q = spec.q
-    p_table = np.empty((q, q, nodes.size, nodes.size), dtype=np.complex128)
-    kern = np.exp(-2j * np.pi * np.outer(x, nodes))          # (t, ω-node)
-    for l in range(q):
-        gl = np.roll(g.values, l, axis=0)
-        for a in range(nodes.size):
-            j = (stride * (a - half)) % spec.N               # roll by x_a = nodes[a]
-            u = g.values * np.conj(np.roll(gl, j, axis=1))   # (k, t)
-            line = spec.dx * (u @ kern)                      # (k, ω-node)
-            p_table[l, :, a, :] = np.fft.fft(line, axis=0)   # channel DFT
-    p_table /= q * norm(g) ** 2
-    return nodes, step, p_table
-
-
-def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0,
-                     channel_tol: float = 1e-13) -> complex:
+def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> complex:
     """Chern number q²/(2πi)·tr(p[(∂₁p)(∂₂p)−(∂₂p)(∂₁p)]) of p = ⟨g,g⟩/(q‖g‖²).
 
     Evaluated as the reduced double phase-space integral
 
       (2πq²/i) ∬ (x'ω−xω')·p(ν)p(ν')p(−ν−ν')·conj(φ(ν,ν))conj(φ(ν',ν'+ν)) dν dν'
 
-    on a truncated trapezoid grid; channel sums are exact, channel pairs with
-    negligible mass are skipped.  Equals q for any window (the projection is
-    the full identity class), up to quadrature truncation.
+    by the trapezoid rule on the lattice step·ℤ×ℤ_q×step·ℤ×ℤ_q cut to |x|, |ω| ≤ box
+    (step snapped to Δx·ℤ), p zero outside: chern_sum's kernel with θ = step²
+    and free channels (l, c).  Equals q, up to quadrature truncation, for every
+    window whose phase-space mass lies inside the box.
     """
-    spec = g.spec
-    nodes, step, p = _coarse_stft_table(g, step, box)
-    q = spec.q
-    m = nodes.size
-    half = (m - 1) // 2
-    idx = np.arange(m)
-    active = [(l, c) for l in range(q) for c in range(q)
-              if np.abs(p[l, c]).max() > channel_tol]
-    # conj(φ(ν,ν)) continuous part e^{2πi·xω} on the (a,b) mesh
-    phase_self = np.exp(2j * np.pi * np.outer(nodes, nodes))
-
-    # third-factor index maps: x'' = −x−x' → a₃ = 3·half − a − a₂ (same in ω)
-    i3 = (3 * half - idx)[None, :, None] * np.ones((m, 1, m), dtype=int)   # (b2,a,b)
-    j3_base = (3 * half - idx)[None, None, :] - idx[:, None, None]          # (b2,1,b)
-
-    total = 0.0j
-    for l, c in active:
-        p1 = p[l, c] * phase_self * np.exp(2j * np.pi * l * c / q)
-        for lp, cp in active:
-            p2 = p[lp, cp]
-            p3 = p[(-l - lp) % q, (-c - cp) % q]
-            ch_phase = np.exp(2j * np.pi * lp * (cp + c) / q)
-            for a2 in range(m):                      # ν' time index
-                xp_val = nodes[a2]
-                row = i3 - a2                        # (b2,a,b) x'' indexes
-                col = j3_base * np.ones((1, m, 1), dtype=int)
-                valid = (row >= 0) & (row < m) & (col >= 0) & (col < m)
-                third = np.where(valid,
-                                 p3[np.clip(row, 0, m - 1), np.clip(col, 0, m - 1)],
-                                 0.0)
-                # conj(φ(ν',ν'+ν)) continuous part: e^{2πi·x'(ω'+ω)}
-                ph = np.exp(2j * np.pi * xp_val * (nodes[:, None, None] + nodes[None, None, :]))
-                # weight x'ω − xω'
-                weight = (xp_val * nodes[None, None, :]
-                          - nodes[None, :, None] * nodes[:, None, None])
-                total += (p2[a2, :][:, None, None] * ph * ch_phase * third
-                          * p1[None, :, :] * weight).sum()
-    return total * step ** 4 * 2 * np.pi * q ** 2 / 1j
+    q, dx = g.spec.q, g.spec.dx
+    step = max(1, int(round(step / dx))) * dx
+    half = int(np.floor(box / step + 1e-12))
+    nodes, gen = np.arange(-half, half + 1), (step, 0, step, 0)
+    # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
+    p = np.array([[_raw_stft(g, tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen, nodes, nodes)
+                   for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
+    padded = np.pad(p, [(0, 0), (0, 0), (half, half), (half, half)])
+    return _chern_double_sum(p, padded, step ** 2) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
 
 def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3,
@@ -272,12 +219,15 @@ def load_corpus_file(path, spec: GridSpec):
     """
     out = []
     with open(path) as fh:
-        for raw in fh:
+        for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            name, spec_str = (part.strip() for part in line.split("=", 1))
+            name, sep, spec_str = (part.strip() for part in line.partition("="))
             fields = spec_str.split()
+            if not (name and sep and fields) or not all("=" in f for f in fields[1:]):
+                raise ValueError(f"corpus line {number} {line!r}: "
+                                 f"expected 'name = kind key=value ...'")
             kind, opts = fields[0], dict(f.split("=", 1) for f in fields[1:])
             if kind == "gaussian":
                 w = gaussian(spec, lam=complex(opts.get("lam", "0")))

@@ -1,5 +1,7 @@
 """Shared fixtures and naive reference implementations (oracles)."""
 
+import cmath
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,29 @@ def naive_twisted_conv(a, b):
     vals = np.array(list(out.values()))
     return LatticeSeq.from_entries(a.params, a.kind, idx, vals,
                                    max(a.radius, b.radius), prune=0.0)
+
+
+def naive_chern_double_sum(v, v3, theta):
+    """Reduced Chern double sum term by term over (ν, l, c) and (ν', l', c').
+
+    v[l,c,a,b] is V[l,c] at ν = (a−k₁, b−k₂) and v3 the third factor on the
+    doubled box (a−2k₁, b−2k₂).  Returns the sum and Σ|terms|.
+    """
+    nq, _, m1, m2 = v.shape
+    k1, k2 = (m1 - 1) // 2, (m2 - 1) // 2
+    total, scale = 0.0j, 0.0
+    for l, c, a, b in np.ndindex(v.shape):
+        n1, n2 = a - k1, b - k2
+        for lp, cp, ap, bp in np.ndindex(v.shape):
+            n1p, n2p = ap - k1, bp - k2
+            third = v3[(-l - lp) % nq, (-c - cp) % nq,
+                       2 * k1 - n1 - n1p, 2 * k2 - n2 - n2p]
+            phase = cmath.exp(2j * cmath.pi * (theta * (n1 * n2 + n1p * (n2p + n2))
+                                               + (l * c + lp * (cp + c)) / nq))
+            term = (n1p * n2 - n1 * n2p) * v[l, c, a, b] * v[lp, cp, ap, bp] * third * phase
+            total += term
+            scale += abs(term)
+    return total, scale
 
 
 def naive_act_left(a, f):

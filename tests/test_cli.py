@@ -279,3 +279,27 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
                  "--csv", str(csv_path), "--out", str(tmp_path / "s.json")]) == 0
     assert sizes == [2]
     assert len(csv_path.read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("line", ["bad =", "bad gaussian"])
+def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
+    corpus = tmp_path / "corpus.cfg"
+    corpus.write_text(f"# two windows\ngaussian = gaussian lam=0\n{line}\n")
+    assert main(["moyal", "--q", "1", "--L", "16", "--corpus", str(corpus)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: corpus line 3" in err and repr(line) in err
+
+
+def test_run_axioms_gates_every_identity(tmp_path, monkeypatch):
+    from ncgabor import cli
+
+    def residuals(params, rng, rounds):
+        worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
+                               "leibniz", "unit"), 0.0)
+        worst["leibniz"] = 1e-9
+        return worst
+
+    monkeypatch.setattr(cli, "_axiom_residuals", residuals)
+    out = tmp_path / "run.json"
+    assert main(["run", "--tasks", "axioms", "--out", str(out)]) == 1
+    assert _load(out)["results"]["axioms"]["worst_identity_residual"] == 1e-9

@@ -155,6 +155,15 @@ def test_continuous_chern_q2():
     assert abs(c1 - 2.0) < 1e-6
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("window", ["hermite1", "hermite2", "hermite3", "bump"])
+def test_continuous_chern_non_gaussian(window, q):
+    # any window whose phase-space mass lies inside the box gives c1 = q
+    spec = GridSpec(L=16.0, N=512, q=q)
+    g = bump_window(spec) if window == "bump" else hermite(spec, int(window[-1]))
+    assert abs(continuous_chern(g) - q) < 1e-6
+
+
 def test_weighted_stft_norm():
     # unweighted value for the unit Gaussian analyzed by itself:
     # ∬|V_gg| = ∬ e^{−π(x²+ω²)/2} d(x,ω) = 2

@@ -1,10 +1,11 @@
-"""Property tests of the twisted algebra over random lattices and supports.
+"""Property tests of the twisted algebra and the Chern double-sum kernel.
 
 Lattices are drawn over (α, β, r, s, q ≤ 7) with r, s coprime to q (r = s = 0
 at q = 1); supports are random subsets of [-3, 3]², so empty, single-entry
 and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
+The Chern kernel is compared with a term-by-term loop on random tables.
 Runs are derandomized, so the examples are the same on every run.
 """
 
@@ -17,8 +18,9 @@ from hypothesis import given, settings, strategies as st
 
 from ncgabor.algebra import (LatticeSeq, l1_diff, load_seq, save_seq,
                              twisted_conv, twisted_star)
+from ncgabor.geometry import _chern_double_sum
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_twist
-from conftest import naive_twisted_conv
+from conftest import naive_chern_double_sum, naive_twisted_conv
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
 
@@ -82,3 +84,20 @@ def test_seq_file_roundtrip(seqs):
         b = load_seq(path)
     assert b.params == a.params and b.kind == a.kind
     assert l1_diff(a, b) < 1e-15
+
+
+@PROPERTY
+@given(st.integers(1, 3), st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 3, 5, 7]),
+       st.floats(-2.0, 2.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, seed):
+    rng = np.random.default_rng(seed)
+
+    def table(rows, cols):
+        shape = (nq, nq, rows, cols)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    v, v3 = table(m1, m2), table(2 * m1 - 1, 2 * m2 - 1)
+    if silent_channel:
+        v[nq - 1, 0] = 0.0      # skipped by the kernel, summed by the oracle
+    expected, scale = naive_chern_double_sum(v, v3, theta)
+    assert abs(_chern_double_sum(v, v3, theta) - expected) <= 1e-12 * scale
