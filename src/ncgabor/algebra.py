@@ -11,7 +11,8 @@ pairs the 2-cocycle collapses to a single twist constant t per lattice:
 with t = −θ on Λ×Γ and t = +θ̃ on the adjoint lattice, θ̃ = (αβq²)⁻¹+r°s°/q.
 The adjoint convention is the one under which the right action composes,
 (f·b₁)·b₂ = f·(b₁♮b₂).  Left/right actions and the two lattice-valued
-inner products are evaluated with batched FFT shift kernels.
+inner products are one GEMM each over the atoms of an index box, which
+`_atoms` builds as translated windows times modulations.
 """
 
 from __future__ import annotations
@@ -205,46 +206,44 @@ def trace_r(b: LatticeSeq) -> complex:
     return b.params.q * abs(b.params.alpha * b.params.beta) * b.value_at(0, 0)
 
 
-# -- batched shift kernels ---------------------------------------------------
+# -- the atom kernel ---------------------------------------------------------
 
 
-def _translate_batch(values: np.ndarray, spec: GridSpec,
-                     shifts: np.ndarray, rolls: np.ndarray) -> np.ndarray:
-    """T_{shift_m, roll_m} applied to one (q,N) array for every m; (M,q,N)."""
-    F = np.fft.fft(values, axis=1)
-    phase = np.exp(-2j * np.pi * np.outer(shifts, spec.freqs()))
-    out = np.fft.ifft(F[None, :, :] * phase[:, None, :], axis=2)
-    rows = (np.arange(spec.q)[None, :] - np.asarray(rolls, dtype=np.int64)[:, None]) % spec.q
-    return out[np.arange(len(shifts))[:, None], rows, :]
+def _box_axes(params: TorusParams, kind: LatticeKind, radius: float, scale: int = 1):
+    """Generator indices |n₁| ≤ scale·K₁, |n₂| ≤ scale·K₂ of the box at `radius`."""
+    k1, k2 = index_bounds(params, kind, radius)
+    return np.arange(-scale * k1, scale * k1 + 1), np.arange(-scale * k2, scale * k2 + 1)
 
 
-def _mod_phases(spec: GridSpec, f_step: float, f_slope: int, n2s: np.ndarray, sign: float):
-    """exp(sign·2πi(f_step·n₂·x + f_slope·n₂·k/q)) split into (n₂,k), (n₂,j)."""
-    xph = np.exp(sign * 2j * np.pi * np.outer(f_step * n2s, spec.x()))
-    chph = np.exp(sign * 2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
-    return chph, xph
-
-
-def _raw_stft(f: GridSignal, g: GridSignal, gen, n1s, n2s) -> np.ndarray:
-    """V[a,b] = ⟨f, E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g⟩, one GEMM
-    of the (M₁, qN) products f·conj(T g) with the (M₂, qN) conjugate modulations."""
-    t_step, t_slope, f_step, f_slope = gen
-    spec = f.spec
-    tg = _translate_batch(g.values, spec, t_step * n1s, (t_slope * n1s) % spec.q)
-    u = (f.values[None, :, :] * np.conj(tg)).reshape(len(n1s), -1)
-    chph, xph = _mod_phases(spec, f_step, f_slope, n2s, sign=-1.0)
-    atoms = (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), -1)
-    return spec.dx * (u @ atoms.T)
-
-
-def _raw_superpose(coeff: np.ndarray, g: GridSignal, gen, n1s, n2s) -> GridSignal:
-    """Σ_{a,b} coeff[a,b]·E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g."""
+def _atoms(g: GridSignal, gen, n1s, n2s):
+    """The Gabor atoms E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g of the
+    index box n1s × n2s, as two factors: the (M₁, qN) translated windows `tg`
+    and the (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  Refused
+    before allocation when the box or the two factors exceed BOX_BUDGET cells.
+    """
     t_step, t_slope, f_step, f_slope = gen
     spec = g.spec
-    tg = _translate_batch(g.values, spec, t_step * n1s, (t_slope * n1s) % spec.q)
-    chph, xph = _mod_phases(spec, f_step, f_slope, n2s, sign=+1.0)
-    w = np.einsum("ab,bk,bj->akj", coeff, chph, xph, optimize=True)
-    return GridSignal(spec, np.einsum("akj,akj->kj", w, tg))
+    m1, m2, size = len(n1s), len(n2s), spec.q * spec.N
+    if max(m1 * m2, (m1 + m2) * size) > BOX_BUDGET:
+        raise ValueError(f"a {m1}x{m2} box of {size}-sample atoms exceeds {BOX_BUDGET} cells")
+    rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
+    tg = np.fft.fft(g.values, axis=1)[rows]       # channel k of row a: ĝ(k − l_a)
+    tg *= np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs()))[:, None, :]
+    tg = np.fft.ifft(tg, axis=2).reshape(m1, size)
+    xph = np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x()))
+    chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
+    return tg, (chph[:, :, None] * xph[:, None, :]).reshape(m2, size)
+
+
+def _analyse(f: GridSignal, tg: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """V[a,b] = ⟨f, mod[b]·tg[a]⟩, one GEMM."""
+    return f.spec.dx * np.conj((np.conj(f.values).reshape(1, -1) * tg) @ mod.T)
+
+
+def _synthesise(coeff: np.ndarray, tg: np.ndarray, mod: np.ndarray,
+                spec: GridSpec) -> GridSignal:
+    """Σ_{a,b} coeff[a,b]·mod[b]·tg[a], one GEMM and a sum over a."""
+    return GridSignal(spec, np.einsum("ak,ak->k", tg, coeff @ mod).reshape(spec.q, spec.N))
 
 
 def _adjoint_self_phase(params: TorusParams, n1s, n2s) -> np.ndarray:
@@ -266,7 +265,7 @@ def act_left(a: LatticeSeq, f: GridSignal) -> GridSignal:
         raise ValueError("act_left expects a time-frequency lattice sequence")
     _check_params_spec(a.params, f.spec)
     gen = lattice_generators(a.params, LatticeKind.TIME_FREQ)
-    return _raw_superpose(a.box, f, gen, *a.axes())
+    return _synthesise(a.box, *_atoms(f, gen, *a.axes()), f.spec)
 
 
 def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
@@ -277,33 +276,33 @@ def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
     n1s, n2s = b.axes()
     gen = lattice_generators(b.params, LatticeKind.ADJOINT)
     coeff = b.box * _adjoint_self_phase(b.params, n1s, n2s)
-    return _raw_superpose(coeff, f, gen, n1s, n2s)
+    return _synthesise(coeff, *_atoms(f, gen, n1s, n2s), f.spec)
+
+
+def _pairing(f: GridSignal, g: GridSignal, params: TorusParams, kind: LatticeKind,
+             radius: float, scale: int = 1):
+    """⟨f, π(ν)g⟩ on the index box of `kind` at `radius` (`scale` times as
+    wide, as in _box_axes), and the box axes."""
+    _check_same_spec(f, g)
+    _check_params_spec(params, f.spec)
+    n1s, n2s = _box_axes(params, kind, radius, scale)
+    return _analyse(f, *_atoms(g, lattice_generators(params, kind), n1s, n2s)), n1s, n2s
 
 
 def inner_left(f: GridSignal, g: GridSignal, params: TorusParams,
                radius: float) -> LatticeSeq:
     """Sampled STFT ⟨f, π(ν)g⟩ on Λ×Γ ∩ {max(|λ|,|γ|) ≤ radius}."""
-    _check_same_spec(f, g)
-    _check_params_spec(params, f.spec)
-    k1, k2 = index_bounds(params, LatticeKind.TIME_FREQ, radius)
-    n1s, n2s = np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
-    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
-    v = _raw_stft(f, g, gen, n1s, n2s)
-    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-k1, -k2), v, radius)
+    v, n1s, n2s = _pairing(f, g, params, LatticeKind.TIME_FREQ, radius)
+    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (n1s[0], n2s[0]), v, radius)
 
 
 def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
                 radius: float) -> LatticeSeq:
     """Adjoint-lattice pairing (q|αβ|)⁻¹⟨g, π°(ν°)f⟩; linear in g."""
-    _check_same_spec(f, g)
-    _check_params_spec(params, f.spec)
-    k1, k2 = index_bounds(params, LatticeKind.ADJOINT, radius)
-    n1s, n2s = np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
-    gen = lattice_generators(params, LatticeKind.ADJOINT)
-    v = _raw_stft(g, f, gen, n1s, n2s)
-    v = v * np.conj(_adjoint_self_phase(params, n1s, n2s))
+    v, n1s, n2s = _pairing(g, f, params, LatticeKind.ADJOINT, radius)
+    v *= np.conj(_adjoint_self_phase(params, n1s, n2s))
     v /= params.q * abs(params.alpha * params.beta)
-    return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (-k1, -k2), v, radius)
+    return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (n1s[0], n2s[0]), v, radius)
 
 
 # -- serialization ------------------------------------------------------------

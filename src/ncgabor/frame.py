@@ -19,11 +19,12 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators
-from .algebra import (LatticeSeq, act_left, inner_left, inner_right,
-                      twisted_conv, twisted_star, trace_l, _translate_batch,
-                      _mod_phases, _adjoint_self_phase, _check_params_spec)
-from .signal import GridSignal, GridSpec, inner, norm, random_timefreq_probe
+from .lattice import LatticeKind, TorusParams, lattice_generators
+from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, act_left, inner_left,
+                      inner_right, twisted_conv, twisted_star, _adjoint_self_phase,
+                      _analyse, _atoms, _box_axes, _check_params_spec, _synthesise)
+from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
+                     random_timefreq_probe)
 
 
 class NotAFrameError(RuntimeError):
@@ -48,9 +49,10 @@ class FrameSystem:
     """A window with its lattice, truncation radius, and cached frame data.
 
     `cache` holds the results of frame_bounds, canonical_dual and
-    canonical_tight keyed on the solver arguments they were computed with;
-    `bounds_residuals` are the Rayleigh residuals of the bounds that
-    frame_bounds returned last.
+    canonical_tight keyed on the solver arguments they were computed with,
+    and the window's atom factors under ("atoms", radius), built on the first
+    apply at that radius; `bounds_residuals` are the Rayleigh residuals of
+    the bounds that frame_bounds returned last.
 
     `solve_margin` widens the lattice truncation used *inside* the dual and
     tight-window solves (never inside reported sums): the canonical dual of
@@ -75,12 +77,23 @@ class FrameSystem:
 
     def apply(self, f: GridSignal) -> GridSignal:
         """Truncated frame operator image S_g f = ⟨f,g⟩·g."""
-        return act_left(inner_left(f, self.window, self.params, self.radius),
-                        self.window)
+        return self._frame_op(f, self.radius)
 
     def _apply_solve(self, f: GridSignal) -> GridSignal:
-        r = self.radius + self.solve_margin
-        return act_left(inner_left(f, self.window, self.params, r), self.window)
+        return self._frame_op(f, self.radius + self.solve_margin)
+
+    def _frame_op(self, f: GridSignal, radius: float) -> GridSignal:
+        """Analysis then synthesis on the cached atoms of the box at `radius`;
+        coefficients at most PRUNE_TOL are dropped, as inner_left does."""
+        _check_same_spec(f, self.window)
+        key = ("atoms", radius)
+        if key not in self.cache:
+            gen = lattice_generators(self.params, LatticeKind.TIME_FREQ)
+            axes = _box_axes(self.params, LatticeKind.TIME_FREQ, radius)
+            self.cache[key] = _atoms(self.window, gen, *axes)
+        tg, mod = self.cache[key]
+        v = _analyse(f, tg, mod)
+        return _synthesise(np.where(np.abs(v) > PRUNE_TOL, v, 0.0), tg, mod, f.spec)
 
 
 def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int,
@@ -157,22 +170,17 @@ def frame_bounds(sys: FrameSystem, probes: int = 24, seed: int = 7,
         ], axis=1)
         qmat, _ = np.linalg.qr(basis)
         qmat = qmat / np.sqrt(spec.dx)  # orthonormal in the Δx-weighted pairing
-        cols = [GridSignal(spec, qmat[:, i].reshape(spec.q, spec.N))
-                for i in range(qmat.shape[1])]
-        images = [sys.apply(c) for c in cols]
-        gram = np.empty((len(cols), len(cols)), dtype=np.complex128)
-        for i, c in enumerate(cols):
-            for j, img in enumerate(images):
-                gram[i, j] = inner(img, c)
+
+        def signal(vec):
+            return GridSignal(spec, vec.reshape(spec.q, spec.N))
+
+        images = np.stack([sys.apply(signal(col)).values.ravel() for col in qmat.T], axis=1)
+        gram = spec.dx * (qmat.conj().T @ images)
         gram = 0.5 * (gram + gram.conj().T)
         evals, evecs = np.linalg.eigh(gram)
 
-        def ritz_vector(col):
-            v = qmat @ evecs[:, col]
-            return GridSignal(spec, v.reshape(spec.q, spec.N))
-
         # power iteration from the top Ritz vector
-        v = ritz_vector(-1)
+        v = signal(qmat @ evecs[:, -1])
         b_est = float(evals[-1])
         for _ in range(15):
             w = sys.apply(v)
@@ -180,7 +188,7 @@ def frame_bounds(sys: FrameSystem, probes: int = 24, seed: int = 7,
             v = w * (1.0 / norm(w))
 
         # inverse power iteration from the bottom Ritz vector
-        u = ritz_vector(0)
+        u = signal(qmat @ evecs[:, 0])
         a_est = float(evals[0])
         try:
             for _ in range(4):
@@ -400,16 +408,16 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams,
 
 def adjoint_shift_family(g: GridSignal, params: TorusParams,
                          radius: float) -> np.ndarray:
-    """Matrix whose columns are π°(ν°)g over the truncated adjoint lattice."""
-    spec = g.spec
-    k1, k2 = index_bounds(params, LatticeKind.ADJOINT, radius)
-    n1s, n2s = np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
-    t_step, t_slope, f_step, f_slope = lattice_generators(params, LatticeKind.ADJOINT)
-    tg = _translate_batch(g.values, spec, t_step * n1s, (t_slope * n1s) % spec.q)
-    chph, xph = _mod_phases(spec, f_step, f_slope, n2s, sign=+1.0)
-    phi0 = _adjoint_self_phase(params, n1s, n2s)
-    cols = np.einsum("akj,bk,bj,ab->abkj", tg, chph, xph, phi0, optimize=True)
-    return cols.reshape(n1s.size * n2s.size, spec.q * spec.N).T
+    """Matrix whose columns are π°(ν°)g over the truncated adjoint lattice,
+    refused before allocation above BOX_BUDGET cells."""
+    n1s, n2s = _box_axes(params, LatticeKind.ADJOINT, radius)
+    if n1s.size * n2s.size * g.values.size > BOX_BUDGET:
+        raise ValueError(f"a {n1s.size}x{n2s.size} adjoint shift family of {g.values.size}"
+                         f"-sample columns exceeds {BOX_BUDGET} cells")
+    tg, mod = _atoms(g, lattice_generators(params, LatticeKind.ADJOINT), n1s, n2s)
+    cols = tg[:, None, :] * mod[None, :, :]
+    cols *= _adjoint_self_phase(params, n1s, n2s)[:, :, None]
+    return cols.reshape(-1, g.values.size).T
 
 
 def adjoint_span_residual(v: GridSignal, g: GridSignal, params: TorusParams,

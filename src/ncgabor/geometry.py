@@ -22,10 +22,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import (LatticeKind, TorusParams, index_bounds,
-                      lattice_generators, soliton_admissible)
-from .algebra import (LatticeSeq, inner_left, trace_l, twisted_conv,
-                      twisted_star, l1_diff, _raw_stft)
+from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admissible
+from .algebra import LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _pairing
 from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
                     canonical_dual, canonical_tight, frame_bounds,
                     wexler_raz_residual)
@@ -123,11 +121,11 @@ def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
     with V(ν) = ⟨g, π(ν)h⟩ sampled on the truncated lattice (the third
     factor on the doubled box); the channel twist is inside θ = αβ + rs/q.
     """
-    k1, k2 = index_bounds(params, LatticeKind.TIME_FREQ, radius)
-    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
-    v, vbig = (_raw_stft(g, h, gen, np.arange(-n * k1, n * k1 + 1),
-                         np.arange(-n * k2, n * k2 + 1))[None, None] for n in (1, 2))
-    t_step, _, f_step, _ = gen          # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
+    vbig, n1s, n2s = _pairing(g, h, params, LatticeKind.TIME_FREQ, radius, scale=2)
+    k1, k2 = n1s[-1] // 2, n2s[-1] // 2
+    v, vbig = vbig[None, None, k1:3 * k1 + 1, k2:3 * k2 + 1], vbig[None, None]
+    t_step, _, f_step, _ = lattice_generators(params, LatticeKind.TIME_FREQ)
+    # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
     return (_chern_double_sum(v, vbig, params.theta) * t_step * f_step * 2 * np.pi
             / (1j * abs(params.alpha * params.beta)))
 

@@ -23,10 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import _raw_stft
+from .algebra import _analyse, _atoms
 from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
                      inner, norm, tf_shift)
 from .geometry import _chern_double_sum, covariant
+
+RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
 
 
 @dataclass(frozen=True)
@@ -171,15 +173,22 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     by the trapezoid rule on the lattice step·ℤ×ℤ_q×step·ℤ×ℤ_q cut to |x|, |ω| ≤ box
     (step snapped to Δx·ℤ), p zero outside: chern_sum's kernel with θ = step²
     and free channels (l, c).  Equals q, up to quadrature truncation, for every
-    window whose phase-space mass lies inside the box.
+    window whose phase-space mass lies inside the box; a table whose relative
+    ℓ² mass on its outermost ring of nodes reaches RING_TOL is refused.
     """
     q, dx = g.spec.q, g.spec.dx
     step = max(1, int(round(step / dx))) * dx
     half = int(np.floor(box / step + 1e-12))
     nodes, gen = np.arange(-half, half + 1), (step, 0, step, 0)
     # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
-    p = np.array([[_raw_stft(g, tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen, nodes, nodes)
+    p = np.array([[_analyse(g, *_atoms(tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen,
+                                       nodes, nodes))
                    for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
+    mass = np.abs(p) ** 2
+    ring = 1.0 - mass[..., 1:-1, 1:-1].sum() / mass.sum()
+    if ring >= RING_TOL:
+        raise ValueError(f"window leaves the quadrature box: relative mass {ring:.3e} "
+                         f"on the outermost ring of |x|, |omega| <= box = {box:g}")
     padded = np.pad(p, [(0, 0), (0, 0), (half, half), (half, half)])
     return _chern_double_sum(p, padded, step ** 2) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
@@ -221,30 +230,34 @@ def load_corpus_file(path, spec: GridSpec):
     with open(path) as fh:
         for number, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            name, sep, spec_str = (part.strip() for part in line.partition("="))
-            fields = spec_str.split()
-            if not (name and sep and fields) or not all("=" in f for f in fields[1:]):
-                raise ValueError(f"corpus line {number} {line!r}: "
-                                 f"expected 'name = kind key=value ...'")
-            kind, opts = fields[0], dict(f.split("=", 1) for f in fields[1:])
-            if kind == "gaussian":
-                w = gaussian(spec, lam=complex(opts.get("lam", "0")))
-                out.append((name, w, True))
-            elif kind == "hermite":
-                out.append((name, hermite(spec, int(opts.get("n", "1"))), False))
-            elif kind == "bump":
-                out.append((name, bump_window(spec, width=float(opts.get("width", "2")),
-                                              power=int(opts.get("power", "3"))), False))
-            elif kind == "noise":
-                rng = np.random.default_rng(int(opts.get("seed", "0")))
-                out.append((name, bandlimited_noise_window(
-                    spec, rng, bandwidth=float(opts.get("bandwidth", "2.5")),
-                    envelope=float(opts.get("envelope", "3.0"))), False))
-            else:
-                raise ValueError(f"unknown corpus window kind {kind!r}")
+            if line:
+                try:
+                    out.append(_corpus_entry(line, spec))
+                except ValueError as exc:
+                    raise ValueError(f"corpus line {number} {line!r}: {exc}") from None
     return out
+
+
+def _corpus_entry(line: str, spec: GridSpec):
+    """(name, window, is_generalized_gaussian) of one corpus line."""
+    name, sep, spec_str = (part.strip() for part in line.partition("="))
+    fields = spec_str.split()
+    if not (name and sep and fields) or not all("=" in f for f in fields[1:]):
+        raise ValueError("expected 'name = kind key=value ...'")
+    kind, opts = fields[0], dict(f.split("=", 1) for f in fields[1:])
+    if kind == "gaussian":
+        return name, gaussian(spec, lam=complex(opts.get("lam", "0"))), True
+    if kind == "hermite":
+        return name, hermite(spec, int(opts.get("n", "1"))), False
+    if kind == "bump":
+        return name, bump_window(spec, width=float(opts.get("width", "2")),
+                                 power=int(opts.get("power", "3"))), False
+    if kind == "noise":
+        rng = np.random.default_rng(int(opts.get("seed", "0")))
+        return name, bandlimited_noise_window(
+            spec, rng, bandwidth=float(opts.get("bandwidth", "2.5")),
+            envelope=float(opts.get("envelope", "3.0"))), False
+    raise ValueError(f"unknown corpus window kind {kind!r}")
 
 
 def default_window_corpus(spec: GridSpec, seed: int = 23):

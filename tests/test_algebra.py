@@ -6,6 +6,7 @@ from ncgabor.signal import GridSpec, PhasePoint, cocycle, gaussian, inner, norm
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left,
                              inner_right, l1_diff, load_seq, save_seq,
                              trace_l, trace_r, twisted_conv, twisted_star)
+from ncgabor.frame import adjoint_shift_family
 from conftest import (gaussian_probe, naive_act_left, naive_act_right,
                       naive_twisted_conv, phase_point, random_seq)
 
@@ -283,3 +284,11 @@ def test_product_box_is_refused_before_allocation(params_q1):
     assert twisted_conv(row, row).values.size == 3   # a 1x4201 box fits
     with pytest.raises(ValueError, match="exceeds"):
         twisted_conv(row, col)                       # 2101x2101 does not
+
+
+def test_atom_box_is_refused_before_allocation(params_q1):
+    g = gaussian(GridSpec(L=22.0, N=512, q=1))
+    with pytest.raises(ValueError, match="2401x2401 box .* exceeds"):
+        inner_left(g, g, params_q1, 600.0)
+    with pytest.raises(ValueError, match="93x93 adjoint shift family .* exceeds"):
+        adjoint_shift_family(g, params_q1, 92.0)     # 93·93·512 cells, factors fit

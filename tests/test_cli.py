@@ -202,6 +202,12 @@ def test_window_reaching_the_seam_exit_code(command, tmp_path, monkeypatch, caps
     assert "periodisation seam" in capsys.readouterr().err
 
 
+def test_atom_box_over_budget_exit_code(tmp_path, capsys):
+    # radius 600 at alpha = beta = 1/2 needs a 2401x2401 box of atoms
+    assert main(["frame", "--radius", "600", "--out", str(tmp_path / "r.json")]) == 2
+    assert "exceeds" in capsys.readouterr().err
+
+
 def _count_calls(monkeypatch, name):
     """Count calls of ncgabor.frame.<name> through every module holding it."""
     original, calls = getattr(frame, name), []
@@ -281,7 +287,7 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
     assert len(csv_path.read_text().strip().splitlines()) == 3
 
 
-@pytest.mark.parametrize("line", ["bad =", "bad gaussian"])
+@pytest.mark.parametrize("line", ["bad =", "bad gaussian", "h = hermite n=x", "w = sinc"])
 def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     corpus = tmp_path / "corpus.cfg"
     corpus.write_text(f"# two windows\ngaussian = gaussian lam=0\n{line}\n")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ncgabor import frame
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, inner, norm, tf_shift)
@@ -149,6 +150,24 @@ def test_caches_are_keyed_on_solver_arguments(sys_q1):
     canonical_tight(fresh, tol=1.0, max_steps=20)
     with pytest.raises(ConvergenceError):
         canonical_tight(fresh, tol=1e-30, max_steps=20)
+
+
+def test_apply_builds_the_atoms_once_per_radius(sys_q1, rng, monkeypatch):
+    atoms, built = frame._atoms, []
+
+    def counted(g, gen, n1s, n2s):
+        built.append((n1s.size, n2s.size))
+        return atoms(g, gen, n1s, n2s)
+
+    f = gaussian_probe(sys_q1.window.spec, rng)
+    expected = sys_q1.apply(f)
+    monkeypatch.setattr(frame, "_atoms", counted)
+    fresh = FrameSystem(sys_q1.window, sys_q1.params, sys_q1.radius)
+    for _ in range(5):
+        assert norm(fresh.apply(f) - expected) < 1e-14
+        fresh._apply_solve(f)
+    assert built == [(25, 25), (33, 33)]           # radius 6, then 6 + solve margin 2
+    assert {("atoms", 6.0), ("atoms", 8.0)} <= set(fresh.cache)
 
 
 def test_tight_window(sys_q1):

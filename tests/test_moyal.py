@@ -164,6 +164,15 @@ def test_continuous_chern_non_gaussian(window, q):
     assert abs(continuous_chern(g) - q) < 1e-6
 
 
+@pytest.mark.parametrize("q", [1, 2])
+def test_continuous_chern_refuses_windows_leaving_the_box(q):
+    # noise_c reaches beyond |x|, |omega| <= 5: its c1 would be 0.372 at q = 1, 0.671 at q = 2
+    spec = GridSpec(L=16.0, N=512, q=q)
+    noise_c = {name: w for name, w, _ in default_window_corpus(spec)}["noise_c"]
+    with pytest.raises(ValueError, match=r"relative mass 1\.\d+e-02 .* box = 5"):
+        continuous_chern(noise_c)
+
+
 def test_weighted_stft_norm():
     # unweighted value for the unit Gaussian analyzed by itself:
     # ∬|V_gg| = ∬ e^{−π(x²+ω²)/2} d(x,ω) = 2

@@ -1,11 +1,14 @@
-"""Property tests of the twisted algebra and the Chern double-sum kernel.
+"""Property tests of the twisted algebra, the atom kernel and the Chern
+double-sum kernel.
 
 Lattices are drawn over (α, β, r, s, q ≤ 7) with r, s coprime to q (r = s = 0
 at q = 1); supports are random subsets of [-3, 3]², so empty, single-entry
 and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
-The Chern kernel is compared with a term-by-term loop on random tables.
+The atom kernel (actions, lattice inner products, the adjoint shift family,
+the frame operator) is compared with single shifts through `tf_shift` on a
+small grid, and the Chern kernel with a term-by-term loop on random tables.
 Runs are derandomized, so the examples are the same on every run.
 """
 
@@ -16,23 +19,34 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from ncgabor.algebra import (LatticeSeq, l1_diff, load_seq, save_seq,
-                             twisted_conv, twisted_star)
+from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
+                             l1_diff, load_seq, save_seq, twisted_conv, twisted_star)
+from ncgabor.frame import FrameSystem, adjoint_shift_family
 from ncgabor.geometry import _chern_double_sum
-from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_twist
-from conftest import naive_chern_double_sum, naive_twisted_conv
+from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
+                             lattice_twist)
+from ncgabor.signal import GridSignal, GridSpec, inner, norm, tf_shift
+from conftest import (naive_act_left, naive_act_right, naive_chern_double_sum,
+                      naive_twisted_conv, phase_point)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
 @st.composite
-def sequences(draw, count=1, unit_l1=True):
-    """`count` sequences on one random lattice, scaled to unit ℓ¹ if nonzero."""
+def lattices(draw):
     q = draw(st.integers(1, 7))
     slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
     steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
-    params = TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
-    kind = draw(st.sampled_from(list(LatticeKind)))
+    return TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
+
+
+@st.composite
+def sequences(draw, count=1, unit_l1=True, kind=None):
+    """`count` sequences on one random lattice, scaled to unit ℓ¹ if nonzero."""
+    params = draw(lattices())
+    if kind is None:
+        kind = draw(st.sampled_from(list(LatticeKind)))
     entry = st.tuples(st.integers(-3, 3), st.integers(-3, 3),
                       st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0))
     seqs = []
@@ -101,3 +115,69 @@ def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, 
         v[nq - 1, 0] = 0.0      # skipped by the kernel, summed by the oracle
     expected, scale = naive_chern_double_sum(v, v3, theta)
     assert abs(_chern_double_sum(v, v3, theta) - expected) <= 1e-12 * scale
+
+
+def _signal(params, seed):
+    """Unit-norm random signal on a small q-channel grid."""
+    spec = GridSpec(L=8.0, N=32, q=params.q)
+    rng = np.random.default_rng(seed)
+    shape = (spec.q, spec.N)
+    f = GridSignal(spec, rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return f * (1.0 / norm(f))
+
+
+def _box(params, kind, radius):
+    k1, k2 = index_bounds(params, kind, radius)
+    return [(n1, n2) for n1 in range(-k1, k1 + 1) for n2 in range(-k2, k2 + 1)]
+
+
+@PROPERTY
+@given(sequences(kind=LatticeKind.TIME_FREQ), SEEDS)
+def test_act_left_matches_naive_sum(seqs, seed):
+    (a,) = seqs
+    f = _signal(a.params, seed)
+    assert norm(act_left(a, f) - naive_act_left(a, f)) < 1e-13
+
+
+@PROPERTY
+@given(sequences(kind=LatticeKind.ADJOINT), SEEDS)
+def test_act_right_matches_naive_sum(seqs, seed):
+    (b,) = seqs
+    f = _signal(b.params, seed)
+    assert norm(act_right(f, b) - naive_act_right(f, b)) < 1e-13
+
+
+@PROPERTY
+@given(lattices(), st.sampled_from(list(LatticeKind)), st.floats(0.2, 1.5), SEEDS)
+def test_inner_products_match_shift_pairings(params, kind, radius, seed):
+    f, g = _signal(params, seed), _signal(params, seed + 1)
+    left = kind is LatticeKind.TIME_FREQ
+    seq = (inner_left if left else inner_right)(f, g, params, radius)
+    scale = params.q * abs(params.alpha * params.beta)
+    for n1, n2 in _box(params, kind, radius):
+        nu = phase_point(params, kind, n1, n2)
+        expected = (inner(f, tf_shift(g, nu)) if left
+                    else inner(g, tf_shift(f, nu, "freq_time")) / scale)
+        assert abs(seq.value_at(n1, n2) - expected) < 1e-13
+
+
+@PROPERTY
+@given(lattices(), st.floats(0.2, 1.5), SEEDS)
+def test_adjoint_shift_family_columns_are_adjoint_shifts(params, radius, seed):
+    g = _signal(params, seed)
+    family = adjoint_shift_family(g, params, radius)
+    box = _box(params, LatticeKind.ADJOINT, radius)
+    assert family.shape == (g.values.size, len(box))
+    for column, (n1, n2) in zip(family.T, box):
+        nu = phase_point(params, LatticeKind.ADJOINT, n1, n2)
+        shifted = tf_shift(g, nu, "freq_time")
+        assert norm(GridSignal(g.spec, column.reshape(g.values.shape)) - shifted) < 1e-13
+
+
+@PROPERTY
+@given(lattices(), st.floats(0.2, 2.0), SEEDS)
+def test_frame_apply_is_synthesis_of_analysis(params, radius, seed):
+    g, f = _signal(params, seed), _signal(params, seed + 1)
+    expected = act_left(inner_left(f, g, params, radius), g)
+    got = FrameSystem(g, params, radius).apply(f)
+    assert norm(got - expected) <= 1e-13 * norm(expected)
