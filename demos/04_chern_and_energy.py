@@ -8,42 +8,40 @@ the Gaussian attains E = q exactly, solving the self-duality equation
 (∂₁a + i∂₂a)♮a = 0.
 """
 
-import numpy as np
-
-from ncgabor import GridSpec, TorusParams, gaussian, hermite, norm
+from ncgabor import TorusParams, gaussian, hermite, norm
 from ncgabor.frame import lift_scalar_window
 from ncgabor.geometry import grid_for_radius, soliton_experiment
 
 print("=== q = 1, (α,β) = (1/2, 1/2), standard Gaussian ===")
-rep1 = soliton_experiment(TorusParams(0.5, 0.5), gaussian(grid_for_radius(6.0)))
-print(f"  c1 (trace formula)  = {rep1.c1_trace.real:+.12f} "
-      f"{rep1.c1_trace.imag:+.1e}j")
-print(f"  c1 (double sum)     = {rep1.c1_sum.real:+.12f}")
-print(f"  energy              = {rep1.energy:.12f}   (window form "
-      f"{rep1.energy_window:.12f})")
-print(f"  gap E − |c1|        = {rep1.gap:+.2e}")
-print(f"  self-duality: plus-sign residual {rep1.sd_residual_plus:.2e}, "
-      f"minus-sign {rep1.sd_residual_minus:.2f}")
-print(f"  frame bounds ({rep1.frame_bounds[0]:.3f}, {rep1.frame_bounds[1]:.3f}), "
-      f"Wexler-Raz {rep1.wexler_raz:.1e}")
-print(f"  verdict: {'PASS' if rep1.passes() else 'FAIL'}")
+run1 = soliton_experiment(TorusParams(0.5, 0.5), gaussian(grid_for_radius(6.0)))
+print(f"  c1 (trace formula)  = {run1.c1_trace.real:+.12f} "
+      f"{run1.c1_trace.imag:+.1e}j")
+print(f"  c1 (double sum)     = {run1.c1_sum.real:+.12f}")
+print(f"  energy              = {run1.energy_trace:.12f}   (window form "
+      f"{run1.energy_window:.12f})")
+print(f"  gap E − |c1|        = {run1.gap:+.2e}")
+print(f"  self-duality: plus-sign residual {run1.self_duality[0]:.2e}, "
+      f"minus-sign {run1.self_duality[1]:.2f}")
+print(f"  frame bounds ({run1.bounds[0]:.3f}, {run1.bounds[1]:.3f}), "
+      f"Wexler-Raz {run1.wexler_raz:.1e}")
+print(f"  verdict: {'PASS' if run1.passes() else 'FAIL'}")
 
 print("\n=== q = 2, (α,β,r,s) = (1/2, 1/3, 1, 1), lifted Gaussian ===")
 p2 = TorusParams(0.5, 1 / 3, 1, 1, 2)
 g2 = lift_scalar_window(gaussian(grid_for_radius(6.0, q=1)), p2)
-rep2 = soliton_experiment(p2, g2)
-print(f"  c1 = {rep2.c1_trace.real:+.10f} (rounds to {rep2.c1_rounded}), "
-      f"energy = {rep2.energy:.10f}")
+run2 = soliton_experiment(p2, g2)
+print(f"  c1 = {run2.c1_trace.real:+.10f} (rounds to {round(run2.c1_trace.real)}), "
+      f"energy = {run2.energy_trace:.10f}")
 print(f"  the charge equals the channel count q = {p2.q}")
-print(f"  verdict: {'PASS' if rep2.passes() else 'FAIL'}")
+print(f"  verdict: {'PASS' if run2.passes() else 'FAIL'}")
 
 print("\n=== perturbed window: charge is stable, energy rises ===")
 spec = grid_for_radius(6.0)
 g0 = gaussian(spec)
 for eps in (0.1, 0.15):
     g = g0 + eps * norm(g0) * hermite(spec, 2)
-    rep = soliton_experiment(TorusParams(0.5, 0.5), g)
-    print(f"  ε={eps}: c1 = {rep.c1_trace.real:.9f}, E = {rep.energy:.6f}, "
-          f"gap = {rep.gap:.4f}, sd+ = {rep.sd_residual_plus:.3f}")
+    run = soliton_experiment(TorusParams(0.5, 0.5), g)
+    print(f"  ε={eps}: c1 = {run.c1_trace.real:.9f}, E = {run.energy_trace:.6f}, "
+          f"gap = {run.gap:.4f}, sd+ = {run.self_duality[0]:.3f}")
 print("the integer never moves; the energy gap measures distance from the "
       "soliton manifold")

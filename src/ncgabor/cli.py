@@ -229,12 +229,6 @@ def _pipeline(args) -> Pipeline:
                     dual_max_iter=getattr(args, "cg_max_iter", 500))
 
 
-def _chern_ok(pipe) -> bool:
-    """c₁ by trace is an integer and agrees with c₁ by sum, at the Chern rung."""
-    c1t, tol = pipe.c1_trace, pipe.tolerances["chern"]
-    return abs(c1t - round(c1t.real)) < tol and abs(c1t - pipe.c1_sum) < tol
-
-
 def cmd_frame(args) -> int:
     pipe = _pipeline(args)
     a_est, b_est = pipe.bounds
@@ -277,7 +271,7 @@ def cmd_chern(args) -> int:
                         "c1_sum": {"re": c1s.real, "im": c1s.imag},
                         "c1_rounded": int(round(c1t.real)),
                         "two_formula_gap": abs(c1t - c1s)},
-                 {"c1": round(c1t.real, 10)}, _chern_ok(pipe))
+                 {"c1": round(c1t.real, 10)}, pipe.chern_ok)
 
 
 def cmd_energy(args) -> int:
@@ -290,10 +284,11 @@ def cmd_energy(args) -> int:
 
 
 def cmd_verify_soliton(args) -> int:
-    rep = _pipeline(args).report()
-    return _emit(args, rep.to_dict(),
-                 {"c1": round(rep.c1_trace.real, 8),
-                  "energy": round(rep.energy, 8), "gap": rep.gap}, rep.passes())
+    pipe = _pipeline(args)
+    rep = pipe.report()
+    return _emit(args, rep, {"c1": round(pipe.c1_trace.real, 8),
+                             "energy": round(pipe.energy_trace, 8), "gap": pipe.gap},
+                 rep["passes"])
 
 
 def cmd_moyal(args) -> int:
@@ -351,14 +346,14 @@ def _sweep_point(job):
            "q": args.q, "radius": args.radius, "N": args.N,
            "L": pipe.window.spec.L}
     try:
-        rep = pipe.report()
+        pipe.report()
     except (NotAFrameError, ConvergenceError) as exc:
         return {**row, "error": str(exc)}
-    return {**row, "A": rep.frame_bounds[0], "B": rep.frame_bounds[1],
-            "c1_re": rep.c1_trace.real, "c1_im": rep.c1_trace.imag,
-            "energy": rep.energy, "gap": rep.gap,
-            "sd_plus": rep.sd_residual_plus, "sd_minus": rep.sd_residual_minus,
-            "W_residual": rep.w_residual_plus}
+    (a_est, b_est), (sd_plus, sd_minus) = pipe.bounds, pipe.self_duality
+    c1 = pipe.c1_trace
+    return {**row, "A": a_est, "B": b_est, "c1_re": c1.real, "c1_im": c1.imag,
+            "energy": pipe.energy_trace, "gap": pipe.gap, "sd_plus": sd_plus,
+            "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0]}
 
 
 def _write_csv(path, rows):
@@ -444,16 +439,15 @@ def cmd_run(args) -> int:
             results["chern"] = {"c1_re": c1t.real, "c1_im": c1t.imag,
                                 "c1_sum_re": pipe.c1_sum.real,
                                 "rounded": int(round(c1t.real))}
-            passed &= _chern_ok(pipe)
+            passed &= pipe.chern_ok
         if "energy" in tasks:
             results["energy"] = {"trace_form": pipe.energy_trace,
                                  "window_form": pipe.energy_window,
                                  "gap": pipe.gap}
             passed &= pipe.gap > -tol["chern"]
         if "soliton" in tasks:
-            rep = pipe.report()
-            results["soliton"] = rep.to_dict()
-            passed &= rep.passes()
+            results["soliton"] = pipe.report()
+            passed &= results["soliton"]["passes"]
 
     if "moyal" in tasks:
         rng = np.random.default_rng(args.seed + 1)

@@ -420,23 +420,25 @@ def adjoint_shift_family(g: GridSignal, params: TorusParams,
     return cols.reshape(-1, g.values.size).T
 
 
-def adjoint_span_residual(v: GridSignal, g: GridSignal, params: TorusParams,
-                          radius: float, scale: Optional[float] = None) -> float:
+def adjoint_span_residual(v, g: GridSignal, params: TorusParams,
+                          radius: float, scale: Optional[float] = None):
     """Least-squares distance of v from span{π°(ν°)g : |ν°| ≤ radius}.
 
-    Finite surrogate for membership in the closed adjoint-shift span.  The
-    distance is reported relative to `scale` (default ‖v‖); pass the scale
-    of the expression v was assembled from when v itself may be a numerical
-    zero, e.g. (∇₁+i∇₂)g for a Gaussian g.
+    Finite surrogate for membership in the closed adjoint-shift span.  v is
+    one signal, or a tuple of signals that share one shift family and one
+    least-squares solve and get a tuple of distances.  Each distance is
+    reported relative to `scale` (default ‖v‖); pass the scale of the
+    expression v was assembled from when v itself may be a numerical zero,
+    e.g. (∇₁+i∇₂)g for a Gaussian g.
     """
-    if scale is None:
-        scale = norm(v)
-    if scale < 1e-300:
-        return 0.0
+    vs = v if isinstance(v, tuple) else (v,)
+    scales = [norm(w) if scale is None else scale for w in vs]
     a = adjoint_shift_family(g, params, radius)
-    coeff, *_ = np.linalg.lstsq(a, v.values.ravel(), rcond=None)
-    res = np.linalg.norm(a @ coeff - v.values.ravel()) * np.sqrt(v.spec.dx)
-    return float(res / scale)
+    b = np.stack([w.values.ravel() for w in vs], axis=1)
+    coeff, *_ = np.linalg.lstsq(a, b, rcond=None)
+    res = np.linalg.norm(a @ coeff - b, axis=0) * np.sqrt(g.spec.dx)
+    dist = tuple(0.0 if s < 1e-300 else float(r / s) for r, s in zip(res, scales))
+    return dist if isinstance(v, tuple) else dist[0]
 
 
 def reconstruction_residual(f: GridSignal, g: GridSignal, h: GridSignal,

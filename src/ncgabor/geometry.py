@@ -12,12 +12,14 @@ independent double lattice sum over short-time Fourier samples (chern_sum).
 The sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)² + (∂₂p)²) is bounded
 below by |c₁(p)| and attained exactly when one of the self-duality
 equations (∂₁p ± i∂₂p)♮p = 0 holds.
+
+chern_trace, energy and sd_residuals are plain formulas: each takes as its
+hypothesis that p is a projection and does not check it.  Pipeline checks
+it once per window, in its defect stage, and is the record of the run.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -28,7 +30,7 @@ from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
                     canonical_dual, canonical_tight, frame_bounds,
                     wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
-                     hermite, inner, norm)
+                     hermite, norm)
 
 
 def derive(a: LatticeSeq, j: int) -> LatticeSeq:
@@ -58,17 +60,10 @@ def projection_residual(p: LatticeSeq) -> float:
     return l1_diff(twisted_conv(p, p), p) / n
 
 
-def _require_projection(p: LatticeSeq, tol: float):
-    res = projection_residual(p)
-    if res > tol:
-        raise ToleranceError(f"not a projection: idempotency residual {res:.3e} > {tol:.1e}")
-
-
-def chern_trace(p: LatticeSeq, params: TorusParams, tol: float = 1e-6) -> complex:
-    """c₁(p) from the algebra trace formula."""
+def chern_trace(p: LatticeSeq, params: TorusParams) -> complex:
+    """c₁(p) from the algebra trace formula; p must be a projection."""
     if p.params != params:
         raise ValueError("parameter mismatch")
-    _require_projection(p, tol)
     d1, d2 = derive(p, 1), derive(p, 2)
     comm = twisted_conv(d1, d2) - twisted_conv(d2, d1)
     val = trace_l(twisted_conv(p, comm))
@@ -130,28 +125,14 @@ def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
             / (1j * abs(params.alpha * params.beta)))
 
 
-def energy(p: LatticeSeq, params: TorusParams,
-           window_pair=None, tol: float = 1e-6,
-           cross_check_tol: float = 1e-6) -> float:
-    """Sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p)).
-
-    When `window_pair` = (g, h) with h the canonical dual is given, the
-    window form (π/|αβ|)·Σ (λ²+γ²)|⟨g,π(ν)h⟩|² is evaluated as well and the
-    two values must agree within cross_check_tol.
-    """
+def energy(p: LatticeSeq, params: TorusParams) -> float:
+    """Sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p));
+    p must be a projection."""
     if p.params != params:
         raise ValueError("parameter mismatch")
-    _require_projection(p, tol)
     d1, d2 = derive(p, 1), derive(p, 2)
     raw = trace_l(twisted_conv(d1, d1)) + trace_l(twisted_conv(d2, d2))
-    e_trace = raw.real / (4 * np.pi * abs(params.alpha * params.beta))
-    if window_pair is not None:
-        g, h = window_pair
-        e_win = energy_window_form(g, h, params, p.radius)
-        if abs(e_win - e_trace) > cross_check_tol * max(1.0, abs(e_trace)):
-            raise ToleranceError(
-                f"energy forms disagree: trace {e_trace!r} vs window {e_win!r}")
-    return e_trace
+    return raw.real / (4 * np.pi * abs(params.alpha * params.beta))
 
 
 def energy_window_form(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -163,14 +144,13 @@ def energy_window_form(g: GridSignal, h: GridSignal, params: TorusParams,
     return s * np.pi / abs(params.alpha * params.beta)
 
 
-def sd_residuals(p: LatticeSeq, params: TorusParams, tol: float = 1e-6):
-    """ℓ¹ norms of (∂₁p + i∂₂p)♮p and (∂₁p − i∂₂p)♮p.
+def sd_residuals(p: LatticeSeq, params: TorusParams):
+    """ℓ¹ norms of (∂₁p + i∂₂p)♮p and (∂₁p − i∂₂p)♮p for a projection p.
 
     One of them vanishes exactly at an energy minimizer; then E(p) = |c₁(p)|.
     """
     if p.params != params:
         raise ValueError("parameter mismatch")
-    _require_projection(p, tol)
     d1, d2 = derive(p, 1), derive(p, 2)
     plus = twisted_conv(d1 + 1j * d2, p).l1_norm()
     minus = twisted_conv(d1 + (-1j) * d2, p).l1_norm()
@@ -180,73 +160,6 @@ def sd_residuals(p: LatticeSeq, params: TorusParams, tol: float = 1e-6):
 def tolerance_ladder(eps0: float) -> dict:
     """One ladder from ε₀: algebra ε₀, frame 10²ε₀, Chern/energy 10³ε₀."""
     return {"algebra": eps0, "frame": 1e2 * eps0, "chern": 1e3 * eps0}
-
-
-@dataclass
-class ChernReport:
-    """Structured record of one soliton verification run."""
-
-    params: TorusParams
-    grid: GridSpec
-    radius: float
-    admissible: bool
-    admissibility: dict
-    frame_bounds: tuple
-    wexler_raz: float
-    projection_defect: float
-    c1_trace: complex
-    c1_sum: complex
-    c1_rounded: int
-    energy: float
-    energy_window: float
-    gap: float
-    sd_residual_plus: float
-    sd_residual_minus: float
-    w_residual_plus: float
-    w_residual_minus: float
-    eps0: float = 1e-8
-
-    def __post_init__(self):
-        if self.energy < 0:
-            raise ValueError("energy must be nonnegative")
-
-    @property
-    def tolerances(self) -> dict:
-        return tolerance_ladder(self.eps0)
-
-    def passes(self) -> bool:
-        tol = self.tolerances
-        return (abs(self.c1_trace - self.c1_rounded) < tol["chern"]
-                and abs(self.c1_trace.imag) < tol["chern"]
-                and abs(self.c1_trace - self.c1_sum) < tol["chern"]
-                and self.gap > -tol["chern"]
-                and self.wexler_raz < tol["frame"])
-
-    def to_dict(self) -> dict:
-        p = self.params
-        return {
-            "params": {"alpha": p.alpha, "beta": p.beta, "r": p.r, "s": p.s, "q": p.q},
-            "grid": {"L": self.grid.L, "N": self.grid.N, "q": self.grid.q},
-            "radius": self.radius,
-            "admissible": self.admissible,
-            "admissibility": self.admissibility,
-            "frame_bounds": {"A": self.frame_bounds[0], "B": self.frame_bounds[1]},
-            "wexler_raz_residual": self.wexler_raz,
-            "projection_defect": self.projection_defect,
-            "c1": {"re": self.c1_trace.real, "im": self.c1_trace.imag,
-                   "sum_re": self.c1_sum.real, "sum_im": self.c1_sum.imag,
-                   "rounded": self.c1_rounded},
-            "energy": self.energy,
-            "energy_window": self.energy_window,
-            "gap": self.gap,
-            "sd_residuals": {"plus": self.sd_residual_plus, "minus": self.sd_residual_minus},
-            "w_residuals": {"plus": self.w_residual_plus, "minus": self.w_residual_minus},
-            "tolerances": self.tolerances,
-            "passes": self.passes(),
-        }
-
-    def to_json(self, **kw) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
 def grid_for_radius(radius: float, n: int = 512, q: int = 1) -> GridSpec:
@@ -277,9 +190,11 @@ class Pipeline:
     window g → frame system → bounds (A, B) → canonical dual h → projection
     p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
     residuals.  Stages are computed on first access and cached, so a report
-    pays only for the stages it reads.  Checks on p run at the frame rung
-    10²ε₀ of the tolerance ladder.  A window that reaches the periodisation
-    seam is rejected before any solve.
+    pays only for the stages it reads.  The defect stage forms p♮p once and
+    raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
+    c₁ by trace, E and the self-duality residuals read it first.  A window
+    that reaches the periodisation seam is rejected before any solve.
+    chern_ok and passes() are the verdicts, report() the JSON record.
     """
 
     def __init__(self, params: TorusParams, window: GridSignal,
@@ -287,7 +202,6 @@ class Pipeline:
                  dual_max_iter: int = 500):
         self.params, self.window, self.radius = params, window, radius
         self.seed, self.dual_max_iter = seed, dual_max_iter
-        self.eps0 = eps0
         self.tolerances = tolerance_ladder(eps0)
         tail = seam_mass(window, radius)
         if tail >= self.tolerances["frame"]:
@@ -322,20 +236,35 @@ class Pipeline:
 
     @cached_property
     def defect(self) -> float:
-        return projection_residual(self.projection)
+        """Idempotency residual of p, gated at the frame rung: p must be a
+        projection before any charge or energy formula reads it."""
+        res, tol = projection_residual(self.projection), self.tolerances["frame"]
+        if res > tol:
+            raise ToleranceError(f"not a projection: idempotency residual {res:.3e} > {tol:.1e}")
+        return res
+
+    @property
+    def _checked_projection(self) -> LatticeSeq:
+        self.defect   # raises ToleranceError unless p is a projection
+        return self.projection
 
     @cached_property
     def c1_trace(self) -> complex:
-        return chern_trace(self.projection, self.params,
-                           tol=self.tolerances["frame"])
+        return chern_trace(self._checked_projection, self.params)
 
     @cached_property
     def c1_sum(self) -> complex:
         return chern_sum(self.window, self.dual, self.params, self.radius)
 
+    @property
+    def chern_ok(self) -> bool:
+        """c₁ by trace is an integer and agrees with c₁ by sum, at the Chern rung."""
+        c1t, tol = self.c1_trace, self.tolerances["chern"]
+        return abs(c1t - round(c1t.real)) < tol and abs(c1t - self.c1_sum) < tol
+
     @cached_property
     def energy_trace(self) -> float:
-        return energy(self.projection, self.params, tol=self.tolerances["frame"])
+        return energy(self._checked_projection, self.params)
 
     @cached_property
     def energy_window(self) -> float:
@@ -348,39 +277,61 @@ class Pipeline:
     @cached_property
     def self_duality(self) -> tuple:
         """ℓ¹ norms of (∂₁p ± i∂₂p)♮p."""
-        return sd_residuals(self.projection, self.params,
-                            tol=self.tolerances["frame"])
+        return sd_residuals(self._checked_projection, self.params)
 
     @cached_property
     def w_residuals(self) -> tuple:
         """Distances of (∇₁ ± i∇₂)g from the adjoint-shift span of g."""
         c1, c2 = covariant(self.window, 1), covariant(self.window, 2)
-        scale = norm(c1) + norm(c2)
-        return tuple(adjoint_span_residual(v, self.window, self.params,
-                                           self.radius, scale=scale)
-                     for v in (c1 + 1j * c2, c1 - 1j * c2))
+        return adjoint_span_residual((c1 + 1j * c2, c1 - 1j * c2), self.window,
+                                     self.params, self.radius,
+                                     scale=norm(c1) + norm(c2))
 
-    def report(self) -> ChernReport:
-        """Every stage, in chain order, as one ChernReport."""
+    def passes(self) -> bool:
+        """The soliton verdict: chern_ok, E ≥ |c₁| at the Chern rung and the
+        Wexler–Raz residual at the frame rung."""
+        tol = self.tolerances
+        return (self.chern_ok and self.gap > -tol["chern"]
+                and self.wexler_raz < tol["frame"])
+
+    def report(self) -> dict:
+        """Every stage, read in chain order, as the verify-soliton record."""
         ok, diag = soliton_admissible(self.params)
-        return ChernReport(
-            params=self.params, grid=self.window.spec, radius=self.radius,
-            admissible=ok, admissibility=diag, frame_bounds=self.bounds,
-            wexler_raz=self.wexler_raz, projection_defect=self.defect,
-            c1_trace=self.c1_trace, c1_sum=self.c1_sum,
-            c1_rounded=int(round(self.c1_trace.real)),
-            energy=self.energy_trace, energy_window=self.energy_window,
-            gap=self.gap, sd_residual_plus=self.self_duality[0],
-            sd_residual_minus=self.self_duality[1],
-            w_residual_plus=self.w_residuals[0],
-            w_residual_minus=self.w_residuals[1], eps0=self.eps0)
+        (a_est, b_est), wr, defect = self.bounds, self.wexler_raz, self.defect
+        c1, c1_sum = self.c1_trace, self.c1_sum
+        e, e_win, gap = self.energy_trace, self.energy_window, self.gap
+        (sd_plus, sd_minus), (w_plus, w_minus) = self.self_duality, self.w_residuals
+        if e < 0:
+            raise ValueError("energy must be nonnegative")
+        p, spec = self.params, self.window.spec
+        return {
+            "params": {"alpha": p.alpha, "beta": p.beta, "r": p.r, "s": p.s, "q": p.q},
+            "grid": {"L": spec.L, "N": spec.N, "q": spec.q},
+            "radius": self.radius,
+            "admissible": ok,
+            "admissibility": diag,
+            "frame_bounds": {"A": a_est, "B": b_est},
+            "wexler_raz_residual": wr,
+            "projection_defect": defect,
+            "c1": {"re": c1.real, "im": c1.imag, "sum_re": c1_sum.real,
+                   "sum_im": c1_sum.imag, "rounded": int(round(c1.real))},
+            "energy": e,
+            "energy_window": e_win,
+            "gap": gap,
+            "sd_residuals": {"plus": sd_plus, "minus": sd_minus},
+            "w_residuals": {"plus": w_plus, "minus": w_minus},
+            "tolerances": self.tolerances,
+            "passes": self.passes(),
+        }
 
 
 def soliton_experiment(params: TorusParams, window: GridSignal,
                        radius: float = 6.0, eps0: float = 1e-8,
-                       bounds_seed: int = 7) -> ChernReport:
-    """Full pipeline: frame bounds → canonical dual → projection → c₁, E, residuals."""
-    return Pipeline(params, window, radius, eps0, bounds_seed).report()
+                       bounds_seed: int = 7) -> Pipeline:
+    """The Pipeline of one window with every stage evaluated by its report()."""
+    pipe = Pipeline(params, window, radius, eps0, bounds_seed)
+    pipe.report()
+    return pipe
 
 
 def build_window(kind: str, spec: GridSpec, params: TorusParams,

@@ -235,17 +235,6 @@ def involution_dagger(f: GridSignal) -> GridSignal:
     return GridSignal(spec, np.conj(f.values[np.ix_(rows, cols)]))
 
 
-def spectral_tail_mass(f: GridSignal, fraction: float = 0.25) -> float:
-    """Relative spectral mass in the top `fraction` of |frequencies|."""
-    F = np.fft.fft(f.values, axis=1)
-    af = np.abs(f.spec.freqs())
-    cut = (1.0 - fraction) * af.max()
-    total = float(np.sum(np.abs(F) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(F[:, af >= cut]) ** 2) / total)
-
-
 def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
                           spread: float = 2.5, terms: int = 6) -> GridSignal:
     """Random unit-norm combination of shifted/modulated Gaussians.

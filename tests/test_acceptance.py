@@ -59,6 +59,7 @@ def q2_case_r8():
     sys_ = FrameSystem(g, params, radius=8.0)
     h = canonical_dual(sys_)
     p = inner_left(g, h, params, 8.0)
+    assert projection_residual(p) < 1e-6
     plus, minus = sd_residuals(p, params)
     return plus, minus, time.time() - t0
 
@@ -67,10 +68,11 @@ def _dual_pair_projection(params, window, radius, cg_tol=1e-5, gate=1e-4):
     sys_ = FrameSystem(window, params, radius=radius)
     h = canonical_dual(sys_, tol=cg_tol)
     p = inner_left(window, h, params, radius)
-    c1 = chern_trace(p, params, tol=gate)
-    e = energy(p, params, tol=gate)
-    return {"c1": c1, "energy": e, "gap": e - abs(c1),
-            "defect": projection_residual(p)}
+    defect = projection_residual(p)
+    assert defect < gate
+    c1 = chern_trace(p, params)
+    e = energy(p, params)
+    return {"c1": c1, "energy": e, "gap": e - abs(c1), "defect": defect}
 
 
 @pytest.fixture(scope="session")
@@ -126,9 +128,9 @@ def test_criterion_3_gaussian_energy_minimum(q1_case, q2_case, q2_case_r8):
     rep1, _ = q1_case
     rep2, _ = q2_case
     sd_q2_plus, _, _ = q2_case_r8
-    e1 = abs(rep1.energy - 1.0)
-    e2 = abs(rep2.energy - 2.0)
-    sd1 = min(rep1.sd_residual_plus, rep1.sd_residual_minus)
+    e1 = abs(rep1.energy_trace - 1.0)
+    e2 = abs(rep2.energy_trace - 2.0)
+    sd1 = min(rep1.self_duality)
     sd2 = min(sd_q2_plus, 1e9)
     ok = e1 < 1e-5 and e2 < 1e-4 and sd1 < 1e-5 and sd2 < 1e-5
     _verdict(3, ok, f"|E-1|={e1:.2e} (<1e-5), |E-2|={e2:.2e} (<1e-4), "

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from ncgabor import frame
+from ncgabor import frame, geometry
 from ncgabor.cli import main
 from ncgabor.signal import GridSignal, GridSpec, save_signal
 
@@ -208,9 +208,9 @@ def test_atom_box_over_budget_exit_code(tmp_path, capsys):
     assert "exceeds" in capsys.readouterr().err
 
 
-def _count_calls(monkeypatch, name):
-    """Count calls of ncgabor.frame.<name> through every module holding it."""
-    original, calls = getattr(frame, name), []
+def _count_calls(monkeypatch, name, owner=frame):
+    """Count calls of <owner>.<name> through every module holding it."""
+    original, calls = getattr(owner, name), []
 
     def counted(*args, **kwargs):
         calls.append(name)
@@ -220,6 +220,12 @@ def _count_calls(monkeypatch, name):
         if module_name.startswith("ncgabor") and getattr(module, name, None) is original:
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_verify_soliton_checks_idempotency_once(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, "projection_residual", geometry)
+    assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_run_and_sweep_share_the_soliton_pipeline(tmp_path, monkeypatch):

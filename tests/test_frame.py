@@ -366,7 +366,12 @@ def test_adjoint_span_residuals(sys_q1, dual_q1):
     member = tf_shift(g, nu, "freq_time")
     assert adjoint_span_residual(member, g, p, 6.0) < 1e-10
     # a Hermite window is far from the span
-    assert adjoint_span_residual(hermite(g.spec, 1), g, p, 6.0) > 0.3
+    far = hermite(g.spec, 1)
+    assert adjoint_span_residual(far, g, p, 6.0) > 0.3
+    # a tuple shares one solve and gives each signal its own distance
+    both = adjoint_span_residual((member, far), g, p, 6.0)
+    assert both[0] < 1e-10
+    assert both[1] == pytest.approx(adjoint_span_residual(far, g, p, 6.0), rel=1e-12)
 
 
 def test_reconstruction_improves_with_radius(params_q1, rng):

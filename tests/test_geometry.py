@@ -8,8 +8,9 @@ from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, inner, norm, tf_shift)
 from ncgabor.algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                              twisted_conv, twisted_star)
-from ncgabor.frame import FrameSystem, canonical_dual
-from ncgabor.geometry import (ChernReport, build_window, chern_sum,
+from ncgabor import geometry
+from ncgabor.frame import FrameSystem, ToleranceError, canonical_dual
+from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               chern_trace, covariant, derive, energy,
                               energy_window_form, grid_for_radius,
                               projection_residual, sd_residuals,
@@ -94,6 +95,7 @@ def test_gaussian_eigen_relation(spec1):
 
 def test_chern_q1(q1_pipeline, params_q1):
     g, h, p = q1_pipeline
+    assert projection_residual(p) < 1e-6
     c1 = chern_trace(p, params_q1)
     assert abs(c1 - 1.0) < 1e-6
     assert abs(c1.imag) < 1e-8
@@ -102,18 +104,22 @@ def test_chern_q1(q1_pipeline, params_q1):
 
 
 def test_chern_rejects_non_projection(params_q1, rng):
-    a = random_seq(params_q1, LatticeKind.TIME_FREQ, rng)
-    with pytest.raises(ValueError, match="not a projection"):
-        chern_trace(a, params_q1)
+    # the pipeline's defect stage gates every formula that needs p♮p = p
     zero = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
                                    np.zeros((0, 2)), np.zeros(0), 6.0)
-    with pytest.raises(ValueError, match="not a projection"):
-        chern_trace(zero, params_q1)
+    assert projection_residual(zero) == np.inf
+    for p in (random_seq(params_q1, LatticeKind.TIME_FREQ, rng), zero):
+        pipe = Pipeline(params_q1, gaussian(grid_for_radius(6.0)))
+        pipe.projection = p   # no frame solve: the gate alone is under test
+        for stage in ("defect", "c1_trace", "energy_trace", "self_duality"):
+            with pytest.raises(ToleranceError, match="not a projection"):
+                getattr(pipe, stage)
 
 
 def test_energy_q1(q1_pipeline, params_q1):
     g, h, p = q1_pipeline
-    e = energy(p, params_q1, window_pair=(g, h))
+    assert projection_residual(p) < 1e-6
+    e = energy(p, params_q1)
     assert abs(e - 1.0) < 1e-5
     assert energy_window_form(g, h, params_q1, 6.0) == pytest.approx(e, abs=1e-6)
 
@@ -129,6 +135,7 @@ def test_energy_at_non_integer_twist_q1():
     sys_ = FrameSystem(g, p, radius=6.0)
     h = canonical_dual(sys_)
     proj = inner_left(g, h, p, 6.0)
+    assert projection_residual(proj) < 1e-6
     e = energy(proj, p)
     c1 = chern_trace(proj, p)
     assert abs(c1 - 1.0) < 1e-6  # the charge stays pinned to the integer
@@ -138,6 +145,7 @@ def test_energy_at_non_integer_twist_q1():
 
 def test_sd_residuals_q1(q1_pipeline, params_q1):
     _, _, p = q1_pipeline
+    assert projection_residual(p) < 1e-6
     plus, minus = sd_residuals(p, params_q1)
     assert plus < 1e-5       # the Gaussian satisfies the plus-sign equation
     assert minus > 1.0       # and is far from the anti-self-dual one
@@ -150,6 +158,7 @@ def test_sd_residuals_perturbed(params_q1, rng):
     sys_ = FrameSystem(g, params_q1, radius=6.0)
     h = canonical_dual(sys_)
     p = inner_left(g, h, params_q1, 6.0)
+    assert projection_residual(p) < 1e-6
     plus, minus = sd_residuals(p, params_q1)
     assert plus > 1e-1 and minus > 1e-1  # non-minimal: both bounded away from 0
 
@@ -161,6 +170,7 @@ def test_energy_bound_with_gap_for_perturbed(params_q1):
     sys_ = FrameSystem(g, params_q1, radius=6.0)
     h = canonical_dual(sys_)
     p = inner_left(g, h, params_q1, 6.0)
+    assert projection_residual(p) < 1e-6
     e = energy(p, params_q1)
     c1 = chern_trace(p, params_q1)
     assert abs(c1 - 1.0) < 1e-5  # integrality of the class survives perturbation
@@ -210,25 +220,24 @@ def test_dual_pair_derivative_identity(params_q1, rng):
 
 def test_soliton_experiment_report(params_q1):
     spec = grid_for_radius(6.0)
-    rep = soliton_experiment(params_q1, gaussian(spec), radius=6.0)
-    assert rep.passes()
-    assert rep.admissible
-    assert rep.c1_rounded == 1
-    assert rep.gap == pytest.approx(rep.energy - abs(rep.c1_trace))
-    assert rep.sd_residual_plus < 1e-5
-    assert rep.w_residual_plus < 1e-8
-    assert rep.w_residual_minus > 0.1
-    d = rep.to_dict()
+    pipe = soliton_experiment(params_q1, gaussian(spec), radius=6.0)
+    assert pipe.passes() and pipe.chern_ok
+    assert pipe.gap == pytest.approx(pipe.energy_trace - abs(pipe.c1_trace))
+    assert pipe.self_duality[0] < 1e-5
+    assert pipe.w_residuals[0] < 1e-8
+    assert pipe.w_residuals[1] > 0.1
+    d = pipe.report()
+    assert d["admissible"] and d["c1"]["rounded"] == 1
     assert d["passes"] is True
     assert d["tolerances"]["chern"] == pytest.approx(1e-5)
-    json.loads(rep.to_json())  # serializable
+    json.loads(json.dumps(d))  # serializable
 
 
-def test_report_validation(params_q1):
-    spec = grid_for_radius(6.0)
-    rep = soliton_experiment(params_q1, gaussian(spec), radius=6.0)
-    with pytest.raises(ValueError):
-        ChernReport(**{**rep.__dict__, "energy": -1.0})
+def test_report_validation(params_q1, monkeypatch):
+    pipe = Pipeline(params_q1, gaussian(grid_for_radius(6.0)))
+    monkeypatch.setattr(geometry, "energy", lambda p, params: -1.0)
+    with pytest.raises(ValueError, match="energy must be nonnegative"):
+        pipe.report()
 
 
 def test_build_window(params_q2):

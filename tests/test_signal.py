@@ -5,8 +5,7 @@ from scipy.integrate import quad
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, apply_D, apply_M,
                             cocycle, fourier_transform, gaussian, hermite,
                             inner, involution_dagger, load_signal, modulate,
-                            norm, save_signal, spectral_tail_mass, tf_shift,
-                            translate)
+                            norm, save_signal, tf_shift, translate)
 from conftest import gaussian_probe
 
 
@@ -256,14 +255,6 @@ def test_signal_roundtrip(tmp_path, spec1, rng):
     g = load_signal(path)
     assert g.spec == f.spec
     assert np.abs(g.values - f.values).max() < 1e-16
-
-
-def test_spectral_tail_mass(spec1):
-    g = gaussian(spec1)
-    assert spectral_tail_mass(g) < 1e-30
-    rng = np.random.default_rng(0)
-    noisy = GridSignal(spec1, rng.normal(size=(1, spec1.N)))
-    assert spectral_tail_mass(noisy) > 0.1
 
 
 def test_immutability(spec1):
