@@ -10,7 +10,7 @@ integer.
 
 import numpy as np
 
-from ncgabor import GridSpec, TorusParams, gaussian, norm, random_timefreq_probe
+from ncgabor import GridSpec, TorusParams, gaussian, random_timefreq_probe
 from ncgabor.frame import (FrameSystem, canonical_dual, canonical_tight,
                            frame_bounds, laurent_symbol, lift_scalar_window,
                            project_dual_pair, reconstruction_residual,

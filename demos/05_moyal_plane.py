@@ -12,7 +12,7 @@ windows solving the eigenvalue problem (∇₁+i∇₂)g ∈ span{g}.
 
 import numpy as np
 
-from ncgabor import GridSpec, gaussian, hermite, norm, random_timefreq_probe
+from ncgabor import GridSpec, gaussian, hermite, random_timefreq_probe
 from ncgabor.moyal import (continuous_chern, continuous_energy,
                            default_window_corpus, eigen_residual, moyal_check)
 

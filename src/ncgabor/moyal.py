@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .algebra import _analyse, _atoms
 from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
@@ -29,6 +30,7 @@ from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
 from .geometry import _chern_double_sum, covariant
 
 RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
+CHUNK = 16        # x nodes per block of the full-grid STFT
 
 
 @dataclass(frozen=True)
@@ -57,42 +59,26 @@ class PhaseGrid:
         return 1.0 / self.spec.L
 
 
-def _stft_chunks(f: GridSignal, g: GridSignal, chunk: int):
-    """Per channel shift l and chunk js of roll-order x nodes, yield js and
-    V[b,c,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered ω nodes."""
+def _stft_chunks(f: GridSignal, g: GridSignal):
+    """Per chunk js of roll-order x nodes, yield js and every node
+    V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered ω nodes."""
     spec = f.spec
-    sign = np.where(np.arange(spec.N) % 2 == 0, 1.0, -1.0)  # e^{−2πi x₀ ω_m}, x₀=−L/2
-    for l in range(spec.q):
-        gl = np.roll(g.values, l, axis=0)
-        for j0 in range(0, spec.N, chunk):
-            js = np.arange(j0, min(j0 + chunk, spec.N))
-            # u[b,k,t] = f(t,k)·conj(g(t−x_b, k−l)) via time rolls
-            rolled = np.stack([np.roll(gl, j, axis=1) for j in js], axis=0)
-            u = f.values[None, :, :] * np.conj(rolled)
-            v = spec.dx * sign[None, None, :] * np.fft.fft(u, axis=2)
-            yield js, np.fft.fft(v, axis=1)   # channel DFT over c
+    n, q = spec.N, spec.q
+    # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
+    fs = spec.dx * np.roll(f.values, n // 2, axis=1)
+    gbar = np.conj(g.values)
+    rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
+    k_minus_l = np.subtract.outer(np.arange(q), np.arange(q)) % q
+    dft_q = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
+    for j0 in range(0, n, CHUNK):
+        js = np.arange(j0, min(j0 + CHUNK, n))
+        u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l, b, t]
+        u *= fs[:, None, None, :]
+        v = np.fft.fft(u, axis=3)
+        yield js, v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
 
 
-def _phase_space_accumulate(f: GridSignal, g: GridSignal, weights, chunk: int = 64):
-    """Σ_{x,l,ω,c} w_i(x,ω)·|⟨f, E_{ω,c}T_{x,l}g⟩|² for several weight tables.
-
-    `weights` is a list of (N,N) arrays w[j, m] indexed by the roll-order
-    translation nodes (PhaseGrid.x) and the FFT-ordered ω nodes; returns one
-    accumulated quadrature value per weight, including the Δx·Δω node
-    measure and plain counting over both channel indices.
-    """
-    grid = PhaseGrid(f.spec)
-    totals = [0.0 for _ in weights]
-    for js, v in _stft_chunks(f, g, chunk):
-        av2 = np.abs(v) ** 2               # (chunk, c, ω)
-        for i, w in enumerate(weights):
-            totals[i] += float(np.einsum("bcm,bm->", av2, w[js, :]))
-    measure = grid.x_weight * grid.omega_weight
-    return [t * measure for t in totals]
-
-
-def weighted_stft_norm(f: GridSignal, g: GridSignal = None, s: float = 0.0,
-                       chunk: int = 64) -> float:
+def weighted_stft_norm(f: GridSignal, g: GridSignal = None, s: float = 0.0) -> float:
     """Diagnostic modulation norm: Σ_{c,l}∬ |⟨f, E_{ω,c}T_{x,l}g⟩|·(1+|x|+|ω|)^s.
 
     Truncated weighted-STFT surrogate for the order-s modulation norm; the
@@ -105,19 +91,20 @@ def weighted_stft_norm(f: GridSignal, g: GridSignal = None, s: float = 0.0,
         raise ValueError("grid mismatch")
     grid = PhaseGrid(f.spec)
     weight = (1.0 + np.abs(grid.x)[:, None] + np.abs(grid.omega)[None, :]) ** s
-    total = sum(float(np.einsum("bcm,bm->", np.abs(v), weight[js, :]))
-                for js, v in _stft_chunks(f, g, chunk))
+    total = sum(float(np.einsum("clbm,bm->", np.abs(v), weight[js, :]))
+                for js, v in _stft_chunks(f, g))
     return total * grid.x_weight * grid.omega_weight
 
 
 def moyal_check(f: GridSignal, g: GridSignal):
-    """Both sides of the Moyal identity and their relative error."""
+    """Both sides of the Moyal identity and their relative error; the left side
+    sums |V_g f|² over every (x, l, ω, c) node, not through Plancherel."""
     if f.spec != g.spec:
         raise ValueError("grid mismatch")
-    spec = f.spec
-    ones = np.ones((spec.N, spec.N))
-    (lhs,) = _phase_space_accumulate(f, g, [ones])
-    rhs = spec.q * norm(g) ** 2 * norm(f) ** 2
+    grid = PhaseGrid(f.spec)
+    total = sum(np.vdot(v, v).real for _, v in _stft_chunks(f, g))
+    lhs = total * grid.x_weight * grid.omega_weight
+    rhs = f.spec.q * norm(g) ** 2 * norm(f) ** 2
     return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
 
@@ -129,12 +116,18 @@ def continuous_energy(g: GridSignal) -> float:
     The normalization is fixed by the projection (p♮p = p requires the
     1/(q‖g‖²) scale) and makes E scale-invariant in g; generalized
     Gaussians attain the lower bound q at any q and any amplitude.
+    Plancherel in ω and over ℤ_q gives the full-grid trapezoid sum exactly,
+
+        Σ (x²+ω²)|V|² = qΔx²·(N·Σ_j x_j²·(A⋆A)(j) + Σ_m ω_m²·(Â⋆Â)(m)/N),
+
+    with A = Σ_k|g(·,k)|², Â = Σ_k|DFT g(·,k)|² and (a⋆a)(j) = Σ_t a(t)a(t−j).
     """
-    spec = g.spec
-    grid = PhaseGrid(spec)
-    w = grid.x[:, None] ** 2 + grid.omega[None, :] ** 2  # both in roll/FFT order
-    (val,) = _phase_space_accumulate(g, g, [w])
-    return float(np.pi * val / norm(g) ** 4)
+    spec, grid = g.spec, PhaseGrid(g.spec)
+    a = np.stack([np.abs(g.values) ** 2, np.abs(np.fft.fft(g.values, axis=1)) ** 2]).sum(axis=1)
+    corr = np.fft.irfft(np.abs(np.fft.rfft(a, axis=1)) ** 2, n=spec.N, axis=1)
+    val = spec.q * spec.dx ** 2 * (spec.N * grid.x ** 2 @ corr[0]
+                                   + grid.omega ** 2 @ corr[1] / spec.N)
+    return float(np.pi * val * grid.x_weight * grid.omega_weight / norm(g) ** 4)
 
 
 def continuous_inner_right(f: GridSignal, g: GridSignal) -> complex:

@@ -7,8 +7,9 @@ import pytest
 
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
-                            gaussian, inner, norm, tf_shift)
+                            gaussian, norm, tf_shift)
 from ncgabor.algebra import LatticeSeq
+from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
 @pytest.fixture(scope="session")
@@ -65,6 +66,17 @@ def naive_twisted_conv(a, b):
     vals = np.array(list(out.values()))
     return LatticeSeq.from_entries(a.params, a.kind, idx, vals,
                                    max(a.radius, b.radius), prune=0.0)
+
+
+def full_grid_energy(g):
+    """π/‖g‖⁴ · Σ (x²+ω²)·|V_g g|²·ΔxΔω over every (x, l, ω, c) node of the
+    phase-space grid: the trapezoid sum `continuous_energy` evaluates by
+    Plancherel."""
+    grid = PhaseGrid(g.spec)
+    weight = grid.x[:, None] ** 2 + grid.omega[None, :] ** 2
+    total = sum(float(np.einsum("clbm,bm->", np.abs(v) ** 2, weight[js]))
+                for js, v in _stft_chunks(g, g))
+    return np.pi * total * grid.x_weight * grid.omega_weight / norm(g) ** 4
 
 
 def naive_chern_double_sum(v, v3, theta):

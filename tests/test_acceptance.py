@@ -13,13 +13,12 @@ import pytest
 from ncgabor.lattice import LatticeKind, TorusParams, annihilator_params
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, norm, tf_shift)
-from ncgabor.algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
-                             twisted_conv, twisted_star)
+from ncgabor.algebra import (inner_left, l1_diff, trace_l, twisted_conv,
+                             twisted_star)
 from ncgabor.frame import (FrameSystem, canonical_dual, lift_scalar_window,
                            reconstruction_residual, wexler_raz_residual)
-from ncgabor.geometry import (chern_trace, chern_sum, covariant, derive,
-                              energy, grid_for_radius, projection_residual,
-                              sd_residuals, soliton_experiment)
+from ncgabor.geometry import (chern_trace, covariant, derive, energy, grid_for_radius,
+                              projection_residual, sd_residuals, soliton_experiment)
 from ncgabor.moyal import (continuous_energy, default_window_corpus,
                            moyal_check)
 from conftest import gaussian_probe, random_seq

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ncgabor.lattice import LatticeKind, TorusParams
-from ncgabor.signal import GridSpec, PhasePoint, cocycle, gaussian, inner, norm
+from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left,
                              inner_right, l1_diff, load_seq, save_seq,
                              trace_l, trace_r, twisted_conv, twisted_star)

@@ -5,9 +5,8 @@ from ncgabor import frame
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, inner, norm, tf_shift)
-from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left,
-                             inner_right, l1_diff, trace_l, twisted_conv,
-                             twisted_star)
+from ncgabor.algebra import (LatticeSeq, act_right, inner_left, inner_right,
+                             l1_diff, trace_l, twisted_conv, twisted_star)
 from ncgabor.frame import (ConvergenceError, FrameSystem, NotAFrameError,
                            _cg_solve, adjoint_shift_family,
                            adjoint_span_residual, canonical_dual,

@@ -5,9 +5,8 @@ import pytest
 
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
-                            hermite, inner, norm, tf_shift)
-from ncgabor.algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
-                             twisted_conv, twisted_star)
+                            hermite, norm, tf_shift)
+from ncgabor.algebra import LatticeSeq, inner_left, l1_diff, trace_l, twisted_conv
 from ncgabor import geometry
 from ncgabor.frame import FrameSystem, ToleranceError, canonical_dual
 from ncgabor.geometry import (Pipeline, build_window, chern_sum,
@@ -15,7 +14,7 @@ from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               energy_window_form, grid_for_radius,
                               projection_residual, sd_residuals,
                               soliton_experiment)
-from conftest import gaussian_probe, phase_point, random_seq
+from conftest import gaussian_probe, random_seq
 
 
 @pytest.fixture(scope="module")

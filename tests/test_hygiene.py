@@ -1,0 +1,33 @@
+"""Every imported name in src/, tests/ and demos/ is referenced.
+
+Package `__init__.py` files are skipped, because their imports are the
+package's re-exports, and so is an import on a line marked `# noqa: F401`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(path for folder in ("src", "tests", "demos")
+               for path in (ROOT / folder).rglob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(path):
+    """(line, name) of each name `path` imports and never references."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    imported = [(node.lineno, alias.asname or alias.name.split(".")[0])
+                for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                and "# noqa: F401" not in lines[node.lineno - 1]
+                for alias in node.names if alias.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []

@@ -1,19 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from ncgabor.lattice import TorusParams
-from ncgabor.signal import GridSpec, gaussian, hermite, inner, norm
+from ncgabor.signal import GridSpec, PhasePoint, gaussian, hermite, inner, norm, tf_shift
 from ncgabor.frame import lift_scalar_window
-from ncgabor.moyal import (PhaseGrid, bump_window, bandlimited_noise_window,
+from ncgabor.moyal import (PhaseGrid, _stft_chunks, bump_window, bandlimited_noise_window,
                            continuous_chern, continuous_energy,
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
                            load_corpus_file, moyal_check, weighted_stft_norm)
-from conftest import gaussian_probe
+from conftest import full_grid_energy, gaussian_probe
 
 
 SPEC = GridSpec(L=16.0, N=512, q=1)
+CORPUS = Path(__file__).resolve().parents[1] / "configs" / "moyal_corpus.cfg"
 
 
 def test_moyal_identity_gaussian():
@@ -50,6 +53,32 @@ def test_moyal_random_pairs(rng):
             g = gaussian_probe(spec, rng, spread=1.5)
             _, _, err = moyal_check(f, g)
             assert err < 1e-8
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stft_nodes_match_their_definition(q, rng):
+    # N = 200 leaves a partial last chunk of x nodes
+    spec = GridSpec(L=12.0, N=200, q=q)
+    grid = PhaseGrid(spec)
+    f, g = gaussian_probe(spec, rng, spread=1.5), gaussian_probe(spec, rng, spread=1.5)
+    nodes = rng.integers(0, [q, q, spec.N, spec.N], size=(20, 4))   # (c, l, j, m)
+    got = {}
+    for js, v in _stft_chunks(f, g):
+        for c, l, j, m in nodes:
+            if js[0] <= j <= js[-1]:
+                got[c, l, j, m] = v[c, l, j - js[0], m]
+    for c, l, j, m in nodes:
+        expected = inner(f, tf_shift(g, PhasePoint(grid.x[j], l, grid.omega[m], c)))
+        assert abs(got[c, l, j, m] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_continuous_energy_matches_the_full_grid(q):
+    corpus = load_corpus_file(CORPUS, GridSpec(L=16.0, N=512, q=q))
+    assert len(corpus) == 12
+    for name, w, _ in corpus:
+        oracle = full_grid_energy(w)
+        assert abs(continuous_energy(w) - oracle) <= 1e-12 * oracle, name
 
 
 def test_phase_grid_nodes():

@@ -1,5 +1,5 @@
-"""Property tests of the twisted algebra, the atom kernel and the Chern
-double-sum kernel.
+"""Property tests of the twisted algebra, the atom kernel, the Chern
+double-sum kernel and the Moyal-plane energy.
 
 Lattices are drawn over (α, β, r, s, q ≤ 7) with r, s coprime to q (r = s = 0
 at q = 1); supports are random subsets of [-3, 3]², so empty, single-entry
@@ -9,6 +9,9 @@ PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the frame operator) is compared with single shifts through `tf_shift` on a
 small grid, and the Chern kernel with a term-by-term loop on random tables.
+The Moyal energy is checked against its known values: q on generalized
+Gaussians and q(2n+1) on the Hermite functions, with random channel
+coefficients and amplitude.
 Runs are derandomized, so the examples are the same on every run.
 """
 
@@ -17,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
@@ -25,7 +29,8 @@ from ncgabor.frame import FrameSystem, adjoint_shift_family
 from ncgabor.geometry import _chern_double_sum
 from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
                              lattice_twist)
-from ncgabor.signal import GridSignal, GridSpec, inner, norm, tf_shift
+from ncgabor.moyal import continuous_energy
+from ncgabor.signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, tf_shift
 from conftest import (naive_act_left, naive_act_right, naive_chern_double_sum,
                       naive_twisted_conv, phase_point)
 
@@ -181,3 +186,31 @@ def test_frame_apply_is_synthesis_of_analysis(params, radius, seed):
     expected = act_left(inner_left(f, g, params, radius), g)
     got = FrameSystem(g, params, radius).apply(f)
     assert norm(got - expected) <= 1e-13 * norm(expected)
+
+
+def channel_coefficients(q):
+    """q channel coefficients of magnitude in [0.1, 1], times one amplitude."""
+    magnitudes = st.lists(st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0),
+                          min_size=q, max_size=q)
+    return st.builds(lambda c, a: a * np.array(c), magnitudes, st.floats(0.01, 100.0))
+
+
+@PROPERTY
+@given(st.integers(1, 3).flatmap(channel_coefficients), st.floats(-3.0, 3.0),
+       st.floats(-3.0, 3.0))
+def test_generalized_gaussians_attain_the_energy_bound(coeffs, lam_re, lam_im):
+    q = coeffs.size
+    energy = continuous_energy(gaussian(GridSpec(L=16.0, N=512, q=q), coeffs=coeffs,
+                                        lam=complex(lam_re, lam_im)))
+    assert abs(energy - q) < 1e-9
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@PROPERTY
+@given(st.data())
+def test_hermite_energies_are_the_oscillator_levels(n, q, data):
+    coeffs = data.draw(channel_coefficients(q))
+    h = hermite(GridSpec(L=16.0, N=512, q=q), n)
+    energy = continuous_energy(GridSignal(h.spec, coeffs[:, None] * h.values))
+    assert abs(energy - q * (2 * n + 1)) < 1e-9

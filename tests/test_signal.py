@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import quad
 
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, apply_D, apply_M,
-                            cocycle, fourier_transform, gaussian, hermite,
-                            inner, involution_dagger, load_signal, modulate,
-                            norm, save_signal, tf_shift, translate)
+                            cocycle, fourier_transform, gaussian, inner,
+                            involution_dagger, load_signal, modulate, norm,
+                            save_signal, tf_shift, translate)
 from conftest import gaussian_probe
 
 
