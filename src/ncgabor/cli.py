@@ -276,11 +276,10 @@ def cmd_chern(args) -> int:
 
 def cmd_energy(args) -> int:
     pipe = _pipeline(args)
-    e_tr, e_win, tol = pipe.energy_trace, pipe.energy_window, pipe.tolerances["chern"]
+    e_tr, e_win = pipe.energy_trace, pipe.energy_window
     return _emit(args, {"energy_trace": e_tr, "energy_window": e_win,
                         "c1": pipe.c1_trace.real, "gap": pipe.gap},
-                 {"energy": round(e_tr, 10), "gap": pipe.gap},
-                 abs(e_tr - e_win) < tol and pipe.gap > -tol)
+                 {"energy": round(e_tr, 10), "gap": pipe.gap}, pipe.energy_ok)
 
 
 def cmd_verify_soliton(args) -> int:
@@ -427,13 +426,12 @@ def cmd_run(args) -> int:
 
     if requested & LATTICE_TASKS:
         pipe = _pipeline(args)
-        tol = pipe.tolerances
         a_est, b_est = pipe.bounds
         results["frame"] = {"A": a_est, "B": b_est,
                             "residuals": pipe.system.bounds_residuals}
         if "wexler_raz" in tasks:
             results["wexler_raz"] = {"residual": pipe.wexler_raz}
-            passed &= pipe.wexler_raz < tol["frame"]
+            passed &= pipe.wexler_raz < pipe.tolerances["frame"]
         if "chern" in tasks:
             c1t = pipe.c1_trace
             results["chern"] = {"c1_re": c1t.real, "c1_im": c1t.imag,
@@ -444,7 +442,7 @@ def cmd_run(args) -> int:
             results["energy"] = {"trace_form": pipe.energy_trace,
                                  "window_form": pipe.energy_window,
                                  "gap": pipe.gap}
-            passed &= pipe.gap > -tol["chern"]
+            passed &= pipe.energy_ok
         if "soliton" in tasks:
             results["soliton"] = pipe.report()
             passed &= results["soliton"]["passes"]

@@ -44,27 +44,33 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
+# Widens the lattice truncation used *inside* the dual and tight-window solves
+# (never inside reported sums): the canonical dual of the full system decays
+# exponentially, so solving S h = g at the bare verification radius would limit
+# every downstream duality residual to the solve-truncation error instead of
+# the verification-truncation error.
+SOLVE_MARGIN = 2.0
+PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
+CG_TARGET = 1e-12         # relative residual at which _cg_solve returns at once
+TIGHT_TOL = 1e-6          # probe residual ‖S_t f − f‖/‖f‖ a tight window must reach
+KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window is read
+PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
+RIESZ_REL = 1e-6          # min|F| > RIESZ_REL·max|F| is the Riesz verdict
+
+
 @dataclass
 class FrameSystem:
-    """A window with its lattice, truncation radius, and cached frame data.
+    """A window with its lattice and truncation radius: the truncated frame
+    operator and nothing more.
 
-    `cache` holds the results of frame_bounds, canonical_dual and
-    canonical_tight keyed on the solver arguments they were computed with,
-    and the window's atom factors under ("atoms", radius), built on the first
-    apply at that radius; `bounds_residuals` are the Rayleigh residuals of
-    the bounds that frame_bounds returned last.
-
-    `solve_margin` widens the lattice truncation used *inside* the dual and
-    tight-window solves (never inside reported sums): the canonical dual of
-    the full system decays exponentially, so solving S h = g at the bare
-    verification radius would limit every downstream duality residual to the
-    solve-truncation error instead of the verification-truncation error.
+    `cache` holds the window's atom factors under ("atoms", radius), built on
+    the first apply at that radius; the solvers below compute on every call.
+    `bounds_residuals` are the Rayleigh residuals of the last frame_bounds.
     """
 
     window: GridSignal
     params: TorusParams
     radius: float = 6.0
-    solve_margin: float = 2.0
     cache: dict = field(default_factory=dict, repr=False, compare=False)
     bounds_residuals: Optional[dict] = None
 
@@ -72,15 +78,13 @@ class FrameSystem:
         _check_params_spec(self.params, self.window.spec)
         if self.radius <= 0:
             raise ValueError("truncation radius must be positive")
-        if self.solve_margin < 0:
-            raise ValueError("solve margin must be nonnegative")
 
     def apply(self, f: GridSignal) -> GridSignal:
         """Truncated frame operator image S_g f = ⟨f,g⟩·g."""
         return self._frame_op(f, self.radius)
 
     def _apply_solve(self, f: GridSignal) -> GridSignal:
-        return self._frame_op(f, self.radius + self.solve_margin)
+        return self._frame_op(f, self.radius + SOLVE_MARGIN)
 
     def _frame_op(self, f: GridSignal, radius: float) -> GridSignal:
         """Analysis then synthesis on the cached atoms of the box at `radius`;
@@ -96,11 +100,10 @@ class FrameSystem:
         return _synthesise(np.where(np.abs(v) > PRUNE_TOL, v, 0.0), tg, mod, f.spec)
 
 
-def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int,
-              target: float = 1e-12) -> GridSignal:
+def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSignal:
     """Conjugate gradients for a positive operator on grid signals.
 
-    Iterates toward relative residual `target` and returns as soon as it is
+    Iterates toward relative residual CG_TARGET and returns as soon as it is
     reached; if progress stalls (no 2x improvement over 60 iterations) the
     best iterate is returned provided its residual is below `tol`, and a
     ConvergenceError("CG stagnation") is raised otherwise.  Truncated frame
@@ -110,7 +113,7 @@ def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int,
     b2 = norm(rhs)
     if b2 == 0.0:
         return rhs
-    target = min(target, tol)
+    target = min(CG_TARGET, tol)
     x = GridSignal(rhs.spec, np.zeros_like(rhs.values))
     r = rhs
     p = r
@@ -145,65 +148,60 @@ def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int,
         f"after {max_iter} iterations")
 
 
-def frame_bounds(sys: FrameSystem, probes: int = 24, seed: int = 7,
-                 require_frame: bool = True):
+def frame_bounds(sys: FrameSystem, seed: int = 7, require_frame: bool = True):
     """Estimated frame bounds (A, B) from Rayleigh quotients of S_g.
 
-    The estimate restricts S_g to the span of random band-concentrated
+    The estimate restricts S_g to the span of PROBES random band-concentrated
     probes (Rayleigh-Ritz), then refines B by power iteration and A by
     inverse-power iteration with capped conjugate-gradient solves.  Rayleigh
     quotients over un-concentrated grid vectors would instead probe the
-    region the truncated lattice cannot cover.  Raises NotAFrameError when
-    A_est < 1e-6 · B_est (unless require_frame=False).
+    region the truncated lattice cannot cover.  Sets sys.bounds_residuals.
+    Raises NotAFrameError when A_est < 1e-6 · B_est (unless
+    require_frame=False).
     """
-    if probes < 16:
-        raise ValueError("need at least 16 probes")
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
-    key = ("bounds", probes, seed)
-    if key not in sys.cache:
-        rng = np.random.default_rng(seed)
-        spec = sys.window.spec
-        basis = np.stack([
-            random_timefreq_probe(spec, rng, spread=2.2).values.ravel()
-            for _ in range(probes)
-        ], axis=1)
-        qmat, _ = np.linalg.qr(basis)
-        qmat = qmat / np.sqrt(spec.dx)  # orthonormal in the Δx-weighted pairing
+    rng = np.random.default_rng(seed)
+    spec = sys.window.spec
+    basis = np.stack([
+        random_timefreq_probe(spec, rng, spread=2.2).values.ravel()
+        for _ in range(PROBES)
+    ], axis=1)
+    qmat, _ = np.linalg.qr(basis)
+    qmat = qmat / np.sqrt(spec.dx)  # orthonormal in the Δx-weighted pairing
 
-        def signal(vec):
-            return GridSignal(spec, vec.reshape(spec.q, spec.N))
+    def signal(vec):
+        return GridSignal(spec, vec.reshape(spec.q, spec.N))
 
-        images = np.stack([sys.apply(signal(col)).values.ravel() for col in qmat.T], axis=1)
-        gram = spec.dx * (qmat.conj().T @ images)
-        gram = 0.5 * (gram + gram.conj().T)
-        evals, evecs = np.linalg.eigh(gram)
+    images = np.stack([sys.apply(signal(col)).values.ravel() for col in qmat.T], axis=1)
+    gram = spec.dx * (qmat.conj().T @ images)
+    gram = 0.5 * (gram + gram.conj().T)
+    evals, evecs = np.linalg.eigh(gram)
 
-        # power iteration from the top Ritz vector
-        v = signal(qmat @ evecs[:, -1])
-        b_est = float(evals[-1])
-        for _ in range(15):
-            w = sys.apply(v)
-            b_est = inner(w, v).real / inner(v, v).real
-            v = w * (1.0 / norm(w))
+    # power iteration from the top Ritz vector
+    v = signal(qmat @ evecs[:, -1])
+    b_est = float(evals[-1])
+    for _ in range(15):
+        w = sys.apply(v)
+        b_est = inner(w, v).real / inner(v, v).real
+        v = w * (1.0 / norm(w))
 
-        # inverse power iteration from the bottom Ritz vector
-        u = signal(qmat @ evecs[:, 0])
-        a_est = float(evals[0])
-        try:
-            for _ in range(4):
-                w = _cg_solve(sys.apply, u, tol=1e-8, max_iter=200)
-                u = w * (1.0 / norm(w))
-                a_est = inner(sys.apply(u), u).real / inner(u, u).real
-        except ConvergenceError:
-            pass  # keep the last Rayleigh quotient; S is effectively singular
-        a_est, b_est = float(min(a_est, b_est)), float(max(a_est, b_est))
-        scale = max(b_est, 1e-300)
-        sys.cache[key] = (a_est, b_est, {
-            "rayleigh_B": norm(sys.apply(v) - b_est * v) / (scale * norm(v)),
-            "rayleigh_A": norm(sys.apply(u) - a_est * u) / (scale * norm(u)),
-        })
-    a_est, b_est, sys.bounds_residuals = sys.cache[key]
+    # inverse power iteration from the bottom Ritz vector
+    u = signal(qmat @ evecs[:, 0])
+    a_est = float(evals[0])
+    try:
+        for _ in range(4):
+            w = _cg_solve(sys.apply, u, tol=1e-8, max_iter=200)
+            u = w * (1.0 / norm(w))
+            a_est = inner(sys.apply(u), u).real / inner(u, u).real
+    except ConvergenceError:
+        pass  # keep the last Rayleigh quotient; S is effectively singular
+    a_est, b_est = float(min(a_est, b_est)), float(max(a_est, b_est))
+    scale = max(b_est, 1e-300)
+    sys.bounds_residuals = {
+        "rayleigh_B": norm(sys.apply(v) - b_est * v) / (scale * norm(v)),
+        "rayleigh_A": norm(sys.apply(u) - a_est * u) / (scale * norm(u)),
+    }
     if require_frame and a_est < 1e-6 * b_est:
         raise NotAFrameError(a_est, b_est)
     return a_est, b_est
@@ -216,21 +214,23 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
     The solver pushes well below `tol` whenever the spectrum allows;
     `tol` is the acceptance threshold beyond which stagnation raises.
     """
-    key = ("dual", tol, max_iter)
-    if key not in sys.cache:
-        sys.cache[key] = _cg_solve(sys._apply_solve, sys.window, tol=tol,
-                                   max_iter=max_iter)
-    return sys.cache[key]
+    return _cg_solve(sys._apply_solve, sys.window, tol=tol, max_iter=max_iter)
 
 
-def _lanczos(apply_op, start: GridSignal, m: int):
-    """Lanczos tridiagonalization with full reorthogonalization."""
+def _lanczos(apply_op, start: GridSignal, dims):
+    """Lanczos tridiagonalization with full reorthogonalization.
+
+    One basis, extended step by step: yields (basis vectors, alphas, betas)
+    when its dimension reaches each of the ascending `dims`, or earlier and
+    last when the Krylov space becomes invariant.  The first m steps do not
+    depend on how far the basis is extended.  The vector list is the live
+    basis, not a copy.
+    """
     spec = start.spec
-    v = start.values.ravel() / (norm(start) / np.sqrt(spec.dx))
-    vs = [v]
+    vs = [start.values.ravel() / (norm(start) / np.sqrt(spec.dx))]
     alphas, betas = [], []
-    w = apply_op(GridSignal(spec, v.reshape(spec.q, spec.N))).values.ravel()
-    for j in range(m):
+    for j in range(dims[-1]):
+        w = apply_op(GridSignal(spec, vs[-1].reshape(spec.q, spec.N))).values.ravel()
         a = np.vdot(vs[-1], w).real
         alphas.append(a)
         w = w - a * vs[-1]
@@ -239,57 +239,45 @@ def _lanczos(apply_op, start: GridSignal, m: int):
         for u in vs:  # full reorthogonalization
             w = w - np.vdot(u, w) * u
         b = float(np.linalg.norm(w))
-        if b < 1e-14 or j == m - 1:
-            break
+        if b < 1e-14 or j + 1 in dims:
+            yield vs, np.array(alphas), np.array(betas)
+        if b < 1e-14:
+            return
         betas.append(b)
         vs.append(w / b)
-        w = apply_op(GridSignal(spec, vs[-1].reshape(spec.q, spec.N))).values.ravel()
-    return np.array(vs).T, np.array(alphas), np.array(betas)
 
 
-def canonical_tight(sys: FrameSystem, tol: float = 1e-6,
-                    max_steps: int = 160) -> GridSignal:
+def canonical_tight(sys: FrameSystem) -> GridSignal:
     """Canonical tight window S_g^{-1/2} g.
 
     Computed as ‖g‖·V·T^{-1/2}e₁ from the Lanczos tridiagonalization T of
-    S_g started at g, doubling the Krylov dimension until the frame operator
-    of the result acts as the identity on probes to within tol.
+    S_g started at g, read at each Krylov dimension of KRYLOV_DIMS until the
+    frame operator of the result acts as the identity on probes to within
+    TIGHT_TOL.  Raises ConvergenceError at a plateau (less than 1% gain past
+    dimension 40) or when the largest dimension misses TIGHT_TOL.
     """
-    key = ("tight", tol, max_steps)
-    if key in sys.cache:
-        return sys.cache[key]
     spec = sys.window.spec
     rng = np.random.default_rng(11)
     checks = [random_timefreq_probe(spec, rng, spread=1.8) for _ in range(3)]
-    m = 20
     last_residual = np.inf
-    while True:
-        vmat, alphas, betas = _lanczos(sys._apply_solve, sys.window, m)
+    for basis, alphas, betas in _lanczos(sys._apply_solve, sys.window, KRYLOV_DIMS):
         k = len(alphas)
-        tmat = np.diag(alphas)
-        if k > 1:
-            tmat += np.diag(betas[:k - 1], 1) + np.diag(betas[:k - 1], -1)
-        evals, evecs = np.linalg.eigh(tmat)
+        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         evals = np.maximum(evals, evals[-1] * 1e-15)
-        e1 = np.zeros(k)
-        e1[0] = 1.0
-        y = evecs @ ((evecs.T @ e1) / np.sqrt(evals))
-        t_vals = (vmat[:, :k] @ y) * (norm(sys.window) / np.sqrt(spec.dx))
+        y = evecs @ (evecs[0] / np.sqrt(evals))   # T^{-1/2}e₁
+        t_vals = (np.array(basis).T @ y) * (norm(sys.window) / np.sqrt(spec.dx))
         tight = GridSignal(spec, t_vals.reshape(spec.q, spec.N))
         tight_sys = FrameSystem(tight, sys.params, sys.radius)
         residual = max(norm(tight_sys.apply(f) - f) / norm(f) for f in checks)
-        if residual <= tol:
-            sys.cache[key] = tight
+        if residual <= TIGHT_TOL:
             return tight
-        if m >= max_steps:
+        if 40 < k < KRYLOV_DIMS[-1] and residual > 0.99 * last_residual:
             raise ConvergenceError(
-                f"CG stagnation: tight-window residual {residual:.3e} above "
-                f"tol {tol:.1e} at Krylov dimension {m}")
-        if residual > 0.99 * last_residual and m > 40:
-            raise ConvergenceError(
-                f"CG stagnation: tight-window residual plateau at {residual:.3e}")
+                f"Lanczos: tight-window residual plateau at {residual:.3e}")
         last_residual = residual
-        m = min(2 * m, max_steps)
+    raise ConvergenceError(
+        f"Lanczos: tight-window residual {residual:.3e} above "
+        f"tol {TIGHT_TOL:.1e} at Krylov dimension {k}")
 
 
 def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -304,25 +292,23 @@ def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
 
 
 def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,
-                      radius: float, wr_tol: float = 1e-6,
-                      idem_tol: float = 1e-6,
-                      require_self_adjoint: bool = False) -> LatticeSeq:
+                      radius: float, require_self_adjoint: bool = False) -> LatticeSeq:
     """Idempotent a = ⟨g,h⟩ built from a verified dual pair.
 
-    Raises if the Wexler-Raz residual exceeds wr_tol ("not dual"), if the
-    idempotency residual ‖a♮a−a‖₁ exceeds idem_tol, or (for canonical duals,
-    require_self_adjoint=True) if ‖a*−a‖₁ exceeds idem_tol.
+    Raises if the Wexler-Raz residual exceeds PAIR_TOL ("not dual"), if the
+    idempotency residual ‖a♮a−a‖₁ exceeds PAIR_TOL, or (for canonical duals,
+    require_self_adjoint=True) if ‖a*−a‖₁ exceeds PAIR_TOL.
     """
     wr = wexler_raz_residual(g, h, params, radius)
-    if wr > wr_tol:
-        raise ToleranceError(f"not dual: Wexler-Raz residual {wr:.3e} > {wr_tol:.1e}")
+    if wr > PAIR_TOL:
+        raise ToleranceError(f"not dual: Wexler-Raz residual {wr:.3e} > {PAIR_TOL:.1e}")
     a = inner_left(g, h, params, radius)
     idem = (twisted_conv(a, a) - a).l1_norm()
-    if idem > idem_tol:
+    if idem > PAIR_TOL:
         raise ToleranceError(f"projection residual too large: {idem:.3e}")
     if require_self_adjoint:
         sa = (twisted_star(a) - a).l1_norm()
-        if sa > idem_tol:
+        if sa > PAIR_TOL:
             raise ToleranceError(f"projection not self-adjoint: {sa:.3e}")
     return a
 
@@ -341,13 +327,13 @@ class LaurentSymbol:
 
 
 def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
-                   radius: float = 6.0, rel_threshold: float = 1e-6) -> LaurentSymbol:
+                   radius: float = 6.0) -> LaurentSymbol:
     """Symbol F(t₁,t₂) = Σ ⟨g, π°(ν°(n₁,n₂))g⟩ e^{2πi(n₂t₁+n₁t₂)} on a mesh.
 
     Available only when the adjoint twist (αβq²)⁻¹ + r°s°/q is an integer;
     then the adjoint Gram matrix is Laurent and g generates a Riesz sequence
     over the adjoint lattice iff min|F| > 0.  The Riesz verdict uses
-    min|F| > rel_threshold·max|F|.
+    min|F| > RIESZ_REL·max|F|.
     """
     twist = params.adjoint_twist
     if abs(twist - round(twist)) > 1e-9:
@@ -368,17 +354,16 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
         t1=ts, t2=ts, values=f_vals.real,
         min_abs=min_abs, max_abs=max_abs,
         max_imag=float(np.abs(f_vals.imag).max()),
-        is_riesz=bool(min_abs > rel_threshold * max_abs),
+        is_riesz=bool(min_abs > RIESZ_REL * max_abs),
     )
 
 
-def lift_scalar_window(g_scalar: GridSignal, params: TorusParams,
-                       check: bool = True, radius: float = 6.0) -> GridSignal:
+def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
     """Replicate a 1-channel window across all q channels.
 
     Under the integer-twist condition, the lift generates a frame for Λ×Γ
-    whenever the scalar window generates a frame over αℤ×(qβ)ℤ; with
-    check=True that scalar hypothesis is verified via the scalar Laurent
+    whenever the scalar window generates a frame over αℤ×(qβ)ℤ; that scalar
+    hypothesis is verified at the default radius via the scalar Laurent
     symbol (or, if the scalar lattice has no Laurent structure, via scalar
     frame bounds).
     """
@@ -390,17 +375,14 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams,
     if abs(twist - round(twist)) > 1e-9:
         raise ValueError(
             f"lift condition violated: adjoint twist {twist!r} is not an integer")
-    if check:
-        scalar = TorusParams(alpha=params.alpha, beta=params.beta * params.q)
-        try:
-            sym = laurent_symbol(g_scalar, scalar, radius=radius)
-            ok = sym.is_riesz
-        except ValueError:
-            sys_scalar = FrameSystem(g_scalar, scalar, radius)
-            a_est, b_est = frame_bounds(sys_scalar, require_frame=False)
-            ok = a_est > 1e-6 * b_est
-        if not ok:
-            raise NotAFrameError(0.0, 1.0)
+    scalar = TorusParams(alpha=params.alpha, beta=params.beta * params.q)
+    try:
+        ok = laurent_symbol(g_scalar, scalar).is_riesz
+    except ValueError:
+        a_est, b_est = frame_bounds(FrameSystem(g_scalar, scalar), require_frame=False)
+        ok = a_est > 1e-6 * b_est
+    if not ok:
+        raise NotAFrameError(0.0, 1.0)
     spec = g_scalar.spec
     lifted = np.broadcast_to(g_scalar.values[0], (params.q, spec.N)).copy()
     return GridSignal(GridSpec(L=spec.L, N=spec.N, q=params.q), lifted)

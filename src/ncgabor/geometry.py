@@ -194,7 +194,8 @@ class Pipeline:
     raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
     c₁ by trace, E and the self-duality residuals read it first.  A window
     that reaches the periodisation seam is rejected before any solve.
-    chern_ok and passes() are the verdicts, report() the JSON record.
+    chern_ok, energy_ok and passes() are the verdicts, report() the JSON
+    record.
     """
 
     def __init__(self, params: TorusParams, window: GridSignal,
@@ -274,6 +275,12 @@ class Pipeline:
     def gap(self) -> float:
         return self.energy_trace - abs(self.c1_trace)
 
+    @property
+    def energy_ok(self) -> bool:
+        """E by trace and by window form agree and E ≥ |c₁|, at the Chern rung."""
+        tol = self.tolerances["chern"]
+        return abs(self.energy_trace - self.energy_window) < tol and self.gap > -tol
+
     @cached_property
     def self_duality(self) -> tuple:
         """ℓ¹ norms of (∂₁p ± i∂₂p)♮p."""
@@ -288,11 +295,10 @@ class Pipeline:
                                      scale=norm(c1) + norm(c2))
 
     def passes(self) -> bool:
-        """The soliton verdict: chern_ok, E ≥ |c₁| at the Chern rung and the
-        Wexler–Raz residual at the frame rung."""
-        tol = self.tolerances
-        return (self.chern_ok and self.gap > -tol["chern"]
-                and self.wexler_raz < tol["frame"])
+        """The soliton verdict: chern_ok, energy_ok and the Wexler–Raz
+        residual at the frame rung."""
+        return (self.chern_ok and self.energy_ok
+                and self.wexler_raz < self.tolerances["frame"])
 
     def report(self) -> dict:
         """Every stage, read in chain order, as the verify-soliton record."""
@@ -326,10 +332,9 @@ class Pipeline:
 
 
 def soliton_experiment(params: TorusParams, window: GridSignal,
-                       radius: float = 6.0, eps0: float = 1e-8,
-                       bounds_seed: int = 7) -> Pipeline:
+                       radius: float = 6.0, eps0: float = 1e-8) -> Pipeline:
     """The Pipeline of one window with every stage evaluated by its report()."""
-    pipe = Pipeline(params, window, radius, eps0, bounds_seed)
+    pipe = Pipeline(params, window, radius, eps0)
     pipe.report()
     return pipe
 

@@ -78,24 +78,6 @@ def _stft_chunks(f: GridSignal, g: GridSignal):
         yield js, v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
 
 
-def weighted_stft_norm(f: GridSignal, g: GridSignal = None, s: float = 0.0) -> float:
-    """Diagnostic modulation norm: Σ_{c,l}∬ |⟨f, E_{ω,c}T_{x,l}g⟩|·(1+|x|+|ω|)^s.
-
-    Truncated weighted-STFT surrogate for the order-s modulation norm; the
-    analyzing window defaults to the standard Gaussian.  Useful as a decay
-    diagnostic only: no equivalence constants between windows are certified.
-    """
-    if g is None:
-        g = gaussian(f.spec)
-    if f.spec != g.spec:
-        raise ValueError("grid mismatch")
-    grid = PhaseGrid(f.spec)
-    weight = (1.0 + np.abs(grid.x)[:, None] + np.abs(grid.omega)[None, :]) ** s
-    total = sum(float(np.einsum("clbm,bm->", np.abs(v), weight[js, :]))
-                for js, v in _stft_chunks(f, g))
-    return total * grid.x_weight * grid.omega_weight
-
-
 def moyal_check(f: GridSignal, g: GridSignal):
     """Both sides of the Moyal identity and their relative error; the left side
     sums |V_g f|² over every (x, l, ω, c) node, not through Plancherel."""

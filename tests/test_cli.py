@@ -187,6 +187,15 @@ def test_tolerance_failure_exit_code(command, capsys):
     assert "tolerance failure: not a projection" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["energy"], ["run", "--tasks", "energy"],
+                                     ["verify-soliton"]], ids=" ".join)
+def test_energy_forms_that_disagree_fail_every_energy_verdict(command, monkeypatch):
+    # E by window form off by 1.0 while E >= |c1| still holds: one verdict, energy_ok
+    window_form = geometry.energy_window_form
+    monkeypatch.setattr(geometry, "energy_window_form", lambda *a: window_form(*a) + 1.0)
+    assert main(command) == 1
+
+
 def test_missing_window_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.sig"
     assert main(["dual", "--window", f"file:{missing}"]) == 2

@@ -11,7 +11,7 @@ from ncgabor.moyal import (PhaseGrid, _stft_chunks, bump_window, bandlimited_noi
                            continuous_chern, continuous_energy,
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
-                           load_corpus_file, moyal_check, weighted_stft_norm)
+                           load_corpus_file, moyal_check)
 from conftest import full_grid_energy, gaussian_probe
 
 
@@ -200,20 +200,6 @@ def test_continuous_chern_refuses_windows_leaving_the_box(q):
     noise_c = {name: w for name, w, _ in default_window_corpus(spec)}["noise_c"]
     with pytest.raises(ValueError, match=r"relative mass 1\.\d+e-02 .* box = 5"):
         continuous_chern(noise_c)
-
-
-def test_weighted_stft_norm():
-    # unweighted value for the unit Gaussian analyzed by itself:
-    # ∬|V_gg| = ∬ e^{−π(x²+ω²)/2} d(x,ω) = 2
-    g = gaussian(SPEC) * 2 ** 0.25
-    assert weighted_stft_norm(g, g) == pytest.approx(2.0, abs=1e-10)
-    # the weight only grows the value, monotonically in the order s
-    n0 = weighted_stft_norm(g)
-    n1 = weighted_stft_norm(g, s=1.0)
-    n2 = weighted_stft_norm(g, s=2.0)
-    assert n0 < n1 < n2
-    with pytest.raises(ValueError, match="grid mismatch"):
-        weighted_stft_norm(g, gaussian(GridSpec(L=16.0, N=256, q=1)))
 
 
 def test_bump_and_noise_windows(rng):

@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
                              l1_diff, load_seq, save_seq, twisted_conv, twisted_star)
@@ -34,7 +34,9 @@ from ncgabor.signal import GridSignal, GridSpec, gaussian, hermite, inner, norm,
 from conftest import (naive_act_left, naive_act_right, naive_chern_double_sum,
                       naive_twisted_conv, phase_point)
 
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+# no explain phase: it re-runs each failing example and cost 12-15 s per failure report
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None,
+                    phases=[p for p in Phase if p is not Phase.explain])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
 
