@@ -337,7 +337,8 @@ def _parse_range(text):
 
 
 def _sweep_point(job):
-    """One CSV row; frame and solver failures go to its `error` column."""
+    """One CSV row; frame and solver failures go to its `error` column, and
+    the point's energy verdict to `energy_ok`, which the CSV leaves out."""
     alpha, beta, args_dict = job
     args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
     pipe = _pipeline(args)
@@ -352,7 +353,8 @@ def _sweep_point(job):
     c1 = pipe.c1_trace
     return {**row, "A": a_est, "B": b_est, "c1_re": c1.real, "c1_im": c1.imag,
             "energy": pipe.energy_trace, "gap": pipe.gap, "sd_plus": sd_plus,
-            "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0]}
+            "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0],
+            "energy_ok": pipe.energy_ok}
 
 
 def _write_csv(path, rows):
@@ -381,10 +383,10 @@ def cmd_sweep(args) -> int:
     out_csv = args.csv or "sweep.csv"
     _write_csv(out_csv, rows)
     ok_rows = [r for r in rows if "error" not in r]
-    bound_ok = all(r["gap"] > -1e3 * args.eps0 for r in ok_rows)
     return _emit(args, {"points": len(rows), "csv": out_csv,
                         "failed_points": len(rows) - len(ok_rows)},
-                 {"points": len(rows), "csv": out_csv}, bound_ok)
+                 {"points": len(rows), "csv": out_csv},
+                 all(r["energy_ok"] for r in ok_rows))
 
 
 def cmd_laurent_data(args) -> int:

@@ -242,17 +242,19 @@ def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
     Time-frequency content is confined to max(|λ|,|γ|) ≲ spread, which keeps
     truncated lattice sums accurate for such probes.
     """
-    base = gaussian(spec)
+    draws = [(rng.uniform(-spread, spread), rng.integers(0, spec.q),
+              rng.uniform(-spread, spread), rng.integers(0, spec.q),
+              complex(rng.normal(), rng.normal())) for _ in range(terms)]
+    lam, l, gamma, c, z = (np.array(d) for d in zip(*draws))
+    # every term's tf_shift(gaussian(spec), ν), in translate's and modulate's arithmetic
+    phase = np.exp(-2j * np.pi * spec.freqs()[None, :] * lam[:, None])
+    shifted = np.fft.ifft(np.fft.fft(gaussian(spec).values, axis=1) * phase[:, None, :], axis=2)
+    xph = np.exp(2j * np.pi * spec.x()[None, :] * gamma[:, None])
+    chph = np.exp(2j * np.pi * np.arange(spec.q)[None, :] * c[:, None] / spec.q)
     acc = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    for _ in range(terms):
-        nu = PhasePoint(
-            lam=float(rng.uniform(-spread, spread)),
-            l=int(rng.integers(0, spec.q)),
-            gamma=float(rng.uniform(-spread, spread)),
-            c=int(rng.integers(0, spec.q)),
-        )
-        z = complex(rng.normal(), rng.normal())
-        acc = acc + z * tf_shift(base, nu).values
+    for t in range(terms):
+        term = np.roll(shifted[t], l[t] % spec.q, axis=0) * chph[t][:, None] * xph[t][None, :]
+        acc = acc + z[t] * term
     out = GridSignal(spec, acc)
     return out * (1.0 / norm(out))
 

@@ -8,7 +8,7 @@ import pytest
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
-from ncgabor.algebra import LatticeSeq
+from ncgabor.algebra import LatticeSeq, _atoms, _box_axes
 from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
@@ -132,3 +132,13 @@ def gaussian_probe(spec, rng, spread=2.0, terms=5):
         acc = acc + complex(rng.normal(), rng.normal()) * tf_shift(base, nu).values
     f = GridSignal(spec, acc)
     return f * (1.0 / norm(f))
+
+
+def dense_frame_operator(sys):
+    """The truncated frame operator of `sys` as a dense qN×qN matrix, in its
+    discrete Walnut form S = Δx·(tgᵀ·conj tg) ⊙ (modᵀ·conj mod) over the atom
+    factors; its eigenvalues are the Rayleigh quotients' extremes."""
+    gen = lattice_generators(sys.params, LatticeKind.TIME_FREQ)
+    tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
+                                                 sys.radius))
+    return sys.window.spec.dx * (tg.T @ tg.conj()) * (mod.T @ mod.conj())

@@ -188,9 +188,11 @@ def test_tolerance_failure_exit_code(command, capsys):
 
 
 @pytest.mark.parametrize("command", [["energy"], ["run", "--tasks", "energy"],
-                                     ["verify-soliton"]], ids=" ".join)
-def test_energy_forms_that_disagree_fail_every_energy_verdict(command, monkeypatch):
+                                     ["verify-soliton"], ["sweep"]], ids=" ".join)
+def test_energy_forms_that_disagree_fail_every_energy_verdict(command, tmp_path,
+                                                              monkeypatch):
     # E by window form off by 1.0 while E >= |c1| still holds: one verdict, energy_ok
+    monkeypatch.chdir(tmp_path)   # sweep writes sweep.csv here
     window_form = geometry.energy_window_form
     monkeypatch.setattr(geometry, "energy_window_form", lambda *a: window_form(*a) + 1.0)
     assert main(command) == 1

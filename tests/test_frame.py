@@ -4,7 +4,8 @@ import pytest
 from ncgabor import frame
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
-                            hermite, inner, norm, tf_shift)
+                            hermite, inner, norm, random_timefreq_probe,
+                            tf_shift)
 from ncgabor.algebra import (LatticeSeq, act_right, inner_left, inner_right,
                              l1_diff, trace_l, twisted_conv, twisted_star)
 from ncgabor.frame import (ConvergenceError, FrameSystem, NotAFrameError,
@@ -15,7 +16,7 @@ from ncgabor.frame import (ConvergenceError, FrameSystem, NotAFrameError,
                            reconstruction_residual, wexler_raz_residual)
 from ncgabor.cli import main
 from ncgabor.geometry import grid_for_radius
-from conftest import gaussian_probe, phase_point
+from conftest import dense_frame_operator, gaussian_probe, phase_point
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +67,29 @@ def test_dense_lattice_limit(rng):
 
 
 def test_frame_bounds_golden_q1(sys_q1):
-    # power/inverse-power estimates, frozen from the oracle run at N=512, R=6
+    # Rayleigh-Ritz and power estimates, frozen from the oracle run at N=512, R=6
     a_est, b_est = frame_bounds(sys_q1)
     assert a_est == pytest.approx(2.81427, rel=2e-3)
     assert b_est == pytest.approx(2.84299, rel=2e-3)
     assert a_est <= b_est
+
+
+@pytest.mark.parametrize("ab", [0.5, 0.62])
+def test_frame_bounds_against_the_dense_operator(ab, monkeypatch):
+    sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), TorusParams(ab, ab), radius=6.0)
+    lam_max = np.linalg.eigvalsh(dense_frame_operator(sys_))[-1]
+    frame_op, applies = FrameSystem._frame_op, []
+
+    def counted(self, f, radius):
+        applies.append(radius)
+        return frame_op(self, f, radius)
+
+    monkeypatch.setattr(FrameSystem, "_frame_op", counted)
+    a_est, b_est = frame_bounds(sys_)
+    assert 0 < a_est <= b_est <= lam_max
+    assert b_est >= 0.99 * lam_max
+    # 24 Rayleigh-Ritz images, 15 power steps, one residual apply for each bound
+    assert applies == [6.0] * (24 + 15 + 2)
 
 
 def test_zero_window_is_not_a_frame(spec1, params_q1):
@@ -127,6 +146,19 @@ def test_detuned_dual_fails_both(sys_q1, dual_q1, rng):
 def test_cg_failure_raises(sys_q2):
     with pytest.raises(ConvergenceError, match="CG stagnation"):
         _cg_solve(sys_q2._apply_solve, sys_q2.window, tol=1e-9, max_iter=2)
+
+
+def test_cg_stall_reports_the_iterations_it_ran(sys_q1):
+    applies = []
+
+    def counted(f):
+        applies.append(f)
+        return sys_q1.apply(f)
+
+    rhs = random_timefreq_probe(sys_q1.window.spec, np.random.default_rng(0), spread=2.2)
+    with pytest.raises(ConvergenceError, match="after 62 iterations"):
+        _cg_solve(counted, rhs, tol=1e-8, max_iter=200)
+    assert len(applies) == 62
 
 
 def test_solvers_follow_their_arguments_and_cache_only_atoms(sys_q1):

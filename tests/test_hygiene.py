@@ -1,4 +1,6 @@
-"""Every imported name in src/, tests/ and demos/ is referenced.
+"""Every imported name in src/, tests/ and demos/ is referenced, and no
+`except` handler in src/ swallows its exception with a bare `pass`: every
+failure is classified or re-raised.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -31,3 +33,18 @@ def unused_imports(path):
 @pytest.mark.parametrize("path", FILES, ids=[str(p.relative_to(ROOT)) for p in FILES])
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
+
+
+def swallowing_handlers(path):
+    """Lines of the `except` handlers in `path` whose whole body is `pass`."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ExceptHandler)
+            and all(isinstance(stmt, ast.Pass) for stmt in node.body)]
+
+
+SOURCES = [path for path in FILES if path.is_relative_to(ROOT / "src")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_exception_is_swallowed(path):
+    assert swallowing_handlers(path) == []

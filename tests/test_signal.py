@@ -5,7 +5,8 @@ from scipy.integrate import quad
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, apply_D, apply_M,
                             cocycle, fourier_transform, gaussian, inner,
                             involution_dagger, load_signal, modulate, norm,
-                            save_signal, tf_shift, translate)
+                            random_timefreq_probe, save_signal, tf_shift,
+                            translate)
 from conftest import gaussian_probe
 
 
@@ -261,3 +262,13 @@ def test_immutability(spec1):
     g = gaussian(spec1)
     with pytest.raises(ValueError):
         g.values[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_random_probe_is_its_term_by_term_sum(q):
+    # the frame-bound, tight-window and reconstruction probes, bit for bit
+    spec = GridSpec(L=22.0, N=512, q=q)
+    for seed in (0, 7):
+        probe = random_timefreq_probe(spec, np.random.default_rng(seed), spread=2.2)
+        oracle = gaussian_probe(spec, np.random.default_rng(seed), spread=2.2, terms=6)
+        assert np.array_equal(probe.values, oracle.values)
