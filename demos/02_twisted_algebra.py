@@ -21,7 +21,7 @@ rng = np.random.default_rng(0)
 def random_seq(kind, points=8):
     idx = rng.integers(-3, 4, size=(points, 2))
     vals = rng.normal(size=points) + 1j * rng.normal(size=points)
-    seq = LatticeSeq.from_entries(params, kind, idx, vals, 3.0)
+    seq = LatticeSeq.from_entries(params, kind, idx, vals)
     return seq * (1.0 / seq.l1_norm())
 
 

@@ -51,7 +51,6 @@ class LatticeSeq:
     kind: LatticeKind
     origin: tuple
     box: np.ndarray
-    radius: float = 0.0
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=np.complex128)
@@ -74,32 +73,32 @@ class LatticeSeq:
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def from_box(params, kind, origin, box, radius=0.0, prune=PRUNE_TOL):
+    def from_box(params, kind, origin, box, *, prune=PRUNE_TOL):
         """Canonical form: zero the entries not above `prune`, trim to the rest."""
         keep = np.abs(box) > prune
         rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
         if not rows.size:
-            return LatticeSeq(params, kind, (0, 0), _zeros(0, 0), radius)
+            return LatticeSeq(params, kind, (0, 0), _zeros(0, 0))
         trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         return LatticeSeq(params, kind, (origin[0] + rows[0], origin[1] + cols[0]),
-                          np.where(keep, box, 0.0)[trim], radius)
+                          np.where(keep, box, 0.0)[trim])
 
     @staticmethod
-    def from_entries(params, kind, index, values, radius=0.0, prune=PRUNE_TOL):
+    def from_entries(params, kind, index, values, *, prune=PRUNE_TOL):
         """Sum the values of repeated indices into a box, then `from_box`."""
         index = np.asarray(index, dtype=np.int64).reshape(-1, 2)
         values = np.asarray(values, dtype=np.complex128).reshape(-1)
         if not index.shape[0]:
-            return LatticeSeq.from_box(params, kind, (0, 0), _zeros(0, 0), radius)
+            return LatticeSeq.from_box(params, kind, (0, 0), _zeros(0, 0))
         lo, hi = index.min(axis=0), index.max(axis=0)
         box = _zeros(int(hi[0]) - int(lo[0]) + 1, int(hi[1]) - int(lo[1]) + 1)
         np.add.at(box, tuple((index - lo).T), values)
-        return LatticeSeq.from_box(params, kind, lo, box, radius, prune)
+        return LatticeSeq.from_box(params, kind, lo, box, prune=prune)
 
     @staticmethod
-    def delta(params, kind, radius=0.0):
+    def delta(params, kind):
         """δ₀, the unit of the twisted algebra."""
-        return LatticeSeq(params, kind, (0, 0), np.ones((1, 1)), radius)
+        return LatticeSeq(params, kind, (0, 0), np.ones((1, 1)))
 
     # -- coordinates -------------------------------------------------------
 
@@ -120,12 +119,8 @@ class LatticeSeq:
         inside = 0 <= i < self.box.shape[0] and 0 <= j < self.box.shape[1]
         return complex(self.box[i, j]) if inside else 0.0j
 
-    def l1_norm(self, weight_s: float = 0.0) -> float:
-        if weight_s == 0.0:
-            return float(np.sum(np.abs(self.values)))
-        lam, _, gam, _ = self.phase_coords()
-        w = (1.0 + np.abs(lam) + np.abs(gam)) ** weight_s
-        return float(np.sum(np.abs(self.values) * w))
+    def l1_norm(self) -> float:
+        return float(np.sum(np.abs(self.values)))
 
     # -- linear structure ----------------------------------------------------
 
@@ -133,15 +128,13 @@ class LatticeSeq:
         _check_compatible(self, other)
         return LatticeSeq.from_entries(self.params, self.kind,
                                        np.vstack([self.index, other.index]),
-                                       np.concatenate([self.values, other.values]),
-                                       max(self.radius, other.radius))
+                                       np.concatenate([self.values, other.values]))
 
     def __sub__(self, other):
         return self + (-1.0) * other
 
     def __mul__(self, scalar):
-        return LatticeSeq(self.params, self.kind, self.origin,
-                          self.box * scalar, self.radius)
+        return LatticeSeq(self.params, self.kind, self.origin, self.box * scalar)
 
     __rmul__ = __mul__
 
@@ -168,9 +161,8 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
 def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     """♮-product: one shifted, phased copy of the a₂ box per nonzero entry of a₁."""
     _check_compatible(a1, a2)
-    radius = max(a1.radius, a2.radius)
     if not a1.values.size or not a2.values.size:
-        return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0), radius)
+        return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0))
     (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
     out = _zeros(r1 + r2 - 1, c1 + c2 - 1)
     t = lattice_twist(a1.params, a1.kind)
@@ -179,7 +171,7 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
         i, j = k1 - a1.origin[0], k2 - a1.origin[1]
         out[i:i + r2, j:j + c2] += (v * a2.box) * phase[i]
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
-    return LatticeSeq.from_box(a1.params, a1.kind, origin, out, radius)
+    return LatticeSeq.from_box(a1.params, a1.kind, origin, out)
 
 
 def twisted_star(a: LatticeSeq) -> LatticeSeq:
@@ -188,8 +180,7 @@ def twisted_star(a: LatticeSeq) -> LatticeSeq:
     n1s, n2s = (-n[::-1] for n in a.axes())
     diag = np.exp(2j * np.pi * t * n1s[:, None] * n2s[None, :])
     origin = (-(a.origin[0] + a.box.shape[0] - 1), -(a.origin[1] + a.box.shape[1] - 1))
-    return LatticeSeq.from_box(a.params, a.kind, origin,
-                               diag * np.conj(a.box[::-1, ::-1]), a.radius)
+    return LatticeSeq.from_box(a.params, a.kind, origin, diag * np.conj(a.box[::-1, ::-1]))
 
 
 def trace_l(a: LatticeSeq) -> complex:
@@ -293,7 +284,7 @@ def inner_left(f: GridSignal, g: GridSignal, params: TorusParams,
                radius: float) -> LatticeSeq:
     """Sampled STFT ⟨f, π(ν)g⟩ on Λ×Γ ∩ {max(|λ|,|γ|) ≤ radius}."""
     v, n1s, n2s = _pairing(f, g, params, LatticeKind.TIME_FREQ, radius)
-    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (n1s[0], n2s[0]), v, radius)
+    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (n1s[0], n2s[0]), v)
 
 
 def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
@@ -302,31 +293,31 @@ def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
     v, n1s, n2s = _pairing(g, f, params, LatticeKind.ADJOINT, radius)
     v *= np.conj(_adjoint_self_phase(params, n1s, n2s))
     v /= params.q * abs(params.alpha * params.beta)
-    return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (n1s[0], n2s[0]), v, radius)
+    return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (n1s[0], n2s[0]), v)
 
 
 # -- serialization ------------------------------------------------------------
 
 
 def save_seq(a: LatticeSeq, path):
-    """Header "alpha beta r s q kind radius", then rows "n1 n2 re im"."""
+    """Header "alpha beta r s q kind", then rows "n1 n2 re im"."""
     p = a.params
     with open(path, "w") as fh:
-        fh.write(f"{p.alpha!r} {p.beta!r} {p.r} {p.s} {p.q} {a.kind.value} {a.radius!r}\n")
+        fh.write(f"{p.alpha!r} {p.beta!r} {p.r} {p.s} {p.q} {a.kind.value}\n")
         for (n1, n2), v in zip(a.index, a.values):
             fh.write(f"{n1} {n2} {float(v.real)!r} {float(v.imag)!r}\n")
 
 
 def load_seq(path) -> LatticeSeq:
+    """Read save_seq's format; header fields past the sixth are ignored."""
     with open(path) as fh:
         head = fh.readline().split()
         params = TorusParams(alpha=float(head[0]), beta=float(head[1]),
                              r=int(head[2]), s=int(head[3]), q=int(head[4]))
         kind = LatticeKind(head[5])
-        radius = float(head[6])
         idx, vals = [], []
         for line in fh:
             n1, n2, re, im = line.split()
             idx.append((int(n1), int(n2)))
             vals.append(float(re) + 1j * float(im))
-    return LatticeSeq.from_entries(params, kind, idx, vals, radius)
+    return LatticeSeq.from_entries(params, kind, idx, vals)

@@ -63,9 +63,11 @@ CSV_COLUMNS = ["alpha", "beta", "r", "s", "q", "A", "B", "c1_re", "c1_im",
                "radius", "N", "L"]
 
 
-def _parse_config_file(path):
-    """Flat key=value lines; repeated keys accumulate into lists."""
-    out = {}
+def _config_argv(path):
+    """The `key = value` lines of a config file as `--key=value` tokens,
+    underscores in keys read as dashes; the values of a repeated key are
+    joined into one comma list."""
+    values = {}
     with open(path) as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
@@ -74,12 +76,8 @@ def _parse_config_file(path):
             if "=" not in line:
                 raise ValueError(f"config line without '=': {raw.rstrip()}")
             key, val = (part.strip() for part in line.split("=", 1))
-            if key in out:
-                prev = out[key] if isinstance(out[key], list) else [out[key]]
-                out[key] = prev + [val]
-            else:
-                out[key] = val
-    return out
+            values.setdefault(key.replace("_", "-"), []).append(val)
+    return [f"--{key}={','.join(vals)}" for key, vals in values.items()]
 
 
 def _add_common(parser):
@@ -98,35 +96,12 @@ def _add_common(parser):
     parser.add_argument("--out", type=str, default=None,
                         help="JSON report path (default: print summary only)")
     parser.add_argument("--config", type=str, default=None,
-                        help="key=value file; command-line flags take precedence")
+                        help="key=value file of flag values; command-line flags "
+                             "take precedence")
     parser.add_argument("--window", type=str, default=None,
-                        help="gaussian | lifted_gaussian | hermite:N | file:PATH")
+                        help="gaussian | lifted_gaussian | hermite[:N] | file:PATH")
     parser.add_argument("--lam", type=complex, default=0.0,
                         help="generalized-Gaussian chirp parameter")
-
-
-def _apply_config_defaults(args, argv):
-    if not args.config:
-        return args
-    cfg = _parse_config_file(args.config)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_")
-             for a in argv if a.startswith("--")}
-    for key, val in cfg.items():
-        attr = key.replace("-", "_")
-        if attr in given or not hasattr(args, attr):
-            continue
-        current = getattr(args, attr)
-        if isinstance(val, list):
-            setattr(args, attr, val)
-        elif isinstance(current, int):
-            setattr(args, attr, int(val))
-        elif isinstance(current, float):
-            setattr(args, attr, float(val))
-        elif isinstance(current, complex):
-            setattr(args, attr, complex(val))
-        else:
-            setattr(args, attr, val)
-    return args
 
 
 def _setup(args):
@@ -137,18 +112,6 @@ def _setup(args):
     else:
         grid = GridSpec(L=args.L, N=args.N, q=args.q)
     return params, grid
-
-
-def _window_from_args(args, spec, params):
-    kind = args.window
-    if kind is None:
-        kind = "lifted_gaussian" if params.q > 1 else "gaussian"
-    if kind.startswith("hermite"):
-        order = int(kind.split(":")[1]) if ":" in kind else 1
-        return build_window("hermite", spec, params, hermite_order=order)
-    if kind.startswith("file:"):
-        return build_window("file", spec, params, path=kind.split(":", 1)[1])
-    return build_window(kind, spec, params, lam=args.lam)
 
 
 def _emit(args, results, summary, passed) -> int:
@@ -180,7 +143,7 @@ def _emit(args, results, summary, passed) -> int:
 def _random_seq(params, kind, rng, points=8, span=4):
     idx = rng.integers(-span, span + 1, size=(points, 2))
     vals = rng.normal(size=points) + 1j * rng.normal(size=points)
-    seq = LatticeSeq.from_entries(params, kind, idx, vals, float(span))
+    seq = LatticeSeq.from_entries(params, kind, idx, vals)
     return seq * (1.0 / seq.l1_norm())  # unit ℓ¹ keeps identity residuals absolute
 
 
@@ -224,8 +187,8 @@ def cmd_check_axioms(args) -> int:
 
 def _pipeline(args) -> Pipeline:
     params, grid = _setup(args)
-    return Pipeline(params, _window_from_args(args, grid, params), args.radius,
-                    eps0=args.eps0, seed=args.seed,
+    window = build_window(args.window, grid, params, args.lam)
+    return Pipeline(params, window, args.radius, eps0=args.eps0, seed=args.seed,
                     dual_max_iter=getattr(args, "cg_max_iter", 500))
 
 
@@ -323,14 +286,14 @@ def cmd_moyal(args) -> int:
 
 def _parse_range(text):
     """'a', 'a:b:h' (finite, h > 0) or comma list -> non-empty list of floats."""
-    if isinstance(text, str) and ":" in text:
+    if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
         if not (step > 0 and np.isfinite([start, stop, step]).all()):
             raise ValueError(f"range {text!r} needs finite start:stop:step with step > 0")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         values = [start + i * step for i in range(n)]
     else:
-        values = [float(v) for v in (text if isinstance(text, list) else text.split(","))]
+        values = [float(v) for v in text.split(",")]
     if not values:
         raise ValueError(f"empty range: {text!r}")
     return values
@@ -397,8 +360,8 @@ def cmd_laurent_data(args) -> int:
     path = args.csv or "laurent.dat"
     with open(path, "w") as fh:
         fh.write("# t1 t2 absF\n")
-        for i, t1 in enumerate(sym.t1):
-            for j, t2 in enumerate(sym.t2):
+        for i, t1 in enumerate(sym.t):
+            for j, t2 in enumerate(sym.t):
                 fh.write(f"{t1} {t2} {abs(sym.values[i, j])}\n")
     return _emit(args, {"min_abs": sym.min_abs, "max_abs": sym.max_abs,
                         "is_riesz": sym.is_riesz, "path": path},
@@ -411,8 +374,7 @@ LATTICE_TASKS = {"frame", "wexler_raz", "chern", "energy", "soliton"}
 
 def cmd_run(args) -> int:
     """Execute a task subset in dependency order, one combined report."""
-    requested = {t.strip() for t in
-                 (args.tasks.split(",") if isinstance(args.tasks, str) else args.tasks)}
+    requested = {t.strip() for t in args.tasks.split(",")}
     unknown = requested - set(TASK_ORDER)
     if unknown or not requested:
         raise ValueError(f"unknown or empty tasks {sorted(unknown)}")
@@ -518,11 +480,18 @@ def _fail(label, exc, code) -> int:
 
 
 def main(argv=None) -> int:
-    """Run one subcommand; the only place where a failure becomes an exit code."""
+    """Run one subcommand; the only place where a failure becomes an exit code.
+
+    A --config file's values are parsed as flags placed between the
+    subcommand and the command line's own flags, which therefore win.
+    """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _apply_config_defaults(build_parser().parse_args(argv), argv)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        if args.config:
+            args = parser.parse_args([args.command, *_config_argv(args.config), *argv[1:]])
         return args.func(args)
     except ToleranceError as exc:   # a ValueError, so it is matched first
         return _fail("tolerance failure", exc, EXIT_IDENTITY)

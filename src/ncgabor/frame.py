@@ -148,7 +148,7 @@ def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSigna
         f"after {it} iterations")
 
 
-def frame_bounds(sys: FrameSystem, seed: int = 7, require_frame: bool = True):
+def frame_bounds(sys: FrameSystem, seed: int = 7):
     """Estimated frame bounds (A, B) from Rayleigh quotients of S_g.
 
     The estimate restricts S_g to the span of PROBES random band-concentrated
@@ -158,7 +158,7 @@ def frame_bounds(sys: FrameSystem, seed: int = 7, require_frame: bool = True):
     truncated lattice cannot cover, and so would inverse iteration, which
     amplifies that region.  Sets sys.bounds_residuals: "rayleigh_B" of the
     last power iterate, "rayleigh_A" of the bottom Ritz vector.  Raises
-    NotAFrameError when A_est < 1e-6 · B_est (unless require_frame=False).
+    NotAFrameError, which carries both estimates, when A_est < 1e-6 · B_est.
     """
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
@@ -195,7 +195,7 @@ def frame_bounds(sys: FrameSystem, seed: int = 7, require_frame: bool = True):
         "rayleigh_B": norm(sys.apply(v) - b_est * v) / (scale * norm(v)),
         "rayleigh_A": norm(sys.apply(u) - a_est * u) / (scale * norm(u)),
     }
-    if require_frame and a_est < 1e-6 * b_est:
+    if a_est < 1e-6 * b_est:
         raise NotAFrameError(a_est, b_est)
     return a_est, b_est
 
@@ -281,7 +281,7 @@ def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
     ⟨h, π°(ν°)g⟩ = q|αβ|·δ_{ν°,0}).
     """
     b = inner_right(g, h, params, radius)
-    return (b - LatticeSeq.delta(params, LatticeKind.ADJOINT, radius)).l1_norm()
+    return (b - LatticeSeq.delta(params, LatticeKind.ADJOINT)).l1_norm()
 
 
 def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -310,8 +310,7 @@ def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,
 class LaurentSymbol:
     """Sampled symbol of the adjoint-lattice Gram operator."""
 
-    t1: np.ndarray
-    t2: np.ndarray
+    t: np.ndarray            # mesh points k/grid of both t₁ and t₂
     values: np.ndarray       # real part of F on the t-mesh
     min_abs: float
     max_abs: float
@@ -326,8 +325,10 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     Available only when the adjoint twist (αβq²)⁻¹ + r°s°/q is an integer;
     then the adjoint Gram matrix is Laurent and g generates a Riesz sequence
     over the adjoint lattice iff min|F| > 0.  The Riesz verdict uses
-    min|F| > RIESZ_REL·max|F|.
+    min|F| > RIESZ_REL·max|F|.  A mesh `grid` below 1 is refused.
     """
+    if grid < 1:
+        raise ValueError(f"Laurent mesh must be at least 1, got {grid}")
     twist = params.adjoint_twist
     if abs(twist - round(twist)) > 1e-9:
         raise ValueError(
@@ -344,7 +345,7 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     max_abs = float(np.abs(f_vals).max())
     min_abs = float(np.abs(f_vals).min())
     return LaurentSymbol(
-        t1=ts, t2=ts, values=f_vals.real,
+        t=ts, values=f_vals.real,
         min_abs=min_abs, max_abs=max_abs,
         max_imag=float(np.abs(f_vals.imag).max()),
         is_riesz=bool(min_abs > RIESZ_REL * max_abs),
@@ -355,10 +356,12 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
     """Replicate a 1-channel window across all q channels.
 
     Under the integer-twist condition, the lift generates a frame for Λ×Γ
-    whenever the scalar window generates a frame over αℤ×(qβ)ℤ; that scalar
-    hypothesis is verified at the default radius via the scalar Laurent
-    symbol (or, if the scalar lattice has no Laurent structure, via scalar
-    frame bounds).
+    whenever the scalar window generates a frame over αℤ×(qβ)ℤ.  That
+    scalar lattice always has Laurent structure, since its adjoint twist
+    1/(αβq) = q·θ̃ − r°s° is an integer, so the hypothesis is verified at
+    the default radius by the scalar Laurent symbol F.  By duality its
+    frame bounds are min|F| and max|F| over |α·qβ|; NotAFrameError
+    carries them when F is not a Riesz symbol.
     """
     if g_scalar.spec.q != 1:
         raise ValueError("lift_scalar_window expects a single-channel window")
@@ -369,13 +372,10 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
         raise ValueError(
             f"lift condition violated: adjoint twist {twist!r} is not an integer")
     scalar = TorusParams(alpha=params.alpha, beta=params.beta * params.q)
-    try:
-        ok = laurent_symbol(g_scalar, scalar).is_riesz
-    except ValueError:
-        a_est, b_est = frame_bounds(FrameSystem(g_scalar, scalar), require_frame=False)
-        ok = a_est > 1e-6 * b_est
-    if not ok:
-        raise NotAFrameError(0.0, 1.0)
+    sym = laurent_symbol(g_scalar, scalar)
+    if not sym.is_riesz:
+        covolume = abs(scalar.alpha * scalar.beta)
+        raise NotAFrameError(sym.min_abs / covolume, sym.max_abs / covolume)
     spec = g_scalar.spec
     lifted = np.broadcast_to(g_scalar.values[0], (params.q, spec.N)).copy()
     return GridSignal(GridSpec(L=spec.L, N=spec.N, q=params.q), lifted)

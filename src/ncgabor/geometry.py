@@ -40,7 +40,7 @@ def derive(a: LatticeSeq, j: int) -> LatticeSeq:
     t_step, _, f_step, _ = lattice_generators(a.params, a.kind)
     n1s, n2s = a.axes()
     weight = 2j * np.pi * (t_step * n1s[:, None] if j == 1 else f_step * n2s[None, :])
-    return LatticeSeq.from_box(a.params, a.kind, a.origin, weight * a.box, a.radius)
+    return LatticeSeq.from_box(a.params, a.kind, a.origin, weight * a.box)
 
 
 def covariant(f: GridSignal, j: int) -> GridSignal:
@@ -60,14 +60,12 @@ def projection_residual(p: LatticeSeq) -> float:
     return l1_diff(twisted_conv(p, p), p) / n
 
 
-def chern_trace(p: LatticeSeq, params: TorusParams) -> complex:
+def chern_trace(p: LatticeSeq) -> complex:
     """c₁(p) from the algebra trace formula; p must be a projection."""
-    if p.params != params:
-        raise ValueError("parameter mismatch")
     d1, d2 = derive(p, 1), derive(p, 2)
     comm = twisted_conv(d1, d2) - twisted_conv(d2, d1)
     val = trace_l(twisted_conv(p, comm))
-    return val / (2j * np.pi * abs(params.alpha * params.beta))
+    return val / (2j * np.pi * abs(p.params.alpha * p.params.beta))
 
 
 CHANNEL_TOL = 1e-13  # channel tables below this magnitude add nothing to the Chern sum
@@ -125,14 +123,12 @@ def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
             / (1j * abs(params.alpha * params.beta)))
 
 
-def energy(p: LatticeSeq, params: TorusParams) -> float:
+def energy(p: LatticeSeq) -> float:
     """Sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p));
     p must be a projection."""
-    if p.params != params:
-        raise ValueError("parameter mismatch")
     d1, d2 = derive(p, 1), derive(p, 2)
     raw = trace_l(twisted_conv(d1, d1)) + trace_l(twisted_conv(d2, d2))
-    return raw.real / (4 * np.pi * abs(params.alpha * params.beta))
+    return raw.real / (4 * np.pi * abs(p.params.alpha * p.params.beta))
 
 
 def energy_window_form(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -144,13 +140,11 @@ def energy_window_form(g: GridSignal, h: GridSignal, params: TorusParams,
     return s * np.pi / abs(params.alpha * params.beta)
 
 
-def sd_residuals(p: LatticeSeq, params: TorusParams):
+def sd_residuals(p: LatticeSeq):
     """ℓ¹ norms of (∂₁p + i∂₂p)♮p and (∂₁p − i∂₂p)♮p for a projection p.
 
     One of them vanishes exactly at an energy minimizer; then E(p) = |c₁(p)|.
     """
-    if p.params != params:
-        raise ValueError("parameter mismatch")
     d1, d2 = derive(p, 1), derive(p, 2)
     plus = twisted_conv(d1 + 1j * d2, p).l1_norm()
     minus = twisted_conv(d1 + (-1j) * d2, p).l1_norm()
@@ -251,7 +245,7 @@ class Pipeline:
 
     @cached_property
     def c1_trace(self) -> complex:
-        return chern_trace(self._checked_projection, self.params)
+        return chern_trace(self._checked_projection)
 
     @cached_property
     def c1_sum(self) -> complex:
@@ -265,7 +259,7 @@ class Pipeline:
 
     @cached_property
     def energy_trace(self) -> float:
-        return energy(self._checked_projection, self.params)
+        return energy(self._checked_projection)
 
     @cached_property
     def energy_window(self) -> float:
@@ -284,7 +278,7 @@ class Pipeline:
     @cached_property
     def self_duality(self) -> tuple:
         """ℓ¹ norms of (∂₁p ± i∂₂p)♮p."""
-        return sd_residuals(self._checked_projection, self.params)
+        return sd_residuals(self._checked_projection)
 
     @cached_property
     def w_residuals(self) -> tuple:
@@ -339,28 +333,33 @@ def soliton_experiment(params: TorusParams, window: GridSignal,
     return pipe
 
 
-def build_window(kind: str, spec: GridSpec, params: TorusParams,
-                 lam: complex = 0.0, hermite_order: int = 1,
-                 path=None) -> GridSignal:
-    """Window factory for the experiment drivers.
+def build_window(kind: str | None, spec: GridSpec, params: TorusParams,
+                 lam: complex = 0.0) -> GridSignal:
+    """Window factory for the experiment drivers, from a --window spec.
 
-    kinds: "gaussian" (channel-constant generalized Gaussian), "lifted_gaussian"
-    (scalar Gaussian lifted across channels, frame hypothesis checked),
-    "hermite" (order n), "file" (columnar signal format).
+    "gaussian" (channel-constant generalized Gaussian with chirp `lam`),
+    "lifted_gaussian" (scalar Gaussian lifted across channels, frame
+    hypothesis checked), "hermite" or "hermite:N" (order N, default 1),
+    "file:PATH" (columnar signal format); None is lifted_gaussian when
+    q > 1 and gaussian otherwise.
     """
     from .frame import lift_scalar_window
     from .signal import load_signal
 
+    if kind is None:
+        kind = "lifted_gaussian" if params.q > 1 else "gaussian"
+    name, sep, arg = kind.partition(":")
     if kind == "gaussian":
         return gaussian(spec, lam=lam)
     if kind == "lifted_gaussian":
         scalar = gaussian(GridSpec(L=spec.L, N=spec.N, q=1), lam=lam)
         return lift_scalar_window(scalar, params)
-    if kind == "hermite":
-        return hermite(spec, hermite_order)
-    if kind == "file":
-        f = load_signal(path)
+    if name == "hermite" and (not sep or arg.isdecimal()):
+        return hermite(spec, int(arg or 1))
+    if name == "file" and sep:
+        f = load_signal(arg)
         if f.spec != spec:
             raise ValueError(f"window file grid {f.spec} does not match {spec}")
         return f
-    raise ValueError(f"unknown window kind {kind!r}")
+    raise ValueError(f"unknown window {kind!r}: expected gaussian, lifted_gaussian, "
+                     "hermite, hermite:N or file:PATH")

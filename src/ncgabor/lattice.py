@@ -199,16 +199,16 @@ def enumerate_lattice(p: TorusParams, kind: LatticeKind, radius: float):
     ]
 
 
-def soliton_admissible(p: TorusParams, tol: float = 1e-9):
+def soliton_admissible(p: TorusParams):
     """Check the Gaussian-soliton parameter conditions.
 
-    Requires (αβq²)⁻¹ + r°s°/q to be an integer (within `tol`) and the
+    Requires (αβq²)⁻¹ + r°s°/q to be an integer (within 1e-9) and the
     density |αβ|q to be strictly below one.  Returns (ok, diagnostics).
     """
     twist = p.adjoint_twist
     int_dist = abs(twist - round(twist))
     density = p.density
-    ok = int_dist <= tol and density < 1.0
+    ok = int_dist <= 1e-9 and density < 1.0
     return ok, {
         "integer_combination": twist,
         "nearest_integer_distance": int_dist,

@@ -168,16 +168,13 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     return _chern_double_sum(p, padded, step ** 2) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
 
-def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3,
-                channel=None) -> GridSignal:
-    """Compactly supported C^{power−1} bump (1−(x/width)²)^power, normalized."""
+def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSignal:
+    """Compactly supported C^{power−1} bump (1−(x/width)²)^power on every
+    channel, normalized."""
     x = spec.x()
     prof = np.where(np.abs(x) < width, (1 - (x / width) ** 2) ** power, 0.0)
     vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    if channel is None:
-        vals[:, :] = prof
-    else:
-        vals[channel % spec.q, :] = prof
+    vals[:, :] = prof
     out = GridSignal(spec, vals)
     return out * (1.0 / norm(out))
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 TAIL_TOL = 1e-12  # admissible relative window mass at the periodization seam
+PROBE_TERMS = 6   # Gaussian atoms summed by random_timefreq_probe
 
 
 @dataclass(frozen=True)
@@ -176,22 +177,16 @@ def gaussian(spec: GridSpec, coeffs=None, lam: complex = 0.0) -> GridSignal:
     return GridSignal(spec, coeffs[:, None] * profile[None, :])
 
 
-def hermite(spec: GridSpec, n: int, channel=None) -> GridSignal:
-    """Normalized Hermite function H_n(√(2π)x)e^{−πx²} (Fourier-invariant scaling).
-
-    With channel=None the profile is placed on every channel; otherwise only
-    on the given channel index.
-    """
+def hermite(spec: GridSpec, n: int) -> GridSignal:
+    """Normalized Hermite function H_n(√(2π)x)e^{−πx²} (Fourier-invariant
+    scaling), the same profile on every channel."""
     x = spec.x()
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     profile = np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * x, coeffs)
     profile = profile * np.exp(-np.pi * x ** 2)
     vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    if channel is None:
-        vals[:, :] = profile[None, :]
-    else:
-        vals[channel % spec.q, :] = profile
+    vals[:, :] = profile[None, :]
     out = GridSignal(spec, vals)
     return out * (1.0 / norm(out))
 
@@ -236,15 +231,15 @@ def involution_dagger(f: GridSignal) -> GridSignal:
 
 
 def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
-                          spread: float = 2.5, terms: int = 6) -> GridSignal:
-    """Random unit-norm combination of shifted/modulated Gaussians.
+                          spread: float = 2.5) -> GridSignal:
+    """Random unit-norm combination of PROBE_TERMS shifted/modulated Gaussians.
 
     Time-frequency content is confined to max(|λ|,|γ|) ≲ spread, which keeps
     truncated lattice sums accurate for such probes.
     """
     draws = [(rng.uniform(-spread, spread), rng.integers(0, spec.q),
               rng.uniform(-spread, spread), rng.integers(0, spec.q),
-              complex(rng.normal(), rng.normal())) for _ in range(terms)]
+              complex(rng.normal(), rng.normal())) for _ in range(PROBE_TERMS)]
     lam, l, gamma, c, z = (np.array(d) for d in zip(*draws))
     # every term's tf_shift(gaussian(spec), ν), in translate's and modulate's arithmetic
     phase = np.exp(-2j * np.pi * spec.freqs()[None, :] * lam[:, None])
@@ -252,7 +247,7 @@ def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
     xph = np.exp(2j * np.pi * spec.x()[None, :] * gamma[:, None])
     chph = np.exp(2j * np.pi * np.arange(spec.q)[None, :] * c[:, None] / spec.q)
     acc = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    for t in range(terms):
+    for t in range(PROBE_TERMS):
         term = np.roll(shifted[t], l[t] % spec.q, axis=0) * chph[t][:, None] * xph[t][None, :]
         acc = acc + z[t] * term
     out = GridSignal(spec, acc)

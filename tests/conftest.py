@@ -42,7 +42,7 @@ def phase_point(params, kind, n1, n2):
 def random_seq(params, kind, rng, points=8, span=3, unit_l1=True):
     idx = rng.integers(-span, span + 1, size=(points, 2))
     vals = rng.normal(size=points) + 1j * rng.normal(size=points)
-    seq = LatticeSeq.from_entries(params, kind, idx, vals, float(span))
+    seq = LatticeSeq.from_entries(params, kind, idx, vals)
     if unit_l1:
         seq = seq * (1.0 / seq.l1_norm())
     return seq
@@ -64,8 +64,7 @@ def naive_twisted_conv(a, b):
             out[key] = out.get(key, 0.0j) + va * vb * phase
     idx = np.array(list(out.keys()), dtype=np.int64).reshape(-1, 2)
     vals = np.array(list(out.values()))
-    return LatticeSeq.from_entries(a.params, a.kind, idx, vals,
-                                   max(a.radius, b.radius), prune=0.0)
+    return LatticeSeq.from_entries(a.params, a.kind, idx, vals, prune=0.0)
 
 
 def full_grid_energy(g):

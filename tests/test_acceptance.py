@@ -59,7 +59,7 @@ def q2_case_r8():
     h = canonical_dual(sys_)
     p = inner_left(g, h, params, 8.0)
     assert projection_residual(p) < 1e-6
-    plus, minus = sd_residuals(p, params)
+    plus, minus = sd_residuals(p)
     return plus, minus, time.time() - t0
 
 
@@ -69,8 +69,8 @@ def _dual_pair_projection(params, window, radius, cg_tol=1e-5, gate=1e-4):
     p = inner_left(window, h, params, radius)
     defect = projection_residual(p)
     assert defect < gate
-    c1 = chern_trace(p, params)
-    e = energy(p, params)
+    c1 = chern_trace(p)
+    e = energy(p)
     return {"c1": c1, "energy": e, "gap": e - abs(c1), "defect": defect}
 
 

@@ -37,8 +37,8 @@ def test_delta_is_unit(params, rng):
 def test_two_delta_product_mirrors_shift_composition(params):
     # δ_{ν₁} ♮ δ_{ν₂} = φ(ν₁,ν₂)·δ_{ν₁+ν₂} on the time-frequency lattice
     kind = LatticeKind.TIME_FREQ
-    d1 = LatticeSeq.from_entries(params, kind, [(1, 2)], [1.0], 3.0)
-    d2 = LatticeSeq.from_entries(params, kind, [(2, -1)], [1.0], 3.0)
+    d1 = LatticeSeq.from_entries(params, kind, [(1, 2)], [1.0])
+    d2 = LatticeSeq.from_entries(params, kind, [(2, -1)], [1.0])
     prod = twisted_conv(d1, d2)
     assert prod.index.tolist() == [[3, 1]]
     nu1 = phase_point(params, kind, 1, 2)
@@ -244,19 +244,24 @@ def test_fundamental_identity(params, rng):
 
 def test_l1_norm_weights(params):
     seq = LatticeSeq.from_entries(params, LatticeKind.TIME_FREQ,
-                                  [(0, 0), (1, 1)], [1.0, 1.0], 2.0)
-    plain = seq.l1_norm()
-    weighted = seq.l1_norm(weight_s=1.0)
-    t_step, _, f_step, _ = (params.alpha, None, params.beta, None)
-    assert plain == pytest.approx(2.0)
-    assert weighted == pytest.approx(1.0 + 1.0 + abs(t_step) + abs(f_step))
+                                  [(0, 0), (1, 1)], [1.0, 1.0])
+    assert seq.l1_norm() == pytest.approx(2.0)
 
 
 def test_pruning():
     p = TorusParams(0.5, 0.5)
     seq = LatticeSeq.from_entries(p, LatticeKind.TIME_FREQ,
-                                  [(0, 0), (1, 0)], [1.0, 1e-16], 1.0)
+                                  [(0, 0), (1, 0)], [1.0, 1e-16])
     assert len(seq.values) == 1
+
+
+def test_prune_is_keyword_only():
+    # a stale positional radius fails instead of pruning the sequence away
+    p = TorusParams(0.5, 0.5)
+    with pytest.raises(TypeError):
+        LatticeSeq.from_entries(p, LatticeKind.TIME_FREQ, [(0, 0)], [1.0], 6.0)
+    with pytest.raises(TypeError):
+        LatticeSeq.from_box(p, LatticeKind.TIME_FREQ, (0, 0), np.ones((1, 1)), 6.0)
 
 
 def test_seq_roundtrip(tmp_path, params, rng):

@@ -60,6 +60,39 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert rep["config"]["seed"] == 9
 
 
+def test_config_values_are_parsed_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = 16\nwindow = gaussian\n")
+    out = tmp_path / "r.json"
+    assert main(["check-axioms", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _load(out)["config"]["L"] == 16.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ("func = x\n", "unrecognized arguments: --func=x"),
+    ("alpha = 0.4\nalpha = 0.45\n", "invalid float value: '0.4,0.45'"),
+], ids=["unknown-key", "repeated-alpha"])
+def test_config_key_that_is_no_flag_value_exits_2(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["check-axioms", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_repeated_config_key_is_one_comma_list(tmp_path):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("alpha_range = 0.45\nalpha_range = 0.5\n")
+    from_file, from_flag = tmp_path / "file.csv", tmp_path / "flag.csv"
+    assert main(["sweep", "--config", str(cfg), "--csv", str(from_file),
+                 "--out", str(tmp_path / "a.json")]) == 0
+    assert main(["sweep", "--alpha-range", "0.45,0.5", "--csv", str(from_flag),
+                 "--out", str(tmp_path / "b.json")]) == 0
+    assert from_file.read_text() == from_flag.read_text()
+    assert len(from_file.read_text().strip().splitlines()) == 3
+
+
 def test_bad_config_exit_code(tmp_path):
     code = main(["check-axioms", "--q", "4", "--r", "2", "--s", "1"])
     assert code == 2  # gcd(2,4) != 1
@@ -76,6 +109,16 @@ def test_frame_failure_exit_code(tmp_path):
     code = main(["frame", "--alpha", "0.5", "--beta", "0.5",
                  "--window", f"file:{wfile}"])
     assert code == 3
+
+
+def test_lift_failure_reports_the_scalar_frame_bounds(capsys):
+    # scalar lattice αℤ×(qβ)ℤ = ½ℤ×2ℤ is critical: min|F| vanishes, max|F|/|α·qβ| = 2
+    assert main(["frame", "--q", "2", "--alpha", "0.5", "--beta", "1",
+                 "--r", "1", "--s", "1"]) == 3
+    err = capsys.readouterr().err
+    a_est, b_est = (float(v) for v in re.search(r"A=(\S+), B=(\S+)", err).groups())
+    assert "frame failure: not a frame" in err
+    assert a_est < 1e-12 and b_est == pytest.approx(2.0, rel=1e-3)
 
 
 def test_solver_failure_exit_code():
@@ -202,6 +245,20 @@ def test_missing_window_file_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.sig"
     assert main(["dual", "--window", f"file:{missing}"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["hermitefoo", "hermite:2:3"])
+def test_unknown_window_exit_code(window, capsys):
+    assert main(["frame", "--window", window]) == 2
+    assert f"configuration error: unknown window {window!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mesh", ["0", "-4"])
+def test_laurent_mesh_below_one_exit_code(mesh, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # laurent-data would write laurent.dat here
+    assert main(["laurent-data", "--mesh", mesh]) == 2
+    assert f"Laurent mesh must be at least 1, got {mesh}" in capsys.readouterr().err
+    assert not (tmp_path / "laurent.dat").exists()
 
 
 @pytest.mark.parametrize("command", ["frame", "laurent-data"])

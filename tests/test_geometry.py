@@ -5,7 +5,7 @@ import pytest
 
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
-                            hermite, norm, tf_shift)
+                            hermite, norm, save_signal, tf_shift)
 from ncgabor.algebra import LatticeSeq, inner_left, l1_diff, trace_l, twisted_conv
 from ncgabor import geometry
 from ncgabor.frame import FrameSystem, ToleranceError, canonical_dual
@@ -95,7 +95,7 @@ def test_gaussian_eigen_relation(spec1):
 def test_chern_q1(q1_pipeline, params_q1):
     g, h, p = q1_pipeline
     assert projection_residual(p) < 1e-6
-    c1 = chern_trace(p, params_q1)
+    c1 = chern_trace(p)
     assert abs(c1 - 1.0) < 1e-6
     assert abs(c1.imag) < 1e-8
     c1s = chern_sum(g, h, params_q1, 6.0)
@@ -105,7 +105,7 @@ def test_chern_q1(q1_pipeline, params_q1):
 def test_chern_rejects_non_projection(params_q1, rng):
     # the pipeline's defect stage gates every formula that needs p♮p = p
     zero = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
-                                   np.zeros((0, 2)), np.zeros(0), 6.0)
+                                   np.zeros((0, 2)), np.zeros(0))
     assert projection_residual(zero) == np.inf
     for p in (random_seq(params_q1, LatticeKind.TIME_FREQ, rng), zero):
         pipe = Pipeline(params_q1, gaussian(grid_for_radius(6.0)))
@@ -118,7 +118,7 @@ def test_chern_rejects_non_projection(params_q1, rng):
 def test_energy_q1(q1_pipeline, params_q1):
     g, h, p = q1_pipeline
     assert projection_residual(p) < 1e-6
-    e = energy(p, params_q1)
+    e = energy(p)
     assert abs(e - 1.0) < 1e-5
     assert energy_window_form(g, h, params_q1, 6.0) == pytest.approx(e, abs=1e-6)
 
@@ -135,8 +135,8 @@ def test_energy_at_non_integer_twist_q1():
     h = canonical_dual(sys_)
     proj = inner_left(g, h, p, 6.0)
     assert projection_residual(proj) < 1e-6
-    e = energy(proj, p)
-    c1 = chern_trace(proj, p)
+    e = energy(proj)
+    c1 = chern_trace(proj)
     assert abs(c1 - 1.0) < 1e-6  # the charge stays pinned to the integer
     assert abs(e - 1.0) < 1e-5
     assert e - abs(c1) > -1e-4   # the energy bound is never violated
@@ -145,7 +145,7 @@ def test_energy_at_non_integer_twist_q1():
 def test_sd_residuals_q1(q1_pipeline, params_q1):
     _, _, p = q1_pipeline
     assert projection_residual(p) < 1e-6
-    plus, minus = sd_residuals(p, params_q1)
+    plus, minus = sd_residuals(p)
     assert plus < 1e-5       # the Gaussian satisfies the plus-sign equation
     assert minus > 1.0       # and is far from the anti-self-dual one
 
@@ -158,7 +158,7 @@ def test_sd_residuals_perturbed(params_q1, rng):
     h = canonical_dual(sys_)
     p = inner_left(g, h, params_q1, 6.0)
     assert projection_residual(p) < 1e-6
-    plus, minus = sd_residuals(p, params_q1)
+    plus, minus = sd_residuals(p)
     assert plus > 1e-1 and minus > 1e-1  # non-minimal: both bounded away from 0
 
 
@@ -170,8 +170,8 @@ def test_energy_bound_with_gap_for_perturbed(params_q1):
     h = canonical_dual(sys_)
     p = inner_left(g, h, params_q1, 6.0)
     assert projection_residual(p) < 1e-6
-    e = energy(p, params_q1)
-    c1 = chern_trace(p, params_q1)
+    e = energy(p)
+    c1 = chern_trace(p)
     assert abs(c1 - 1.0) < 1e-5  # integrality of the class survives perturbation
     assert e - abs(c1) > 1e-2
 
@@ -234,16 +234,24 @@ def test_soliton_experiment_report(params_q1):
 
 def test_report_validation(params_q1, monkeypatch):
     pipe = Pipeline(params_q1, gaussian(grid_for_radius(6.0)))
-    monkeypatch.setattr(geometry, "energy", lambda p, params: -1.0)
+    monkeypatch.setattr(geometry, "energy", lambda p: -1.0)
     with pytest.raises(ValueError, match="energy must be nonnegative"):
         pipe.report()
 
 
-def test_build_window(params_q2):
+def test_build_window(params_q2, tmp_path):
     spec = grid_for_radius(6.0, q=2)
     w = build_window("lifted_gaussian", spec, params_q2)
     assert w.spec.q == 2
-    h = build_window("hermite", spec, params_q2, hermite_order=2)
+    assert np.array_equal(build_window(None, spec, params_q2).values, w.values)
+    h = build_window("hermite:2", spec, params_q2)
     assert norm(h) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="unknown window"):
-        build_window("nope", spec, params_q2)
+    assert np.array_equal(h.values, hermite(spec, 2).values)
+    assert np.array_equal(build_window("hermite", spec, params_q2).values,
+                          hermite(spec, 1).values)
+    save_signal(h, tmp_path / "h.sig")
+    assert np.array_equal(build_window(f"file:{tmp_path / 'h.sig'}", spec, params_q2).values,
+                          h.values)
+    for bad in ("nope", "hermitefoo", "hermite:2:3", "hermite:"):
+        with pytest.raises(ValueError, match="unknown window"):
+            build_window(bad, spec, params_q2)

@@ -2,14 +2,24 @@
 
 perfbench/spans.py patches each TARGETS entry by name when run with
 `--trace 1`; a deleted or renamed function would break that run, so every
-entry is resolved here.
+entry is resolved here.  Its counters read positional arguments of the
+functions they wrap, so two subcommands are also run under the wrappers.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+from ncgabor.cli import main
+
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return spans
 
 
 def _resolves(module_name, attr):
@@ -20,9 +30,7 @@ def _resolves(module_name, attr):
 
 
 def test_every_span_target_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = _load_spans()
     assert spans.TARGETS
     missing = [f"{m}.{a}" for m, a, *_ in spans.TARGETS if not _resolves(m, a)]
     assert not missing, f"perfbench span targets no longer exist: {missing}"
@@ -31,3 +39,15 @@ def test_every_span_target_resolves():
 def test_cli_keeps_the_canonical_dual_that_perfbench_checks():
     from ncgabor import cli, frame
     assert cli.canonical_dual is frame.canonical_dual
+
+
+def test_span_counters_count_under_the_subcommands(tmp_path):
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
+        assert main(["check-axioms", "--out", str(tmp_path / "ax.json")]) == 0
+    metrics = spans.summarize(tracer.spans)
+    for name in ("algebra.twisted_conv.pairs", "algebra.from_entries.rows",
+                 "geometry.p.entries"):
+        assert metrics[name] > 0, name

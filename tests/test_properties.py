@@ -60,7 +60,7 @@ def sequences(draw, count=1, unit_l1=True, kind=None):
     for _ in range(count):
         entries = draw(st.lists(entry, max_size=8, unique_by=lambda e: e[:2]))
         seq = LatticeSeq.from_entries(params, kind, [e[:2] for e in entries],
-                                      [e[2] for e in entries], 3.0)
+                                      [e[2] for e in entries])
         norm = seq.l1_norm()
         seqs.append(seq * (1.0 / norm) if unit_l1 and norm else seq)
     return seqs
