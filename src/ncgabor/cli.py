@@ -9,14 +9,15 @@ tight          canonical tight window + gauge-identity residual
 chern          Connes-Chern number by both formulas
 energy         sigma-model energy (trace and window forms) and gap
 verify-soliton full soliton pipeline with pass/fail verdict
-run            a task subset (axioms, lattice stages, moyal) in one report
+run            the views of a task subset on one pipeline, one block per task
 moyal          Moyal identity, continuous energies and eigen residuals on a corpus
 sweep          parameter sweeps over alpha/beta, CSV output
 laurent-data   |F(t1,t2)| of the adjoint Gram symbol for plotting
 
-The lattice subcommands (frame to verify-soliton, run, sweep) are report
-views over one geometry.Pipeline, which computes each stage of the soliton
-chain once and only when a view reads it.
+Each subcommand is a view: a function of the parsed flags and a lazily
+built geometry.Pipeline, which computes each stage of the soliton chain
+once and only when a view reads it, to (results, summary, passed); main()
+writes the report.  run's block for a task is that task's view's results.
 
 Every run writes a JSON report embedding the full configuration, tolerance
 ladder, truncation radius, seed, and library version; identical
@@ -35,6 +36,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache, partial
 
 import numpy as np
 
@@ -147,12 +149,13 @@ def _random_seq(params, kind, rng, points=8, span=4):
     return seq * (1.0 / seq.l1_norm())  # unit ℓ¹ keeps identity residuals absolute
 
 
-def _axiom_residuals(params, rng, rounds):
-    """Worst ℓ¹ residual of each twisted-algebra identity over random supports."""
+def _axiom_residuals(params, rng):
+    """Worst ℓ¹ residual of each twisted-algebra identity over 40 rounds of
+    random supports."""
     worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
                            "leibniz", "unit"), 0.0)
     for kind in (LatticeKind.TIME_FREQ, LatticeKind.ADJOINT):
-        for _ in range(rounds):
+        for _ in range(40):
             a, b, c = (_random_seq(params, kind, rng) for _ in range(3))
             worst["assoc"] = max(worst["assoc"], l1_diff(
                 twisted_conv(twisted_conv(a, b), c),
@@ -177,12 +180,15 @@ def _axiom_residuals(params, rng, rounds):
     return worst
 
 
-def cmd_check_axioms(args) -> int:
+# pipeline() builds the Pipeline of args once.  The views that run calls
+# read their subcommand's own flags with getattr: run's args lack them.
+
+def view_check_axioms(args, pipeline):
     params, _ = _setup(args)
-    worst = _axiom_residuals(params, np.random.default_rng(args.seed), 40)
-    return _emit(args, {"residuals": worst, "tolerance": 1e-11},
-                 {k: f"{v:.2e}" for k, v in worst.items()},
-                 all(v < 1e-11 for v in worst.values()))
+    worst = _axiom_residuals(params, np.random.default_rng(args.seed))
+    return ({"residuals": worst, "tolerance": 1e-11},
+            {k: f"{v:.2e}" for k, v in worst.items()},
+            all(v < 1e-11 for v in worst.values()))
 
 
 def _pipeline(args) -> Pipeline:
@@ -192,71 +198,69 @@ def _pipeline(args) -> Pipeline:
                     dual_max_iter=getattr(args, "cg_max_iter", 500))
 
 
-def cmd_frame(args) -> int:
-    pipe = _pipeline(args)
+def view_frame(args, pipeline):
+    pipe = pipeline()
     a_est, b_est = pipe.bounds
     spec = pipe.window.spec
-    return _emit(args, {"A": a_est, "B": b_est, "radius": args.radius,
-                        "N": spec.N, "L": spec.L, "condition": b_est / a_est,
-                        "residuals": pipe.system.bounds_residuals},
-                 {"A": a_est, "B": b_est}, True)
+    return ({"A": a_est, "B": b_est, "radius": args.radius, "N": spec.N,
+             "L": spec.L, "condition": b_est / a_est,
+             "residuals": pipe.system.bounds_residuals},
+            {"A": a_est, "B": b_est}, True)
 
 
-def cmd_dual(args) -> int:
-    pipe = _pipeline(args)
+def view_dual(args, pipeline):
+    pipe = pipeline()
     wr, rng = pipe.wexler_raz, np.random.default_rng(args.seed)
     rec = max(reconstruction_residual(
         random_timefreq_probe(pipe.window.spec, rng, spread=2.5), pipe.window,
         pipe.dual, pipe.params, args.radius) for _ in range(5))
-    if args.export_window:
+    if getattr(args, "export_window", None):
         save_signal(pipe.dual, args.export_window)
     tol = pipe.tolerances["frame"]
-    return _emit(args, {"wexler_raz_residual": wr,
-                        "reconstruction_residual": rec, "radius": args.radius},
-                 {"wr": f"{wr:.2e}", "recon": f"{rec:.2e}"},
-                 wr < tol and rec < tol)
+    return ({"wexler_raz_residual": wr, "reconstruction_residual": rec,
+             "radius": args.radius},
+            {"wr": f"{wr:.2e}", "recon": f"{rec:.2e}"}, wr < tol and rec < tol)
 
 
-def cmd_tight(args) -> int:
-    pipe = _pipeline(args)
+def view_tight(args, pipeline):
+    pipe = pipeline()
     gauge = l1_diff(pipe.projection,
                     inner_left(pipe.tight, pipe.tight, pipe.params, args.radius))
     if args.export_window:
         save_signal(pipe.tight, args.export_window)
-    return _emit(args, {"gauge_identity_residual": gauge, "radius": args.radius},
-                 {"gauge": f"{gauge:.2e}"}, gauge < pipe.tolerances["frame"])
+    return ({"gauge_identity_residual": gauge, "radius": args.radius},
+            {"gauge": f"{gauge:.2e}"}, gauge < pipe.tolerances["frame"])
 
 
-def cmd_chern(args) -> int:
-    pipe = _pipeline(args)
+def view_chern(args, pipeline):
+    pipe = pipeline()
     c1t, c1s = pipe.c1_trace, pipe.c1_sum
-    return _emit(args, {"c1_trace": {"re": c1t.real, "im": c1t.imag},
-                        "c1_sum": {"re": c1s.real, "im": c1s.imag},
-                        "c1_rounded": int(round(c1t.real)),
-                        "two_formula_gap": abs(c1t - c1s)},
-                 {"c1": round(c1t.real, 10)}, pipe.chern_ok)
+    return ({"c1_trace": {"re": c1t.real, "im": c1t.imag},
+             "c1_sum": {"re": c1s.real, "im": c1s.imag},
+             "c1_rounded": int(round(c1t.real)), "two_formula_gap": abs(c1t - c1s)},
+            {"c1": round(c1t.real, 10)}, pipe.chern_ok)
 
 
-def cmd_energy(args) -> int:
-    pipe = _pipeline(args)
+def view_energy(args, pipeline):
+    pipe = pipeline()
     e_tr, e_win = pipe.energy_trace, pipe.energy_window
-    return _emit(args, {"energy_trace": e_tr, "energy_window": e_win,
-                        "c1": pipe.c1_trace.real, "gap": pipe.gap},
-                 {"energy": round(e_tr, 10), "gap": pipe.gap}, pipe.energy_ok)
+    return ({"energy_trace": e_tr, "energy_window": e_win,
+             "c1": pipe.c1_trace.real, "gap": pipe.gap},
+            {"energy": round(e_tr, 10), "gap": pipe.gap}, pipe.energy_ok)
 
 
-def cmd_verify_soliton(args) -> int:
-    pipe = _pipeline(args)
+def view_verify_soliton(args, pipeline):
+    pipe = pipeline()
     rep = pipe.report()
-    return _emit(args, rep, {"c1": round(pipe.c1_trace.real, 8),
-                             "energy": round(pipe.energy_trace, 8), "gap": pipe.gap},
-                 rep["passes"])
+    return (rep, {"c1": round(pipe.c1_trace.real, 8),
+                  "energy": round(pipe.energy_trace, 8), "gap": pipe.gap},
+            rep["passes"])
 
 
-def cmd_moyal(args) -> int:
+def view_moyal(args, pipeline):
     params, grid = _setup(args)
     rng = np.random.default_rng(args.seed)
-    if args.corpus:
+    if getattr(args, "corpus", None):
         corpus = load_corpus_file(args.corpus, grid)
     else:
         corpus = default_window_corpus(grid, seed=args.seed + 23)
@@ -274,14 +278,13 @@ def cmd_moyal(args) -> int:
                         "generalized_gaussian": is_gauss})
         rows.append({"q": q, "energy": e, "gap": e - q, "W_residual": res_plus,
                      "N": grid.N, "L": grid.L})   # lattice columns stay empty
-    if args.csv:
+    if getattr(args, "csv", None):
         _write_csv(args.csv, rows)
     ok = worst_moyal < args.eps0 and all(
         r["energy_gap"] > -1e-6 for r in results) and all(
         (r["energy_gap"] < 1e-6) == r["generalized_gaussian"] for r in results)
-    return _emit(args, {"corpus": results, "worst_moyal_relerr": worst_moyal},
-                 {"worst_moyal": f"{worst_moyal:.2e}", "windows": len(results)},
-                 ok)
+    return ({"corpus": results, "worst_moyal_relerr": worst_moyal},
+            {"worst_moyal": f"{worst_moyal:.2e}", "windows": len(results)}, ok)
 
 
 def _parse_range(text):
@@ -329,7 +332,8 @@ def _write_csv(path, rows):
             writer.writerow(row)
 
 
-def cmd_sweep(args) -> int:
+def view_sweep(args, pipeline):
+    """One Pipeline per (alpha, beta) point, not the shared one."""
     if args.workers < 1:
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     alphas = _parse_range(args.alpha_range)
@@ -346,15 +350,15 @@ def cmd_sweep(args) -> int:
     out_csv = args.csv or "sweep.csv"
     _write_csv(out_csv, rows)
     ok_rows = [r for r in rows if "error" not in r]
-    return _emit(args, {"points": len(rows), "csv": out_csv,
-                        "failed_points": len(rows) - len(ok_rows)},
-                 {"points": len(rows), "csv": out_csv},
-                 all(r["energy_ok"] for r in ok_rows))
+    return ({"points": len(rows), "csv": out_csv,
+             "failed_points": len(rows) - len(ok_rows)},
+            {"points": len(rows), "csv": out_csv},
+            all(r["energy_ok"] for r in ok_rows))
 
 
-def cmd_laurent_data(args) -> int:
-    """Emit |F(t1,t2)| heatmap columns for plotting."""
-    pipe = _pipeline(args)   # for its window and the seam check
+def view_laurent_data(args, pipeline):
+    """|F(t1,t2)| heatmap columns for plotting."""
+    pipe = pipeline()   # for its window and the seam check
     sym = laurent_symbol(pipe.window, pipe.params, grid=args.mesh,
                          radius=args.radius)
     path = args.csv or "laurent.dat"
@@ -363,65 +367,27 @@ def cmd_laurent_data(args) -> int:
         for i, t1 in enumerate(sym.t):
             for j, t2 in enumerate(sym.t):
                 fh.write(f"{t1} {t2} {abs(sym.values[i, j])}\n")
-    return _emit(args, {"min_abs": sym.min_abs, "max_abs": sym.max_abs,
-                        "is_riesz": sym.is_riesz, "path": path},
-                 {"min_abs": sym.min_abs, "riesz": sym.is_riesz}, True)
+    return ({"min_abs": sym.min_abs, "max_abs": sym.max_abs,
+             "is_riesz": sym.is_riesz, "path": path},
+            {"min_abs": sym.min_abs, "riesz": sym.is_riesz}, True)
 
 
-TASK_ORDER = ["axioms", "frame", "wexler_raz", "chern", "energy", "soliton", "moyal"]
-LATTICE_TASKS = {"frame", "wexler_raz", "chern", "energy", "soliton"}
+# run's tasks in the order it calls them, each the view of one subcommand
+RUN_TASKS = {"axioms": view_check_axioms, "frame": view_frame,
+             "wexler_raz": view_dual, "chern": view_chern, "energy": view_energy,
+             "soliton": view_verify_soliton, "moyal": view_moyal}
 
 
-def cmd_run(args) -> int:
-    """Execute a task subset in dependency order, one combined report."""
+def view_run(args, pipeline):
+    """The views of a task subset on one pipeline, one results block each."""
     requested = {t.strip() for t in args.tasks.split(",")}
-    unknown = requested - set(TASK_ORDER)
+    unknown = requested - set(RUN_TASKS)
     if unknown or not requested:
         raise ValueError(f"unknown or empty tasks {sorted(unknown)}")
-    tasks = [t for t in TASK_ORDER if t in requested]
-    params, grid = _setup(args)
-    results, passed = {}, True
-
-    if "axioms" in tasks:
-        residuals = _axiom_residuals(params, np.random.default_rng(args.seed), 25)
-        worst = max(residuals.values())
-        results["axioms"] = {"worst_identity_residual": worst}
-        passed &= worst < 1e-11
-
-    if requested & LATTICE_TASKS:
-        pipe = _pipeline(args)
-        a_est, b_est = pipe.bounds
-        results["frame"] = {"A": a_est, "B": b_est,
-                            "residuals": pipe.system.bounds_residuals}
-        if "wexler_raz" in tasks:
-            results["wexler_raz"] = {"residual": pipe.wexler_raz}
-            passed &= pipe.wexler_raz < pipe.tolerances["frame"]
-        if "chern" in tasks:
-            c1t = pipe.c1_trace
-            results["chern"] = {"c1_re": c1t.real, "c1_im": c1t.imag,
-                                "c1_sum_re": pipe.c1_sum.real,
-                                "rounded": int(round(c1t.real))}
-            passed &= pipe.chern_ok
-        if "energy" in tasks:
-            results["energy"] = {"trace_form": pipe.energy_trace,
-                                 "window_form": pipe.energy_window,
-                                 "gap": pipe.gap}
-            passed &= pipe.energy_ok
-        if "soliton" in tasks:
-            results["soliton"] = pipe.report()
-            passed &= results["soliton"]["passes"]
-
-    if "moyal" in tasks:
-        rng = np.random.default_rng(args.seed + 1)
-        worst = 0.0
-        for _ in range(5):
-            f = random_timefreq_probe(grid, rng, spread=1.5)
-            w = random_timefreq_probe(grid, rng, spread=1.5)
-            worst = max(worst, moyal_check(f, w)[2])
-        results["moyal"] = {"worst_relative_error": worst}
-        passed &= worst < args.eps0
-
-    return _emit(args, results, {"tasks": tasks}, passed)
+    tasks = [t for t in RUN_TASKS if t in requested]
+    views = {t: RUN_TASKS[t](args, pipeline) for t in tasks}
+    return ({t: results for t, (results, _, _) in views.items()}, {"tasks": tasks},
+            all(passed for _, _, passed in views.values()))
 
 
 def build_parser():
@@ -432,15 +398,15 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     specs = [
-        ("check-axioms", cmd_check_axioms, []),
-        ("frame", cmd_frame, []),
-        ("dual", cmd_dual, ["export"]),
-        ("tight", cmd_tight, ["export"]),
-        ("chern", cmd_chern, []),
-        ("energy", cmd_energy, []),
-        ("verify-soliton", cmd_verify_soliton, []),
-        ("moyal", cmd_moyal, ["csv", "corpus"]),
-        ("laurent-data", cmd_laurent_data, ["csv", "mesh"]),
+        ("check-axioms", view_check_axioms, []),
+        ("frame", view_frame, []),
+        ("dual", view_dual, ["export"]),
+        ("tight", view_tight, ["export"]),
+        ("chern", view_chern, []),
+        ("energy", view_energy, []),
+        ("verify-soliton", view_verify_soliton, []),
+        ("moyal", view_moyal, ["csv", "corpus"]),
+        ("laurent-data", view_laurent_data, ["csv", "mesh"]),
     ]
     for name, func, extras in specs:
         sp = sub.add_parser(name)
@@ -460,8 +426,8 @@ def build_parser():
     sp = sub.add_parser("run")
     _add_common(sp)
     sp.add_argument("--tasks", type=str, default="frame,wexler_raz,chern,energy",
-                    help="comma list from: " + ",".join(TASK_ORDER))
-    sp.set_defaults(func=cmd_run)
+                    help="comma list from: " + ",".join(RUN_TASKS))
+    sp.set_defaults(func=view_run)
 
     sp = sub.add_parser("sweep")
     _add_common(sp)
@@ -470,7 +436,7 @@ def build_parser():
     sp.add_argument("--beta-range", type=str, default="0.5")
     sp.add_argument("--csv", type=str, default=None)
     sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=cmd_sweep)
+    sp.set_defaults(func=view_sweep)
     return parser
 
 
@@ -492,7 +458,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args([args.command, *_config_argv(args.config), *argv[1:]])
-        return args.func(args)
+        return _emit(args, *args.func(args, cache(partial(_pipeline, args))))
+    except SystemExit as exc:   # argparse: 2 after a usage error, 0 after --help
+        return exc.code
     except ToleranceError as exc:   # a ValueError, so it is matched first
         return _fail("tolerance failure", exc, EXIT_IDENTITY)
     except NotAFrameError as exc:

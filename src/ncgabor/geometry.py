@@ -341,7 +341,8 @@ def build_window(kind: str | None, spec: GridSpec, params: TorusParams,
     "lifted_gaussian" (scalar Gaussian lifted across channels, frame
     hypothesis checked), "hermite" or "hermite:N" (order N, default 1),
     "file:PATH" (columnar signal format); None is lifted_gaussian when
-    q > 1 and gaussian otherwise.
+    q > 1 and gaussian otherwise.  Only the Gaussians read `lam`; a nonzero
+    `lam` with another window is a ValueError.
     """
     from .frame import lift_scalar_window
     from .signal import load_signal
@@ -354,12 +355,14 @@ def build_window(kind: str | None, spec: GridSpec, params: TorusParams,
     if kind == "lifted_gaussian":
         scalar = gaussian(GridSpec(L=spec.L, N=spec.N, q=1), lam=lam)
         return lift_scalar_window(scalar, params)
-    if name == "hermite" and (not sep or arg.isdecimal()):
+    if not (name == "hermite" and (not sep or arg.isdecimal()) or name == "file" and sep):
+        raise ValueError(f"unknown window {kind!r}: expected gaussian, lifted_gaussian, "
+                         "hermite, hermite:N or file:PATH")
+    if lam != 0:
+        raise ValueError(f"window {kind!r} ignores --lam (got {lam})")
+    if name == "hermite":
         return hermite(spec, int(arg or 1))
-    if name == "file" and sep:
-        f = load_signal(arg)
-        if f.spec != spec:
-            raise ValueError(f"window file grid {f.spec} does not match {spec}")
-        return f
-    raise ValueError(f"unknown window {kind!r}: expected gaussian, lifted_gaussian, "
-                     "hermite, hermite:N or file:PATH")
+    f = load_signal(arg)
+    if f.spec != spec:
+        raise ValueError(f"window file grid {f.spec} does not match {spec}")
+    return f

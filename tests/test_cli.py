@@ -75,10 +75,28 @@ def test_config_values_are_parsed_like_flags(tmp_path):
 def test_config_key_that_is_no_flag_value_exits_2(text, message, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
-    with pytest.raises(SystemExit) as exc:
-        main(["check-axioms", "--config", str(cfg)])
-    assert exc.value.code == 2
+    assert main(["check-axioms", "--config", str(cfg)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--alpha", "x"], "argument --alpha: invalid float value: 'x'"),
+], ids=["unknown-flag", "bad-value"])
+def test_argparse_errors_return_2(flags, message, capsys):
+    assert main(["frame", *flags]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    assert main(["frame", "--help"]) == 0
+    assert "--alpha" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("window", ["hermite", "hermite:2", "file:unread.sig"])
+def test_lam_with_a_window_that_ignores_it_exit_code(window, capsys):
+    assert main(["frame", "--window", window, "--lam", "3"]) == 2
+    assert f"configuration error: window {window!r} ignores --lam" in capsys.readouterr().err
 
 
 def test_repeated_config_key_is_one_comma_list(tmp_path):
@@ -204,7 +222,7 @@ def test_run_task_pipeline(tmp_path):
     rep = _load(out)
     res = rep["results"]
     assert set(res) == {"axioms", "frame", "wexler_raz", "chern", "energy"}
-    assert res["chern"]["rounded"] == 1
+    assert res["chern"]["c1_rounded"] == 1
     assert res["energy"]["gap"] > -1e-5
     assert "residuals" in res["frame"]
     assert main(["run", "--tasks", "bogus"]) == 2
@@ -373,7 +391,7 @@ def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
 def test_run_axioms_gates_every_identity(tmp_path, monkeypatch):
     from ncgabor import cli
 
-    def residuals(params, rng, rounds):
+    def residuals(params, rng):
         worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
                                "leibniz", "unit"), 0.0)
         worst["leibniz"] = 1e-9
@@ -382,4 +400,23 @@ def test_run_axioms_gates_every_identity(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_axiom_residuals", residuals)
     out = tmp_path / "run.json"
     assert main(["run", "--tasks", "axioms", "--out", str(out)]) == 1
-    assert _load(out)["results"]["axioms"]["worst_identity_residual"] == 1e-9
+    assert _load(out)["results"]["axioms"]["residuals"]["leibniz"] == 1e-9
+
+
+RUN_TASK_COMMANDS = {"axioms": "check-axioms", "frame": "frame", "wexler_raz": "dual",
+                     "chern": "chern", "energy": "energy", "soliton": "verify-soliton",
+                     "moyal": "moyal"}
+
+
+@pytest.mark.parametrize("task", RUN_TASK_COMMANDS)
+def test_run_blocks_are_the_subcommand_results(task, tmp_path):
+    alone, run = tmp_path / "alone.json", tmp_path / "run.json"
+    code = main([RUN_TASK_COMMANDS[task], "--seed", "3", "--out", str(alone)])
+    assert main(["run", "--seed", "3", "--tasks", task, "--out", str(run)]) == code
+    assert _load(run)["results"] == {task: _load(alone)["results"]}
+
+
+def test_run_chern_estimates_no_frame_bounds(tmp_path, monkeypatch):
+    bounds_calls = _count_calls(monkeypatch, "frame_bounds")
+    assert main(["run", "--tasks", "chern", "--out", str(tmp_path / "run.json")]) == 0
+    assert bounds_calls == []
