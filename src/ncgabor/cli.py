@@ -459,8 +459,6 @@ def main(argv=None) -> int:
         if args.config:
             args = parser.parse_args([args.command, *_config_argv(args.config), *argv[1:]])
         return _emit(args, *args.func(args, cache(partial(_pipeline, args))))
-    except SystemExit as exc:   # argparse: 2 after a usage error, 0 after --help
-        return exc.code
     except ToleranceError as exc:   # a ValueError, so it is matched first
         return _fail("tolerance failure", exc, EXIT_IDENTITY)
     except NotAFrameError as exc:
