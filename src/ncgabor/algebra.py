@@ -22,8 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import (LatticeKind, TorusParams, index_bounds,
-                      lattice_generators, lattice_twist)
+from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators
 from .signal import GridSignal, GridSpec, _check_same_spec
 
 PRUNE_TOL = 1e-14  # entries below this magnitude are dropped after arithmetic
@@ -158,27 +157,62 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
 # -- twisted algebra ---------------------------------------------------------
 
 
+def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray:
+    """exp(2πi·t·n₁n₂) on the grid n1s × n2s, t = lattice_twist(params, kind).
+
+    t is a float part plus a rational part num/q: −αβ − rs/q on Λ×Γ and
+    (αβq²)⁻¹ + r°s°/q on the adjoint lattice.  The rational part enters as
+    (num·n₁n₂ mod q)/q, reduced in integers, and the sum is reduced mod 1
+    before it is scaled by 2π, so only the float part's rounding grows with
+    n₁n₂.
+    """
+    if kind is LatticeKind.TIME_FREQ:
+        real, num = -params.alpha * params.beta, -params.r * params.s
+    else:
+        real, num = 1.0 / (params.alpha * params.beta * params.q ** 2), params.r_inv * params.s_inv
+    n = np.outer(n1s, n2s)
+    return np.exp(2j * np.pi * ((real * n + num * n % params.q / params.q) % 1.0))
+
+
 def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
-    """♮-product: one shifted, phased copy of the a₂ box per nonzero entry of a₁."""
+    """♮-product, one matrix product per nonzero row i of a₁:
+
+        out[i:i+r₂, :] += (a₂ · phase[i]) @ Toep(a₁[i])ᵀ,
+
+    with Toep(a₁[i])[J, v] = a₁[i, J−v] the (c₁+c₂−1) × c₂ Toeplitz matrix of
+    the row, copied from a reversed strided view of the row padded with c₂−1
+    zeros on each side.  An entry that no a₁(k)·a₂(m−k) reaches is a sum of
+    products with 0, an exact 0, so the support is that of the entry-by-entry
+    sum.  The Toeplitz matrix is copied BOX_BUDGET cells at a time at most, so
+    a factor wider than that takes one product per block of its rows.
+    """
     _check_compatible(a1, a2)
     if not a1.values.size or not a2.values.size:
         return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0))
     (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
-    out = _zeros(r1 + r2 - 1, c1 + c2 - 1)
-    t = lattice_twist(a1.params, a1.kind)
-    phase = np.exp(2j * np.pi * t * np.outer(a1.axes()[0], a2.axes()[1]))
-    for (k1, k2), v in zip(a1.index, a1.values):
-        i, j = k1 - a1.origin[0], k2 - a1.origin[1]
-        out[i:i + r2, j:j + c2] += (v * a2.box) * phase[i]
+    width = c1 + c2 - 1
+    out = _zeros(r1 + r2 - 1, width)
+    padded = np.zeros(width + c2 - 1, dtype=np.complex128)
+    step = padded.itemsize   # window[J, v] = padded[c2−1 + J − v]
+    window = np.ndarray((width, c2), padded.dtype, padded, (c2 - 1) * step, (step, -step))
+    block = min(width, BOX_BUDGET // c2)
+    toep = np.empty((block, c2), dtype=np.complex128)
+    phase = _twist_phase(a1.params, a1.kind, a1.axes()[0], a2.axes()[1])
+    for i in np.flatnonzero(a1.box.any(axis=1)):
+        padded[c2 - 1:width] = a1.box[i]
+        phased = a2.box * phase[i]
+        for j in range(0, width, block):
+            rows = toep[:width - j]
+            rows[:] = window[j:j + block]
+            out[i:i + r2, j:j + block] += phased @ rows.T
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     return LatticeSeq.from_box(a1.params, a1.kind, origin, out)
 
 
 def twisted_star(a: LatticeSeq) -> LatticeSeq:
     """Twisted involution; satisfies (a*)* = a and (a♮b)* = b*♮a*."""
-    t = lattice_twist(a.params, a.kind)
     n1s, n2s = (-n[::-1] for n in a.axes())
-    diag = np.exp(2j * np.pi * t * n1s[:, None] * n2s[None, :])
+    diag = _twist_phase(a.params, a.kind, n1s, n2s)
     origin = (-(a.origin[0] + a.box.shape[0] - 1), -(a.origin[1] + a.box.shape[1] - 1))
     return LatticeSeq.from_box(a.params, a.kind, origin, diag * np.conj(a.box[::-1, ::-1]))
 
@@ -239,7 +273,7 @@ def _synthesise(coeff: np.ndarray, tg: np.ndarray, mod: np.ndarray,
 
 def _adjoint_self_phase(params: TorusParams, n1s, n2s) -> np.ndarray:
     """φ(ν°,ν°) = exp(−2πi·θ̃·n₁n₂) on the adjoint index grid."""
-    return np.exp(-2j * np.pi * params.adjoint_twist * np.outer(n1s, n2s))
+    return np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))
 
 
 def _check_params_spec(params: TorusParams, spec: GridSpec):

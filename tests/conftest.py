@@ -8,7 +8,7 @@ import pytest
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
-from ncgabor.algebra import LatticeSeq, _atoms, _box_axes
+from ncgabor.algebra import LatticeSeq, _atoms, _box_axes, _twist_phase
 from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
@@ -141,3 +141,20 @@ def dense_frame_operator(sys):
     tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
                                                  sys.radius))
     return sys.window.spec.dx * (tg.T @ tg.conj()) * (mod.T @ mod.conj())
+
+
+def loop_twisted_conv(a1, a2):
+    """♮-product entry by entry: one shifted, phased copy of the a₂ box per
+    nonzero entry of a₁.  The phase rows come from the kernel's own
+    `_twist_phase`, so a comparison with `twisted_conv` sees only the order
+    of summation."""
+    if not a1.values.size or not a2.values.size:
+        return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), np.zeros((0, 0)))
+    (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
+    out = np.zeros((r1 + r2 - 1, c1 + c2 - 1), dtype=np.complex128)
+    phase = _twist_phase(a1.params, a1.kind, a1.axes()[0], a2.axes()[1])
+    for (k1, k2), v in zip(a1.index, a1.values):
+        i, j = k1 - a1.origin[0], k2 - a1.origin[1]
+        out[i:i + r2, j:j + c2] += (v * a2.box) * phase[i]
+    origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
+    return LatticeSeq.from_box(a1.params, a1.kind, origin, out)

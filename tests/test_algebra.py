@@ -1,13 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
-from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left,
+from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
                              inner_right, l1_diff, load_seq, save_seq,
                              trace_l, trace_r, twisted_conv, twisted_star)
 from ncgabor.frame import adjoint_shift_family
-from conftest import (gaussian_probe, naive_act_left, naive_act_right,
+from ncgabor.geometry import Pipeline, build_window, derive, grid_for_radius
+from conftest import (gaussian_probe, loop_twisted_conv, naive_act_left, naive_act_right,
                       naive_twisted_conv, phase_point, random_seq)
 
 BOTH_KINDS = [LatticeKind.TIME_FREQ, LatticeKind.ADJOINT]
@@ -24,6 +27,43 @@ def test_twisted_conv_matches_naive_loop(params, rng):
             a = random_seq(params, kind, rng, points=7)
             b = random_seq(params, kind, rng, points=6)
             assert l1_diff(twisted_conv(a, b), naive_twisted_conv(a, b)) < 1e-14
+
+
+def _assert_matches_loop(a, b):
+    """Same support as the entry-by-entry loop, ℓ¹ gap at rounding level."""
+    new, old = twisted_conv(a, b), loop_twisted_conv(a, b)
+    assert np.array_equal(new.index, old.index)
+    assert l1_diff(new, old) <= 1e-15 * a.l1_norm() * b.l1_norm()
+
+
+@pytest.mark.parametrize("lattice", [(0.5, 0.5, 0, 0, 1), (0.5, 1 / 3, 1, 1, 2),
+                                     (0.5, 2 / 15, 1, 1, 3)], ids=["q1", "q2", "q3"])
+def test_twisted_conv_matches_loop_on_pipeline_products(lattice):
+    params = TorusParams(*lattice)
+    window = build_window(None, grid_for_radius(6.0, q=params.q), params)
+    p = Pipeline(params, window).projection
+    d1, d2 = derive(p, 1), derive(p, 2)
+    comm = loop_twisted_conv(d1, d2) - loop_twisted_conv(d2, d1)
+    for a, b in [(p, p), (d1, d2), (d2, d1), (p, comm), (d1, d1), (d2, d2),
+                 (d1 + 1j * d2, p), (d1 + (-1j) * d2, p)]:
+        _assert_matches_loop(a, b)
+
+
+@pytest.mark.parametrize("kind", BOTH_KINDS, ids=lambda k: k.value)
+def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
+    def seq(index):
+        values = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+        return LatticeSeq.from_entries(params, kind, index, values)
+
+    delta = LatticeSeq.delta(params, kind)
+    row = seq([(2, n) for n in range(-4, 5)])
+    col = seq([(n, -3) for n in range(-5, 3)])
+    hollow = seq([(-3, 0), (-3, 2), (3, -1), (3, 4)])   # rows -2..2 of its box are zero
+    dense = random_seq(params, kind, rng, points=30)
+    shapes = [delta, row, col, hollow, dense]
+    for a in shapes:
+        for b in shapes:
+            _assert_matches_loop(a, b)
 
 
 def test_delta_is_unit(params, rng):
@@ -289,6 +329,21 @@ def test_product_box_is_refused_before_allocation(params_q1):
     assert twisted_conv(row, row).values.size == 3   # a 1x4201 box fits
     with pytest.raises(ValueError, match="exceeds"):
         twisted_conv(row, col)                       # 2101x2101 does not
+
+
+def test_wide_product_copies_its_toeplitz_factor_in_budget_blocks(params_q1):
+    # the 5999x3000 Toeplitz factor of a 1x3000 row would take 288 MB
+    row = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
+                                  [(0, 0), (0, 2999)], [1.0, 1.0])
+    tracemalloc.start()
+    try:
+        prod = twisted_conv(row, row)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert prod.index.tolist() == [[0, 0], [0, 2999], [0, 5998]]
+    assert l1_diff(prod, loop_twisted_conv(row, row)) == 0.0
+    assert peak < 16 * BOX_BUDGET + (1 << 20)
 
 
 def test_atom_box_is_refused_before_allocation(params_q1):

@@ -6,6 +6,7 @@ at q = 1); supports are random subsets of [-3, 3]², so empty, single-entry
 and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
+The ♮-product and star phases are compared with exact rational phases.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the frame operator) is compared with single shifts through `tf_shift` on a
 small grid, and the Chern kernel with a term-by-term loop on random tables.
@@ -15,8 +16,10 @@ coefficients and amplitude.
 Runs are derandomized, so the examples are the same on every run.
 """
 
+import cmath
 import math
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +86,35 @@ def test_twisted_conv_matches_naive_loop(seqs):
     # arguments both formulas reach on these lattices (up to ~60 turns at q = 7)
     tol = 1e-14 + 4 * np.pi * np.finfo(float).eps * _phase_turns(a, b)
     assert l1_diff(twisted_conv(a, b), naive_twisted_conv(a, b)) < tol
+
+
+def _exact_phase(params, kind, n):
+    """exp(2πi·t·n) with t·n reduced mod 1 in exact rationals, t the twist of
+    `kind` computed from the exact values of the float steps α and β."""
+    ab = Fraction(params.alpha) * Fraction(params.beta)
+    if kind is LatticeKind.TIME_FREQ:
+        t = -ab - Fraction(params.r * params.s, params.q)
+    else:
+        t = 1 / (ab * params.q ** 2) + Fraction(params.r_inv * params.s_inv, params.q)
+    return cmath.exp(2j * cmath.pi * float(t * n % 1))
+
+
+@PROPERTY
+@given(lattices(), st.sampled_from(list(LatticeKind)),
+       st.tuples(st.integers(-12, 12), st.integers(-40, 40)),
+       st.tuples(st.integers(-12, 12), st.integers(-40, 40)))
+def test_product_and_star_phases_match_exact_rationals(params, kind, k, m):
+    # δ_k ♮ δ_m = exp(2πi·t·k₁m₂)·δ_{k+m} and (δ_k)* = exp(2πi·t·k₁k₂)·δ_{−k}.
+    # Only the float part of t (αβ, or (αβq²)⁻¹) may carry rounding that grows
+    # with n = k₁m₂: the rational part rs/q (r°s°/q) is reduced mod q exactly.
+    a, b = (LatticeSeq.from_entries(params, kind, [point], [1.0]) for point in (k, m))
+    real = abs(params.alpha * params.beta)
+    if kind is LatticeKind.ADJOINT:
+        real = 1 / (real * params.q ** 2)
+    for got, n in [(twisted_conv(a, b).value_at(k[0] + m[0], k[1] + m[1]), k[0] * m[1]),
+                   (twisted_star(a).value_at(-k[0], -k[1]), k[0] * k[1])]:
+        tol = 4e-15 + 8 * np.pi * np.finfo(float).eps * real * abs(n)
+        assert abs(got - _exact_phase(params, kind, n)) <= tol
 
 
 @PROPERTY
