@@ -224,10 +224,10 @@ def view_dual(args, pipeline):
 
 def view_tight(args, pipeline):
     pipe = pipeline()
-    gauge = l1_diff(pipe.projection,
-                    inner_left(pipe.tight, pipe.tight, pipe.params, args.radius))
+    tight = pipe.tight   # before p, so a failed tight window costs no dual solve
+    gauge = l1_diff(pipe.projection, inner_left(tight, tight, pipe.params, args.radius))
     if args.export_window:
-        save_signal(pipe.tight, args.export_window)
+        save_signal(tight, args.export_window)
     return ({"gauge_identity_residual": gauge, "radius": args.radius},
             {"gauge": f"{gauge:.2e}"}, gauge < pipe.tolerances["frame"])
 

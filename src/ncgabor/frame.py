@@ -329,11 +329,10 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     """
     if grid < 1:
         raise ValueError(f"Laurent mesh must be at least 1, got {grid}")
-    twist = params.adjoint_twist
-    if abs(twist - round(twist)) > 1e-9:
+    if not params.integer_adjoint_twist:
         raise ValueError(
             "Laurent structure unavailable: (alpha*beta*q^2)^-1 + r°s°/q "
-            f"= {twist!r} is not an integer")
+            f"= {params.adjoint_twist!r} is not an integer")
     _check_params_spec(params, g.spec)
     coeff = inner_right(g, g, params, radius)   # ⟨g,π°g⟩ up to the q|αβ| scale
     scale = params.q * abs(params.alpha * params.beta)
@@ -367,18 +366,20 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
         raise ValueError("lift_scalar_window expects a single-channel window")
     if params.q == 1:
         return g_scalar
-    twist = params.adjoint_twist
-    if abs(twist - round(twist)) > 1e-9:
-        raise ValueError(
-            f"lift condition violated: adjoint twist {twist!r} is not an integer")
+    if not params.integer_adjoint_twist:
+        raise ValueError(f"lift condition violated: adjoint twist "
+                         f"{params.adjoint_twist!r} is not an integer")
     scalar = TorusParams(alpha=params.alpha, beta=params.beta * params.q)
     sym = laurent_symbol(g_scalar, scalar)
     if not sym.is_riesz:
         covolume = abs(scalar.alpha * scalar.beta)
         raise NotAFrameError(sym.min_abs / covolume, sym.max_abs / covolume)
-    spec = g_scalar.spec
-    lifted = np.broadcast_to(g_scalar.values[0], (params.q, spec.N)).copy()
-    return GridSignal(GridSpec(L=spec.L, N=spec.N, q=params.q), lifted)
+    return lift_channels(g_scalar, params.q)
+
+
+def lift_channels(f: GridSignal, q: int) -> GridSignal:
+    """The q-channel signal with every channel equal to the 1-channel f."""
+    return GridSignal(GridSpec(L=f.spec.L, N=f.spec.N, q=q), np.repeat(f.values, q, axis=0))
 
 
 def adjoint_shift_family(g: GridSignal, params: TorusParams,

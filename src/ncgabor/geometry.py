@@ -21,6 +21,7 @@ it once per window, in its defect stage, and is the record of the run.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admis
 from .algebra import LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _pairing
 from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
                     canonical_dual, canonical_tight, frame_bounds,
-                    wexler_raz_residual)
+                    lift_channels, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, norm)
 
@@ -184,7 +185,9 @@ class Pipeline:
     window g → frame system → bounds (A, B) → canonical dual h → projection
     p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
     residuals.  Stages are computed on first access and cached, so a report
-    pays only for the stages it reads.  The defect stage forms p♮p once and
+    pays only for the stages it reads.  The dual and tight windows of a
+    lifted window are solved on its scalar lattice (scalar_system); every
+    check reads the q-channel objects.  The defect stage forms p♮p once and
     raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
     c₁ by trace, E and the self-duality residuals read it first.  A window
     that reaches the periodisation seam is rejected before any solve.
@@ -214,12 +217,35 @@ class Pipeline:
         return frame_bounds(self.system, seed=self.seed)
 
     @cached_property
+    def scalar_system(self) -> Optional[FrameSystem]:
+        """The frame system of the scalar window on αℤ×(qβ)ℤ at the same
+        radius when the window is its lift, else None.
+
+        A lift is a q > 1 window equal on every channel under an integer
+        adjoint twist.  On channel-constant f, S_{lift g}(lift f) =
+        q·lift(S f), and these signals form an invariant subspace of
+        S_{lift g}: so its dual is lift(S⁻¹g)/q and its tight window
+        lift(S^{-1/2}g)/√q.
+        """
+        p, vals = self.params, self.window.values
+        if p.q == 1 or not p.integer_adjoint_twist or not (vals == vals[0]).all():
+            return None
+        scalar = GridSignal(GridSpec(L=self.window.spec.L, N=self.window.spec.N), vals[:1])
+        return FrameSystem(scalar, TorusParams(p.alpha, p.q * p.beta), self.radius)
+
+    @cached_property
     def dual(self) -> GridSignal:
-        return canonical_dual(self.system, max_iter=self.dual_max_iter)
+        if self.scalar_system is None:
+            return canonical_dual(self.system, max_iter=self.dual_max_iter)
+        h = canonical_dual(self.scalar_system, max_iter=self.dual_max_iter)
+        return lift_channels(h, self.params.q) * (1 / self.params.q)
 
     @cached_property
     def tight(self) -> GridSignal:
-        return canonical_tight(self.system)
+        if self.scalar_system is None:
+            return canonical_tight(self.system)
+        t = canonical_tight(self.scalar_system)
+        return lift_channels(t, self.params.q) * (1 / np.sqrt(self.params.q))
 
     @cached_property
     def wexler_raz(self) -> float:

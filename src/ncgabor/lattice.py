@@ -93,6 +93,11 @@ class TorusParams:
         return 1.0 / (self.alpha * self.beta * self.q ** 2) + self.r_inv * self.s_inv / self.q
 
     @property
+    def integer_adjoint_twist(self) -> bool:
+        """Whether the adjoint twist is an integer, within 1e-9."""
+        return abs(self.adjoint_twist - round(self.adjoint_twist)) <= 1e-9
+
+    @property
     def theta_adjoint(self) -> float:
         """Reported adjoint torus parameter θ° = r°s°/q − (αβq²)⁻¹."""
         return self.r_inv * self.s_inv / self.q - 1.0 / (self.alpha * self.beta * self.q ** 2)

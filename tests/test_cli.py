@@ -152,6 +152,16 @@ def test_tight_command(tmp_path):
     assert _load(out)["results"]["gauge_identity_residual"] < 1e-6
 
 
+def test_flagship_tight_plateau_exits_4_before_any_dual_solve(monkeypatch, capsys):
+    solves = []
+    monkeypatch.setattr(geometry, "canonical_dual", lambda *a, **k: solves.append(a))
+    assert main(["tight", "--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3),
+                 "--r", "1", "--s", "1"]) == 4
+    assert ("solver failure: Lanczos: tight-window residual plateau at 3.022e-06"
+            in capsys.readouterr().err)
+    assert not solves
+
+
 def test_chern_command(tmp_path):
     out = tmp_path / "chern.json"
     code = main(["chern", "--alpha", "0.5", "--beta", "0.5", "--out", str(out)])

@@ -51,3 +51,15 @@ def test_span_counters_count_under_the_subcommands(tmp_path):
     for name in ("algebra.twisted_conv.pairs", "algebra.from_entries.rows",
                  "geometry.p.entries"):
         assert metrics[name] > 0, name
+
+
+def test_dual_spans_count_under_the_lifted_dual(tmp_path):
+    # the flagship's dual is solved on its scalar lattice, still by frame.canonical_dual
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        assert main(["dual", "--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3),
+                     "--r", "1", "--s", "1", "--out", str(tmp_path / "dual.json")]) == 0
+    metrics = spans.summarize(tracer.spans)
+    assert metrics["frame.dual.s"] > 0
+    assert metrics["frame.dual.cg_iters"] > 0
