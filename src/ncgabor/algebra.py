@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators
+from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators, lattice_twist
 from .signal import GridSignal, GridSpec, _check_same_spec
 
 PRUNE_TOL = 1e-14  # entries below this magnitude are dropped after arithmetic
@@ -158,18 +158,13 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
 
 
 def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray:
-    """exp(2πi·t·n₁n₂) on the grid n1s × n2s, t = lattice_twist(params, kind).
+    """exp(2πi·t·n₁n₂) on the grid n1s × n2s, t = real + num/q = lattice_twist.
 
-    t is a float part plus a rational part num/q: −αβ − rs/q on Λ×Γ and
-    (αβq²)⁻¹ + r°s°/q on the adjoint lattice.  The rational part enters as
-    (num·n₁n₂ mod q)/q, reduced in integers, and the sum is reduced mod 1
-    before it is scaled by 2π, so only the float part's rounding grows with
-    n₁n₂.
+    The rational part enters as (num·n₁n₂ mod q)/q, reduced in integers, and
+    the sum is reduced mod 1 before it is scaled by 2π, so only the float
+    part's rounding grows with n₁n₂.  The one evaluation of the cocycle phase.
     """
-    if kind is LatticeKind.TIME_FREQ:
-        real, num = -params.alpha * params.beta, -params.r * params.s
-    else:
-        real, num = 1.0 / (params.alpha * params.beta * params.q ** 2), params.r_inv * params.s_inv
+    real, num = lattice_twist(params, kind)
     n = np.outer(n1s, n2s)
     return np.exp(2j * np.pi * ((real * n + num * n % params.q / params.q) % 1.0))
 
@@ -228,7 +223,7 @@ def trace_r(b: LatticeSeq) -> complex:
     """tr°(b) = q|αβ|·b(0) on the adjoint lattice."""
     if b.kind is not LatticeKind.ADJOINT:
         raise ValueError("trace_r expects a sequence on the adjoint lattice")
-    return b.params.q * abs(b.params.alpha * b.params.beta) * b.value_at(0, 0)
+    return b.params.density * b.value_at(0, 0)
 
 
 # -- the atom kernel ---------------------------------------------------------
@@ -271,11 +266,6 @@ def _synthesise(coeff: np.ndarray, tg: np.ndarray, mod: np.ndarray,
     return GridSignal(spec, np.einsum("ak,ak->k", tg, coeff @ mod).reshape(spec.q, spec.N))
 
 
-def _adjoint_self_phase(params: TorusParams, n1s, n2s) -> np.ndarray:
-    """φ(ν°,ν°) = exp(−2πi·θ̃·n₁n₂) on the adjoint index grid."""
-    return np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))
-
-
 def _check_params_spec(params: TorusParams, spec: GridSpec):
     if params.q != spec.q:
         raise ValueError(f"channel mismatch: lattice q={params.q}, grid q={spec.q}")
@@ -300,7 +290,7 @@ def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
     _check_params_spec(b.params, f.spec)
     n1s, n2s = b.axes()
     gen = lattice_generators(b.params, LatticeKind.ADJOINT)
-    coeff = b.box * _adjoint_self_phase(b.params, n1s, n2s)
+    coeff = b.box * np.conj(_twist_phase(b.params, LatticeKind.ADJOINT, n1s, n2s))  # φ(ν°,ν°)
     return _synthesise(coeff, *_atoms(f, gen, n1s, n2s), f.spec)
 
 
@@ -325,8 +315,8 @@ def inner_right(f: GridSignal, g: GridSignal, params: TorusParams,
                 radius: float) -> LatticeSeq:
     """Adjoint-lattice pairing (q|αβ|)⁻¹⟨g, π°(ν°)f⟩; linear in g."""
     v, n1s, n2s = _pairing(g, f, params, LatticeKind.ADJOINT, radius)
-    v *= np.conj(_adjoint_self_phase(params, n1s, n2s))
-    v /= params.q * abs(params.alpha * params.beta)
+    v *= _twist_phase(params, LatticeKind.ADJOINT, n1s, n2s)
+    v /= params.density
     return LatticeSeq.from_box(params, LatticeKind.ADJOINT, (n1s[0], n2s[0]), v)
 
 

@@ -303,8 +303,9 @@ def _parse_range(text):
 
 
 def _sweep_point(job):
-    """One CSV row; frame and solver failures go to its `error` column, and
-    the point's energy verdict to `energy_ok`, which the CSV leaves out."""
+    """One CSV row; tolerance, frame and solver failures go to its `error`
+    column.  `passed` (not in the CSV) is the energy verdict, false on a
+    missed tolerance; frame and solver failures do not fail the sweep."""
     alpha, beta, args_dict = job
     args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
     pipe = _pipeline(args)
@@ -313,14 +314,16 @@ def _sweep_point(job):
            "L": pipe.window.spec.L}
     try:
         pipe.report()
+    except ToleranceError as exc:
+        return {**row, "error": str(exc), "passed": False}
     except (NotAFrameError, ConvergenceError) as exc:
-        return {**row, "error": str(exc)}
+        return {**row, "error": str(exc), "passed": True}
     (a_est, b_est), (sd_plus, sd_minus) = pipe.bounds, pipe.self_duality
     c1 = pipe.c1_trace
     return {**row, "A": a_est, "B": b_est, "c1_re": c1.real, "c1_im": c1.imag,
             "energy": pipe.energy_trace, "gap": pipe.gap, "sd_plus": sd_plus,
             "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0],
-            "energy_ok": pipe.energy_ok}
+            "passed": pipe.energy_ok}
 
 
 def _write_csv(path, rows):
@@ -349,11 +352,9 @@ def view_sweep(args, pipeline):
         rows = [_sweep_point(j) for j in jobs]
     out_csv = args.csv or "sweep.csv"
     _write_csv(out_csv, rows)
-    ok_rows = [r for r in rows if "error" not in r]
     return ({"points": len(rows), "csv": out_csv,
-             "failed_points": len(rows) - len(ok_rows)},
-            {"points": len(rows), "csv": out_csv},
-            all(r["energy_ok"] for r in ok_rows))
+             "failed_points": sum("error" in r for r in rows)},
+            {"points": len(rows), "csv": out_csv}, all(r["passed"] for r in rows))
 
 
 def view_laurent_data(args, pipeline):

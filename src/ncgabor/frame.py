@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_generators
 from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, act_left, inner_left,
-                      inner_right, twisted_conv, twisted_star, _adjoint_self_phase,
+                      inner_right, twisted_conv, twisted_star, _twist_phase,
                       _analyse, _atoms, _box_axes, _check_params_spec, _synthesise)
 from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
                      random_timefreq_probe)
@@ -335,12 +335,11 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
             f"= {params.adjoint_twist!r} is not an integer")
     _check_params_spec(params, g.spec)
     coeff = inner_right(g, g, params, radius)   # ⟨g,π°g⟩ up to the q|αβ| scale
-    scale = params.q * abs(params.alpha * params.beta)
     ts = np.arange(grid) / grid
     # F(t1,t2) = Σ_{n1,n2} G(n1,n2) e^{2πi(n2·t1 + n1·t2)}; n1 is the time index
     ph1 = np.exp(2j * np.pi * np.outer(coeff.index[:, 1], ts))
     ph2 = np.exp(2j * np.pi * np.outer(coeff.index[:, 0], ts))
-    f_vals = np.einsum("m,ma,mb->ab", scale * coeff.values, ph1, ph2)
+    f_vals = np.einsum("m,ma,mb->ab", params.density * coeff.values, ph1, ph2)
     max_abs = float(np.abs(f_vals).max())
     min_abs = float(np.abs(f_vals).min())
     return LaurentSymbol(
@@ -366,14 +365,13 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
         raise ValueError("lift_scalar_window expects a single-channel window")
     if params.q == 1:
         return g_scalar
-    if not params.integer_adjoint_twist:
+    scalar = params.scalar_lattice
+    if scalar is None:
         raise ValueError(f"lift condition violated: adjoint twist "
                          f"{params.adjoint_twist!r} is not an integer")
-    scalar = TorusParams(alpha=params.alpha, beta=params.beta * params.q)
     sym = laurent_symbol(g_scalar, scalar)
     if not sym.is_riesz:
-        covolume = abs(scalar.alpha * scalar.beta)
-        raise NotAFrameError(sym.min_abs / covolume, sym.max_abs / covolume)
+        raise NotAFrameError(sym.min_abs / scalar.density, sym.max_abs / scalar.density)
     return lift_channels(g_scalar, params.q)
 
 
@@ -392,7 +390,7 @@ def adjoint_shift_family(g: GridSignal, params: TorusParams,
                          f"-sample columns exceeds {BOX_BUDGET} cells")
     tg, mod = _atoms(g, lattice_generators(params, LatticeKind.ADJOINT), n1s, n2s)
     cols = tg[:, None, :] * mod[None, :, :]
-    cols *= _adjoint_self_phase(params, n1s, n2s)[:, :, None]
+    cols *= np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))[:, :, None]
     return cols.reshape(-1, g.values.size).T
 
 

@@ -26,7 +26,8 @@ from typing import Optional
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admissible
-from .algebra import LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _pairing
+from .algebra import (LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _pairing,
+                      _twist_phase)
 from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
                     canonical_dual, canonical_tight, frame_bounds,
                     lift_channels, wexler_raz_residual)
@@ -72,10 +73,11 @@ def chern_trace(p: LatticeSeq) -> complex:
 CHANNEL_TOL = 1e-13  # channel tables below this magnitude add nothing to the Chern sum
 
 
-def _chern_double_sum(v: np.ndarray, v3: np.ndarray, theta: float) -> complex:
+def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> complex:
     """Σ (n₁'n₂ − n₁n₂')·V[l,c](ν)·V[l',c'](ν')·V₃[−l−l',−c−c'](−ν−ν')
-    ·exp 2πi(θ(n₁n₂ + n₁'(n₂'+n₂)) + (lc + l'(c'+c))/Q) over ν, ν' in the box
-    |n₁| ≤ k₁, |n₂| ≤ k₂ and the channel pairs (l,c), (l',c') of ℤ_Q².
+    ·T(n₁,n₂)·T(n₁',n₂'+n₂)·exp 2πi(lc + l'(c'+c))/Q over ν, ν' in the box
+    |n₁| ≤ k₁, |n₂| ≤ k₂ and the channel pairs (l,c), (l',c') of ℤ_Q², with
+    T(n₁,n₂) = e^{2πiθn₁n₂} read from `twist`[n₁+k₁, n₂+k₂].
 
     v[l,c,a,b] is V at (a−k₁, b−k₂), v3 the third factor at (a−2k₁, b−2k₂)
     on the doubled box; channels of v below CHANNEL_TOL are skipped.  For
@@ -83,7 +85,6 @@ def _chern_double_sum(v: np.ndarray, v3: np.ndarray, theta: float) -> complex:
     """
     nq, _, m1, m2 = v.shape
     n1s, n2s = np.arange(m1) - (m1 - 1) // 2, np.arange(m2) - (m2 - 1) // 2
-    twist = np.exp(2j * np.pi * theta * np.outer(n1s, n2s))
     chan = np.exp(2j * np.pi * np.outer(np.arange(nq), np.arange(nq)) / nq)
     hankel = np.add.outer(np.arange(m2), np.arange(m2))     # n₂' + n₂ + 2k₂
     active = [(l, c) for l in range(nq) for c in range(nq)
@@ -115,12 +116,14 @@ def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
     with V(ν) = ⟨g, π(ν)h⟩ sampled on the truncated lattice (the third
     factor on the doubled box); the channel twist is inside θ = αβ + rs/q.
     """
-    vbig, n1s, n2s = _pairing(g, h, params, LatticeKind.TIME_FREQ, radius, scale=2)
+    kind = LatticeKind.TIME_FREQ
+    vbig, n1s, n2s = _pairing(g, h, params, kind, radius, scale=2)
     k1, k2 = n1s[-1] // 2, n2s[-1] // 2
     v, vbig = vbig[None, None, k1:3 * k1 + 1, k2:3 * k2 + 1], vbig[None, None]
-    t_step, _, f_step, _ = lattice_generators(params, LatticeKind.TIME_FREQ)
+    twist = np.conj(_twist_phase(params, kind, n1s[k1:3 * k1 + 1], n2s[k2:3 * k2 + 1]))
+    t_step, _, f_step, _ = lattice_generators(params, kind)
     # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
-    return (_chern_double_sum(v, vbig, params.theta) * t_step * f_step * 2 * np.pi
+    return (_chern_double_sum(v, vbig, twist) * t_step * f_step * 2 * np.pi
             / (1j * abs(params.alpha * params.beta)))
 
 
@@ -218,20 +221,17 @@ class Pipeline:
 
     @cached_property
     def scalar_system(self) -> Optional[FrameSystem]:
-        """The frame system of the scalar window on αℤ×(qβ)ℤ at the same
-        radius when the window is its lift, else None.
-
-        A lift is a q > 1 window equal on every channel under an integer
-        adjoint twist.  On channel-constant f, S_{lift g}(lift f) =
-        q·lift(S f), and these signals form an invariant subspace of
-        S_{lift g}: so its dual is lift(S⁻¹g)/q and its tight window
-        lift(S^{-1/2}g)/√q.
+        """The frame system of the scalar window on params.scalar_lattice at
+        the same radius when the window is its lift (equal on every
+        channel), else None.  On channel-constant f, S_{lift g}(lift f) =
+        q·lift(S f), an invariant subspace of S_{lift g}: so its dual is
+        lift(S⁻¹g)/q and its tight window lift(S^{-1/2}g)/√q.
         """
-        p, vals = self.params, self.window.values
-        if p.q == 1 or not p.integer_adjoint_twist or not (vals == vals[0]).all():
+        scalar, vals = self.params.scalar_lattice, self.window.values
+        if scalar is None or not (vals == vals[0]).all():
             return None
-        scalar = GridSignal(GridSpec(L=self.window.spec.L, N=self.window.spec.N), vals[:1])
-        return FrameSystem(scalar, TorusParams(p.alpha, p.q * p.beta), self.radius)
+        window = GridSignal(GridSpec(L=self.window.spec.L, N=self.window.spec.N), vals[:1])
+        return FrameSystem(window, scalar, self.radius)
 
     @cached_property
     def dual(self) -> GridSignal:

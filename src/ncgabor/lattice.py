@@ -81,30 +81,36 @@ class TorusParams:
     @property
     def theta(self) -> float:
         """Twist of the shift algebra on Λ×Γ: θ = αβ + rs/q."""
-        return self.alpha * self.beta + self.r * self.s / self.q
+        real, num = lattice_twist(self, LatticeKind.TIME_FREQ)
+        return -(real + num / self.q)
 
     @property
     def adjoint_twist(self) -> float:
-        """Twist of the shift algebra on Γ⊥×Λ⊥: (αβq²)⁻¹ + r°s°/q.
+        """Twist of the shift algebra on Γ⊥×Λ⊥: θ̃ = (αβq²)⁻¹ + r°s°/q.
 
         The adjoint algebra is commutative (Laurent structure) exactly when
         this number is an integer.
         """
-        return 1.0 / (self.alpha * self.beta * self.q ** 2) + self.r_inv * self.s_inv / self.q
+        real, num = lattice_twist(self, LatticeKind.ADJOINT)
+        return real + num / self.q
 
     @property
     def integer_adjoint_twist(self) -> bool:
-        """Whether the adjoint twist is an integer, within 1e-9."""
+        """Whether the adjoint twist is an integer, up to rounding: the one
+        integer-twist test (soliton_admissible, scalar_lattice, laurent_symbol)."""
         return abs(self.adjoint_twist - round(self.adjoint_twist)) <= 1e-9
 
     @property
-    def theta_adjoint(self) -> float:
-        """Reported adjoint torus parameter θ° = r°s°/q − (αβq²)⁻¹."""
-        return self.r_inv * self.s_inv / self.q - 1.0 / (self.alpha * self.beta * self.q ** 2)
+    def scalar_lattice(self) -> TorusParams | None:
+        """The scalar lattice αℤ×(qβ)ℤ whose frames lift to q-channel frames
+        of Λ×Γ, or None when q = 1 or the adjoint twist is not an integer."""
+        if self.q == 1 or not self.integer_adjoint_twist:
+            return None
+        return TorusParams(self.alpha, self.q * self.beta)
 
     @property
     def density(self) -> float:
-        """|αβ|q; the Gaussian generates a frame iff this is < 1."""
+        """|αβ|q, the covolume of Λ×Γ; the Gaussian generates a frame iff this is < 1."""
         return abs(self.alpha * self.beta) * self.q
 
 
@@ -146,16 +152,16 @@ def lattice_generators(p: TorusParams, kind: LatticeKind):
     return adj.time_step, adj.time_slope, adj.freq_step, adj.freq_slope
 
 
-def lattice_twist(p: TorusParams, kind: LatticeKind) -> float:
-    """Constant t with pair cocycle exp(2πi·t·n₁m₂) on the given lattice.
+def lattice_twist(p: TorusParams, kind: LatticeKind) -> tuple[float, int]:
+    """Twist t = real + num/q of the pair cocycle exp(2πi·t·n₁m₂), as (real, num).
 
     On Λ×Γ the cocycle of two lattice points indexed (n₁,n₂), (m₁,m₂) is
-    φ = exp(−2πiθ n₁m₂); on the adjoint lattice the product convention
-    contributes exp(+2πi θ̃ n₁m₂) with θ̃ the adjoint twist.
+    φ = exp(−2πiθ n₁m₂), t = −θ = −αβ − rs/q; on the adjoint lattice the
+    product convention contributes exp(+2πi θ̃ n₁m₂), t = θ̃ = (αβq²)⁻¹ + r°s°/q.
     """
     if kind is LatticeKind.TIME_FREQ:
-        return -p.theta
-    return p.adjoint_twist
+        return -p.alpha * p.beta, -p.r * p.s
+    return 1.0 / (p.alpha * p.beta * p.q ** 2), p.r_inv * p.s_inv
 
 
 @dataclass(frozen=True)
@@ -207,15 +213,13 @@ def enumerate_lattice(p: TorusParams, kind: LatticeKind, radius: float):
 def soliton_admissible(p: TorusParams):
     """Check the Gaussian-soliton parameter conditions.
 
-    Requires (αβq²)⁻¹ + r°s°/q to be an integer (within 1e-9) and the
-    density |αβ|q to be strictly below one.  Returns (ok, diagnostics).
+    Requires `integer_adjoint_twist` and the density |αβ|q to be strictly
+    below one.  Returns (ok, diagnostics).
     """
     twist = p.adjoint_twist
-    int_dist = abs(twist - round(twist))
-    density = p.density
-    ok = int_dist <= 1e-9 and density < 1.0
+    ok = p.integer_adjoint_twist and p.density < 1.0
     return ok, {
         "integer_combination": twist,
-        "nearest_integer_distance": int_dist,
-        "density": density,
+        "nearest_integer_distance": abs(twist - round(twist)),
+        "density": p.density,
     }

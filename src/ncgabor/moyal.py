@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .algebra import _analyse, _atoms
+from .lattice import LatticeKind, TorusParams, lattice_generators
+from .algebra import _analyse, _atoms, _box_axes, _twist_phase
 from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
                      inner, norm, tf_shift)
 from .geometry import _chern_double_sum, covariant
@@ -145,27 +146,29 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
 
       (2πq²/i) ∬ (x'ω−xω')·p(ν)p(ν')p(−ν−ν')·conj(φ(ν,ν))conj(φ(ν',ν'+ν)) dν dν'
 
-    by the trapezoid rule on the lattice step·ℤ×ℤ_q×step·ℤ×ℤ_q cut to |x|, |ω| ≤ box
-    (step snapped to Δx·ℤ), p zero outside: chern_sum's kernel with θ = step²
-    and free channels (l, c).  Equals q, up to quadrature truncation, for every
-    window whose phase-space mass lies inside the box; a table whose relative
-    ℓ² mass on its outermost ring of nodes reaches RING_TOL is refused.
+    by the trapezoid rule on the nodes of the lattice TorusParams(step, step)
+    (step snapped to Δx·ℤ) in its index box at `box`, channels (l, c) free, p
+    zero outside: chern_sum's kernel and twist table on that lattice.  Equals
+    q, up to quadrature truncation, for every window whose phase-space mass
+    lies inside the box; a table whose relative ℓ² mass on its outermost
+    ring of nodes reaches RING_TOL is refused.
     """
     q, dx = g.spec.q, g.spec.dx
     step = max(1, int(round(step / dx))) * dx
-    half = int(np.floor(box / step + 1e-12))
-    nodes, gen = np.arange(-half, half + 1), (step, 0, step, 0)
+    lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
+    nodes, _ = _box_axes(lat, kind, box)
     # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
-    p = np.array([[_analyse(g, *_atoms(tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen,
-                                       nodes, nodes))
+    p = np.array([[_analyse(g, *_atoms(tf_shift(g, PhasePoint(0.0, l, 0.0, c)),
+                                       lattice_generators(lat, kind), nodes, nodes))
                    for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
     mass = np.abs(p) ** 2
     ring = 1.0 - mass[..., 1:-1, 1:-1].sum() / mass.sum()
     if ring >= RING_TOL:
         raise ValueError(f"window leaves the quadrature box: relative mass {ring:.3e} "
                          f"on the outermost ring of |x|, |omega| <= box = {box:g}")
-    padded = np.pad(p, [(0, 0), (0, 0), (half, half), (half, half)])
-    return _chern_double_sum(p, padded, step ** 2) * step ** 6 * 2 * np.pi * q ** 2 / 1j
+    padded = np.pad(p, [(0, 0)] * 2 + [(nodes[-1], nodes[-1])] * 2)
+    twist = np.conj(_twist_phase(lat, kind, nodes, nodes))
+    return _chern_double_sum(p, padded, twist) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
 
 def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSignal:

@@ -1,15 +1,31 @@
 """Shared fixtures and naive reference implementations (oracles)."""
 
 import cmath
+import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, settings, strategies as st
 
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
 from ncgabor.algebra import LatticeSeq, _atoms, _box_axes, _twist_phase
 from ncgabor.moyal import PhaseGrid, _stft_chunks
+
+
+# no explain phase: it re-runs each failing example and cost 12-15 s per failure report
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None,
+                    phases=[p for p in Phase if p is not Phase.explain])
+
+
+@st.composite
+def lattices(draw):
+    """(α, β, r, s, q ≤ 7) with r, s coprime to q (r = s = 0 at q = 1)."""
+    q = draw(st.integers(1, 7))
+    slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
+    steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
+    return TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
 
 
 @pytest.fixture(scope="session")

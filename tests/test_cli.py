@@ -211,6 +211,22 @@ def test_sweep_csv(tmp_path):
         assert float(row["energy"]) >= 1.0 - 1e-5
 
 
+def test_sweep_records_a_missed_tolerance_and_fails(tmp_path):
+    # at radius 8 the β = 1 point misses idempotency (1.138e-6 > 1e-6); β = 0.5 passes
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-range", "0.5", "--beta-range", "0.5,1", "--radius", "8",
+                 "--csv", str(csv_path), "--out", str(out)]) == 1
+    rep = _load(out)
+    assert rep["pass"] is False
+    assert rep["results"]["points"] == 2 and rep["results"]["failed_points"] == 1
+    header, *lines = csv_path.read_text().strip().splitlines()
+    rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+    assert [float(r["beta"]) for r in rows] == [0.5, 1.0]
+    assert rows[0]["error"] == "" and abs(float(rows[0]["c1_re"]) - 1.0) < 1e-5
+    assert rows[1]["error"].startswith("not a projection: idempotency residual")
+    assert rows[1]["c1_re"] == ""
+
+
 def test_run_task_pipeline(tmp_path):
     out = tmp_path / "run.json"
     code = main(["run", "--alpha", "0.5", "--beta", "0.5",

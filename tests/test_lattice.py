@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from ncgabor.lattice import (LatticeKind, TorusParams, annihilator_params,
                              enumerate_lattice, index_bounds, lattice_twist,
                              mod_inverse, point_at, soliton_admissible)
+from conftest import PROPERTY, lattices
 
 
 def brute_inverse(r, q):
@@ -72,9 +74,16 @@ def test_twists():
     p = TorusParams(0.5, 1 / 3, 1, 1, 2)
     assert p.theta == pytest.approx(1 / 6 + 1 / 2)
     assert p.adjoint_twist == pytest.approx(3 / 2 + 1 / 2)
-    assert p.theta_adjoint == pytest.approx(1 / 2 - 3 / 2)
-    assert lattice_twist(p, LatticeKind.TIME_FREQ) == pytest.approx(-p.theta)
-    assert lattice_twist(p, LatticeKind.ADJOINT) == pytest.approx(p.adjoint_twist)
+    # t = real + num/q: −αβ − rs/q on Λ×Γ, (αβq²)⁻¹ + r°s°/q on the adjoint lattice
+    assert lattice_twist(p, LatticeKind.TIME_FREQ) == (-0.5 * (1 / 3), -1)
+    assert lattice_twist(p, LatticeKind.ADJOINT) == (pytest.approx(3 / 2), 1)
+
+
+def test_scalar_lattice_of_a_lift():
+    assert TorusParams(0.5, 1 / 3, 1, 1, 2).scalar_lattice == TorusParams(0.5, 2 * (1 / 3))
+    assert TorusParams(0.5, 2 / 15, 1, 1, 3).scalar_lattice == TorusParams(0.5, 3 * (2 / 15))
+    assert TorusParams(0.5, 0.5).scalar_lattice is None                # q = 1
+    assert TorusParams(0.52, 1 / 3, 1, 1, 2).scalar_lattice is None    # twist 1.942…
 
 
 def test_annihilator_example_q2():
@@ -143,35 +152,25 @@ def test_enumeration_is_lexicographic():
     assert order == sorted(order)
 
 
-def _random_params(rng):
-    q = int(rng.integers(1, 6))
-    r = s = 0
-    if q > 1:
-        units = [u for u in range(1, q) if math.gcd(u, q) == 1]
-        r, s = int(rng.choice(units)), int(rng.choice(units))
-    return TorusParams(float(rng.uniform(0.3, 1.5)), float(rng.uniform(0.3, 1.5)),
-                       r, s, q)
-
-
-def test_annihilator_biorthogonality(rng):
+@PROPERTY
+@given(lattices())
+def test_annihilator_biorthogonality(p):
     # e^{2πi(λξ + lτ/q)} = 1 for lattice vs annihilator, over 20x20 index boxes
-    for _ in range(10):
-        p = _random_params(rng)
-        adj = annihilator_params(p)
-        worst = 0.0
-        for n in range(-10, 10):
-            lam, l = p.alpha * n, (p.r * n) % p.q
-            gam, c = p.beta * n, (p.s * n) % p.q
-            for m in range(-10, 10):
-                # Λ against Λ⊥ (frequency-domain annihilator)
-                xi, tau = adj.freq_step * m, (adj.freq_slope * m) % p.q
-                ph = np.exp(2j * np.pi * (lam * xi + l * tau / p.q))
-                worst = max(worst, abs(ph - 1.0))
-                # Γ against Γ⊥ (time-domain annihilator)
-                xi2, tau2 = adj.time_step * m, (adj.time_slope * m) % p.q
-                ph2 = np.exp(2j * np.pi * (gam * xi2 + c * tau2 / p.q))
-                worst = max(worst, abs(ph2 - 1.0))
-        assert worst < 1e-12
+    adj = annihilator_params(p)
+    worst = 0.0
+    for n in range(-10, 10):
+        lam, l = p.alpha * n, (p.r * n) % p.q
+        gam, c = p.beta * n, (p.s * n) % p.q
+        for m in range(-10, 10):
+            # Λ against Λ⊥ (frequency-domain annihilator)
+            xi, tau = adj.freq_step * m, (adj.freq_slope * m) % p.q
+            ph = np.exp(2j * np.pi * (lam * xi + l * tau / p.q))
+            worst = max(worst, abs(ph - 1.0))
+            # Γ against Γ⊥ (time-domain annihilator)
+            xi2, tau2 = adj.time_step * m, (adj.time_slope * m) % p.q
+            ph2 = np.exp(2j * np.pi * (gam * xi2 + c * tau2 / p.q))
+            worst = max(worst, abs(ph2 - 1.0))
+    assert worst < 1e-12
 
 
 def test_soliton_admissible_examples():

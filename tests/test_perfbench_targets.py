@@ -63,3 +63,15 @@ def test_dual_spans_count_under_the_lifted_dual(tmp_path):
     metrics = spans.summarize(tracer.spans)
     assert metrics["frame.dual.s"] > 0
     assert metrics["frame.dual.cg_iters"] > 0
+
+
+def test_chern_term_counter_binds_continuous_chern_by_name():
+    # the counter reads continuous_chern's g, step and box from its signature
+    from ncgabor import moyal
+    from ncgabor.signal import GridSpec, gaussian
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    with spans.instrument(tracer):
+        c1 = moyal.continuous_chern(gaussian(GridSpec(L=16.0, N=256, q=1)), step=0.25)
+    assert abs(c1 - 1) < 1e-6
+    assert spans.summarize(tracer.spans)["moyal.chern.terms"] > 0

@@ -6,7 +6,8 @@ at q = 1); supports are random subsets of [-3, 3]², so empty, single-entry
 and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
-The ♮-product and star phases are compared with exact rational phases.
+The ♮-product and star phases and the Chern sums' twist table are compared
+with exact rational phases.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the frame operator) is compared with single shifts through `tf_shift` on a
 small grid, and the Chern kernel with a term-by-term loop on random tables.
@@ -17,38 +18,30 @@ Runs are derandomized, so the examples are the same on every run.
 """
 
 import cmath
-import math
+import itertools
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
-                             l1_diff, load_seq, save_seq, twisted_conv, twisted_star)
+                             l1_diff, load_seq, save_seq, twisted_conv, twisted_star,
+                             _box_axes)
 from ncgabor.frame import FrameSystem, adjoint_shift_family
+from ncgabor import geometry
 from ncgabor.geometry import _chern_double_sum
 from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
                              lattice_twist)
 from ncgabor.moyal import continuous_energy
 from ncgabor.signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, tf_shift
-from conftest import (naive_act_left, naive_act_right, naive_chern_double_sum,
-                      naive_twisted_conv, phase_point)
+from conftest import (PROPERTY, lattices, naive_act_left, naive_act_right,
+                      naive_chern_double_sum, naive_twisted_conv, phase_point)
 
-# no explain phase: it re-runs each failing example and cost 12-15 s per failure report
-PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=None,
-                    phases=[p for p in Phase if p is not Phase.explain])
 SEEDS = st.integers(0, 2 ** 32 - 1)
-
-
-@st.composite
-def lattices(draw):
-    q = draw(st.integers(1, 7))
-    slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
-    steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
-    return TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
 
 
 @st.composite
@@ -75,7 +68,8 @@ def _phase_turns(a, b):
         return 0.0
     t_step, _, f_step, _ = lattice_generators(a.params, a.kind)
     k1m2 = np.abs(a.index[:, 0]).max() * np.abs(b.index[:, 1]).max()
-    return (abs(lattice_twist(a.params, a.kind)) + abs(t_step * f_step)) * k1m2 + a.params.q
+    real, num = lattice_twist(a.params, a.kind)
+    return (abs(real + num / a.params.q) + abs(t_step * f_step)) * k1m2 + a.params.q
 
 
 @PROPERTY
@@ -117,6 +111,30 @@ def test_product_and_star_phases_match_exact_rationals(params, kind, k, m):
         assert abs(got - _exact_phase(params, kind, n)) <= tol
 
 
+def _chern_sum_table(params, radius):
+    """The twist table chern_sum hands to the Chern kernel."""
+    g = _signal(params, 0)
+    with mock.patch.object(geometry, "_chern_double_sum", return_value=0j) as kernel:
+        geometry.chern_sum(g, g, params, radius)
+    return kernel.call_args.args[2]
+
+
+@PROPERTY
+@given(lattices(), st.floats(0.5, 6.0))
+@example(TorusParams(0.5, 2 / 91, 1, 1, 7), 6.0)   # q = 7 rung of the charge ladder
+def test_chern_phase_table_matches_exact_rationals(params, radius):
+    # chern_sum's twist table e^{2πiθn₁n₂} on its single box is exp(2πi·t·(−n₁n₂)),
+    # t = −θ the Λ×Γ twist; only the float part αβ may round with n₁n₂
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    table = _chern_sum_table(params, radius)
+    assert table.shape == (n1s.size, n2s.size)
+    eps = np.finfo(float).eps
+    for (i, n1), (j, n2) in itertools.product(enumerate(n1s), enumerate(n2s)):
+        n = int(n1 * n2)
+        tol = 4e-15 + 8 * np.pi * eps * abs(params.alpha * params.beta) * abs(n)
+        assert abs(table[i, j] - _exact_phase(params, LatticeKind.TIME_FREQ, -n)) <= tol
+
+
 @PROPERTY
 @given(sequences(count=2))
 def test_star_is_an_involutive_anti_homomorphism(seqs):
@@ -153,7 +171,9 @@ def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, 
     if silent_channel:
         v[nq - 1, 0] = 0.0      # skipped by the kernel, summed by the oracle
     expected, scale = naive_chern_double_sum(v, v3, theta)
-    assert abs(_chern_double_sum(v, v3, theta) - expected) <= 1e-12 * scale
+    n1s, n2s = np.arange(m1) - m1 // 2, np.arange(m2) - m2 // 2
+    twist = np.exp(2j * np.pi * theta * np.outer(n1s, n2s))
+    assert abs(_chern_double_sum(v, v3, twist) - expected) <= 1e-12 * scale
 
 
 def _signal(params, seed):
