@@ -75,7 +75,7 @@ class LatticeSeq:
     def from_box(params, kind, origin, box, *, prune=PRUNE_TOL):
         """Canonical form: zero the entries not above `prune`, trim to the rest."""
         keep = np.abs(box) > prune
-        rows, cols = np.flatnonzero(keep.any(axis=1)), np.flatnonzero(keep.any(axis=0))
+        rows, cols = keep.any(axis=1).nonzero()[0], keep.any(axis=0).nonzero()[0]
         if not rows.size:
             return LatticeSeq(params, kind, (0, 0), _zeros(0, 0))
         trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
@@ -124,13 +124,10 @@ class LatticeSeq:
     # -- linear structure ----------------------------------------------------
 
     def __add__(self, other):
-        _check_compatible(self, other)
-        return LatticeSeq.from_entries(self.params, self.kind,
-                                       np.vstack([self.index, other.index]),
-                                       np.concatenate([self.values, other.values]))
+        return LatticeSeq.from_box(self.params, self.kind, *_aligned_sum(self, other, 1))
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return LatticeSeq.from_box(self.params, self.kind, *_aligned_sum(self, other, -1))
 
     def __mul__(self, scalar):
         return LatticeSeq(self.params, self.kind, self.origin, self.box * scalar)
@@ -146,12 +143,31 @@ def _check_compatible(a: LatticeSeq, b: LatticeSeq):
         raise ValueError("lattice mismatch: sequences live on different lattices")
 
 
-def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
-    """Exact ℓ¹ norm of a − b (no pruning; supports aligned automatically)."""
+def _aligned_sum(a: LatticeSeq, b: LatticeSeq, sign: int):
+    """(origin, box) of a + sign·b, sign = ±1, unpruned, on the smallest box
+    holding both; each entry is a's plus or minus b's, so a sum with one
+    side's entry alone is that entry exactly."""
     _check_compatible(a, b)
-    return LatticeSeq.from_entries(a.params, a.kind, np.vstack([a.index, b.index]),
-                                   np.concatenate([a.values, -b.values]),
-                                   prune=0.0).l1_norm()
+    parts = [s for s in (a, b) if s.box.size]
+    if not parts:
+        return (0, 0), _zeros(0, 0)
+    lo = [min(s.origin[k] for s in parts) for k in (0, 1)]
+    hi = [max(s.origin[k] + s.box.shape[k] for s in parts) for k in (0, 1)]
+    out = _zeros(hi[0] - lo[0], hi[1] - lo[1])
+    for s, add in ((a, True), (b, sign > 0)):
+        (i, j), (rows, cols) = (s.origin[0] - lo[0], s.origin[1] - lo[1]), s.box.shape
+        if add:
+            out[i:i + rows, j:j + cols] += s.box
+        else:
+            out[i:i + rows, j:j + cols] -= s.box
+    return lo, out
+
+
+def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
+    """Exact ℓ¹ norm of a − b: no pruning, the nonzero entries summed in
+    lexicographic order."""
+    box = _aligned_sum(a, b, -1)[1]
+    return float(np.sum(np.abs(box[box != 0])))
 
 
 # -- twisted algebra ---------------------------------------------------------
@@ -170,36 +186,42 @@ def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray
 
 
 def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
-    """♮-product, one matrix product per nonzero row i of a₁:
+    """♮-product as one batched matrix product over the nonzero rows i of a₁:
 
         out[i:i+r₂, :] += (a₂ · phase[i]) @ Toep(a₁[i])ᵀ,
 
     with Toep(a₁[i])[J, v] = a₁[i, J−v] the (c₁+c₂−1) × c₂ Toeplitz matrix of
-    the row, copied from a reversed strided view of the row padded with c₂−1
+    the row, copied from a reversed strided view of the rows padded with c₂−1
     zeros on each side.  An entry that no a₁(k)·a₂(m−k) reaches is a sum of
     products with 0, an exact 0, so the support is that of the entry-by-entry
-    sum.  The Toeplitz matrix is copied BOX_BUDGET cells at a time at most, so
-    a factor wider than that takes one product per block of its rows.
+    sum.  The rows go in groups and the Toeplitz columns in blocks, so that the
+    stacked factors and products of one step stay within BOX_BUDGET cells; a
+    factor wider than that takes one product per block of its columns.
     """
     _check_compatible(a1, a2)
-    if not a1.values.size or not a2.values.size:
+    if not a1.box.size or not a2.box.size:
         return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0))
     (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
     width = c1 + c2 - 1
     out = _zeros(r1 + r2 - 1, width)
-    padded = np.zeros(width + c2 - 1, dtype=np.complex128)
-    step = padded.itemsize   # window[J, v] = padded[c2−1 + J − v]
-    window = np.ndarray((width, c2), padded.dtype, padded, (c2 - 1) * step, (step, -step))
+    rows = a1.box.any(axis=1).nonzero()[0]
+    phase = _twist_phase(a1.params, a1.kind, a1.origin[0] + rows, a2.axes()[1])
     block = min(width, BOX_BUDGET // c2)
-    toep = np.empty((block, c2), dtype=np.complex128)
-    phase = _twist_phase(a1.params, a1.kind, a1.axes()[0], a2.axes()[1])
-    for i in np.flatnonzero(a1.box.any(axis=1)):
-        padded[c2 - 1:width] = a1.box[i]
-        phased = a2.box * phase[i]
+    group = max(1, min(rows.size, BOX_BUDGET // (block * c2 + r2 * c2 + r2 * block)))
+    padded = np.zeros((group, width + c2 - 1), dtype=np.complex128)
+    step = padded.itemsize   # window[k, J, v] = padded[k, c2−1 + J − v]
+    window = np.ndarray((group, width, c2), padded.dtype, padded, (c2 - 1) * step,
+                        (padded.strides[0], step, -step))
+    toep = np.empty((group, block, c2), dtype=np.complex128)
+    for g in range(0, rows.size, group):
+        rs = rows[g:g + group]
+        padded[:rs.size, c2 - 1:width] = a1.box[rs]
+        phased = a2.box * phase[g:g + group, None, :]
         for j in range(0, width, block):
-            rows = toep[:width - j]
-            rows[:] = window[j:j + block]
-            out[i:i + r2, j:j + block] += phased @ rows.T
+            cols = toep[:rs.size, :width - j]
+            cols[:] = window[:rs.size, j:j + block]
+            for i, prod in zip(rs.tolist(), phased @ cols.swapaxes(1, 2)):
+                out[i:i + r2, j:j + block] += prod
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     return LatticeSeq.from_box(a1.params, a1.kind, origin, out)
 

@@ -10,7 +10,7 @@ from hypothesis import Phase, settings, strategies as st
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
-from ncgabor.algebra import LatticeSeq, _atoms, _box_axes, _twist_phase
+from ncgabor.algebra import PRUNE_TOL, LatticeSeq, _atoms, _box_axes, _twist_phase
 from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
@@ -174,3 +174,12 @@ def loop_twisted_conv(a1, a2):
         out[i:i + r2, j:j + c2] += (v * a2.box) * phase[i]
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     return LatticeSeq.from_box(a1.params, a1.kind, origin, out)
+
+
+def entry_sum(a, b, sign, prune=PRUNE_TOL):
+    """a + sign·b, sign = ±1, entry by entry: the entries of both supports
+    scattered into one box by `LatticeSeq.from_entries`.  The box-aligned
+    sums of `LatticeSeq.__add__`, `__sub__` and `l1_diff` must equal it
+    bitwise."""
+    return LatticeSeq.from_entries(a.params, a.kind, np.vstack([a.index, b.index]),
+                                   np.concatenate([a.values, sign * b.values]), prune=prune)

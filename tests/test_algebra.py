@@ -1,17 +1,20 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
+from ncgabor import algebra
 from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
                              inner_right, l1_diff, load_seq, save_seq,
                              trace_l, trace_r, twisted_conv, twisted_star)
 from ncgabor.frame import adjoint_shift_family
 from ncgabor.geometry import Pipeline, build_window, derive, grid_for_radius
-from conftest import (gaussian_probe, loop_twisted_conv, naive_act_left, naive_act_right,
-                      naive_twisted_conv, phase_point, random_seq)
+from conftest import (PROPERTY, entry_sum, gaussian_probe, loop_twisted_conv, naive_act_left,
+                      naive_act_right, naive_twisted_conv, phase_point, random_seq)
 
 BOTH_KINDS = [LatticeKind.TIME_FREQ, LatticeKind.ADJOINT]
 
@@ -60,10 +63,52 @@ def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
     col = seq([(n, -3) for n in range(-5, 3)])
     hollow = seq([(-3, 0), (-3, 2), (3, -1), (3, 4)])   # rows -2..2 of its box are zero
     dense = random_seq(params, kind, rng, points=30)
-    shapes = [delta, row, col, hollow, dense]
+    zero = 0.0 * dense   # a box without entries
+    shapes = [delta, row, col, hollow, dense, zero]
     for a in shapes:
         for b in shapes:
             _assert_matches_loop(a, b)
+
+
+@st.composite
+def box_pairs(draw):
+    """Two random boxes of at most 12×12 on one lattice with q ∈ {1, 2, 3, 7},
+    some entries and some interior rows zero, at random origins."""
+    q = draw(st.sampled_from([1, 2, 3, 7]))
+    slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
+    steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
+    params = TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
+    kind = draw(st.sampled_from(BOTH_KINDS))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    seqs = []
+    for _ in range(2):
+        rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        box = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        box[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0
+        if rows > 2:
+            box[draw(st.lists(st.integers(1, rows - 2), max_size=rows - 2))] = 0
+        origin = (draw(st.integers(-20, 20)), draw(st.integers(-20, 20)))
+        seqs.append(LatticeSeq.from_box(params, kind, origin, box))
+    return seqs
+
+
+@PROPERTY
+@given(box_pairs())
+def test_batched_rows_match_the_entry_loop(seqs):
+    _assert_matches_loop(*seqs)
+
+
+def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypatch):
+    def box(rows, cols, hollow=()):
+        values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        values[list(hollow)] = 0
+        return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-2, 1), values)
+
+    pairs = [(box(4, 12, hollow=[1]), box(3, 12)),   # Toeplitz columns in blocks of 16
+             (box(10, 3, hollow=[2, 5]), box(2, 3))]  # rows in groups of 6
+    monkeypatch.setattr(algebra, "BOX_BUDGET", 200)
+    for a, b in pairs:
+        _assert_matches_loop(a, b)
 
 
 def test_delta_is_unit(params, rng):
@@ -344,6 +389,68 @@ def test_wide_product_copies_its_toeplitz_factor_in_budget_blocks(params_q1):
     assert prod.index.tolist() == [[0, 0], [0, 2999], [0, 5998]]
     assert l1_diff(prod, loop_twisted_conv(row, row)) == 0.0
     assert peak < 16 * BOX_BUDGET + (1 << 20)
+
+
+def test_lifted_q7_product_stays_in_budget(rng):
+    # 17 × 547 boxes filling one column in seven, as the lifted windows at
+    # q = 7, β = 2/91: the rows go in groups whose factors fill the budget
+    params = TorusParams(0.5, 2 / 91, 1, 1, 7)
+
+    def lifted():
+        box = np.zeros((17, 547), dtype=complex)
+        box[:, ::7] = rng.normal(size=(17, 79)) + 1j * rng.normal(size=(17, 79))
+        return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-8, -273), box)
+
+    a, b = lifted(), lifted()
+    tracemalloc.start()
+    try:
+        prod = twisted_conv(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * BOX_BUDGET + (1 << 20)
+    old = loop_twisted_conv(a, b)
+    assert np.array_equal(prod.index, old.index)
+    assert l1_diff(prod, old) <= 1e-15 * a.l1_norm() * b.l1_norm()
+
+
+def _sum_cases(params, kind, rng):
+    """(name, a, b) pairs of the box layouts a sum can meet."""
+    def seq(origin, rows, cols):
+        values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
+        values[rng.random((rows, cols)) < 0.3] = 0
+        values[0, 0] = values[-1, -1] = 1.0   # keep the box's extent
+        return LatticeSeq.from_box(params, kind, origin, values)
+
+    a = seq((-2, 3), 5, 6)
+    empty = LatticeSeq.from_box(params, kind, (4, 4), np.zeros((2, 2)))
+    return [("disjoint", a, seq((9, -7), 3, 4)),
+            ("nested", a, seq((-1, 4), 2, 3)),
+            ("overlapping", a, seq((1, 6), 6, 7)),
+            ("empty right", a, empty),
+            ("empty left", empty, a),
+            ("both empty", empty, empty),
+            ("box without entries", a, 0.0 * seq((20, 20), 2, 2)),
+            ("cancelling", a, a),
+            ("rounding-level", a, a * (1 + 1e-15))]
+
+
+def _same_seq(x, y):
+    return (x.origin == y.origin and x.box.shape == y.box.shape
+            and np.array_equal(x.box, y.box))
+
+
+@pytest.mark.parametrize("kind", BOTH_KINDS, ids=lambda k: k.value)
+def test_box_aligned_sums_equal_the_entry_scatter_bitwise(params, kind, rng):
+    cases = _sum_cases(params, kind, rng)
+    for name, a, b in cases:
+        assert _same_seq(a + b, entry_sum(a, b, 1)), name
+        assert _same_seq(a - b, entry_sum(a, b, -1)), name
+        assert _same_seq(b - a, entry_sum(b, a, -1)), name
+        assert l1_diff(a, b) == entry_sum(a, b, -1, prune=0.0).l1_norm(), name
+    a = cases[0][1]
+    assert (a - a).values.size == 0 and (a + (-1.0) * a).values.size == 0
+    assert l1_diff(a, a) == 0.0
 
 
 def test_atom_box_is_refused_before_allocation(params_q1):

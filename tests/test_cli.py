@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ncgabor import frame, geometry
-from ncgabor.cli import main
+from ncgabor.cli import CSV_COLUMNS, build_parser, main
 from ncgabor.signal import GridSignal, GridSpec, save_signal
 
 
@@ -227,6 +227,20 @@ def test_sweep_records_a_missed_tolerance_and_fails(tmp_path):
     assert rows[1]["c1_re"] == ""
 
 
+def test_sweep_without_a_verified_point_fails(tmp_path):
+    # the only point stalls in CG: its row records the solver failure and
+    # nothing is verified, so the sweep cannot pass
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-range", "0.5", "--beta-range", "1",
+                 "--csv", str(csv_path), "--out", str(out)]) == 1
+    rep = _load(out)
+    assert rep["pass"] is False
+    assert rep["results"]["points"] == 1 and rep["results"]["failed_points"] == 1
+    header, line = csv_path.read_text().strip().splitlines()
+    assert header.split(",") == CSV_COLUMNS + ["error"]
+    assert line.split(",")[-1].startswith("CG stagnation")
+
+
 def test_run_task_pipeline(tmp_path):
     out = tmp_path / "run.json"
     code = main(["run", "--alpha", "0.5", "--beta", "0.5",
@@ -434,3 +448,33 @@ def test_run_chern_estimates_no_frame_bounds(tmp_path, monkeypatch):
     bounds_calls = _count_calls(monkeypatch, "frame_bounds")
     assert main(["run", "--tasks", "chern", "--out", str(tmp_path / "run.json")]) == 0
     assert bounds_calls == []
+
+
+def _report_without_timestamp(path):
+    rep = _load(path)
+    del rep["timestamp"]
+    return rep
+
+
+def test_parser_built_once_gives_the_reports_of_fresh_parsers(tmp_path):
+    # successive main() calls share one parser: no flag, default or --config
+    # value of one call may leak into the next
+    cfg = tmp_path / "q2.cfg"
+    cfg.write_text("q = 2\nr = 1\ns = 1\nbeta = 0.3333333333333333\nseed = 4\n")
+    runs = [["check-axioms", "--seed", "3"],
+            ["laurent-data", "--mesh", "4", "--csv", str(tmp_path / "l.dat")],
+            ["check-axioms", "--config", str(cfg)],
+            ["check-axioms"],
+            ["check-axioms", "--config", str(cfg), "--seed", "5"]]
+    shared, fresh = [], []
+    for n, argv in enumerate(runs):
+        assert main([*argv, "--out", str(tmp_path / f"shared{n}.json")]) == 0
+        shared.append(_report_without_timestamp(tmp_path / f"shared{n}.json"))
+    assert build_parser() is build_parser()
+    for n, argv in enumerate(runs):
+        build_parser.cache_clear()
+        assert main([*argv, "--out", str(tmp_path / f"fresh{n}.json")]) == 0
+        fresh.append(_report_without_timestamp(tmp_path / f"fresh{n}.json"))
+    assert shared == fresh
+    assert [r["config"]["seed"] for r in shared] == [3, 0, 4, 0, 5]
+    assert [r["config"]["q"] for r in shared] == [1, 1, 2, 1, 2]
