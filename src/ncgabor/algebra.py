@@ -263,18 +263,32 @@ def _atoms(g: GridSignal, gen, n1s, n2s):
     and the (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  Refused
     before allocation when the box or the two factors exceed BOX_BUDGET cells.
     """
-    t_step, t_slope, f_step, f_slope = gen
-    spec = g.spec
-    m1, m2, size = len(n1s), len(n2s), spec.q * spec.N
+    _check_atom_box(len(n1s), len(n2s), g.spec)
+    return _translates(g, gen, n1s), _modulations(g.spec, gen, n2s)
+
+
+def _check_atom_box(m1: int, m2: int, spec: GridSpec):
+    size = spec.q * spec.N
     if max(m1 * m2, (m1 + m2) * size) > BOX_BUDGET:
         raise ValueError(f"a {m1}x{m2} box of {size}-sample atoms exceeds {BOX_BUDGET} cells")
+
+
+def _translates(g: GridSignal, gen, n1s) -> np.ndarray:
+    """The (M₁, qN) translated windows T_{t_step·a, t_slope·a} g, a in n1s."""
+    t_step, t_slope, _, _ = gen
+    spec = g.spec
     rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
     tg = np.fft.fft(g.values, axis=1)[rows]       # channel k of row a: ĝ(k − l_a)
     tg *= np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs()))[:, None, :]
-    tg = np.fft.ifft(tg, axis=2).reshape(m1, size)
+    return np.fft.ifft(tg, axis=2).reshape(len(n1s), spec.q * spec.N)
+
+
+def _modulations(spec: GridSpec, gen, n2s) -> np.ndarray:
+    """The (M₂, qN) modulations E_{f_step·b, f_slope·b}, b in n2s."""
+    _, _, f_step, f_slope = gen
     xph = np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x()))
     chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
-    return tg, (chph[:, :, None] * xph[:, None, :]).reshape(m2, size)
+    return (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), spec.q * spec.N)
 
 
 def _analyse(f: GridSignal, tg: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -282,10 +296,23 @@ def _analyse(f: GridSignal, tg: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return f.spec.dx * np.conj((np.conj(f.values).reshape(1, -1) * tg) @ mod.T)
 
 
-def _synthesise(coeff: np.ndarray, tg: np.ndarray, mod: np.ndarray,
-                spec: GridSpec) -> GridSignal:
-    """Σ_{a,b} coeff[a,b]·mod[b]·tg[a], one GEMM and a sum over a."""
-    return GridSignal(spec, np.einsum("ak,ak->k", tg, coeff @ mod).reshape(spec.q, spec.N))
+def _synthesise(tg: np.ndarray, table: np.ndarray, spec: GridSpec) -> GridSignal:
+    """Σ_a tg[a]·table[a]; with table = coeff @ mod, the synthesis
+    Σ_{a,b} coeff[a,b]·mod[b]·tg[a] of the atoms."""
+    return GridSignal(spec, np.einsum("ak,ak->k", tg, table).reshape(spec.q, spec.N))
+
+
+def _right_action(b: LatticeSeq, spec: GridSpec):
+    """f ↦ f·b on signals of `spec`, with the half that does not read f built
+    once: the (rows, qN) table (b·conj φ(ν°,ν°)) @ mod over the rows n₁ of b
+    that hold a nonzero entry, against which the translates of f sum."""
+    n1s, n2s = b.axes()
+    _check_atom_box(len(n1s), len(n2s), spec)
+    gen = lattice_generators(b.params, LatticeKind.ADJOINT)
+    coeff = b.box * np.conj(_twist_phase(b.params, LatticeKind.ADJOINT, n1s, n2s))
+    rows = coeff.any(axis=1)
+    n1s, table = n1s[rows], coeff[rows] @ _modulations(spec, gen, n2s)
+    return lambda f: _synthesise(_translates(f, gen, n1s), table, spec)
 
 
 def _check_params_spec(params: TorusParams, spec: GridSpec):
@@ -301,8 +328,8 @@ def act_left(a: LatticeSeq, f: GridSignal) -> GridSignal:
     if a.kind is not LatticeKind.TIME_FREQ:
         raise ValueError("act_left expects a time-frequency lattice sequence")
     _check_params_spec(a.params, f.spec)
-    gen = lattice_generators(a.params, LatticeKind.TIME_FREQ)
-    return _synthesise(a.box, *_atoms(f, gen, *a.axes()), f.spec)
+    tg, mod = _atoms(f, lattice_generators(a.params, LatticeKind.TIME_FREQ), *a.axes())
+    return _synthesise(tg, a.box @ mod, f.spec)
 
 
 def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
@@ -310,10 +337,7 @@ def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
     if b.kind is not LatticeKind.ADJOINT:
         raise ValueError("act_right expects an adjoint lattice sequence")
     _check_params_spec(b.params, f.spec)
-    n1s, n2s = b.axes()
-    gen = lattice_generators(b.params, LatticeKind.ADJOINT)
-    coeff = b.box * np.conj(_twist_phase(b.params, LatticeKind.ADJOINT, n1s, n2s))  # φ(ν°,ν°)
-    return _synthesise(coeff, *_atoms(f, gen, n1s, n2s), f.spec)
+    return _right_action(b, f.spec)(f)
 
 
 def _pairing(f: GridSignal, g: GridSignal, params: TorusParams, kind: LatticeKind,

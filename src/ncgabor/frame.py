@@ -1,28 +1,25 @@
 """Gabor frame machinery: frame operator, bounds, duals, and duality checks.
 
-The frame operator of a window g over the lattice Λ×Γ truncated at radius R,
-
-    S_g f = Σ_{ν ∈ Λ×Γ, max(|λ|,|γ|) ≤ R} ⟨f, π(ν)g⟩ π(ν)g,
-
-is positive and commutes with lattice shifts.  The canonical dual window is
-the solution of S_g h = g (conjugate gradients); the canonical tight window
-S_g^{−1/2} g is evaluated through the eigendecomposition of the Lanczos
-tridiagonalization of S_g started at g.  Duality of a pair (g,h) is tested
-through the biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁ and through
-reconstruction on probes; both agree for frames of Gaussian class.
+By the fundamental identity ⟨f,g⟩·h = f·⟨g,h⟩°, the frame operator of a
+window g over Λ×Γ is S_g f = Σ_ν ⟨f, π(ν)g⟩ π(ν)g = f·⟨g,g⟩° (Janssen's
+representation): a few dozen adjoint-lattice terms for windows of Gaussian
+class.  The bounds, the canonical dual S_g⁻¹g (conjugate gradients) and the
+canonical tight window S_g^{−1/2}g (Lanczos, started at g) all run on that
+form.  Duality of a pair (g,h) is tested through the biorthogonality
+residual ‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction on probes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_generators
-from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, act_left, inner_left,
-                      inner_right, twisted_conv, twisted_star, _twist_phase,
-                      _analyse, _atoms, _box_axes, _check_params_spec, _synthesise)
+from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, act_left, inner_left, inner_right,
+                      l1_diff, twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
+                      _check_params_spec, _right_action, _synthesise, _twist_phase)
 from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
                      random_timefreq_probe)
 
@@ -44,12 +41,6 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
-# Widens the lattice truncation used *inside* the dual and tight-window solves
-# (never inside reported sums): the canonical dual of the full system decays
-# exponentially, so solving S h = g at the bare verification radius would limit
-# every downstream duality residual to the solve-truncation error instead of
-# the verification-truncation error.
-SOLVE_MARGIN = 2.0
 PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
 CG_TARGET = 1e-12         # relative residual at which _cg_solve returns at once
 TIGHT_TOL = 1e-6          # probe residual ‖S_t f − f‖/‖f‖ a tight window must reach
@@ -60,44 +51,44 @@ RIESZ_REL = 1e-6          # min|F| > RIESZ_REL·max|F| is the Riesz verdict
 
 @dataclass
 class FrameSystem:
-    """A window with its lattice and truncation radius: the truncated frame
-    operator and nothing more.
-
-    `cache` holds the window's atom factors under ("atoms", radius), built on
-    the first apply at that radius; the solvers below compute on every call.
-    `bounds_residuals` are the Rayleigh residuals of the last frame_bounds.
+    """A window with its lattice and radius, and its frame operator in Janssen
+    form, S_g f = f·⟨g,g⟩° with ⟨g,g⟩° on the adjoint box at `radius`, whose
+    table is built on construction; bounds, dual and tight window are
+    computed on every call.  `bounds_residuals` are the Rayleigh residuals of
+    the last frame_bounds.
     """
 
     window: GridSignal
     params: TorusParams
     radius: float = 6.0
-    cache: dict = field(default_factory=dict, repr=False, compare=False)
     bounds_residuals: Optional[dict] = None
 
     def __post_init__(self):
         _check_params_spec(self.params, self.window.spec)
-        if self.radius <= 0:
-            raise ValueError("truncation radius must be positive")
+        g = self.window   # inner_right refuses a radius that is not positive
+        self._janssen = _right_action(inner_right(g, g, self.params, self.radius), g.spec)
 
     def apply(self, f: GridSignal) -> GridSignal:
-        """Truncated frame operator image S_g f = ⟨f,g⟩·g."""
-        return self._frame_op(f, self.radius)
-
-    def _apply_solve(self, f: GridSignal) -> GridSignal:
-        return self._frame_op(f, self.radius + SOLVE_MARGIN)
-
-    def _frame_op(self, f: GridSignal, radius: float) -> GridSignal:
-        """Analysis then synthesis on the cached atoms of the box at `radius`;
-        coefficients at most PRUNE_TOL are dropped, as inner_left does."""
+        """Frame operator image S_g f = f·⟨g,g⟩°."""
         _check_same_spec(f, self.window)
-        key = ("atoms", radius)
-        if key not in self.cache:
-            gen = lattice_generators(self.params, LatticeKind.TIME_FREQ)
-            axes = _box_axes(self.params, LatticeKind.TIME_FREQ, radius)
-            self.cache[key] = _atoms(self.window, gen, *axes)
-        tg, mod = self.cache[key]
+        return self._janssen(f)
+
+    _apply_solve = apply   # perfbench/spans.py wraps this name until its next change
+
+
+def truncated_frame_op(g: GridSignal, params: TorusParams, radius: float):
+    """f ↦ Σ ⟨f, π(ν)g⟩ π(ν)g over Λ×Γ ∩ {max(|λ|,|γ|) ≤ radius}, the atoms
+    of the box built once; coefficients at most PRUNE_TOL are dropped, as
+    inner_left does.  canonical_tight's probe test reads it."""
+    _check_params_spec(params, g.spec)
+    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
+    tg, mod = _atoms(g, gen, *_box_axes(params, LatticeKind.TIME_FREQ, radius))
+
+    def apply(f: GridSignal) -> GridSignal:
+        _check_same_spec(f, g)
         v = _analyse(f, tg, mod)
-        return _synthesise(np.where(np.abs(v) > PRUNE_TOL, v, 0.0), tg, mod, f.spec)
+        return _synthesise(tg, np.where(np.abs(v) > PRUNE_TOL, v, 0.0) @ mod, f.spec)
+    return apply
 
 
 def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSignal:
@@ -106,9 +97,8 @@ def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSigna
     Iterates toward relative residual CG_TARGET and returns as soon as it is
     reached; if progress stalls (no 2x improvement over 60 iterations) the
     best iterate is returned provided its residual is below `tol`, and a
-    ConvergenceError("CG stagnation") is raised otherwise.  Truncated frame
-    operators commonly have a finite attainable floor between target and tol
-    set by the window's overlap with the uncovered phase-space sector.
+    ConvergenceError("CG stagnation") is raised otherwise.  A truncated frame
+    operator (truncated_frame_op) has such a floor.
     """
     b2 = norm(rhs)
     if b2 == 0.0:
@@ -153,12 +143,12 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
 
     The estimate restricts S_g to the span of PROBES random band-concentrated
     probes (Rayleigh-Ritz): A is the smallest Ritz value, and B the largest
-    refined by 15 power steps, 41 applies of S_g in all.  Rayleigh quotients
-    over un-concentrated grid vectors would instead probe the region the
-    truncated lattice cannot cover, and so would inverse iteration, which
-    amplifies that region.  Sets sys.bounds_residuals: "rayleigh_B" of the
-    last power iterate, "rayleigh_A" of the bottom Ritz vector.  Raises
-    NotAFrameError, which carries both estimates, when A_est < 1e-6 · B_est.
+    refined by 15 power steps, 41 applies of S_g in all.  The probes stay
+    clear of the periodisation seam, where the adjoint modulations by
+    1/(αq) need not be L-periodic.  Sets sys.bounds_residuals: "rayleigh_B"
+    of the last power iterate, "rayleigh_A" of the bottom Ritz vector.
+    Raises NotAFrameError, which carries both estimates, when
+    A_est < 1e-6 · B_est.
     """
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
@@ -207,7 +197,7 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
     The solver pushes well below `tol` whenever the spectrum allows;
     `tol` is the acceptance threshold beyond which stagnation raises.
     """
-    return _cg_solve(sys._apply_solve, sys.window, tol=tol, max_iter=max_iter)
+    return _cg_solve(sys.apply, sys.window, tol=tol, max_iter=max_iter)
 
 
 def _lanczos(apply_op, start: GridSignal, dims):
@@ -245,23 +235,24 @@ def canonical_tight(sys: FrameSystem) -> GridSignal:
 
     Computed as ‖g‖·V·T^{-1/2}e₁ from the Lanczos tridiagonalization T of
     S_g started at g, read at each Krylov dimension of KRYLOV_DIMS until the
-    frame operator of the result acts as the identity on probes to within
-    TIGHT_TOL.  Raises ConvergenceError at a plateau (less than 1% gain past
-    dimension 40) or when the largest dimension misses TIGHT_TOL.
+    frame operator of the result, truncated at the system's radius, acts as
+    the identity on probes to within TIGHT_TOL.  Raises ConvergenceError at a
+    plateau (less than 1% gain past dimension 40) or when the largest
+    dimension misses TIGHT_TOL.
     """
     spec = sys.window.spec
     rng = np.random.default_rng(11)
     checks = [random_timefreq_probe(spec, rng, spread=1.8) for _ in range(3)]
     last_residual = np.inf
-    for basis, alphas, betas in _lanczos(sys._apply_solve, sys.window, KRYLOV_DIMS):
+    for basis, alphas, betas in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
         k = len(alphas)
         evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         evals = np.maximum(evals, evals[-1] * 1e-15)
         y = evecs @ (evecs[0] / np.sqrt(evals))   # T^{-1/2}e₁
         t_vals = (np.array(basis).T @ y) * (norm(sys.window) / np.sqrt(spec.dx))
         tight = GridSignal(spec, t_vals.reshape(spec.q, spec.N))
-        tight_sys = FrameSystem(tight, sys.params, sys.radius)
-        residual = max(norm(tight_sys.apply(f) - f) / norm(f) for f in checks)
+        frame_op = truncated_frame_op(tight, sys.params, sys.radius)
+        residual = max(norm(frame_op(f) - f) / norm(f) for f in checks)
         if residual <= TIGHT_TOL:
             return tight
         if 40 < k < KRYLOV_DIMS[-1] and residual > 0.99 * last_residual:
@@ -280,8 +271,8 @@ def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
     Vanishes exactly when (g,h) generate dual frames (biorthogonality
     ⟨h, π°(ν°)g⟩ = q|αβ|·δ_{ν°,0}).
     """
-    b = inner_right(g, h, params, radius)
-    return (b - LatticeSeq.delta(params, LatticeKind.ADJOINT)).l1_norm()
+    delta = LatticeSeq.delta(params, LatticeKind.ADJOINT)
+    return l1_diff(inner_right(g, h, params, radius), delta)
 
 
 def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,

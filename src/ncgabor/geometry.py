@@ -21,7 +21,6 @@ it once per window, in its defect stage, and is the record of the run.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .algebra import (LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _p
                       _twist_phase)
 from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
                     canonical_dual, canonical_tight, frame_bounds,
-                    lift_channels, wexler_raz_residual)
+                    wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, norm)
 
@@ -188,14 +187,12 @@ class Pipeline:
     window g → frame system → bounds (A, B) → canonical dual h → projection
     p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
     residuals.  Stages are computed on first access and cached, so a report
-    pays only for the stages it reads.  The dual and tight windows of a
-    lifted window are solved on its scalar lattice (scalar_system); every
-    check reads the q-channel objects.  The defect stage forms p♮p once and
+    pays only for the stages it reads.  The defect stage forms p♮p once and
     raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
     c₁ by trace, E and the self-duality residuals read it first.  A window
-    that reaches the periodisation seam is rejected before any solve.
-    chern_ok, energy_ok and passes() are the verdicts, report() the JSON
-    record.
+    that reaches the periodisation seam is rejected before any solve, and a
+    dual that reaches it before any check reads it.  chern_ok, energy_ok and
+    passes() are the verdicts, report() the JSON record.
     """
 
     def __init__(self, params: TorusParams, window: GridSignal,
@@ -204,12 +201,18 @@ class Pipeline:
         self.params, self.window, self.radius = params, window, radius
         self.seed, self.dual_max_iter = seed, dual_max_iter
         self.tolerances = tolerance_ladder(eps0)
-        tail = seam_mass(window, radius)
+        self._seam_gate("window", window)
+
+    def _seam_gate(self, name: str, f: GridSignal) -> GridSignal:
+        """f, unless its seam_mass reaches the frame rung (ValueError); the dual is
+        gated too, as S_g's adjoint modulations by 1/(αq) need not be L-periodic."""
+        tail = seam_mass(f, self.radius)
         if tail >= self.tolerances["frame"]:
             raise ValueError(
-                f"window reaches the periodisation seam: relative mass "
-                f"{tail:.3e} outside |x| <= L/2 - radius = "
-                f"{window.spec.L / 2 - radius:g}; widen L or reduce the radius")
+                f"{name} reaches the periodisation seam: relative mass {tail:.3e} "
+                f"outside |x| <= L/2 - radius = {f.spec.L / 2 - self.radius:g}; "
+                "widen L or reduce the radius")
+        return f
 
     @cached_property
     def system(self) -> FrameSystem:
@@ -220,32 +223,13 @@ class Pipeline:
         return frame_bounds(self.system, seed=self.seed)
 
     @cached_property
-    def scalar_system(self) -> Optional[FrameSystem]:
-        """The frame system of the scalar window on params.scalar_lattice at
-        the same radius when the window is its lift (equal on every
-        channel), else None.  On channel-constant f, S_{lift g}(lift f) =
-        q·lift(S f), an invariant subspace of S_{lift g}: so its dual is
-        lift(S⁻¹g)/q and its tight window lift(S^{-1/2}g)/√q.
-        """
-        scalar, vals = self.params.scalar_lattice, self.window.values
-        if scalar is None or not (vals == vals[0]).all():
-            return None
-        window = GridSignal(GridSpec(L=self.window.spec.L, N=self.window.spec.N), vals[:1])
-        return FrameSystem(window, scalar, self.radius)
-
-    @cached_property
     def dual(self) -> GridSignal:
-        if self.scalar_system is None:
-            return canonical_dual(self.system, max_iter=self.dual_max_iter)
-        h = canonical_dual(self.scalar_system, max_iter=self.dual_max_iter)
-        return lift_channels(h, self.params.q) * (1 / self.params.q)
+        h = canonical_dual(self.system, max_iter=self.dual_max_iter)
+        return self._seam_gate("dual window", h)
 
     @cached_property
     def tight(self) -> GridSignal:
-        if self.scalar_system is None:
-            return canonical_tight(self.system)
-        t = canonical_tight(self.scalar_system)
-        return lift_channels(t, self.params.q) * (1 / np.sqrt(self.params.q))
+        return canonical_tight(self.system)
 
     @cached_property
     def wexler_raz(self) -> float:

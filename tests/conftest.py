@@ -150,9 +150,10 @@ def gaussian_probe(spec, rng, spread=2.0, terms=5):
 
 
 def dense_frame_operator(sys):
-    """The truncated frame operator of `sys` as a dense qN×qN matrix, in its
-    discrete Walnut form S = Δx·(tgᵀ·conj tg) ⊙ (modᵀ·conj mod) over the atom
-    factors; its eigenvalues are the Rayleigh quotients' extremes."""
+    """The frame operator of `sys` truncated at its radius as a dense qN×qN
+    matrix, in its discrete Walnut form S = Δx·(tgᵀ·conj tg) ⊙ (modᵀ·conj mod)
+    over the atom factors; its largest eigenvalue bounds the Rayleigh
+    quotients of the band-concentrated probes of frame_bounds."""
     gen = lattice_generators(sys.params, LatticeKind.TIME_FREQ)
     tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
                                                  sys.radius))

@@ -157,7 +157,7 @@ def test_flagship_tight_plateau_exits_4_before_any_dual_solve(monkeypatch, capsy
     monkeypatch.setattr(geometry, "canonical_dual", lambda *a, **k: solves.append(a))
     assert main(["tight", "--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3),
                  "--r", "1", "--s", "1"]) == 4
-    assert ("solver failure: Lanczos: tight-window residual plateau at 3.022e-06"
+    assert ("solver failure: Lanczos: tight-window residual plateau at 3.190e-06"
             in capsys.readouterr().err)
     assert not solves
 
@@ -228,8 +228,8 @@ def test_sweep_records_a_missed_tolerance_and_fails(tmp_path):
 
 
 def test_sweep_without_a_verified_point_fails(tmp_path):
-    # the only point stalls in CG: its row records the solver failure and
-    # nothing is verified, so the sweep cannot pass
+    # the only point misses idempotency at R = 6: its row records the failure
+    # and nothing is verified, so the sweep cannot pass
     out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     assert main(["sweep", "--alpha-range", "0.5", "--beta-range", "1",
                  "--csv", str(csv_path), "--out", str(out)]) == 1
@@ -238,7 +238,8 @@ def test_sweep_without_a_verified_point_fails(tmp_path):
     assert rep["results"]["points"] == 1 and rep["results"]["failed_points"] == 1
     header, line = csv_path.read_text().strip().splitlines()
     assert header.split(",") == CSV_COLUMNS + ["error"]
-    assert line.split(",")[-1].startswith("CG stagnation")
+    assert line.split(",")[-1].startswith(
+        "not a projection: idempotency residual 2.545e-05")
 
 
 def test_run_task_pipeline(tmp_path):
@@ -317,9 +318,22 @@ def test_window_reaching_the_seam_exit_code(command, tmp_path, monkeypatch, caps
 
 
 def test_atom_box_over_budget_exit_code(tmp_path, capsys):
-    # radius 600 at alpha = beta = 1/2 needs a 2401x2401 box of atoms
-    assert main(["frame", "--radius", "600", "--out", str(tmp_path / "r.json")]) == 2
-    assert "exceeds" in capsys.readouterr().err
+    # radius 2100 at alpha = beta = 1/2 needs a 2101x2101 box of adjoint atoms
+    assert main(["frame", "--radius", "2100", "--out", str(tmp_path / "r.json")]) == 2
+    assert "a 2101x2101 box of 512-sample atoms exceeds" in capsys.readouterr().err
+
+
+def test_dual_reaching_the_seam_exit_code(monkeypatch, capsys):
+    # the dual is gated at the seam by the window's rule: a stub dual centred
+    # on x = L/2 puts half its mass outside |x| <= L/2 - radius
+    def at_the_seam(system, **kwargs):
+        g = system.window
+        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1))
+
+    monkeypatch.setattr(geometry, "canonical_dual", at_the_seam)
+    assert main(["dual"]) == 2
+    assert ("configuration error: dual window reaches the periodisation seam"
+            in capsys.readouterr().err)
 
 
 def _count_calls(monkeypatch, name, owner=frame):

@@ -10,8 +10,8 @@ from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, norm, save_signal, tf_shift)
 from ncgabor.algebra import LatticeSeq, inner_left, l1_diff, trace_l, twisted_conv
 from ncgabor import geometry
-from ncgabor.frame import (ConvergenceError, FrameSystem, ToleranceError,
-                           canonical_dual, canonical_tight, lift_scalar_window,
+from ncgabor.frame import (FrameSystem, ToleranceError, canonical_dual,
+                           canonical_tight, lift_channels, lift_scalar_window,
                            wexler_raz_residual)
 from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               chern_trace, covariant, derive, energy,
@@ -275,55 +275,30 @@ def _smallest_twist_lattices(max_q):
 
 
 LIFT_LATTICES = list(_smallest_twist_lattices(5))
-# density ½: the scalar lattice is ½ × 1, where the truncated CG stalls
-HALF_DENSITY = {(3, 1, 1), (3, 2, 2), (5, 1, 2), (5, 2, 1), (5, 3, 4), (5, 4, 3)}
+
+
+def _scalar_system(params):
+    """The oracle of a lifted Gaussian: its 1-channel window on the scalar
+    lattice αℤ×(qβ)ℤ.  On channel-constant f, S_{lift g}(lift f) = q·lift(S f),
+    so the q-channel dual is lift(S⁻¹g)/q and the tight window lift(S^{-1/2}g)/√q."""
+    return FrameSystem(gaussian(grid_for_radius(6.0)), params.scalar_lattice, 6.0)
 
 
 @pytest.mark.parametrize("q, r, s, beta", LIFT_LATTICES,
                          ids=[f"q{q}r{r}s{s}" for q, r, s, _ in LIFT_LATTICES])
 def test_lifted_dual_matches_the_vector_dual(q, r, s, beta):
+    # the six density-½ lattices (scalar lattice ½ × 1) converge like the rest
     params = TorusParams(0.5, float(beta), r, s, q)
     g = lift_scalar_window(gaussian(grid_for_radius(6.0)), params)
     pipe = Pipeline(params, g)
-    assert pipe.scalar_system is not None
-    if (q, r, s) in HALF_DENSITY:
-        assert 2 * params.density == pytest.approx(1.0)
-        with pytest.raises(ConvergenceError) as vector:
-            canonical_dual(pipe.system)
-        with pytest.raises(ConvergenceError) as scalar:
-            pipe.dual
-        assert str(scalar.value) == str(vector.value)
-        return
-    h_vec = canonical_dual(pipe.system)
-    assert norm(pipe.dual - h_vec) / norm(h_vec) <= 1e-8
-    assert wexler_raz_residual(g, h_vec, params, 6.0) < 1e-6
+    h_lift = lift_channels(canonical_dual(_scalar_system(params)), q) * (1 / q)
+    assert norm(pipe.dual - h_lift) / norm(h_lift) <= 1e-8
+    assert wexler_raz_residual(g, h_lift, params, 6.0) < 1e-6
     assert pipe.wexler_raz < 1e-6
 
 
 def test_lifted_tight_window_matches_the_vector_lanczos_window():
     params = TorusParams(0.5, 2 / 15, 1, 1, 3)
     pipe = Pipeline(params, build_window("lifted_gaussian", grid_for_radius(6.0, q=3), params))
-    t_vec = canonical_tight(pipe.system)
-    assert norm(pipe.tight - t_vec) / norm(t_vec) < 1e-12
-
-
-def test_channel_constant_windows_take_the_scalar_lattice(params_q2, tmp_path):
-    spec = grid_for_radius(6.0, q=2)
-    save_signal(gaussian(spec), tmp_path / "g.sig")
-    for kind in ("lifted_gaussian", "gaussian", f"file:{tmp_path / 'g.sig'}"):
-        sys_ = Pipeline(params_q2, build_window(kind, spec, params_q2)).scalar_system
-        assert sys_.params == TorusParams(0.5, 2 / 3) and sys_.window.spec.q == 1
-
-
-def test_other_windows_keep_the_vector_path(params_q2):
-    spec = grid_for_radius(6.0, q=2)
-    lifted = build_window("lifted_gaussian", spec, params_q2)
-    bumped = lifted.values.copy()
-    bumped[1] *= 1 + 1e-3 * np.exp(-np.pi * spec.x() ** 2)
-    off_twist = TorusParams(0.52, 1 / 3, 1, 1, 2)   # adjoint twist 1.942…
-    cases = [(params_q2, GridSignal(spec, bumped)), (off_twist, gaussian(spec)),
-             (TorusParams(0.5, 0.5), gaussian(grid_for_radius(6.0)))]
-    for params, g in cases:
-        pipe = Pipeline(params, g)
-        assert pipe.scalar_system is None
-        assert np.array_equal(pipe.dual.values, canonical_dual(pipe.system).values)
+    t_lift = lift_channels(canonical_tight(_scalar_system(params)), 3) * (1 / np.sqrt(3))
+    assert norm(pipe.tight - t_lift) / norm(t_lift) < 1e-12

@@ -54,7 +54,8 @@ def test_span_counters_count_under_the_subcommands(tmp_path):
 
 
 def test_dual_spans_count_under_the_lifted_dual(tmp_path):
-    # the flagship's dual is solved on its scalar lattice, still by frame.canonical_dual
+    # the flagship's window is a lifted Gaussian; its dual is solved on its
+    # q-channel system by frame.canonical_dual
     spans = _load_spans()
     tracer = spans.Tracer()
     with spans.instrument(tracer):
@@ -63,6 +64,19 @@ def test_dual_spans_count_under_the_lifted_dual(tmp_path):
     metrics = spans.summarize(tracer.spans)
     assert metrics["frame.dual.s"] > 0
     assert metrics["frame.dual.cg_iters"] > 0
+
+
+def test_solver_counters_count_under_frame_and_tight(tmp_path):
+    # FrameSystem.apply is the one apply; its spans count under each solver
+    spans = _load_spans()
+    counted = {}
+    for command in ("frame", "tight"):
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            assert main([command, "--out", str(tmp_path / f"{command}.json")]) == 0
+        counted[command] = spans.summarize(tracer.spans)
+    assert counted["frame"]["frame.bounds.applies"] == 41
+    assert counted["tight"]["frame.tight.applies"] > 0
 
 
 def test_chern_term_counter_binds_continuous_chern_by_name():
