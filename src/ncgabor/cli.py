@@ -49,7 +49,7 @@ from .frame import (ConvergenceError, NotAFrameError, ToleranceError,
                     laurent_symbol, reconstruction_residual)
 # kept as a module attribute for tools that patch it here (perfbench/spans.py)
 from .frame import canonical_dual  # noqa: F401
-from .geometry import (Pipeline, build_window, derive, grid_for_radius,
+from .geometry import (Pipeline, SeamError, build_window, derive, grid_for_radius,
                        tolerance_ladder)
 from .moyal import (continuous_energy, default_window_corpus, eigen_residual,
                     load_corpus_file, moyal_check)
@@ -302,10 +302,11 @@ def _parse_range(text):
 
 
 def _sweep_point(job):
-    """One CSV row; tolerance, frame and solver failures go to its `error`
-    column.  `passed` (not in the CSV) is the energy verdict, false on a
-    missed tolerance; frame and solver failures do not fail a sweep that
-    verifies some other point."""
+    """One CSV row; a failure goes to its `error` column.  A point is verified
+    when pipe.passes() holds and c1 rounds to q; otherwise `error` names the
+    checks it failed.  `passed` (not in the CSV) is false on a missed
+    tolerance, a dual at the seam or an unverified point; frame and solver
+    failures do not fail a sweep that verifies some other point."""
     alpha, beta, args_dict = job
     args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
     pipe = _pipeline(args)
@@ -314,16 +315,19 @@ def _sweep_point(job):
            "L": pipe.window.spec.L}
     try:
         pipe.report()
-    except ToleranceError as exc:
+    except (ToleranceError, SeamError) as exc:
         return {**row, "error": str(exc), "passed": False}
     except (NotAFrameError, ConvergenceError) as exc:
         return {**row, "error": str(exc), "passed": True}
     (a_est, b_est), (sd_plus, sd_minus) = pipe.bounds, pipe.self_duality
     c1 = pipe.c1_trace
-    return {**row, "A": a_est, "B": b_est, "c1_re": c1.real, "c1_im": c1.imag,
-            "energy": pipe.energy_trace, "gap": pipe.gap, "sd_plus": sd_plus,
-            "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0],
-            "passed": pipe.energy_ok}
+    failed = [f"{name} failed" for name, ok in pipe.checks().items() if not ok]
+    if round(c1.real) != args.q:
+        failed.insert(0, f"c1 rounds to {round(c1.real)}, not q = {args.q}")
+    row = {**row, "A": a_est, "B": b_est, "c1_re": c1.real, "c1_im": c1.imag,
+           "energy": pipe.energy_trace, "gap": pipe.gap, "sd_plus": sd_plus,
+           "sd_minus": sd_minus, "W_residual": pipe.w_residuals[0], "passed": not failed}
+    return {**row, "error": "unverified: " + "; ".join(failed)} if failed else row
 
 
 def _write_csv(path, rows):

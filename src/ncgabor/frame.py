@@ -3,10 +3,13 @@
 By the fundamental identity ⟨f,g⟩·h = f·⟨g,h⟩°, the frame operator of a
 window g over Λ×Γ is S_g f = Σ_ν ⟨f, π(ν)g⟩ π(ν)g = f·⟨g,g⟩° (Janssen's
 representation): a few dozen adjoint-lattice terms for windows of Gaussian
-class.  The bounds, the canonical dual S_g⁻¹g (conjugate gradients) and the
-canonical tight window S_g^{−1/2}g (Lanczos, started at g) all run on that
-form.  Duality of a pair (g,h) is tested through the biorthogonality
-residual ‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction on probes.
+class.  The canonical dual S_g⁻¹g (conjugate gradients) and the canonical
+tight window S_g^{−1/2}g (Lanczos, started at g) run on that form.  Where
+the adjoint twist is an integer the form is a Laurent operator, and the frame
+bounds are the extremes of its symbol, read from the coefficients ⟨g,g⟩°
+without an apply; elsewhere they are Rayleigh–Ritz estimates.  Duality of a
+pair (g,h) is tested through the biorthogonality residual
+‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction on probes.
 """
 
 from __future__ import annotations
@@ -41,7 +44,11 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
+FRAME_REL = 1e-6          # A < FRAME_REL·B is the not-a-frame verdict
 PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
+SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
+MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
+MESH_POINTS = 1 << 20     # ... or until it holds this many points
 CG_TARGET = 1e-12         # relative residual at which _cg_solve returns at once
 TIGHT_TOL = 1e-6          # probe residual ‖S_t f − f‖/‖f‖ a tight window must reach
 KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window is read
@@ -52,10 +59,10 @@ RIESZ_REL = 1e-6          # min|F| > RIESZ_REL·max|F| is the Riesz verdict
 @dataclass
 class FrameSystem:
     """A window with its lattice and radius, and its frame operator in Janssen
-    form, S_g f = f·⟨g,g⟩° with ⟨g,g⟩° on the adjoint box at `radius`, whose
-    table is built on construction; bounds, dual and tight window are
-    computed on every call.  `bounds_residuals` are the Rayleigh residuals of
-    the last frame_bounds.
+    form, S_g f = f·⟨g,g⟩°.  The coefficients ⟨g,g⟩° on the adjoint box at
+    `radius` (`coefficients`) and the table of their right action are built
+    on construction; bounds, dual and tight window are computed on every
+    call.  `bounds_residuals` are the diagnostics of the last frame_bounds.
     """
 
     window: GridSignal
@@ -66,7 +73,8 @@ class FrameSystem:
     def __post_init__(self):
         _check_params_spec(self.params, self.window.spec)
         g = self.window   # inner_right refuses a radius that is not positive
-        self._janssen = _right_action(inner_right(g, g, self.params, self.radius), g.spec)
+        self.coefficients = inner_right(g, g, self.params, self.radius)
+        self._janssen = _right_action(self.coefficients, g.spec)
 
     def apply(self, f: GridSignal) -> GridSignal:
         """Frame operator image S_g f = f·⟨g,g⟩°."""
@@ -139,19 +147,76 @@ def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSigna
 
 
 def frame_bounds(sys: FrameSystem, seed: int = 7):
-    """Estimated frame bounds (A, B) from Rayleigh quotients of S_g.
+    """Frame bounds (A, B) of S_g; sets sys.bounds_residuals.
+
+    Where the adjoint twist is an integer, S_g is a Laurent operator and A, B
+    enclose the extremes of its symbol F (_symbol_bounds, no apply of S_g):
+    the residuals are {"mesh", "mesh_error"}.  Elsewhere they are the
+    Rayleigh–Ritz estimates of _rayleigh_ritz (`seed` fixes its probes),
+    which lie inside the spectrum: the residuals are {"rayleigh_A",
+    "rayleigh_B"}.  Raises NotAFrameError, which carries both values, when
+    A < FRAME_REL · B.
+    """
+    if norm(sys.window) == 0.0:
+        raise NotAFrameError(0.0, 0.0)
+    if sys.params.integer_adjoint_twist:
+        a_est, b_est, sys.bounds_residuals = _symbol_bounds(sys.coefficients)
+    else:
+        a_est, b_est, sys.bounds_residuals = _rayleigh_ritz(sys, seed)
+    if a_est < FRAME_REL * b_est:
+        raise NotAFrameError(a_est, b_est)
+    return a_est, b_est
+
+
+def _symbol_mesh(coeff: LatticeSeq, weights, shape):
+    """For each weight vector w (one weight per entry of coeff), the sum
+    Σ_n w_n e^{2πi(n₂t₁ + n₁t₂)} on the mesh t₁ = a/shape[0], t₂ = b/shape[1],
+    as [a, b]: the one evaluator of the Laurent symbol; n₁ is the time index."""
+    t1, t2 = (np.arange(points) / points for points in shape)
+    ph1 = np.exp(2j * np.pi * np.outer(coeff.index[:, 1], t1))
+    ph2 = np.exp(2j * np.pi * np.outer(coeff.index[:, 0], t2))
+    return [np.einsum("m,ma,mb->ab", w, ph1, ph2) for w in weights]
+
+
+def _symbol_bounds(coeff: LatticeSeq):
+    """(A, B, residuals) with A ≤ F ≤ B on the whole torus, for the symbol
+    F = Σ c_n e^{2πi(n₂t₁ + n₁t₂)} of the Laurent operator f ↦ f·c.
+
+    Every t lies within δ = (h₁/2, h₂/2) of a mesh point t₀, so by Taylor's
+    theorem |F(t) − F(t₀)| ≤ |∂₁F(t₀)|δ₁ + |∂₂F(t₀)|δ₂ + ½·4π²Σ(|n₂|δ₁ + |n₁|δ₂)²|c_n|,
+    and A and B are the mesh extremes of F ∓ that bound.  The mesh starts at
+    SYMBOL_MESH points a side and doubles the side with the larger second-order
+    term until the widening past the mesh extremes ("mesh_error") is at most
+    MESH_REL·A, or the mesh holds MESH_POINTS points.
+    """
+    c, (n1, n2) = coeff.values, coeff.index.T
+    weights = (c, 2j * np.pi * n2 * c, 2j * np.pi * n1 * c)   # F, ∂F/∂t₁, ∂F/∂t₂
+    n1, n2 = np.abs(n1), np.abs(n2)                           # the remainder reads |n|
+    moments = np.sum(n2 ** 2 * np.abs(c)), np.sum(n1 ** 2 * np.abs(c))  # of t₁, t₂
+    shape = [SYMBOL_MESH if m > 0 else 1 for m in moments]   # F is constant along t_j
+    while True:
+        f, d1, d2 = (v.real for v in _symbol_mesh(coeff, weights, shape))
+        h1, h2 = 0.5 / shape[0], 0.5 / shape[1]
+        drift = (h1 * np.abs(d1) + h2 * np.abs(d2)
+                 + 2 * np.pi ** 2 * np.sum((n2 * h1 + n1 * h2) ** 2 * np.abs(c)))
+        a_est, b_est = float((f - drift).min()), float((f + drift).max())
+        error = max(float(f.min()) - a_est, b_est - float(f.max()))
+        if (error <= MESH_REL * a_est or shape[0] * shape[1] >= MESH_POINTS
+                or f.min() < FRAME_REL * f.max()):   # no finer mesh makes it a frame
+            return a_est, b_est, {"mesh": shape, "mesh_error": error}
+        shape[int(moments[1] * h2 ** 2 > moments[0] * h1 ** 2)] *= 2
+
+
+def _rayleigh_ritz(sys: FrameSystem, seed: int):
+    """Estimated frame bounds (A, B, residuals) from Rayleigh quotients of S_g.
 
     The estimate restricts S_g to the span of PROBES random band-concentrated
     probes (Rayleigh-Ritz): A is the smallest Ritz value, and B the largest
     refined by 15 power steps, 41 applies of S_g in all.  The probes stay
     clear of the periodisation seam, where the adjoint modulations by
-    1/(αq) need not be L-periodic.  Sets sys.bounds_residuals: "rayleigh_B"
-    of the last power iterate, "rayleigh_A" of the bottom Ritz vector.
-    Raises NotAFrameError, which carries both estimates, when
-    A_est < 1e-6 · B_est.
+    1/(αq) need not be L-periodic.  The residuals are "rayleigh_B" of the
+    last power iterate and "rayleigh_A" of the bottom Ritz vector.
     """
-    if norm(sys.window) == 0.0:
-        raise NotAFrameError(0.0, 0.0)
     rng = np.random.default_rng(seed)
     spec = sys.window.spec
     basis = np.stack([
@@ -181,13 +246,10 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     a_est = float(evals[0])
     a_est, b_est = float(min(a_est, b_est)), float(max(a_est, b_est))
     scale = max(b_est, 1e-300)
-    sys.bounds_residuals = {
+    return a_est, b_est, {
         "rayleigh_B": norm(sys.apply(v) - b_est * v) / (scale * norm(v)),
         "rayleigh_A": norm(sys.apply(u) - a_est * u) / (scale * norm(u)),
     }
-    if a_est < 1e-6 * b_est:
-        raise NotAFrameError(a_est, b_est)
-    return a_est, b_est
 
 
 def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
@@ -327,10 +389,7 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     _check_params_spec(params, g.spec)
     coeff = inner_right(g, g, params, radius)   # ⟨g,π°g⟩ up to the q|αβ| scale
     ts = np.arange(grid) / grid
-    # F(t1,t2) = Σ_{n1,n2} G(n1,n2) e^{2πi(n2·t1 + n1·t2)}; n1 is the time index
-    ph1 = np.exp(2j * np.pi * np.outer(coeff.index[:, 1], ts))
-    ph2 = np.exp(2j * np.pi * np.outer(coeff.index[:, 0], ts))
-    f_vals = np.einsum("m,ma,mb->ab", params.density * coeff.values, ph1, ph2)
+    (f_vals,) = _symbol_mesh(coeff, (params.density * coeff.values,), (grid, grid))
     max_abs = float(np.abs(f_vals).max())
     min_abs = float(np.abs(f_vals).min())
     return LaurentSymbol(

@@ -25,11 +25,10 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admissible
-from .algebra import (LatticeSeq, inner_left, trace_l, twisted_conv, l1_diff, _pairing,
-                      _twist_phase)
-from .frame import (FrameSystem, ToleranceError, adjoint_span_residual,
-                    canonical_dual, canonical_tight, frame_bounds,
-                    wexler_raz_residual)
+from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_l, twisted_conv,
+                      l1_diff, _pairing, _twist_phase)
+from .frame import (FrameSystem, ToleranceError, canonical_dual, canonical_tight,
+                    frame_bounds, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, norm)
 
@@ -181,18 +180,25 @@ def seam_mass(window: GridSignal, radius: float) -> float:
     return float(np.sum(np.abs(window.values[:, outside]) ** 2)) / total
 
 
+class SeamError(ValueError):
+    """Raised when a window or its dual reaches the periodisation seam."""
+
+
 class Pipeline:
     """The soliton chain of one window on one lattice, each stage computed once.
 
     window g → frame system → bounds (A, B) → canonical dual h → projection
     p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
     residuals.  Stages are computed on first access and cached, so a report
-    pays only for the stages it reads.  The defect stage forms p♮p once and
-    raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
-    c₁ by trace, E and the self-duality residuals read it first.  A window
-    that reaches the periodisation seam is rejected before any solve, and a
-    dual that reaches it before any check reads it.  chern_ok, energy_ok and
-    passes() are the verdicts, report() the JSON record.
+    pays only for the stages it reads.  The bounds come from frame_bounds
+    (the Laurent symbol at an integer adjoint twist, Rayleigh–Ritz
+    elsewhere), and the W residuals from the dual's projection onto the
+    adjoint-shift span of g.  The defect stage forms p♮p once and raises
+    ToleranceError when p misses idempotency at the frame rung 10²ε₀; c₁ by
+    trace, E and the self-duality residuals read it first.  A window that
+    reaches the periodisation seam is rejected before any solve, and a dual
+    that reaches it before any check reads it (SeamError).  chern_ok,
+    energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
     def __init__(self, params: TorusParams, window: GridSignal,
@@ -204,11 +210,11 @@ class Pipeline:
         self._seam_gate("window", window)
 
     def _seam_gate(self, name: str, f: GridSignal) -> GridSignal:
-        """f, unless its seam_mass reaches the frame rung (ValueError); the dual is
+        """f, unless its seam_mass reaches the frame rung (SeamError); the dual is
         gated too, as S_g's adjoint modulations by 1/(αq) need not be L-periodic."""
         tail = seam_mass(f, self.radius)
         if tail >= self.tolerances["frame"]:
-            raise ValueError(
+            raise SeamError(
                 f"{name} reaches the periodisation seam: relative mass {tail:.3e} "
                 f"outside |x| <= L/2 - radius = {f.spec.L / 2 - self.radius:g}; "
                 "widen L or reduce the radius")
@@ -292,17 +298,27 @@ class Pipeline:
 
     @cached_property
     def w_residuals(self) -> tuple:
-        """Distances of (∇₁ ± i∇₂)g from the adjoint-shift span of g."""
-        c1, c2 = covariant(self.window, 1), covariant(self.window, 2)
-        return adjoint_span_residual((c1 + 1j * c2, c1 - 1j * c2), self.window,
-                                     self.params, self.radius,
-                                     scale=norm(c1) + norm(c2))
+        """Distances of (∇₁ ± i∇₂)g from the adjoint-shift span of g, relative
+        to ‖∇₁g‖ + ‖∇₂g‖.  The adjoint shifts of the canonical dual h are the
+        biorthogonal system of those of g in the same span (Wexler–Raz), so
+        v ↦ g·⟨h, v⟩° is the orthogonal projection onto the span."""
+        g, h = self.window, self.dual
+        c1, c2 = covariant(g, 1), covariant(g, 2)
+        scale = norm(c1) + norm(c2)
+        if scale < 1e-300:
+            return 0.0, 0.0
+        return tuple(norm(v - act_right(g, inner_right(h, v, self.params, self.radius))) / scale
+                     for v in (c1 + 1j * c2, c1 - 1j * c2))
+
+    def checks(self) -> dict:
+        """The verdicts passes() needs, by name: chern_ok, energy_ok and the
+        Wexler–Raz residual at the frame rung."""
+        return {"chern_ok": self.chern_ok, "energy_ok": self.energy_ok,
+                "wexler_raz_ok": self.wexler_raz < self.tolerances["frame"]}
 
     def passes(self) -> bool:
-        """The soliton verdict: chern_ok, energy_ok and the Wexler–Raz
-        residual at the frame rung."""
-        return (self.chern_ok and self.energy_ok
-                and self.wexler_raz < self.tolerances["frame"])
+        """The soliton verdict: every one of checks()."""
+        return all(self.checks().values())
 
     def report(self) -> dict:
         """Every stage, read in chain order, as the verify-soliton record."""

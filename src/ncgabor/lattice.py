@@ -97,7 +97,8 @@ class TorusParams:
     @property
     def integer_adjoint_twist(self) -> bool:
         """Whether the adjoint twist is an integer, up to rounding: the one
-        integer-twist test (soliton_admissible, scalar_lattice, laurent_symbol)."""
+        integer-twist test (soliton_admissible, scalar_lattice, laurent_symbol,
+        frame_bounds)."""
         return abs(self.adjoint_twist - round(self.adjoint_twist)) <= 1e-9
 
     @property

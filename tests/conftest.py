@@ -11,6 +11,8 @@ from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
 from ncgabor.algebra import PRUNE_TOL, LatticeSeq, _atoms, _box_axes, _twist_phase
+from ncgabor.frame import adjoint_span_residual
+from ncgabor.geometry import covariant
 from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
@@ -158,6 +160,15 @@ def dense_frame_operator(sys):
     tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
                                                  sys.radius))
     return sys.window.spec.dx * (tg.T @ tg.conj()) * (mod.T @ mod.conj())
+
+
+def lstsq_w_residuals(g, params, radius):
+    """Least-squares distances of (∇₁ ± i∇₂)g from the span of the adjoint
+    shifts of g, relative to ‖∇₁g‖ + ‖∇₂g‖: `adjoint_span_residual` on the
+    dense shift family, the reference for Pipeline.w_residuals."""
+    c1, c2 = covariant(g, 1), covariant(g, 2)
+    return adjoint_span_residual((c1 + 1j * c2, c1 - 1j * c2), g, params, radius,
+                                 scale=norm(c1) + norm(c2))
 
 
 def loop_twisted_conv(a1, a2):

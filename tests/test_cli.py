@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 import sys
@@ -240,6 +241,33 @@ def test_sweep_without_a_verified_point_fails(tmp_path):
     assert header.split(",") == CSV_COLUMNS + ["error"]
     assert line.split(",")[-1].startswith(
         "not a projection: idempotency residual 2.545e-05")
+
+
+def test_sweep_records_a_dual_at_the_seam_and_fails(tmp_path):
+    # at α = 0.95 the dual reaches the seam (relative mass 1.103e-06): its row
+    # records it, the other two points miss idempotency, and the sweep fails
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-range", "0.85,0.9,0.95", "--beta-range", "0.95",
+                 "--csv", str(csv_path), "--out", str(out)]) == 1
+    assert _load(out)["results"] == {"points": 3, "csv": str(csv_path), "failed_points": 3}
+    header, *lines = csv_path.read_text().strip().splitlines()
+    rows = [dict(zip(header.split(","), next(csv.reader([line])))) for line in lines]
+    assert [r["error"].split(":")[0] for r in rows] == [
+        "not a projection", "not a projection", "dual window reaches the periodisation seam"]
+    assert "relative mass 1.103e-06" in rows[2]["error"]
+
+
+def test_sweep_does_not_verify_a_point_above_critical_density(tmp_path):
+    # at |αβ| = 1.44 the Gaussian is no frame, yet c1 = E = 0 pass the energy
+    # check: the row records c1 and the checks it failed, and the sweep fails
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--alpha-range", "1.2", "--beta-range", "1.2",
+                 "--csv", str(csv_path), "--out", str(out)]) == 1
+    assert _load(out)["results"]["failed_points"] == 1
+    header, line = csv_path.read_text().strip().splitlines()
+    row = dict(zip(header.split(","), next(csv.reader([line]))))
+    assert float(row["c1_re"]) == 0.0 and float(row["energy"]) == 0.0
+    assert row["error"] == "unverified: c1 rounds to 0, not q = 1; wexler_raz_ok failed"
 
 
 def test_run_task_pipeline(tmp_path):

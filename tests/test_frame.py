@@ -68,11 +68,14 @@ def test_dense_lattice_limit(rng):
 
 
 def test_frame_bounds_golden_q1(sys_q1):
-    # Rayleigh-Ritz and power estimates, frozen from the oracle run at N=512, R=6
+    # the extremes of the Laurent symbol, 2.80734 and 2.84959 at N=512, R=6,
+    # widened by the 64-point mesh's error bound (Rayleigh-Ritz read 2.81427, 2.84299)
     a_est, b_est = frame_bounds(sys_q1)
-    assert a_est == pytest.approx(2.81427, rel=2e-3)
-    assert b_est == pytest.approx(2.84299, rel=2e-3)
-    assert a_est <= b_est
+    mesh = sys_q1.bounds_residuals
+    assert mesh["mesh"] == [64, 64] and 0 < mesh["mesh_error"] < 1e-3 * a_est
+    assert a_est <= 2.80734 and b_est >= 2.84959
+    assert a_est == pytest.approx(2.80734, abs=mesh["mesh_error"] + 5e-6)
+    assert b_est == pytest.approx(2.84959, abs=mesh["mesh_error"] + 5e-6)
 
 
 @pytest.mark.parametrize("ab", [0.5, 0.62])
@@ -87,10 +90,15 @@ def test_frame_bounds_against_the_dense_operator(ab, monkeypatch):
 
     monkeypatch.setattr(FrameSystem, "apply", counted)
     a_est, b_est = frame_bounds(sys_)
-    assert 0 < a_est <= b_est <= lam_max
-    assert b_est >= 0.99 * lam_max
-    # 24 Rayleigh-Ritz images, 15 power steps, one residual apply for each bound
-    assert len(applies) == 24 + 15 + 2
+    if sys_.params.integer_adjoint_twist:
+        # the symbol's B bounds the truncated operator from above, with no apply
+        assert 0 < a_est <= lam_max <= b_est and not applies
+    else:
+        # Ritz values lie inside the spectrum: 24 Rayleigh-Ritz images, 15
+        # power steps, one residual apply for each bound
+        assert 0 < a_est <= b_est <= lam_max
+        assert b_est >= 0.99 * lam_max
+        assert len(applies) == 24 + 15 + 2
 
 
 def test_zero_window_is_not_a_frame(spec1, params_q1):
@@ -100,14 +108,17 @@ def test_zero_window_is_not_a_frame(spec1, params_q1):
 
 
 def test_bounds_degrade_toward_critical_density():
-    # numerical detection of frame failure: A_est decays as |αβ|q -> 1
+    # numerical detection of frame failure: A_est decays as |αβ|q -> 1, and at
+    # |αβ| = 1 the symbol's lower bound vanishes: not a frame
+    spec = grid_for_radius(6.0)
     estimates = []
-    for ab in [0.85, 0.95, 1.0]:
-        spec = grid_for_radius(6.0)
+    for ab in [0.85, 0.95]:
         sys_ = FrameSystem(gaussian(spec), TorusParams(ab, ab), radius=6.0)
-        a_est, b_est = frame_bounds(sys_)   # A_est/B_est stays above 1e-6 here
+        a_est, b_est = frame_bounds(sys_)
         estimates.append(a_est / b_est)
-    assert estimates[0] > 2 * estimates[1] > 4 * estimates[2]
+    assert estimates[0] > 2 * estimates[1] > 0
+    with pytest.raises(NotAFrameError, match="not a frame"):
+        frame_bounds(FrameSystem(gaussian(spec), TorusParams(1.0, 1.0), radius=6.0))
 
 
 def test_laurent_zero_at_critical_density():
@@ -187,8 +198,9 @@ def test_solvers_follow_their_arguments_and_cache_only_atoms(sys_q1):
     assert frame_bounds(fresh, seed=1) == first
 
     canonical_tight(fresh)
-    # beyond its fields, a system keeps only the table of its Janssen apply
-    assert set(vars(fresh)) == {"window", "params", "radius", "bounds_residuals", "_janssen"}
+    # beyond its fields, a system keeps only ⟨g,g⟩° and the table of its Janssen apply
+    assert set(vars(fresh)) == {"window", "params", "radius", "bounds_residuals",
+                                "coefficients", "_janssen"}
 
 
 def test_apply_builds_the_atoms_once_per_radius(sys_q1, rng, monkeypatch):

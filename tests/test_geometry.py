@@ -18,7 +18,7 @@ from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               energy_window_form, grid_for_radius,
                               projection_residual, sd_residuals,
                               soliton_experiment)
-from conftest import gaussian_probe, random_seq
+from conftest import gaussian_probe, lstsq_w_residuals, random_seq
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +234,25 @@ def test_soliton_experiment_report(params_q1):
     assert d["passes"] is True
     assert d["tolerances"]["chern"] == pytest.approx(1e-5)
     json.loads(json.dumps(d))  # serializable
+
+
+@pytest.mark.parametrize("window, params", [
+    ("gaussian", TorusParams(0.5, 0.5)), ("hermite:1", TorusParams(0.5, 0.5)),
+    ("gaussian", TorusParams(0.62, 0.62)), ("lifted_gaussian", TorusParams(0.5, 1 / 3, 1, 1, 2)),
+    ("lifted_gaussian", TorusParams(0.5, 2 / 15, 1, 1, 3)),
+    ("lifted_gaussian", TorusParams(0.5, 1 / 21, 1, 1, 7))],
+    ids=["q1", "q1_hermite", "q1_0.62", "q2", "q3", "q7"])
+def test_w_residuals_match_the_least_squares_route(window, params):
+    # the dual's projection g·⟨h, v⟩° against the dense least-squares solve:
+    # residuals of order 1 agree to 1e-12, those at roundoff stay below 1e-12
+    g = build_window(window, grid_for_radius(6.0, q=params.q), params)
+    pipe = Pipeline(params, g, 6.0)
+    for got, expected in zip(pipe.w_residuals, lstsq_w_residuals(g, params, 6.0)):
+        if expected < 1e-12:
+            assert got < 1e-12
+        else:
+            assert got == pytest.approx(expected, rel=1e-12)
+    assert max(pipe.w_residuals) > 0.5   # each case has a residual of order 1
 
 
 def test_report_validation(params_q1, monkeypatch):

@@ -11,6 +11,9 @@ with exact rational phases.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the frame operator) is compared with single shifts through `tf_shift` on a
 small grid, and the Chern kernel with a term-by-term loop on random tables.
+The frame bounds of Gaussian windows on integer-twist lattices are checked
+against Rayleigh–Ritz values, the symbol on a fine mesh and the dense
+operator.
 The Moyal energy is checked against its known values: q on generalized
 Gaussians and q(2n+1) on the Hermite functions, with random channel
 coefficients and amplitude.
@@ -19,6 +22,7 @@ Runs are derandomized, so the examples are the same on every run.
 
 import cmath
 import itertools
+import math
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -31,15 +35,17 @@ from hypothesis import example, given, strategies as st
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
                              l1_diff, load_seq, save_seq, twisted_conv, twisted_star,
                              _box_axes)
-from ncgabor.frame import adjoint_shift_family, truncated_frame_op
+from ncgabor.frame import (FrameSystem, adjoint_shift_family, frame_bounds, truncated_frame_op,
+                           _rayleigh_ritz)
 from ncgabor import geometry
-from ncgabor.geometry import _chern_double_sum
+from ncgabor.geometry import _chern_double_sum, grid_for_radius
 from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
-                             lattice_twist)
+                             lattice_twist, mod_inverse)
 from ncgabor.moyal import continuous_energy
 from ncgabor.signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, tf_shift
-from conftest import (PROPERTY, lattices, naive_act_left, naive_act_right,
-                      naive_chern_double_sum, naive_twisted_conv, phase_point)
+from conftest import (PROPERTY, dense_frame_operator, lattices, naive_act_left,
+                      naive_act_right, naive_chern_double_sum, naive_twisted_conv,
+                      phase_point)
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -240,6 +246,46 @@ def test_frame_apply_is_synthesis_of_analysis(params, radius, seed):
     expected = act_left(inner_left(f, g, params, radius), g)
     got = truncated_frame_op(g, params, radius)(f)
     assert norm(got - expected) <= 1e-13 * norm(expected)
+
+
+@st.composite
+def integer_twist_lattices(draw):
+    """(α, β, r, s, q ≤ 7) with an integer adjoint twist and density 1/d < 1:
+    (αβq²)⁻¹ + r°s°/q is an integer iff d = 1/(qαβ) is one with d ≡ −r°s°
+    mod q; d runs over the three smallest such values ≥ 2."""
+    q = draw(st.integers(1, 7))
+    slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
+    r, s = draw(slopes), draw(slopes)
+    rs = mod_inverse(r, q) * mod_inverse(s, q)
+    d = next(d for d in itertools.count(2) if (d + rs) % q == 0) + q * draw(st.integers(0, 2))
+    alpha = draw(st.floats(0.25, 1.5)) * draw(st.sampled_from([1, -1]))
+    return TorusParams(alpha, 1 / (q * d * alpha), r, s, q)
+
+
+def _fine_symbol(coeff, grid=1024):
+    """|F| on the grid × grid mesh by one matrix product."""
+    ts = np.arange(grid) / grid
+    ph1 = np.exp(2j * np.pi * np.outer(coeff.index[:, 1], ts))
+    ph2 = np.exp(2j * np.pi * np.outer(coeff.index[:, 0], ts))
+    return np.abs((coeff.values[:, None] * ph1).T @ ph2)
+
+
+@PROPERTY
+@given(integer_twist_lattices(), SEEDS)
+@example(TorusParams(0.5, 0.5), 0)
+def test_symbol_bounds_enclose_the_spectrum(params, seed):
+    # on Gaussian windows: the Ritz values lie inside [A, B], which encloses
+    # |F| on a 1024-point mesh to 1e-3, and the dense operator's top eigenvalue
+    sys_ = FrameSystem(gaussian(grid_for_radius(6.0, q=params.q)), params, 6.0)
+    assert params.integer_adjoint_twist and params.density < 1
+    a_est, b_est = frame_bounds(sys_)
+    ritz_a, ritz_b, _ = _rayleigh_ritz(sys_, seed)
+    assert a_est <= ritz_a <= ritz_b <= b_est
+    fine = _fine_symbol(sys_.coefficients)
+    assert a_est <= fine.min() <= (1 + 1e-3) * a_est
+    assert b_est >= fine.max() >= (1 - 1e-3) * b_est
+    if params.q == 1:
+        assert np.linalg.eigvalsh(dense_frame_operator(sys_))[-1] <= b_est
 
 
 def channel_coefficients(q):
