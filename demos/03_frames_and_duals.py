@@ -31,8 +31,8 @@ print(f"canonical dual: Wexler-Raz residual "
       f"{wexler_raz_residual(g, h, params, 6.0):.2e}")
 
 rng = np.random.default_rng(1)
-rec = max(reconstruction_residual(random_timefreq_probe(spec, rng, spread=2.5),
-                                  g, h, params, 6.0) for _ in range(10))
+probes = [random_timefreq_probe(spec, rng, spread=2.5) for _ in range(10)]
+rec = reconstruction_residual(probes, g, h, params, 6.0)
 print(f"reconstruction residual over 10 random probes: {rec:.2e}")
 
 t = canonical_tight(system)

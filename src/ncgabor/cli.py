@@ -5,7 +5,7 @@ Subcommands
 check-axioms   twisted-algebra identity suite on random small supports
 frame          frame-bound estimation for a window/lattice
 dual           canonical dual window + Wexler-Raz residual (optionally exported)
-tight          canonical tight window + gauge-identity residual
+tight          canonical tight window + Wexler-Raz, reconstruction and gauge residuals
 chern          Connes-Chern number by both formulas
 energy         sigma-model energy (trace and window forms) and gap
 verify-soliton full soliton pipeline with pass/fail verdict
@@ -45,8 +45,8 @@ from .lattice import LatticeKind, TorusParams
 from .signal import GridSpec, random_timefreq_probe, save_signal
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
-from .frame import (ConvergenceError, NotAFrameError, ToleranceError,
-                    laurent_symbol, reconstruction_residual)
+from .frame import (TIGHT_TOL, ConvergenceError, NotAFrameError, ToleranceError,
+                    laurent_symbol, reconstruction_residual, wexler_raz_residual)
 # kept as a module attribute for tools that patch it here (perfbench/spans.py)
 from .frame import canonical_dual  # noqa: F401
 from .geometry import (Pipeline, SeamError, build_window, derive, grid_for_radius,
@@ -210,9 +210,8 @@ def view_frame(args, pipeline):
 def view_dual(args, pipeline):
     pipe = pipeline()
     wr, rng = pipe.wexler_raz, np.random.default_rng(args.seed)
-    rec = max(reconstruction_residual(
-        random_timefreq_probe(pipe.window.spec, rng, spread=2.5), pipe.window,
-        pipe.dual, pipe.params, args.radius) for _ in range(5))
+    probes = [random_timefreq_probe(pipe.window.spec, rng, spread=2.5) for _ in range(5)]
+    rec = reconstruction_residual(probes, pipe.window, pipe.dual, pipe.params, args.radius)
     if getattr(args, "export_window", None):
         save_signal(pipe.dual, args.export_window)
     tol = pipe.tolerances["frame"]
@@ -224,11 +223,17 @@ def view_dual(args, pipeline):
 def view_tight(args, pipeline):
     pipe = pipeline()
     tight = pipe.tight   # before p, so a failed tight window costs no dual solve
+    wr = wexler_raz_residual(tight, tight, pipe.params, args.radius)
+    rng = np.random.default_rng(11)   # the three probes of the tight check, whatever --seed
+    probes = [random_timefreq_probe(tight.spec, rng, spread=1.8) for _ in range(3)]
+    rec = reconstruction_residual(probes, tight, tight, pipe.params, args.radius)
     gauge = l1_diff(pipe.projection, inner_left(tight, tight, pipe.params, args.radius))
     if args.export_window:
         save_signal(tight, args.export_window)
-    return ({"gauge_identity_residual": gauge, "radius": args.radius},
-            {"gauge": f"{gauge:.2e}"}, gauge < pipe.tolerances["frame"])
+    return ({"wexler_raz_residual": wr, "reconstruction_residual": rec,
+             "gauge_identity_residual": gauge, "radius": args.radius},
+            {"wr": f"{wr:.2e}", "recon": f"{rec:.2e}", "gauge": f"{gauge:.2e}"},
+            rec < TIGHT_TOL and gauge < pipe.tolerances["frame"])
 
 
 def view_chern(args, pipeline):
@@ -309,11 +314,10 @@ def _sweep_point(job):
     failures do not fail a sweep that verifies some other point."""
     alpha, beta, args_dict = job
     args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
-    pipe = _pipeline(args)
     row = {"alpha": alpha, "beta": beta, "r": args.r, "s": args.s,
-           "q": args.q, "radius": args.radius, "N": args.N,
-           "L": pipe.window.spec.L}
+           "q": args.q, "radius": args.radius, "N": args.N, "L": _setup(args)[1].L}
     try:
+        pipe = _pipeline(args)
         pipe.report()
     except (ToleranceError, SeamError) as exc:
         return {**row, "error": str(exc), "passed": False}

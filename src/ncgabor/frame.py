@@ -8,8 +8,8 @@ tight window S_g^{−1/2}g (Lanczos, started at g) run on that form.  Where
 the adjoint twist is an integer the form is a Laurent operator, and the frame
 bounds are the extremes of its symbol, read from the coefficients ⟨g,g⟩°
 without an apply; elsewhere they are Rayleigh–Ritz estimates.  Duality of a
-pair (g,h) is tested through the biorthogonality residual
-‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction on probes.
+pair (g,h) is tested through the biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁
+and through reconstruction on probes; a tight window is its own dual (h = g).
 """
 
 from __future__ import annotations
@@ -20,9 +20,10 @@ from typing import Optional
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_generators
-from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, act_left, inner_left, inner_right,
-                      l1_diff, twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
-                      _check_params_spec, _right_action, _synthesise, _twist_phase)
+from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, inner_left, inner_right, l1_diff,
+                      twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
+                      _check_params_spec, _right_action, _synthesise, _translates,
+                      _twist_phase)
 from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
                      random_timefreq_probe)
 
@@ -50,7 +51,7 @@ SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
 MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
 MESH_POINTS = 1 << 20     # ... or until it holds this many points
 CG_TARGET = 1e-12         # relative residual at which _cg_solve returns at once
-TIGHT_TOL = 1e-6          # probe residual ‖S_t f − f‖/‖f‖ a tight window must reach
+TIGHT_TOL = 1e-6          # Lanczos stop at WR(t, t); reconstruction gate of `tight`
 KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window is read
 PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
 RIESZ_REL = 1e-6          # min|F| > RIESZ_REL·max|F| is the Riesz verdict
@@ -84,29 +85,14 @@ class FrameSystem:
     _apply_solve = apply   # perfbench/spans.py wraps this name until its next change
 
 
-def truncated_frame_op(g: GridSignal, params: TorusParams, radius: float):
-    """f ↦ Σ ⟨f, π(ν)g⟩ π(ν)g over Λ×Γ ∩ {max(|λ|,|γ|) ≤ radius}, the atoms
-    of the box built once; coefficients at most PRUNE_TOL are dropped, as
-    inner_left does.  canonical_tight's probe test reads it."""
-    _check_params_spec(params, g.spec)
-    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
-    tg, mod = _atoms(g, gen, *_box_axes(params, LatticeKind.TIME_FREQ, radius))
-
-    def apply(f: GridSignal) -> GridSignal:
-        _check_same_spec(f, g)
-        v = _analyse(f, tg, mod)
-        return _synthesise(tg, np.where(np.abs(v) > PRUNE_TOL, v, 0.0) @ mod, f.spec)
-    return apply
-
-
 def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSignal:
     """Conjugate gradients for a positive operator on grid signals.
 
     Iterates toward relative residual CG_TARGET and returns as soon as it is
     reached; if progress stalls (no 2x improvement over 60 iterations) the
     best iterate is returned provided its residual is below `tol`, and a
-    ConvergenceError("CG stagnation") is raised otherwise.  A truncated frame
-    operator (truncated_frame_op) has such a floor.
+    ConvergenceError("CG stagnation") is raised otherwise.  A frame operator
+    truncated at a radius, act_left(inner_left(f, g, R), g), has such a floor.
     """
     b2 = norm(rhs)
     if b2 == 0.0:
@@ -155,7 +141,7 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     Rayleigh–Ritz estimates of _rayleigh_ritz (`seed` fixes its probes),
     which lie inside the spectrum: the residuals are {"rayleigh_A",
     "rayleigh_B"}.  Raises NotAFrameError, which carries both values, when
-    A < FRAME_REL · B.
+    A < FRAME_REL · B, and ValueError when the grid does not represent S_g.
     """
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
@@ -196,6 +182,10 @@ def _symbol_bounds(coeff: LatticeSeq):
     shape = [SYMBOL_MESH if m > 0 else 1 for m in moments]   # F is constant along t_j
     while True:
         f, d1, d2 = (v.real for v in _symbol_mesh(coeff, weights, shape))
+        if f.min() < -FRAME_REL * f.max():   # S_g ≥ 0, so the grid does not represent it
+            raise ValueError(
+                f"the frame operator's symbol is negative (min {f.min():.3e}, max "
+                f"{f.max():.3e}): the grid does not represent S_g; raise --N or lower --radius")
         h1, h2 = 0.5 / shape[0], 0.5 / shape[1]
         drift = (h1 * np.abs(d1) + h2 * np.abs(d2)
                  + 2 * np.pi ** 2 * np.sum((n2 * h1 + n1 * h2) ** 2 * np.abs(c)))
@@ -297,33 +287,24 @@ def canonical_tight(sys: FrameSystem) -> GridSignal:
 
     Computed as ‖g‖·V·T^{-1/2}e₁ from the Lanczos tridiagonalization T of
     S_g started at g, read at each Krylov dimension of KRYLOV_DIMS until the
-    frame operator of the result, truncated at the system's radius, acts as
-    the identity on probes to within TIGHT_TOL.  Raises ConvergenceError at a
-    plateau (less than 1% gain past dimension 40) or when the largest
-    dimension misses TIGHT_TOL.
+    result t is its own dual by the duality principle: t is tight exactly
+    when ⟨t, π°(ν°)t⟩ = q|αβ|·δ, so until wexler_raz_residual(t, t) at the
+    system's radius is at most TIGHT_TOL.  Raises ConvergenceError when the
+    largest dimension misses TIGHT_TOL.
     """
     spec = sys.window.spec
-    rng = np.random.default_rng(11)
-    checks = [random_timefreq_probe(spec, rng, spread=1.8) for _ in range(3)]
-    last_residual = np.inf
     for basis, alphas, betas in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
-        k = len(alphas)
         evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
         evals = np.maximum(evals, evals[-1] * 1e-15)
         y = evecs @ (evecs[0] / np.sqrt(evals))   # T^{-1/2}e₁
         t_vals = (np.array(basis).T @ y) * (norm(sys.window) / np.sqrt(spec.dx))
         tight = GridSignal(spec, t_vals.reshape(spec.q, spec.N))
-        frame_op = truncated_frame_op(tight, sys.params, sys.radius)
-        residual = max(norm(frame_op(f) - f) / norm(f) for f in checks)
+        residual = wexler_raz_residual(tight, tight, sys.params, sys.radius)
         if residual <= TIGHT_TOL:
             return tight
-        if 40 < k < KRYLOV_DIMS[-1] and residual > 0.99 * last_residual:
-            raise ConvergenceError(
-                f"Lanczos: tight-window residual plateau at {residual:.3e}")
-        last_residual = residual
     raise ConvergenceError(
-        f"Lanczos: tight-window residual {residual:.3e} above "
-        f"tol {TIGHT_TOL:.1e} at Krylov dimension {k}")
+        f"Lanczos: tight-window Wexler-Raz residual {residual:.3e} above "
+        f"tol {TIGHT_TOL:.1e} at Krylov dimension {len(alphas)}")
 
 
 def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -465,8 +446,22 @@ def adjoint_span_residual(v, g: GridSignal, params: TorusParams,
     return dist if isinstance(v, tuple) else dist[0]
 
 
-def reconstruction_residual(f: GridSignal, g: GridSignal, h: GridSignal,
+def reconstruction_residual(probes, g: GridSignal, h: GridSignal,
                             params: TorusParams, radius: float) -> float:
-    """Relative error of f ≈ Σ ⟨f,π(ν)g⟩ π(ν)h over the truncated lattice."""
-    rec = act_left(inner_left(f, g, params, radius), h)
-    return norm(rec - f) / norm(f)
+    """Worst relative error of f ≈ Σ ⟨f,π(ν)g⟩ π(ν)h over the probes f, the sum
+    over Λ×Γ ∩ {max(|λ|,|γ|) ≤ radius}.  The atoms of g are built once, and
+    those of h once unless h is g; coefficients at most PRUNE_TOL are
+    dropped, as inner_left does."""
+    _check_same_spec(g, h)
+    _check_params_spec(params, g.spec)
+    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    tg, mod = _atoms(g, gen, n1s, n2s)
+    th = tg if h is g else _translates(h, gen, n1s)
+
+    def residual(f: GridSignal) -> float:
+        _check_same_spec(f, g)
+        v = _analyse(f, tg, mod)
+        rec = _synthesise(th, np.where(np.abs(v) > PRUNE_TOL, v, 0.0) @ mod, f.spec)
+        return norm(rec - f) / norm(f)
+    return max(residual(f) for f in probes)

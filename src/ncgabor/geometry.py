@@ -197,7 +197,7 @@ class Pipeline:
     ToleranceError when p misses idempotency at the frame rung 10²ε₀; c₁ by
     trace, E and the self-duality residuals read it first.  A window that
     reaches the periodisation seam is rejected before any solve, and a dual
-    that reaches it before any check reads it (SeamError).  chern_ok,
+    or tight window before any check reads it (SeamError).  chern_ok,
     energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
@@ -210,8 +210,8 @@ class Pipeline:
         self._seam_gate("window", window)
 
     def _seam_gate(self, name: str, f: GridSignal) -> GridSignal:
-        """f, unless its seam_mass reaches the frame rung (SeamError); the dual is
-        gated too, as S_g's adjoint modulations by 1/(αq) need not be L-periodic."""
+        """f, unless its seam_mass reaches the frame rung (SeamError); S_g⁻¹g and
+        S_g^{−1/2}g are gated too: S_g's adjoint modulations need not be L-periodic."""
         tail = seam_mass(f, self.radius)
         if tail >= self.tolerances["frame"]:
             raise SeamError(
@@ -235,7 +235,7 @@ class Pipeline:
 
     @cached_property
     def tight(self) -> GridSignal:
-        return canonical_tight(self.system)
+        return self._seam_gate("tight window", canonical_tight(self.system))
 
     @cached_property
     def wexler_raz(self) -> float:

@@ -153,14 +153,18 @@ def test_tight_command(tmp_path):
     assert _load(out)["results"]["gauge_identity_residual"] < 1e-6
 
 
-def test_flagship_tight_plateau_exits_4_before_any_dual_solve(monkeypatch, capsys):
-    solves = []
-    monkeypatch.setattr(geometry, "canonical_dual", lambda *a, **k: solves.append(a))
+def test_flagship_tight_reconstruction_miss_writes_a_failing_report(tmp_path, capsys):
+    # the flagship's tight window is its own dual to roundoff; its reconstruction
+    # truncated at R = 6 misses 1e-6, and the report says so (exit 1, not 4)
+    out = tmp_path / "tight.json"
     assert main(["tight", "--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3),
-                 "--r", "1", "--s", "1"]) == 4
-    assert ("solver failure: Lanczos: tight-window residual plateau at 3.190e-06"
-            in capsys.readouterr().err)
-    assert not solves
+                 "--r", "1", "--s", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = _load(out)
+    assert rep["pass"] is False
+    assert f"{rep['results']['reconstruction_residual']:.3e}" == "3.190e-06"
+    assert rep["results"]["wexler_raz_residual"] < 1e-15
+    assert rep["results"]["gauge_identity_residual"] < 1e-6
 
 
 def test_chern_command(tmp_path):
@@ -255,6 +259,22 @@ def test_sweep_records_a_dual_at_the_seam_and_fails(tmp_path):
     assert [r["error"].split(":")[0] for r in rows] == [
         "not a projection", "not a projection", "dual window reaches the periodisation seam"]
     assert "relative mass 1.103e-06" in rows[2]["error"]
+
+
+def test_sweep_records_a_lift_failure_in_its_row(tmp_path):
+    # the lifted Gaussian is no frame at beta = 1 (its scalar lattice is
+    # critical): that row records the lift's failure, and the beta = 1/3 point
+    # still verifies, so the sweep passes
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--q", "2", "--r", "1", "--s", "1", "--alpha-range", "0.5",
+                 "--beta-range", f"{1 / 3!r},1", "--csv", str(csv_path),
+                 "--out", str(out)]) == 0
+    assert _load(out)["results"]["failed_points"] == 1
+    header, *lines = csv_path.read_text().strip().splitlines()
+    rows = [dict(zip(header.split(","), next(csv.reader([line])))) for line in lines]
+    assert rows[0]["error"] == "" and abs(float(rows[0]["c1_re"]) - 2.0) < 1e-5
+    assert rows[1]["error"] == "not a frame (numerically): A=1.876e-15, B=2.000e+00"
+    assert float(rows[1]["L"]) == float(rows[0]["L"]) == 22.0
 
 
 def test_sweep_does_not_verify_a_point_above_critical_density(tmp_path):
@@ -362,6 +382,37 @@ def test_dual_reaching_the_seam_exit_code(monkeypatch, capsys):
     assert main(["dual"]) == 2
     assert ("configuration error: dual window reaches the periodisation seam"
             in capsys.readouterr().err)
+
+
+def test_tight_window_reaching_the_seam_exit_code(monkeypatch, capsys):
+    # the tight window S_g^{-1/2}g is gated at the seam by the dual's rule
+    def at_the_seam(system):
+        g = system.window
+        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1))
+
+    monkeypatch.setattr(geometry, "canonical_tight", at_the_seam)
+    assert main(["tight"]) == 2
+    assert ("configuration error: tight window reaches the periodisation seam"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("flags", [["--radius", "20"], ["--N", "128"]])
+def test_negative_symbol_is_a_grid_error_exit_code(flags, capsys):
+    # S_g >= 0, so mesh values of its symbol far below zero (-1.98 against a
+    # maximum of 12.0 at R = 20, where N = 512 undersamples L = 50) show that
+    # the grid does not represent S_g
+    assert main(["frame", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: the frame operator's symbol is negative" in err
+    assert "raise --N or lower --radius" in err
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "1", "--beta", "1"], ["--window", "hermite:3"]])
+def test_vanishing_symbol_is_a_frame_failure_exit_code(flags, capsys):
+    # the symbol's mesh minimum is a roundoff zero here (its widened lower bound
+    # is -1.3e-3 at alpha = beta = 1): not a frame, and no grid error
+    assert main(["frame", *flags]) == 3
+    assert "frame failure: not a frame" in capsys.readouterr().err
 
 
 def _count_calls(monkeypatch, name, owner=frame):

@@ -9,11 +9,12 @@ PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
 The ♮-product and star phases and the Chern sums' twist table are compared
 with exact rational phases.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
-the frame operator) is compared with single shifts through `tf_shift` on a
-small grid, and the Chern kernel with a term-by-term loop on random tables.
+the reconstruction sum) is compared with single shifts through `tf_shift` on
+a small grid, and the Chern kernel with a term-by-term loop on random tables.
 The frame bounds of Gaussian windows on integer-twist lattices are checked
 against Rayleigh–Ritz values, the symbol on a fine mesh and the dense
-operator.
+operator, and the duality principle on the same windows: the canonical dual
+by Wexler–Raz, the tight window as its own dual, and ⟨g,h⟩ = ⟨t,t⟩.
 The Moyal energy is checked against its known values: q on generalized
 Gaussians and q(2n+1) on the Hermite functions, with random channel
 coefficients and amplitude.
@@ -35,7 +36,9 @@ from hypothesis import example, given, strategies as st
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
                              l1_diff, load_seq, save_seq, twisted_conv, twisted_star,
                              _box_axes)
-from ncgabor.frame import (FrameSystem, adjoint_shift_family, frame_bounds, truncated_frame_op,
+from ncgabor.algebra import BOX_BUDGET
+from ncgabor.frame import (FrameSystem, adjoint_shift_family, canonical_dual, canonical_tight,
+                           frame_bounds, reconstruction_residual, wexler_raz_residual,
                            _rayleigh_ritz)
 from ncgabor import geometry
 from ncgabor.geometry import _chern_double_sum, grid_for_radius
@@ -240,12 +243,15 @@ def test_adjoint_shift_family_columns_are_adjoint_shifts(params, radius, seed):
 
 
 @PROPERTY
-@given(lattices(), st.floats(0.2, 2.0), SEEDS)
-def test_frame_apply_is_synthesis_of_analysis(params, radius, seed):
+@given(lattices(), st.floats(0.2, 2.0), SEEDS, st.booleans())
+def test_frame_apply_is_synthesis_of_analysis(params, radius, seed, same):
+    # reconstruction_residual against the synthesis of the analysis, for
+    # independent g and h and for h = g, whose atoms it shares
     g, f = _signal(params, seed), _signal(params, seed + 1)
-    expected = act_left(inner_left(f, g, params, radius), g)
-    got = truncated_frame_op(g, params, radius)(f)
-    assert norm(got - expected) <= 1e-13 * norm(expected)
+    h = g if same else _signal(params, seed + 2)
+    expected = norm(act_left(inner_left(f, g, params, radius), h) - f) / norm(f)
+    got = reconstruction_residual([f], g, h, params, radius)
+    assert abs(got - expected) <= 1e-13 * (1 + expected)
 
 
 @st.composite
@@ -286,6 +292,24 @@ def test_symbol_bounds_enclose_the_spectrum(params, seed):
     assert b_est >= fine.max() >= (1 - 1e-3) * b_est
     if params.q == 1:
         assert np.linalg.eigvalsh(dense_frame_operator(sys_))[-1] <= b_est
+
+
+@PROPERTY
+@given(integer_twist_lattices())
+def test_duality_principle(params):
+    # the canonical dual h is dual to g (Wexler-Raz), the Lanczos tight window t
+    # is its own dual, and ⟨g,h⟩ = ⟨t,t⟩; a Λ×Γ atom box above BOX_BUDGET is
+    # refused by the gauge's pairing, never skipped
+    g = gaussian(grid_for_radius(6.0, q=params.q))
+    sys_ = FrameSystem(g, params, 6.0)
+    h, t = canonical_dual(sys_), canonical_tight(sys_)
+    assert wexler_raz_residual(g, h, params, 6.0) < 1e-6
+    m1, m2 = (axis.size for axis in _box_axes(params, LatticeKind.TIME_FREQ, 6.0))
+    if max(m1 * m2, (m1 + m2) * g.values.size) > BOX_BUDGET:
+        with pytest.raises(ValueError, match="exceeds"):
+            inner_left(g, h, params, 6.0)
+        return
+    assert l1_diff(inner_left(g, h, params, 6.0), inner_left(t, t, params, 6.0)) < 1e-6
 
 
 def channel_coefficients(q):
