@@ -1,7 +1,7 @@
 """Gabor frames: bounds, canonical dual and tight windows, duality checks.
 
-The frame operator S_g is inverted by conjugate gradients to produce the
-canonical dual; biorthogonality across the annihilator lattice (the
+The canonical dual S_g⁻¹g is read off a Lanczos run of the frame operator
+S_g; biorthogonality across the annihilator lattice (the
 Wexler-Raz relations) certifies duality, and the Laurent symbol of the
 adjoint Gram operator gives an independent frame verdict.  A scalar
 Gaussian lifts to a q-channel frame whenever the adjoint twist is an

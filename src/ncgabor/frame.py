@@ -3,8 +3,8 @@
 By the fundamental identity ⟨f,g⟩·h = f·⟨g,h⟩°, the frame operator of a
 window g over Λ×Γ is S_g f = Σ_ν ⟨f, π(ν)g⟩ π(ν)g = f·⟨g,g⟩° (Janssen's
 representation): a few dozen adjoint-lattice terms for windows of Gaussian
-class.  The canonical dual S_g⁻¹g (conjugate gradients) and the canonical
-tight window S_g^{−1/2}g (Lanczos, started at g) run on that form.  Where
+class.  The canonical dual S_g⁻¹g and the canonical tight window S_g^{−1/2}g
+are read off one Lanczos run on that form, started at g.  Where
 the adjoint twist is an integer the form is a Laurent operator, and the frame
 bounds are the extremes of its symbol, read from the coefficients ⟨g,g⟩°
 without an apply; elsewhere they are Rayleigh–Ritz estimates.  Duality of a
@@ -45,16 +45,15 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
-FRAME_REL = 1e-6          # A < FRAME_REL·B is the not-a-frame verdict
+FRAME_REL = 1e-6          # < FRAME_REL·max: not a frame, not Riesz; < −FRAME_REL·max: grid error
 PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
 SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
 MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
 MESH_POINTS = 1 << 20     # ... or until it holds this many points
-CG_TARGET = 1e-12         # relative residual at which _cg_solve returns at once
+CG_TARGET = 1e-12         # relative residual at which canonical_dual returns at once
 TIGHT_TOL = 1e-6          # Lanczos stop at WR(t, t); reconstruction gate of `tight`
 KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window is read
 PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
-RIESZ_REL = 1e-6          # min|F| > RIESZ_REL·max|F| is the Riesz verdict
 
 
 @dataclass
@@ -85,53 +84,6 @@ class FrameSystem:
     _apply_solve = apply   # perfbench/spans.py wraps this name until its next change
 
 
-def _cg_solve(apply_op, rhs: GridSignal, tol: float, max_iter: int) -> GridSignal:
-    """Conjugate gradients for a positive operator on grid signals.
-
-    Iterates toward relative residual CG_TARGET and returns as soon as it is
-    reached; if progress stalls (no 2x improvement over 60 iterations) the
-    best iterate is returned provided its residual is below `tol`, and a
-    ConvergenceError("CG stagnation") is raised otherwise.  A frame operator
-    truncated at a radius, act_left(inner_left(f, g, R), g), has such a floor.
-    """
-    b2 = norm(rhs)
-    if b2 == 0.0:
-        return rhs
-    target = min(CG_TARGET, tol)
-    x = GridSignal(rhs.spec, np.zeros_like(rhs.values))
-    r = rhs
-    p = r
-    rr = inner(r, r).real
-    best_x, best_res = x, 1.0
-    stall = it = 0
-    for it in range(1, max_iter + 1):
-        sp = apply_op(p)
-        denom = inner(p, sp).real
-        if denom <= 0:
-            break  # roundoff broke positivity; keep the best iterate
-        a = rr / denom
-        x = x + a * p
-        r = r - a * sp
-        rr_new = inner(r, r).real
-        rel = np.sqrt(rr_new) / b2
-        if rel < best_res:
-            if rel < 0.5 * best_res:
-                stall = 0
-            best_x, best_res = x, rel
-        if rel <= target:
-            return x
-        stall += 1
-        if stall >= 60:
-            break
-        p = r + (rr_new / rr) * p
-        rr = rr_new
-    if best_res <= tol:
-        return best_x
-    raise ConvergenceError(
-        f"CG stagnation: residual {best_res:.3e} above tol {tol:.1e} "
-        f"after {it} iterations")
-
-
 def frame_bounds(sys: FrameSystem, seed: int = 7):
     """Frame bounds (A, B) of S_g; sets sys.bounds_residuals.
 
@@ -141,7 +93,8 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     Rayleigh–Ritz estimates of _rayleigh_ritz (`seed` fixes its probes),
     which lie inside the spectrum: the residuals are {"rayleigh_A",
     "rayleigh_B"}.  Raises NotAFrameError, which carries both values, when
-    A < FRAME_REL · B, and ValueError when the grid does not represent S_g.
+    A < FRAME_REL · B, and ValueError when the grid does not represent S_g
+    (_require_positive on the symbol mesh or the Ritz values).
     """
     if norm(sys.window) == 0.0:
         raise NotAFrameError(0.0, 0.0)
@@ -161,7 +114,17 @@ def _symbol_mesh(coeff: LatticeSeq, weights, shape):
     t1, t2 = (np.arange(points) / points for points in shape)
     ph1 = np.exp(2j * np.pi * np.outer(coeff.index[:, 1], t1))
     ph2 = np.exp(2j * np.pi * np.outer(coeff.index[:, 0], t2))
-    return [np.einsum("m,ma,mb->ab", w, ph1, ph2) for w in weights]
+    return [(w[:, None] * ph1).T @ ph2 for w in weights]
+
+
+def _require_positive(values, what: str):
+    """S_g ≥ 0, so a reading of it (symbol values, Ritz values) below
+    −FRAME_REL × its largest shows a grid that does not represent S_g."""
+    low, high = float(np.min(values)), float(np.max(values))
+    if low < -FRAME_REL * high:
+        raise ValueError(f"the frame operator's symbol is negative ({what} min {low:.3e}, "
+                         f"max {high:.3e}): the grid does not represent S_g; "
+                         "raise --N or lower --radius")
 
 
 def _symbol_bounds(coeff: LatticeSeq):
@@ -182,10 +145,7 @@ def _symbol_bounds(coeff: LatticeSeq):
     shape = [SYMBOL_MESH if m > 0 else 1 for m in moments]   # F is constant along t_j
     while True:
         f, d1, d2 = (v.real for v in _symbol_mesh(coeff, weights, shape))
-        if f.min() < -FRAME_REL * f.max():   # S_g ≥ 0, so the grid does not represent it
-            raise ValueError(
-                f"the frame operator's symbol is negative (min {f.min():.3e}, max "
-                f"{f.max():.3e}): the grid does not represent S_g; raise --N or lower --radius")
+        _require_positive(f, "mesh")
         h1, h2 = 0.5 / shape[0], 0.5 / shape[1]
         drift = (h1 * np.abs(d1) + h2 * np.abs(d2)
                  + 2 * np.pi ** 2 * np.sum((n2 * h1 + n1 * h2) ** 2 * np.abs(c)))
@@ -223,6 +183,7 @@ def _rayleigh_ritz(sys: FrameSystem, seed: int):
     gram = spec.dx * (qmat.conj().T @ images)
     gram = 0.5 * (gram + gram.conj().T)
     evals, evecs = np.linalg.eigh(gram)
+    _require_positive(evals, "Ritz")
 
     # power iteration from the top Ritz vector
     v = signal(qmat @ evecs[:, -1])
@@ -242,29 +203,21 @@ def _rayleigh_ritz(sys: FrameSystem, seed: int):
     }
 
 
-def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
-                   max_iter: int = 500) -> GridSignal:
-    """Canonical dual window h = S_g^{-1} g via conjugate gradients.
-
-    The solver pushes well below `tol` whenever the spectrum allows;
-    `tol` is the acceptance threshold beyond which stagnation raises.
-    """
-    return _cg_solve(sys.apply, sys.window, tol=tol, max_iter=max_iter)
-
-
 def _lanczos(apply_op, start: GridSignal, dims):
     """Lanczos tridiagonalization with full reorthogonalization.
 
-    One basis, extended step by step: yields (basis vectors, alphas, betas)
-    when its dimension reaches each of the ascending `dims`, or earlier and
-    last when the Krylov space becomes invariant.  The first m steps do not
-    depend on how far the basis is extended.  The vector list is the live
-    basis, not a copy.
+    One orthonormal basis v₁ = start/‖start‖, v₂, … of the Krylov space,
+    extended step by step: yields (basis vectors, Ritz values, eigenvectors
+    of T_k, β_{k+1}) when its dimension k reaches each of the ascending
+    `dims`, or earlier and last when the Krylov space becomes invariant.
+    Then apply_op·V_k = V_k·T_k + β_{k+1}·v_{k+1}·e_kᵀ where apply_op is
+    self-adjoint.  The first k steps do not depend on how far the basis is
+    extended.  The vector list is the live basis, not a copy.
     """
     spec = start.spec
     vs = [start.values.ravel() / (norm(start) / np.sqrt(spec.dx))]
     alphas, betas = [], []
-    for j in range(dims[-1]):
+    for j in range(max(dims, default=0)):
         w = apply_op(GridSignal(spec, vs[-1].reshape(spec.q, spec.N))).values.ravel()
         a = np.vdot(vs[-1], w).real
         alphas.append(a)
@@ -275,36 +228,79 @@ def _lanczos(apply_op, start: GridSignal, dims):
             w = w - np.vdot(u, w) * u
         b = float(np.linalg.norm(w))
         if b < 1e-14 or j + 1 in dims:
-            yield vs, np.array(alphas), np.array(betas)
+            yield vs, *np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)), b
         if b < 1e-14:
             return
         betas.append(b)
         vs.append(w / b)
 
 
-def canonical_tight(sys: FrameSystem) -> GridSignal:
-    """Canonical tight window S_g^{-1/2} g.
+def _krylov_window(g: GridSignal, basis, y) -> GridSignal:
+    """‖g‖·V·y: the window of coefficients y on the first y.size vectors of a
+    Lanczos basis started at g."""
+    spec = g.spec
+    values = (np.array(basis[:y.size]).T @ y) * (norm(g) / np.sqrt(spec.dx))
+    return GridSignal(spec, values.reshape(spec.q, spec.N))
 
-    Computed as ‖g‖·V·T^{-1/2}e₁ from the Lanczos tridiagonalization T of
-    S_g started at g, read at each Krylov dimension of KRYLOV_DIMS until the
-    result t is its own dual by the duality principle: t is tight exactly
-    when ⟨t, π°(ν°)t⟩ = q|αβ|·δ, so until wexler_raz_residual(t, t) at the
-    system's radius is at most TIGHT_TOL.  Raises ConvergenceError when the
-    largest dimension misses TIGHT_TOL.
+
+def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
+                   max_iter: int = 500) -> GridSignal:
+    """Canonical dual window h = S_g^{-1} g = ‖g‖·V·T_k⁻¹e₁.
+
+    Read off the Lanczos run of S_g started at g at every Krylov dimension k
+    up to `max_iter`, whose relative residual ‖S_g h − g‖/‖g‖ is
+    β_{k+1}·|e_kᵀT_k⁻¹e₁| with no further apply (while the apply is
+    self-adjoint on the Krylov space).  Returns at the first k
+    whose residual is at most min(CG_TARGET, tol); at `max_iter`, the
+    reading of least residual if it is within `tol`, and ConvergenceError
+    otherwise.  Ritz values that fail _require_positive end the reading: the
+    Krylov space has left what the grid represents, so the best earlier
+    reading is returned if it is within `tol`, and the ValueError raised
+    otherwise.
     """
-    spec = sys.window.spec
-    for basis, alphas, betas in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
-        evals, evecs = np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1))
+    g = sys.window
+    if norm(g) == 0.0:
+        return g
+    best_res, best_y, k = np.inf, None, 0
+    for basis, evals, evecs, beta in _lanczos(sys.apply, g, range(1, max_iter + 1)):
+        try:
+            _require_positive(evals, "Ritz")
+        except ValueError:
+            if best_res > tol:
+                raise
+            break
+        y = evecs @ (evecs[0] / evals)   # T_k⁻¹e₁
+        residual, k = beta * abs(y[-1]), y.size
+        if residual <= min(CG_TARGET, tol):
+            return _krylov_window(g, basis, y)
+        if residual < best_res:
+            best_res, best_y = residual, y
+    if best_res <= tol:
+        return _krylov_window(g, basis, best_y)
+    raise ConvergenceError(
+        f"Lanczos: dual residual {best_res:.3e} above tol {tol:.1e} by Krylov dimension {k}")
+
+
+def canonical_tight(sys: FrameSystem) -> GridSignal:
+    """Canonical tight window S_g^{-1/2} g = ‖g‖·V·T_k^{-1/2}e₁.
+
+    Read off the Lanczos run of S_g started at g at each Krylov dimension of
+    KRYLOV_DIMS until the result t is its own dual by the duality principle:
+    t is tight exactly when ⟨t, π°(ν°)t⟩ = q|αβ|·δ, so until
+    wexler_raz_residual(t, t) at the system's radius is at most TIGHT_TOL.
+    Raises ConvergenceError when the largest dimension misses TIGHT_TOL, and
+    ValueError when a reading fails _require_positive.
+    """
+    for basis, evals, evecs, _ in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
+        _require_positive(evals, "Ritz")
         evals = np.maximum(evals, evals[-1] * 1e-15)
-        y = evecs @ (evecs[0] / np.sqrt(evals))   # T^{-1/2}e₁
-        t_vals = (np.array(basis).T @ y) * (norm(sys.window) / np.sqrt(spec.dx))
-        tight = GridSignal(spec, t_vals.reshape(spec.q, spec.N))
+        tight = _krylov_window(sys.window, basis, evecs @ (evecs[0] / np.sqrt(evals)))
         residual = wexler_raz_residual(tight, tight, sys.params, sys.radius)
         if residual <= TIGHT_TOL:
             return tight
     raise ConvergenceError(
         f"Lanczos: tight-window Wexler-Raz residual {residual:.3e} above "
-        f"tol {TIGHT_TOL:.1e} at Krylov dimension {len(alphas)}")
+        f"tol {TIGHT_TOL:.1e} at Krylov dimension {evals.size}")
 
 
 def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,
@@ -359,7 +355,7 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     Available only when the adjoint twist (αβq²)⁻¹ + r°s°/q is an integer;
     then the adjoint Gram matrix is Laurent and g generates a Riesz sequence
     over the adjoint lattice iff min|F| > 0.  The Riesz verdict uses
-    min|F| > RIESZ_REL·max|F|.  A mesh `grid` below 1 is refused.
+    min|F| > FRAME_REL·max|F|.  A mesh `grid` below 1 is refused.
     """
     if grid < 1:
         raise ValueError(f"Laurent mesh must be at least 1, got {grid}")
@@ -377,7 +373,7 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
         t=ts, values=f_vals.real,
         min_abs=min_abs, max_abs=max_abs,
         max_imag=float(np.abs(f_vals.imag).max()),
-        is_riesz=bool(min_abs > RIESZ_REL * max_abs),
+        is_riesz=bool(min_abs > FRAME_REL * max_abs),
     )
 
 

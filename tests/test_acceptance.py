@@ -5,6 +5,7 @@ energy-bound sweep) run once per session.  Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import json
 import time
 
 import numpy as np
@@ -17,6 +18,7 @@ from ncgabor.algebra import (inner_left, l1_diff, trace_l, twisted_conv,
                              twisted_star)
 from ncgabor.frame import (FrameSystem, canonical_dual, lift_scalar_window,
                            reconstruction_residual, wexler_raz_residual)
+from ncgabor.cli import main
 from ncgabor.geometry import (chern_trace, covariant, derive, energy, grid_for_radius,
                               projection_residual, sd_residuals, soliton_experiment)
 from ncgabor.moyal import (continuous_energy, default_window_corpus,
@@ -282,3 +284,22 @@ def test_criterion_10_annihilator_correctness(rng):
     ok = worst_phase < 1e-12 and worst_cov < 1e-15
     _verdict(10, ok, f"biorthogonality phase defect {worst_phase:.2e} (<1e-12) "
                      f"over 20x20 boxes, covolume product defect {worst_cov:.1e}")
+
+
+def test_criterion_11_charge_ladder(tmp_path):
+    # one verify-soliton lattice per charge q = 3..7 at α = ½, r = s = 1,
+    # R = 6: exit 0, and c₁ (both formulas) and E equal q within the Chern rung
+    betas = {3: 2 / 15, 4: 1 / 6, 5: 1 / 10, 6: 1 / 15, 7: 1 / 21}
+    codes, errs = {}, {"c1": 0.0, "energy": 0.0, "gap": 0.0}
+    for q, beta in betas.items():
+        out = tmp_path / f"q{q}.json"
+        codes[q] = main(["verify-soliton", "--q", str(q), "--alpha", "0.5", "--beta", repr(beta),
+                         "--r", "1", "--s", "1", "--radius", "6", "--out", str(out)])
+        if codes[q] == 0:
+            res = json.loads(out.read_text())["results"]
+            for name, err in (("c1", res["c1"]["re"] - q), ("energy", res["energy"] - q),
+                              ("gap", res["c1"]["re"] - res["c1"]["sum_re"])):
+                errs[name] = max(errs[name], abs(err))
+    ok = not any(codes.values()) and max(errs.values()) < 1e-5   # the Chern rung 10³ε₀
+    _verdict(11, ok, f"exit codes {codes}: |c1-q|={errs['c1']:.1e}, |E-q|={errs['energy']:.1e}, "
+                     f"two-formula gap {errs['gap']:.1e} (<1e-5)")

@@ -396,12 +396,17 @@ def test_tight_window_reaching_the_seam_exit_code(monkeypatch, capsys):
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("flags", [["--radius", "20"], ["--N", "128"]])
+@pytest.mark.parametrize("flags", [
+    ["frame", "--radius", "20"], ["frame", "--N", "128"], ["dual", "--N", "128"],
+    ["dual", "--radius", "20"], ["tight", "--N", "128"],
+    ["frame", "--alpha", "0.62", "--beta", "0.62", "--radius", "20"]])
 def test_negative_symbol_is_a_grid_error_exit_code(flags, capsys):
     # S_g >= 0, so mesh values of its symbol far below zero (-1.98 against a
-    # maximum of 12.0 at R = 20, where N = 512 undersamples L = 50) show that
-    # the grid does not represent S_g
-    assert main(["frame", *flags]) == 2
+    # maximum of 12.0 at R = 20, where N = 512 undersamples L = 50), or Ritz
+    # values of its Lanczos run or its Rayleigh-Ritz estimate far below zero
+    # (-2.52 against 8.24 for tight --N 128), show that the grid does not
+    # represent S_g
+    assert main(flags) == 2
     err = capsys.readouterr().err
     assert "configuration error: the frame operator's symbol is negative" in err
     assert "raise --N or lower --radius" in err

@@ -54,8 +54,9 @@ def test_span_counters_count_under_the_subcommands(tmp_path):
 
 
 def test_dual_spans_count_under_the_lifted_dual(tmp_path):
-    # the flagship's window is a lifted Gaussian; its dual is solved on its
-    # q-channel system by frame.canonical_dual
+    # the flagship's window is a lifted Gaussian; its dual is read off the
+    # Lanczos run on its q-channel system by frame.canonical_dual, one apply
+    # per Krylov dimension and none to verify: 9 at the flagship
     spans = _load_spans()
     tracer = spans.Tracer()
     with spans.instrument(tracer):
@@ -63,7 +64,7 @@ def test_dual_spans_count_under_the_lifted_dual(tmp_path):
                      "--r", "1", "--s", "1", "--out", str(tmp_path / "dual.json")]) == 0
     metrics = spans.summarize(tracer.spans)
     assert metrics["frame.dual.s"] > 0
-    assert metrics["frame.dual.cg_iters"] > 0
+    assert metrics["frame.dual.cg_iters"] == 9
 
 
 def test_solver_counters_count_under_frame_and_tight(tmp_path):
