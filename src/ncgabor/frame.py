@@ -117,14 +117,18 @@ def _symbol_mesh(coeff: LatticeSeq, weights, shape):
     return [(w[:, None] * ph1).T @ ph2 for w in weights]
 
 
-def _require_positive(values, what: str):
+def _negative(values) -> bool:
     """S_g ≥ 0, so a reading of it (symbol values, Ritz values) below
     −FRAME_REL × its largest shows a grid that does not represent S_g."""
-    low, high = float(np.min(values)), float(np.max(values))
-    if low < -FRAME_REL * high:
-        raise ValueError(f"the frame operator's symbol is negative ({what} min {low:.3e}, "
-                         f"max {high:.3e}): the grid does not represent S_g; "
-                         "raise --N or lower --radius")
+    return float(np.min(values)) < -FRAME_REL * float(np.max(values))
+
+
+def _require_positive(values, what: str):
+    """Raise the grid error of a reading that is _negative."""
+    if _negative(values):
+        raise ValueError(f"the frame operator's symbol is negative ({what} min "
+                         f"{float(np.min(values)):.3e}, max {float(np.max(values)):.3e}): "
+                         "the grid does not represent S_g; raise --N or lower --radius")
 
 
 def _symbol_bounds(coeff: LatticeSeq):
@@ -207,32 +211,44 @@ def _lanczos(apply_op, start: GridSignal, dims):
     """Lanczos tridiagonalization with full reorthogonalization.
 
     One orthonormal basis v₁ = start/‖start‖, v₂, … of the Krylov space,
-    extended step by step: yields (basis vectors, Ritz values, eigenvectors
-    of T_k, β_{k+1}) when its dimension k reaches each of the ascending
-    `dims`, or earlier and last when the Krylov space becomes invariant.
-    Then apply_op·V_k = V_k·T_k + β_{k+1}·v_{k+1}·e_kᵀ where apply_op is
-    self-adjoint.  The first k steps do not depend on how far the basis is
-    extended.  The vector list is the live basis, not a copy.
+    extended step by step: yields (basis vectors, α, H) when its dimension k
+    reaches each of the ascending `dims`, or earlier and last when the Krylov
+    space becomes invariant.  The (k+1)×k Hessenberg H holds every coefficient
+    a step removes, three-term and reorthogonalization, so apply_op·V_k =
+    V_{k+1}·H, self-adjoint apply_op or not; α₁…α_k and H's subdiagonal make
+    the Lanczos tridiagonal T_k.  The first k steps do not depend on how far
+    the basis is extended.  The lists are live, not copies; H is a view.
     """
-    spec = start.spec
-    vs = [start.values.ravel() / (norm(start) / np.sqrt(spec.dx))]
-    alphas, betas = [], []
+    spec, hess = start.spec, np.zeros((17, 16), complex)
+    vs, alphas = [start.values.ravel() / (norm(start) / np.sqrt(spec.dx))], []
     for j in range(max(dims, default=0)):
+        if j == hess.shape[1]:   # H doubles as the basis outgrows it
+            hess = np.pad(hess, ((0, j), (0, j)))
         w = apply_op(GridSignal(spec, vs[-1].reshape(spec.q, spec.N))).values.ravel()
-        a = np.vdot(vs[-1], w).real
+        hess[j, j] = a = np.vdot(vs[-1], w).real
         alphas.append(a)
         w = w - a * vs[-1]
         if j > 0:
-            w = w - betas[-1] * vs[-2]
-        for u in vs:  # full reorthogonalization
-            w = w - np.vdot(u, w) * u
-        b = float(np.linalg.norm(w))
+            hess[j - 1, j] = hess[j, j - 1]
+            w = w - hess[j - 1, j] * vs[-2]
+        for i, u in enumerate(vs):  # full reorthogonalization
+            c = np.vdot(u, w)
+            hess[i, j] += c
+            w = w - c * u
+        hess[j + 1, j] = b = float(np.linalg.norm(w))
         if b < 1e-14 or j + 1 in dims:
-            yield vs, *np.linalg.eigh(np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)), b
+            yield vs, alphas, hess[:j + 2, :j + 1]
         if b < 1e-14:
             return
-        betas.append(b)
         vs.append(w / b)
+
+
+def _ritz(alphas, hess, k: int):
+    """Eigenpairs of T_k, the Ritz pairs of S_g on the first k Lanczos vectors.
+    T_k leads every later T, so Ritz values interlace: once a k fails
+    _require_positive, every larger k does."""
+    beta = hess.diagonal(-1)[:k - 1].real
+    return np.linalg.eigh(np.diag(alphas[:k]) + np.diag(beta, 1) + np.diag(beta, -1))
 
 
 def _krylov_window(g: GridSignal, basis, y) -> GridSignal:
@@ -245,40 +261,43 @@ def _krylov_window(g: GridSignal, basis, y) -> GridSignal:
 
 def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
                    max_iter: int = 500) -> GridSignal:
-    """Canonical dual window h = S_g^{-1} g = ‖g‖·V·T_k⁻¹e₁.
+    """Canonical dual window h = S_g^{-1} g = ‖g‖·V_k·H_k⁻¹e₁ (full orthogonalization).
 
-    Read off the Lanczos run of S_g started at g at every Krylov dimension k
-    up to `max_iter`, whose relative residual ‖S_g h − g‖/‖g‖ is
-    β_{k+1}·|e_kᵀT_k⁻¹e₁| with no further apply (while the apply is
-    self-adjoint on the Krylov space).  Returns at the first k
-    whose residual is at most min(CG_TARGET, tol); at `max_iter`, the
-    reading of least residual if it is within `tol`, and ConvergenceError
-    otherwise.  Ritz values that fail _require_positive end the reading: the
-    Krylov space has left what the grid represents, so the best earlier
-    reading is returned if it is within `tol`, and the ValueError raised
-    otherwise.
+    Read off the Lanczos run of S_g started at g at every Krylov dimension k up
+    to `max_iter`.  With v_{k+1} = p_k(S_g)v₁, the residual S_g h − g is
+    parallel to v_{k+1} and its relative size is 1/|p_k(0)|, where
+    h_{k+1,k}·p_k(0) = −Σ_{i≤k} h_{ik}·p_{i−1}(0): exact by the Arnoldi
+    relation, self-adjoint apply or not, with no further apply.  Returns at the
+    first k whose residual is at most min(CG_TARGET, tol); at `max_iter`, the
+    reading of least residual if it is within `tol`, else ConvergenceError.
+    Past the first k whose Ritz values fail _require_positive (checked at
+    powers of two, then bisected) the grid no longer represents S_g: the best
+    earlier reading is returned if it is within `tol`, else the ValueError.
     """
     g = sys.window
     if norm(g) == 0.0:
         return g
-    best_res, best_y, k = np.inf, None, 0
-    for basis, evals, evecs, beta in _lanczos(sys.apply, g, range(1, max_iter + 1)):
-        try:
-            _require_positive(evals, "Ritz")
-        except ValueError:
-            if best_res > tol:
-                raise
+    residuals, u, k = [1.0], np.ones(1), 0   # u_j = p_j(0)·residuals[-1]
+    for basis, alphas, hess in _lanczos(sys.apply, g, range(1, max_iter + 1)):
+        k = hess.shape[1]
+        s = hess[:k, -1] @ u
+        ratio = abs(hess[k, -1]) / abs(s)   # of the residuals at k and k − 1
+        residuals.append(residuals[-1] * ratio)
+        if residuals[-1] <= min(CG_TARGET, tol) or (
+                k & (k - 1) == 0 and _negative(_ritz(alphas, hess, k)[0])):
             break
-        y = evecs @ (evecs[0] / evals)   # T_k⁻¹e₁
-        residual, k = beta * abs(y[-1]), y.size
-        if residual <= min(CG_TARGET, tol):
-            return _krylov_window(g, basis, y)
-        if residual < best_res:
-            best_res, best_y = residual, y
-    if best_res <= tol:
-        return _krylov_window(g, basis, best_y)
-    raise ConvergenceError(
-        f"Lanczos: dual residual {best_res:.3e} above tol {tol:.1e} by Krylov dimension {k}")
+        u = np.append(u, -s / hess[k, -1]) * ratio
+    good = 0 if k and _negative(_ritz(alphas, hess, k)[0]) else k   # dimensions ≤ good pass
+    while k - good > 1:   # bisection: `good` passes (0 vacuously), k fails
+        mid = (good + k) // 2
+        good, k = (good, mid) if _negative(_ritz(alphas, hess, mid)[0]) else (mid, k)
+    if min(residuals[1:good + 1], default=np.inf) > tol:
+        if good < k:
+            _require_positive(_ritz(alphas, hess, k)[0], "Ritz")
+        raise ConvergenceError(f"Lanczos: dual residual {min(residuals):.3e} above "
+                               f"tol {tol:.1e} by Krylov dimension {k}")
+    m = int(np.argmin(residuals[1:good + 1])) + 1
+    return _krylov_window(g, basis, np.linalg.solve(hess[:m, :m], np.eye(m)[0]))
 
 
 def canonical_tight(sys: FrameSystem) -> GridSignal:
@@ -291,7 +310,8 @@ def canonical_tight(sys: FrameSystem) -> GridSignal:
     Raises ConvergenceError when the largest dimension misses TIGHT_TOL, and
     ValueError when a reading fails _require_positive.
     """
-    for basis, evals, evecs, _ in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
+    for basis, alphas, hess in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
+        evals, evecs = _ritz(alphas, hess, len(alphas))
         _require_positive(evals, "Ritz")
         evals = np.maximum(evals, evals[-1] * 1e-15)
         tight = _krylov_window(sys.window, basis, evecs @ (evecs[0] / np.sqrt(evals)))

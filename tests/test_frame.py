@@ -171,6 +171,22 @@ def test_cg_failure_raises(sys_q2):
     with pytest.raises(ConvergenceError, match=r"dual residual \S+ above tol 1.0e-09 "
                                                r"by Krylov dimension 2"):
         canonical_dual(sys_q2, tol=1e-9, max_iter=2)
+    with pytest.raises(ConvergenceError, match=r"dual residual 1.000e\+00 .* dimension 0"):
+        canonical_dual(sys_q2, max_iter=0)   # no Krylov vector: h = 0, residual 1
+
+
+@pytest.mark.parametrize("ab, wr_bound", [(0.9, 1e-11), (0.95, 2e-10), (0.99, 1e-3)])
+def test_dual_residual_is_exact_near_critical_density(ab, wr_bound):
+    # near |αβ| = 1 the Krylov space reaches the seam, where the apply is not
+    # self-adjoint; the residual read off the Arnoldi relation stays exact, so
+    # the dual meets its target (read 9.3e-13, 8.7e-13, 8.4e-13) and its
+    # Wexler-Raz residual keeps the order conjugate gradients reached (3.1e-12,
+    # 6.2e-11; the 9.2e-4 at 0.99 is the truncation at R = 6)
+    params = TorusParams(ab, ab)
+    sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), params, 6.0)
+    h = canonical_dual(sys_)
+    assert norm(sys_.apply(h) - sys_.window) <= 10 * frame.CG_TARGET * norm(sys_.window)
+    assert wexler_raz_residual(sys_.window, h, params, 6.0) < wr_bound
 
 
 def test_solvers_follow_their_arguments_and_cache_only_atoms(sys_q1):
