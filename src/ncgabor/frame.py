@@ -7,9 +7,11 @@ class.  The canonical dual S_g⁻¹g and the canonical tight window S_g^{−1/2}
 are read off one Lanczos run on that form, started at g.  Where
 the adjoint twist is an integer the form is a Laurent operator, and the frame
 bounds are the extremes of its symbol, read from the coefficients ⟨g,g⟩°
-without an apply; elsewhere they are Rayleigh–Ritz estimates.  Duality of a
-pair (g,h) is tested through the biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁
-and through reconstruction on probes; a tight window is its own dual (h = g).
+without an apply; elsewhere they are Rayleigh–Ritz estimates.  One verdict,
+_is_frame(A, B), serves frame_bounds, the symbol's Riesz test and the lift;
+FrameSystem refuses S_g = 0.  Duality of a pair (g,h) is tested through the
+biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction
+on probes; a tight window is its own dual (h = g).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
 
 
 class NotAFrameError(RuntimeError):
-    """Raised when the estimated lower frame bound vanishes numerically."""
+    """Raised when the frame bounds (A, B) fail _is_frame."""
 
     def __init__(self, a_est: float, b_est: float):
         super().__init__(f"not a frame (numerically): A={a_est:.3e}, B={b_est:.3e}")
@@ -45,7 +47,7 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
-FRAME_REL = 1e-6          # < FRAME_REL·max: not a frame, not Riesz; < −FRAME_REL·max: grid error
+FRAME_REL = 1e-6          # A ≤ FRAME_REL·B: not a frame; below −FRAME_REL·max: grid error
 PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
 SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
 MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
@@ -56,6 +58,11 @@ KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window 
 PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
 
 
+def _is_frame(a_est: float, b_est: float) -> bool:
+    """The frame verdict on bounds A ≤ S_g ≤ B: A > FRAME_REL·B."""
+    return a_est > FRAME_REL * b_est
+
+
 @dataclass
 class FrameSystem:
     """A window with its lattice and radius, and its frame operator in Janssen
@@ -63,6 +70,7 @@ class FrameSystem:
     `radius` (`coefficients`) and the table of their right action are built
     on construction; bounds, dual and tight window are computed on every
     call.  `bounds_residuals` are the diagnostics of the last frame_bounds.
+    S_g = 0 (no coefficient above PRUNE_TOL) raises NotAFrameError(0, 0).
     """
 
     window: GridSignal
@@ -74,6 +82,8 @@ class FrameSystem:
         _check_params_spec(self.params, self.window.spec)
         g = self.window   # inner_right refuses a radius that is not positive
         self.coefficients = inner_right(g, g, self.params, self.radius)
+        if not self.coefficients.values.size:
+            raise NotAFrameError(0.0, 0.0)
         self._janssen = _right_action(self.coefficients, g.spec)
 
     def apply(self, f: GridSignal) -> GridSignal:
@@ -92,17 +102,15 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     the residuals are {"mesh", "mesh_error"}.  Elsewhere they are the
     Rayleigh–Ritz estimates of _rayleigh_ritz (`seed` fixes its probes),
     which lie inside the spectrum: the residuals are {"rayleigh_A",
-    "rayleigh_B"}.  Raises NotAFrameError, which carries both values, when
-    A < FRAME_REL · B, and ValueError when the grid does not represent S_g
+    "rayleigh_B"}.  Raises NotAFrameError, which carries both values, unless
+    _is_frame(A, B), and ValueError when the grid does not represent S_g
     (_require_positive on the symbol mesh or the Ritz values).
     """
-    if norm(sys.window) == 0.0:
-        raise NotAFrameError(0.0, 0.0)
     if sys.params.integer_adjoint_twist:
         a_est, b_est, sys.bounds_residuals = _symbol_bounds(sys.coefficients)
     else:
         a_est, b_est, sys.bounds_residuals = _rayleigh_ritz(sys, seed)
-    if a_est < FRAME_REL * b_est:
+    if not _is_frame(a_est, b_est):
         raise NotAFrameError(a_est, b_est)
     return a_est, b_est
 
@@ -156,7 +164,7 @@ def _symbol_bounds(coeff: LatticeSeq):
         a_est, b_est = float((f - drift).min()), float((f + drift).max())
         error = max(float(f.min()) - a_est, b_est - float(f.max()))
         if (error <= MESH_REL * a_est or shape[0] * shape[1] >= MESH_POINTS
-                or f.min() < FRAME_REL * f.max()):   # no finer mesh makes it a frame
+                or not _is_frame(f.min(), f.max())):   # no finer mesh makes it a frame
             return a_est, b_est, {"mesh": shape, "mesh_error": error}
         shape[int(moments[1] * h2 ** 2 > moments[0] * h1 ** 2)] *= 2
 
@@ -275,8 +283,6 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
     earlier reading is returned if it is within `tol`, else the ValueError.
     """
     g = sys.window
-    if norm(g) == 0.0:
-        return g
     residuals, u, k = [1.0], np.ones(1), 0   # u_j = p_j(0)·residuals[-1]
     for basis, alphas, hess in _lanczos(sys.apply, g, range(1, max_iter + 1)):
         k = hess.shape[1]
@@ -373,9 +379,10 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     """Symbol F(t₁,t₂) = Σ ⟨g, π°(ν°(n₁,n₂))g⟩ e^{2πi(n₂t₁+n₁t₂)} on a mesh.
 
     Available only when the adjoint twist (αβq²)⁻¹ + r°s°/q is an integer;
-    then the adjoint Gram matrix is Laurent and g generates a Riesz sequence
-    over the adjoint lattice iff min|F| > 0.  The Riesz verdict uses
-    min|F| > FRAME_REL·max|F|.  A mesh `grid` below 1 is refused.
+    then the Gram matrix is Laurent, and g is a Riesz sequence over the
+    adjoint lattice iff a frame over Λ×Γ: `is_riesz` is _is_frame on the
+    bounds of frame_bounds (_symbol_bounds, grid rule included), false for a
+    zero window (A = B = 0).  A mesh `grid` below 1 is refused.
     """
     if grid < 1:
         raise ValueError(f"Laurent mesh must be at least 1, got {grid}")
@@ -385,28 +392,22 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
             f"= {params.adjoint_twist!r} is not an integer")
     _check_params_spec(params, g.spec)
     coeff = inner_right(g, g, params, radius)   # ⟨g,π°g⟩ up to the q|αβ| scale
-    ts = np.arange(grid) / grid
+    a_est, b_est, _ = _symbol_bounds(coeff)
     (f_vals,) = _symbol_mesh(coeff, (params.density * coeff.values,), (grid, grid))
-    max_abs = float(np.abs(f_vals).max())
-    min_abs = float(np.abs(f_vals).min())
     return LaurentSymbol(
-        t=ts, values=f_vals.real,
-        min_abs=min_abs, max_abs=max_abs,
-        max_imag=float(np.abs(f_vals.imag).max()),
-        is_riesz=bool(min_abs > FRAME_REL * max_abs),
-    )
+        t=np.arange(grid) / grid, values=f_vals.real,
+        min_abs=float(np.abs(f_vals).min()), max_abs=float(np.abs(f_vals).max()),
+        max_imag=float(np.abs(f_vals.imag).max()), is_riesz=_is_frame(a_est, b_est))
 
 
 def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
     """Replicate a 1-channel window across all q channels.
 
-    Under the integer-twist condition, the lift generates a frame for Λ×Γ
-    whenever the scalar window generates a frame over αℤ×(qβ)ℤ.  That
-    scalar lattice always has Laurent structure, since its adjoint twist
-    1/(αβq) = q·θ̃ − r°s° is an integer, so the hypothesis is verified at
-    the default radius by the scalar Laurent symbol F.  By duality its
-    frame bounds are min|F| and max|F| over |α·qβ|; NotAFrameError
-    carries them when F is not a Riesz symbol.
+    Under the integer-twist condition the lift generates a frame for Λ×Γ
+    whenever the scalar window generates one over αℤ×(qβ)ℤ, whose adjoint
+    twist 1/(αβq) = q·θ̃ − r°s° is an integer: frame_bounds checks this at
+    the default radius from the scalar symbol, and its NotAFrameError carries
+    the scalar bounds, as `frame` reports them on that lattice.
     """
     if g_scalar.spec.q != 1:
         raise ValueError("lift_scalar_window expects a single-channel window")
@@ -416,9 +417,7 @@ def lift_scalar_window(g_scalar: GridSignal, params: TorusParams) -> GridSignal:
     if scalar is None:
         raise ValueError(f"lift condition violated: adjoint twist "
                          f"{params.adjoint_twist!r} is not an integer")
-    sym = laurent_symbol(g_scalar, scalar)
-    if not sym.is_riesz:
-        raise NotAFrameError(sym.min_abs / scalar.density, sym.max_abs / scalar.density)
+    frame_bounds(FrameSystem(g_scalar, scalar))
     return lift_channels(g_scalar, params.q)
 
 

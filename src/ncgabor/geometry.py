@@ -28,9 +28,9 @@ from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admis
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_l, twisted_conv,
                       l1_diff, _pairing, _twist_phase)
 from .frame import (FrameSystem, ToleranceError, canonical_dual, canonical_tight,
-                    frame_bounds, wexler_raz_residual)
+                    frame_bounds, lift_scalar_window, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
-                     hermite, norm)
+                     hermite, load_signal, norm)
 
 
 def derive(a: LatticeSeq, j: int) -> LatticeSeq:
@@ -133,13 +133,12 @@ def energy(p: LatticeSeq) -> float:
     return raw.real / (4 * np.pi * abs(p.params.alpha * p.params.beta))
 
 
-def energy_window_form(g: GridSignal, h: GridSignal, params: TorusParams,
-                       radius: float) -> float:
-    """E(g) = (π/|αβ|)·Σ_ν (λ²+γ²)·|⟨g, π(ν)h⟩|² over the truncated lattice."""
-    p = inner_left(g, h, params, radius)
+def energy_window_form(p: LatticeSeq) -> float:
+    """E(g) = (π/|αβ|)·Σ_ν (λ²+γ²)·|p(ν)|² for p = ⟨g, π(ν)h⟩ = inner_left(g, h)
+    on the truncated lattice."""
     lam, _, gam, _ = p.phase_coords()
     s = float(np.sum((lam ** 2 + gam ** 2) * np.abs(p.values) ** 2))
-    return s * np.pi / abs(params.alpha * params.beta)
+    return s * np.pi / abs(p.params.alpha * p.params.beta)
 
 
 def sd_residuals(p: LatticeSeq):
@@ -279,7 +278,7 @@ class Pipeline:
 
     @cached_property
     def energy_window(self) -> float:
-        return energy_window_form(self.window, self.dual, self.params, self.radius)
+        return energy_window_form(self.projection)
 
     @property
     def gap(self) -> float:
@@ -370,9 +369,6 @@ def build_window(kind: str | None, spec: GridSpec, params: TorusParams,
     q > 1 and gaussian otherwise.  Only the Gaussians read `lam`; a nonzero
     `lam` with another window is a ValueError.
     """
-    from .frame import lift_scalar_window
-    from .signal import load_signal
-
     if kind is None:
         kind = "lifted_gaussian" if params.q > 1 else "gaussian"
     name, sep, arg = kind.partition(":")

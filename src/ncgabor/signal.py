@@ -265,11 +265,29 @@ def save_signal(f: GridSignal, path):
 
 
 def load_signal(path) -> GridSignal:
+    """Read save_signal's format: the header "L N q", then exactly one row
+    "k j re im" for each 0 ≤ k < q, 0 ≤ j < N, in any order.  Anything else
+    raises ValueError naming the line."""
     with open(path) as fh:
-        header = fh.readline().split()
-        spec = GridSpec(L=float(header[0]), N=int(header[1]), q=int(header[2]))
-        vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
-        for line in fh:
+        lines = fh.read().splitlines() or [""]   # an empty file has an empty header
+    seen, spec = set(), None
+    for n, line in enumerate(lines, start=1):
+        try:
+            if spec is None:
+                length, samples, q = line.split()   # ValueError unless three fields
+                spec = GridSpec(L=float(length), N=int(samples), q=int(q))
+                vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
+                continue
             k, j, re, im = line.split()
-            vals[int(k), int(j)] = float(re) + 1j * float(im)
+            k, j = int(k), int(j)
+            if (k, j) in seen or not (0 <= k < spec.q and 0 <= j < spec.N):
+                raise ValueError(f"sample ({k}, {j}) is repeated or outside "
+                                 f"q = {spec.q}, N = {spec.N}")
+            seen.add((k, j))
+            vals[k, j] = float(re) + 1j * float(im)
+        except ValueError as exc:
+            raise ValueError(f"{path}, line {n}: {exc}") from exc
+    if len(seen) < spec.q * spec.N:
+        raise ValueError(f"{path}, line {len(lines)}: ends after {len(seen)} of "
+                         f"q·N = {spec.q * spec.N} samples")
     return GridSignal(spec, vals)

@@ -119,12 +119,12 @@ def test_chern_rejects_non_projection(params_q1, rng):
                 getattr(pipe, stage)
 
 
-def test_energy_q1(q1_pipeline, params_q1):
-    g, h, p = q1_pipeline
+def test_energy_q1(q1_pipeline):
+    _, _, p = q1_pipeline
     assert projection_residual(p) < 1e-6
     e = energy(p)
     assert abs(e - 1.0) < 1e-5
-    assert energy_window_form(g, h, params_q1, 6.0) == pytest.approx(e, abs=1e-6)
+    assert energy_window_form(p) == pytest.approx(e, abs=1e-6)
 
 
 def test_energy_at_non_integer_twist_q1():

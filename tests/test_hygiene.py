@@ -1,6 +1,7 @@
-"""Every imported name in src/, tests/ and demos/ is referenced, and no
-`except` handler in src/ swallows its exception with a bare `pass`: every
-failure is classified or re-raised.
+"""Every imported name in src/, tests/ and demos/ is referenced, no
+`except` handler in src/ swallows its exception with a bare `pass` (every
+failure is classified or re-raised), and no function in src/ imports from
+the package: its modules import each other at the top.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -48,3 +49,15 @@ SOURCES = [path for path in FILES if path.is_relative_to(ROOT / "src")]
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_exception_is_swallowed(path):
     assert swallowing_handlers(path) == []
+
+
+def local_relative_imports(path):
+    """Lines of the relative imports in `path` made inside a function."""
+    return [node.lineno for func in ast.walk(ast.parse(path.read_text()))
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func) if isinstance(node, ast.ImportFrom) and node.level]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_function_local_relative_import(path):
+    assert local_relative_imports(path) == []

@@ -14,7 +14,9 @@ a small grid, and the Chern kernel with a term-by-term loop on random tables.
 The frame bounds of Gaussian windows on integer-twist lattices are checked
 against Rayleigh–Ritz values, the symbol on a fine mesh and the dense
 operator, and the duality principle on the same windows: the canonical dual
-by Wexler–Raz, the tight window as its own dual, and ⟨g,h⟩ = ⟨t,t⟩.
+by Wexler–Raz, the tight window as its own dual, and ⟨g,h⟩ = ⟨t,t⟩.  The
+symbol's Riesz verdict is checked against the frame verdict of frame_bounds
+on Gaussian and first Hermite windows, of which some are no frames.
 The Moyal energy is checked against its known values: q on generalized
 Gaussians and q(2n+1) on the Hermite functions, with random channel
 coefficients and amplitude.
@@ -37,9 +39,9 @@ from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_
                              l1_diff, load_seq, save_seq, twisted_conv, twisted_star,
                              _box_axes)
 from ncgabor.algebra import BOX_BUDGET
-from ncgabor.frame import (FrameSystem, adjoint_shift_family, canonical_dual, canonical_tight,
-                           frame_bounds, reconstruction_residual, wexler_raz_residual,
-                           _rayleigh_ritz)
+from ncgabor.frame import (FrameSystem, NotAFrameError, adjoint_shift_family, canonical_dual,
+                           canonical_tight, frame_bounds, laurent_symbol,
+                           reconstruction_residual, wexler_raz_residual, _rayleigh_ritz)
 from ncgabor import geometry
 from ncgabor.geometry import _chern_double_sum, grid_for_radius
 from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
@@ -292,6 +294,25 @@ def test_symbol_bounds_enclose_the_spectrum(params, seed):
     assert b_est >= fine.max() >= (1 - 1e-3) * b_est
     if params.q == 1:
         assert np.linalg.eigvalsh(dense_frame_operator(sys_))[-1] <= b_est
+
+
+@PROPERTY
+@given(integer_twist_lattices(), st.sampled_from([0, 1]))
+@example(TorusParams(1.0, 0.5), 1)   # an odd window at |αβ| = ½ is no frame
+def test_riesz_verdict_is_the_frame_verdict(params, order):
+    # by duality g is a Riesz sequence over the adjoint lattice iff a frame
+    # over Λ×Γ: is_riesz holds exactly when frame_bounds does not raise, and
+    # the symbol's mesh values lie in q|αβ|·[A, B]
+    g = hermite(grid_for_radius(6.0, q=params.q), order)
+    sym = laurent_symbol(g, params)
+    try:
+        a_est, b_est = frame_bounds(FrameSystem(g, params, 6.0))
+        framed = True
+    except NotAFrameError as exc:
+        a_est, b_est, framed = exc.a_est, exc.b_est, False
+    assert sym.is_riesz is framed
+    assert params.density * a_est <= sym.values.min()
+    assert sym.values.max() <= params.density * b_est
 
 
 @PROPERTY

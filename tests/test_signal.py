@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -256,6 +258,23 @@ def test_signal_roundtrip(tmp_path, spec1, rng):
     g = load_signal(path)
     assert g.spec == f.spec
     assert np.abs(g.values - f.values).max() < 1e-16
+
+
+@pytest.mark.parametrize("edit, line, reason", [
+    (lambda rows: ["16.0 8"] + rows[1:], 1, "expected 3, got 2"),
+    (lambda rows: rows[:2] + ["3 7 1.0 0.0"] + rows[3:], 3, "(3, 7) is repeated or outside"),
+    (lambda rows: rows[:2] + ["-1 0 1.0 0.0"] + rows[3:], 3, "(-1, 0) is repeated or outside"),
+    (lambda rows: rows + [rows[1]], 18, "(0, 0) is repeated"),
+    (lambda rows: rows[:2] + ["0 1 1.0"] + rows[3:], 3, "expected 4, got 3"),
+    (lambda rows: rows[:10], 10, "ends after 9 of q·N = 16 samples"),
+], ids=["header", "out_of_range", "negative", "repeated", "short_row", "missing_rows"])
+def test_malformed_signal_file_names_its_line(edit, line, reason, tmp_path):
+    # the header "L N q", then exactly one "k j re im" row per sample
+    path = tmp_path / "sig.dat"
+    save_signal(gaussian(GridSpec(L=16.0, N=8, q=2)), path)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    with pytest.raises(ValueError, match=rf"line {line}: .*{re.escape(reason)}"):
+        load_signal(path)
 
 
 def test_immutability(spec1):
