@@ -17,6 +17,7 @@ inner products are one GEMM each over the atoms of an index box, which
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,7 +44,8 @@ class LatticeSeq:
     `box[i, j]` is the entry at the generator pair (n₁,n₂) = origin + (i,j),
     trimmed by `from_box` to the entries above the prune threshold.
     `index`, an (M,2) integer array in lexicographic order, and `values`
-    are read-only views of the nonzero entries.
+    are read-only views of the nonzero entries; `col_step` is the spacing of
+    the columns that hold them.
     """
 
     params: TorusParams
@@ -68,6 +70,16 @@ class LatticeSeq:
         vals = self.box[self.box != 0]
         vals.setflags(write=False)
         return vals
+
+    @cached_property
+    def col_step(self) -> int:
+        """gcd of the offsets j of the box columns that hold an entry: every
+        nonzero column lies in 0 + col_step·ℤ.  0 when only column 0 holds
+        one or the box is empty."""
+        box = self.box
+        if box.shape[1] > 1 and np.count_nonzero(box[:, 1]):
+            return 1
+        return math.gcd(*box.any(axis=0).nonzero()[0].tolist())
 
     # -- constructors ------------------------------------------------------
 
@@ -192,20 +204,28 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
 
     with Toep(a₁[i])[J, v] = a₁[i, J−v] the (c₁+c₂−1) × c₂ Toeplitz matrix of
     the row, copied from a reversed strided view of the rows padded with c₂−1
-    zeros on each side.  An entry that no a₁(k)·a₂(m−k) reaches is a sum of
-    products with 0, an exact 0, so the support is that of the entry-by-entry
-    sum.  The rows go in groups and the Toeplitz columns in blocks, so that the
-    stacked factors and products of one step stay within BOX_BUDGET cells; a
-    factor wider than that takes one product per block of its columns.
+    zeros on each side.  Both boxes are first sliced to every step-th column,
+    step the gcd of their `col_step`s: the product runs on those columns, with
+    the phase at their true n₂, and fills every step-th column of the output
+    box.  An entry that no a₁(k)·a₂(m−k) reaches, such as one in the columns
+    between, is a sum of products with 0, an exact 0, so the support is that
+    of the entry-by-entry sum.  The rows go in groups and the Toeplitz columns
+    in blocks, so that the stacked factors and products of one step stay
+    within BOX_BUDGET cells; a factor wider than that takes one product per
+    block of its columns.
     """
     _check_compatible(a1, a2)
     if not a1.box.size or not a2.box.size:
         return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0))
-    (r1, c1), (r2, c2) = a1.box.shape, a2.box.shape
+    full = _zeros(a1.box.shape[0] + a2.box.shape[0] - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
+    col = 1 if a1.col_step == 1 else math.gcd(a1.col_step, a2.col_step) or 1
+    b1, b2 = a1.box[:, ::col], a2.box[:, ::col]
+    (r1, c1), (r2, c2) = b1.shape, b2.shape
     width = c1 + c2 - 1
-    out = _zeros(r1 + r2 - 1, width)
-    rows = a1.box.any(axis=1).nonzero()[0]
-    phase = _twist_phase(a1.params, a1.kind, a1.origin[0] + rows, a2.axes()[1])
+    out = full[:, :col * width:col]
+    rows = b1.any(axis=1).nonzero()[0]
+    phase = _twist_phase(a1.params, a1.kind, a1.origin[0] + rows,
+                         a2.origin[1] + col * np.arange(c2))
     block = min(width, BOX_BUDGET // c2)
     group = max(1, min(rows.size, BOX_BUDGET // (block * c2 + r2 * c2 + r2 * block)))
     padded = np.zeros((group, width + c2 - 1), dtype=np.complex128)
@@ -215,15 +235,15 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     toep = np.empty((group, block, c2), dtype=np.complex128)
     for g in range(0, rows.size, group):
         rs = rows[g:g + group]
-        padded[:rs.size, c2 - 1:width] = a1.box[rs]
-        phased = a2.box * phase[g:g + group, None, :]
+        padded[:rs.size, c2 - 1:width] = b1[rs]
+        phased = b2 * phase[g:g + group, None, :]
         for j in range(0, width, block):
             cols = toep[:rs.size, :width - j]
             cols[:] = window[:rs.size, j:j + block]
             for i, prod in zip(rs.tolist(), phased @ cols.swapaxes(1, 2)):
                 out[i:i + r2, j:j + block] += prod
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
-    return LatticeSeq.from_box(a1.params, a1.kind, origin, out)
+    return LatticeSeq.from_box(a1.params, a1.kind, origin, full)
 
 
 def twisted_star(a: LatticeSeq) -> LatticeSeq:

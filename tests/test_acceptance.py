@@ -7,6 +7,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 
 import json
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -288,14 +289,16 @@ def test_criterion_10_annihilator_correctness(rng):
 
 def test_criterion_11_charge_ladder(tmp_path):
     # one verify-soliton lattice per charge q = 3..7 at α = ½, r = s = 1,
-    # R = 6: exit 0, and c₁ (both formulas) and E equal q within the Chern rung
-    betas = {3: 2 / 15, 4: 1 / 6, 5: 1 / 10, 6: 1 / 15, 7: 1 / 21}
+    # and q = 7 again at β = 2/91, R = 6: exit 0, and c₁ (both formulas) and
+    # E equal q within the Chern rung
+    lattices = [(3, "2/15"), (4, "1/6"), (5, "1/10"), (6, "1/15"), (7, "1/21"), (7, "2/91")]
     codes, errs = {}, {"c1": 0.0, "energy": 0.0, "gap": 0.0}
-    for q, beta in betas.items():
-        out = tmp_path / f"q{q}.json"
-        codes[q] = main(["verify-soliton", "--q", str(q), "--alpha", "0.5", "--beta", repr(beta),
-                         "--r", "1", "--s", "1", "--radius", "6", "--out", str(out)])
-        if codes[q] == 0:
+    for q, beta in lattices:
+        out = tmp_path / "report.json"
+        code = codes[f"q={q} beta={beta}"] = main([
+            "verify-soliton", "--q", str(q), "--alpha", "0.5", "--beta", repr(float(Fraction(beta))),
+            "--r", "1", "--s", "1", "--radius", "6", "--out", str(out)])
+        if code == 0:
             res = json.loads(out.read_text())["results"]
             for name, err in (("c1", res["c1"]["re"] - q), ("energy", res["energy"] - q),
                               ("gap", res["c1"]["re"] - res["c1"]["sum_re"])):

@@ -64,7 +64,14 @@ def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
     hollow = seq([(-3, 0), (-3, 2), (3, -1), (3, 4)])   # rows -2..2 of its box are zero
     dense = random_seq(params, kind, rng, points=30)
     zero = 0.0 * dense   # a box without entries
-    shapes = [delta, row, col, hollow, dense, zero]
+    # column-sparse boxes, compressed to the gcd of the two column steps
+    step2 = seq([(n, 2 * j) for n in (-1, 0, 2) for j in range(-2, 3)])
+    step3 = seq([(n, 1 + 3 * j) for n in (0, 1) for j in range(4)])   # first column n₂ = 1
+    step3_off = seq([(n, -5 + 3 * j) for n in (-2, 3) for j in (0, 1, 3)])
+    step7 = seq([(1, -7), (0, 0), (2, 7), (-1, 14)])
+    sparse = [step2, step3, step3_off, step7, 0.0 * step3]
+    assert [s.col_step for s in sparse] == [2, 3, 3, 7, 0]
+    shapes = [delta, row, col, hollow, dense, zero] + sparse
     for a in shapes:
         for b in shapes:
             _assert_matches_loop(a, b)

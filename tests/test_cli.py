@@ -8,7 +8,7 @@ import pytest
 
 from ncgabor import frame, geometry
 from ncgabor.cli import CSV_COLUMNS, build_parser, main
-from ncgabor.signal import GridSignal, GridSpec, gaussian, save_signal
+from ncgabor.signal import GridSignal, gaussian, save_signal
 
 
 def _load(path):
@@ -106,16 +106,6 @@ def test_bad_config_exit_code(tmp_path):
     cfg = tmp_path / "broken.cfg"
     cfg.write_text("alpha 0.4\n")
     assert main(["check-axioms", "--config", str(cfg)]) == 2
-
-
-def test_frame_failure_exit_code(tmp_path):
-    spec = GridSpec(L=22.0, N=512, q=1)
-    zero = GridSignal(spec, np.zeros((1, spec.N)))
-    wfile = tmp_path / "zero.sig"
-    save_signal(zero, wfile)
-    code = main(["frame", "--alpha", "0.5", "--beta", "0.5",
-                 "--window", f"file:{wfile}"])
-    assert code == 3
 
 
 def test_lift_failure_reports_the_scalar_frame_bounds(capsys):

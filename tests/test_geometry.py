@@ -18,7 +18,7 @@ from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               energy_window_form, grid_for_radius,
                               projection_residual, sd_residuals,
                               soliton_experiment)
-from conftest import gaussian_probe, lstsq_w_residuals, random_seq
+from conftest import gaussian_probe, loop_twisted_conv, lstsq_w_residuals, random_seq
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +314,52 @@ def test_lifted_dual_matches_the_vector_dual(q, r, s, beta):
     assert norm(pipe.dual - h_lift) / norm(h_lift) <= 1e-8
     assert wexler_raz_residual(g, h_lift, params, 6.0) < 1e-6
     assert pipe.wexler_raz < 1e-6
+
+
+LADDER_LATTICES = list(_smallest_twist_lattices(7))
+
+
+@pytest.mark.parametrize("q, r, s, beta", LADDER_LATTICES,
+                         ids=[f"q{q}r{r}s{s}" for q, r, s, _ in LADDER_LATTICES])
+def test_lifted_products_match_the_entry_loop(q, r, s, beta):
+    # p of a lifted window lives on the columns n₂ ∈ qℤ, so twisted_conv runs
+    # on a compressed box; radius 4 keeps the entry loop cheap
+    params = TorusParams(0.5, float(beta), r, s, q)
+    window = build_window(None, grid_for_radius(4.0, q=q), params)
+    p = Pipeline(params, window, radius=4.0).projection
+    assert p.col_step % q == 0
+    d1, d2 = derive(p, 1), derive(p, 2)
+    comm = twisted_conv(d1, d2) - twisted_conv(d2, d1)
+    comm_loop = loop_twisted_conv(d1, d2) - loop_twisted_conv(d2, d1)
+    for new, old in [(twisted_conv(p, p), loop_twisted_conv(p, p)),
+                     (twisted_conv(d1, d2), loop_twisted_conv(d1, d2)), (comm, comm_loop)]:
+        assert l1_diff(new, old) <= 1e-13 * old.l1_norm()
+
+
+def _scalar_lattice_lifts(d):
+    """(q, r, s, β) at α = ½, q ≤ 7, for every coprime (r, s) whose lift has
+    the scalar lattice ½ℤ × (2/d)ℤ: β = 2/(qd), adjoint twist (d + r°s°)/q ∈ ℤ."""
+    yield 1, 0, 0, 2 / d
+    for q in range(2, 8):
+        units = [u for u in range(1, q) if math.gcd(u, q) == 1]
+        for r in units:
+            for s in units:
+                if (d + pow(r, -1, q) * pow(s, -1, q)) % q == 0:
+                    yield q, r, s, 2 / (q * d)
+
+
+def test_lifts_of_one_scalar_lattice_agree():
+    # the defect, c₁/q (both formulas) and E/q of a lifted Gaussian are those
+    # of its scalar lattice ½ℤ × ⅖ℤ: fourteen (q, r, s), one problem
+    figures = []
+    for q, r, s, beta in _scalar_lattice_lifts(5):
+        params = TorusParams(0.5, beta, r, s, q)
+        pipe = Pipeline(params, build_window(None, grid_for_radius(6.0, q=q), params))
+        figures.append([pipe.defect, pipe.c1_trace.real / q, pipe.c1_sum.real / q,
+                        pipe.energy_trace / q, pipe.energy_window / q])
+    assert len(figures) == 14
+    figures = np.array(figures)
+    assert np.all(np.ptp(figures, axis=0) <= 1e-14)
 
 
 def test_lifted_tight_window_matches_the_vector_lanczos_window():
