@@ -79,11 +79,11 @@ def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> compl
     T(n₁,n₂) = e^{2πiθn₁n₂} read from `twist`[n₁+k₁, n₂+k₂].
 
     v[l,c,a,b] is V at (a−k₁, b−k₂), v3 the third factor at (a−2k₁, b−2k₂)
-    on the doubled box.  Channels and columns of v below CHANNEL_TOL are
-    skipped: when the live columns n₂ all lie in step·ℤ, v, the twist table
-    and v3 (whose −n₂−n₂' then lie there too) are read on step·ℤ alone, with
-    n₂ weights step·j.  For each s₁ = n₁+n₁' the ν'-sum is one GEMM with the
-    Hankel slice V₃(−s₁, ·).
+    on the doubled box.  Channels of v below CHANNEL_TOL are skipped, and so
+    are columns: when the columns n₂ above it all lie in step·ℤ, v, the twist
+    table and v3 (whose −n₂−n₂' then lie there too) are read on step·ℤ alone,
+    with n₂ weights step·j.  For each s₁ = n₁+n₁' the ν'-sum is one GEMM with
+    the Hankel slice V₃(−s₁, ·).
     """
     nq, k2 = v.shape[0], (v.shape[3] - 1) // 2
     mag = np.abs(v)
