@@ -106,13 +106,16 @@ def test_batched_rows_match_the_entry_loop(seqs):
 
 
 def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypatch):
-    def box(rows, cols, hollow=()):
+    def box(rows, cols, hollow=(), step=1):
         values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
         values[list(hollow)] = 0
+        values[:, np.arange(cols) % step != 0] = 0
         return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-2, 1), values)
 
     pairs = [(box(4, 12, hollow=[1]), box(3, 12)),   # Toeplitz columns in blocks of 16
-             (box(10, 3, hollow=[2, 5]), box(2, 3))]  # rows in groups of 6
+             (box(10, 3, hollow=[2, 5]), box(2, 3)),  # rows in groups of 6
+             # compressed to 11 columns: blocks of 18, rows one at a time
+             (box(3, 21, step=2), box(1, 21, step=2))]
     monkeypatch.setattr(algebra, "BOX_BUDGET", 200)
     for a, b in pairs:
         _assert_matches_loop(a, b)
