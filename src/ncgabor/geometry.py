@@ -90,7 +90,8 @@ def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> compl
     live = np.flatnonzero(mag.max(axis=(0, 1, 2)) > CHANNEL_TOL) - k2
     step = math.gcd(*live.tolist()) or 1
     half = k2 // step * step                                # |n₂| ≤ half on step·ℤ
-    v, twist = v[..., k2 - half:k2 + half + 1:step], twist[:, k2 - half:k2 + half + 1:step]
+    cols = slice(k2 - half, k2 + half + 1, step)
+    v, twist = v[..., cols], twist[:, cols]
     v3 = v3[..., 2 * (k2 - half):2 * (k2 + half) + 1:step]
     m1, m2 = v.shape[2:]
     n1s, n2s = np.arange(m1) - (m1 - 1) // 2, step * (np.arange(m2) - (m2 - 1) // 2)
