@@ -44,14 +44,17 @@ class LatticeSeq:
     `box[i, j]` is the entry at the generator pair (n₁,n₂) = origin + (i,j),
     trimmed by `from_box` to the entries above the prune threshold.
     `index`, an (M,2) integer array in lexicographic order, and `values`
-    are read-only views of the nonzero entries; `col_step` is the spacing of
-    the columns that hold them.
+    are read-only views of the nonzero entries.  The box columns that hold
+    an entry lie a multiple of `col_step` columns from the first: `from_box`
+    sets it to the gcd of those offsets (0 when one column holds them all),
+    a scalar multiple keeps it, and the default 1 claims nothing.
     """
 
     params: TorusParams
     kind: LatticeKind
     origin: tuple
     box: np.ndarray
+    col_step: int = 1
 
     def __post_init__(self):
         box = np.asarray(self.box, dtype=np.complex128)
@@ -71,28 +74,20 @@ class LatticeSeq:
         vals.setflags(write=False)
         return vals
 
-    @cached_property
-    def col_step(self) -> int:
-        """gcd of the offsets j of the box columns that hold an entry: every
-        nonzero column lies in 0 + col_step·ℤ.  0 when only column 0 holds
-        one or the box is empty."""
-        box = self.box
-        if box.shape[1] > 1 and np.count_nonzero(box[:, 1]):
-            return 1
-        return math.gcd(*box.any(axis=0).nonzero()[0].tolist())
-
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_box(params, kind, origin, box, *, prune=PRUNE_TOL):
         """Canonical form: zero the entries not above `prune`, trim to the rest."""
         keep = np.abs(box) > prune
-        rows, cols = keep.any(axis=1).nonzero()[0], keep.any(axis=0).nonzero()[0]
-        if not rows.size:
+        rows, cols = keep.any(axis=1).nonzero()[0].tolist(), keep.any(axis=0).nonzero()[0].tolist()
+        if not rows:
             return LatticeSeq(params, kind, (0, 0), _zeros(0, 0))
         trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
+        # col_step, 1 at once when the first two columns are adjacent
+        step = 1 if cols[1:2] == [cols[0] + 1] else math.gcd(*[j - cols[0] for j in cols])
         return LatticeSeq(params, kind, (origin[0] + rows[0], origin[1] + cols[0]),
-                          np.where(keep, box, 0.0)[trim])
+                          np.where(keep, box, 0.0)[trim], step)
 
     @staticmethod
     def from_entries(params, kind, index, values, *, prune=PRUNE_TOL):
@@ -142,7 +137,7 @@ class LatticeSeq:
         return LatticeSeq.from_box(self.params, self.kind, *_aligned_sum(self, other, -1))
 
     def __mul__(self, scalar):
-        return LatticeSeq(self.params, self.kind, self.origin, self.box * scalar)
+        return LatticeSeq(self.params, self.kind, self.origin, self.box * scalar, self.col_step)
 
     __rmul__ = __mul__
 
@@ -217,15 +212,15 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     _check_compatible(a1, a2)
     if not a1.box.size or not a2.box.size:
         return LatticeSeq.from_box(a1.params, a1.kind, (0, 0), _zeros(0, 0))
-    full = _zeros(a1.box.shape[0] + a2.box.shape[0] - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
-    col = 1 if a1.col_step == 1 else math.gcd(a1.col_step, a2.col_step) or 1
+    col = math.gcd(a1.col_step, a2.col_step) or 1
     b1, b2 = a1.box[:, ::col], a2.box[:, ::col]
     (r1, c1), (r2, c2) = b1.shape, b2.shape
     width = c1 + c2 - 1
-    out = full[:, :col * width:col]
+    full = _zeros(r1 + r2 - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
+    out = full[:, :col * width:col]   # the columns that products reach
     rows = b1.any(axis=1).nonzero()[0]
     phase = _twist_phase(a1.params, a1.kind, a1.origin[0] + rows,
-                         a2.origin[1] + col * np.arange(c2))
+                         np.arange(a2.origin[1], a2.origin[1] + col * c2, col))
     block = min(width, BOX_BUDGET // c2)
     group = max(1, min(rows.size, BOX_BUDGET // (block * c2 + r2 * c2 + r2 * block)))
     padded = np.zeros((group, width + c2 - 1), dtype=np.complex128)

@@ -107,7 +107,7 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     (_require_positive on the symbol mesh or the Ritz values).
     """
     if sys.params.integer_adjoint_twist:
-        a_est, b_est, sys.bounds_residuals, _ = _symbol_bounds(sys.coefficients)
+        a_est, b_est, sys.bounds_residuals = _symbol_bounds(sys.coefficients)
     else:
         a_est, b_est, sys.bounds_residuals = _rayleigh_ritz(sys, seed)
     if not _is_frame(a_est, b_est):
@@ -139,11 +139,9 @@ def _require_positive(values, what: str):
                          "the grid does not represent S_g; raise --N or lower --radius")
 
 
-def _symbol_bounds(coeff: LatticeSeq, *extra):
-    """(A, B, residuals, first) with A ≤ F ≤ B on the whole torus, for the
-    symbol F = Σ c_n e^{2πi(n₂t₁ + n₁t₂)} of the Laurent operator f ↦ f·c;
-    `first` is (shape, sums) of the first mesh, with the sums of the weight
-    vectors `extra` on it (_symbol_mesh).
+def _symbol_bounds(coeff: LatticeSeq):
+    """(A, B, residuals) with A ≤ F ≤ B on the whole torus, for the symbol
+    F = Σ c_n e^{2πi(n₂t₁ + n₁t₂)} of the Laurent operator f ↦ f·c.
 
     Every t lies within δ = (h₁/2, h₂/2) of a mesh point t₀, so by Taylor's
     theorem |F(t) − F(t₀)| ≤ |∂₁F(t₀)|δ₁ + |∂₂F(t₀)|δ₂ + ½·4π²Σ(|n₂|δ₁ + |n₁|δ₂)²|c_n|,
@@ -157,10 +155,8 @@ def _symbol_bounds(coeff: LatticeSeq, *extra):
     n1, n2 = np.abs(n1), np.abs(n2)                           # the remainder reads |n|
     moments = np.sum(n2 ** 2 * np.abs(c)), np.sum(n1 ** 2 * np.abs(c))  # of t₁, t₂
     shape = [SYMBOL_MESH if m > 0 else 1 for m in moments]   # F is constant along t_j
-    meshes = _symbol_mesh(coeff, weights + extra, shape)
-    first = tuple(shape), meshes[3:]
     while True:
-        f, d1, d2 = (v.real for v in meshes[:3])
+        f, d1, d2 = (v.real for v in _symbol_mesh(coeff, weights, shape))
         _require_positive(f, "mesh")
         h1, h2 = 0.5 / shape[0], 0.5 / shape[1]
         drift = (h1 * np.abs(d1) + h2 * np.abs(d2)
@@ -169,9 +165,8 @@ def _symbol_bounds(coeff: LatticeSeq, *extra):
         error = max(float(f.min()) - a_est, b_est - float(f.max()))
         if (error <= MESH_REL * a_est or shape[0] * shape[1] >= MESH_POINTS
                 or not _is_frame(f.min(), f.max())):   # no finer mesh makes it a frame
-            return a_est, b_est, {"mesh": shape, "mesh_error": error}, first
+            return a_est, b_est, {"mesh": shape, "mesh_error": error}
         shape[int(moments[1] * h2 ** 2 > moments[0] * h1 ** 2)] *= 2
-        meshes = _symbol_mesh(coeff, weights, shape)
 
 
 def _rayleigh_ritz(sys: FrameSystem, seed: int):
@@ -397,9 +392,8 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
             f"= {params.adjoint_twist!r} is not an integer")
     _check_params_spec(params, g.spec)
     coeff = inner_right(g, g, params, radius)   # ⟨g,π°g⟩ up to the q|αβ| scale
-    plot = (params.density * coeff.values,)
-    a_est, b_est, _, (shape, sums) = _symbol_bounds(coeff, *plot)
-    (f_vals,) = sums if shape == (grid, grid) else _symbol_mesh(coeff, plot, (grid, grid))
+    a_est, b_est, _ = _symbol_bounds(coeff)
+    (f_vals,) = _symbol_mesh(coeff, (params.density * coeff.values,), (grid, grid))
     return LaurentSymbol(
         t=np.arange(grid) / grid, values=f_vals.real,
         min_abs=float(np.abs(f_vals).min()), max_abs=float(np.abs(f_vals).max()),

@@ -20,7 +20,6 @@ it once per window, in its defect stage, and is the record of the run.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
 
 import numpy as np
@@ -69,7 +68,7 @@ def chern_trace(p: LatticeSeq) -> complex:
     return val / (2j * np.pi * abs(p.params.alpha * p.params.beta))
 
 
-CHANNEL_TOL = 1e-13  # channels and columns of V below this magnitude add nothing to the Chern sum
+CHANNEL_TOL = 1e-13  # channel tables below this magnitude add nothing to the Chern sum
 
 
 def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> complex:
@@ -79,25 +78,15 @@ def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> compl
     T(n₁,n₂) = e^{2πiθn₁n₂} read from `twist`[n₁+k₁, n₂+k₂].
 
     v[l,c,a,b] is V at (a−k₁, b−k₂), v3 the third factor at (a−2k₁, b−2k₂)
-    on the doubled box.  Channels of v below CHANNEL_TOL are skipped, and so
-    are columns: when the columns n₂ above it all lie in step·ℤ, v, the twist
-    table and v3 (whose −n₂−n₂' then lie there too) are read on step·ℤ alone,
-    with n₂ weights step·j.  For each s₁ = n₁+n₁' the ν'-sum is one GEMM with
-    the Hankel slice V₃(−s₁, ·).
+    on the doubled box; channels of v below CHANNEL_TOL are skipped.  For
+    each s₁ = n₁+n₁' the ν'-sum is one GEMM with the Hankel slice V₃(−s₁, ·).
     """
-    nq, k2 = v.shape[0], (v.shape[3] - 1) // 2
-    mag = np.abs(v)
-    live = np.flatnonzero(mag.max(axis=(0, 1, 2)) > CHANNEL_TOL) - k2
-    step = math.gcd(*live.tolist()) or 1
-    half = k2 // step * step                                # |n₂| ≤ half on step·ℤ
-    cols = slice(k2 - half, k2 + half + 1, step)
-    v, twist = v[..., cols], twist[:, cols]
-    v3 = v3[..., 2 * (k2 - half):2 * (k2 + half) + 1:step]
-    m1, m2 = v.shape[2:]
-    n1s, n2s = np.arange(m1) - (m1 - 1) // 2, step * (np.arange(m2) - (m2 - 1) // 2)
+    nq, _, m1, m2 = v.shape
+    n1s, n2s = np.arange(m1) - (m1 - 1) // 2, np.arange(m2) - (m2 - 1) // 2
     chan = np.exp(2j * np.pi * np.outer(np.arange(nq), np.arange(nq)) / nq)
-    hankel = np.add.outer(np.arange(m2), np.arange(m2))     # (n₂' + n₂ + 2·half)/step
-    active = [(l, c) for l in range(nq) for c in range(nq) if mag[l, c].max() > CHANNEL_TOL]
+    hankel = np.add.outer(np.arange(m2), np.arange(m2))     # n₂' + n₂ + 2k₂
+    active = [(l, c) for l in range(nq) for c in range(nq)
+              if np.abs(v[l, c]).max() > CHANNEL_TOL]
     total = 0.0j
     for l, c in active:
         first = v[l, c] * twist * chan[l, c]                      # V(ν)·e^{2πiθn₁n₂}

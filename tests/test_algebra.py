@@ -70,7 +70,10 @@ def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
     step3_off = seq([(n, -5 + 3 * j) for n in (-2, 3) for j in (0, 1, 3)])
     step7 = seq([(1, -7), (0, 0), (2, 7), (-1, 14)])
     sparse = [step2, step3, step3_off, step7, 0.0 * step3]
-    assert [s.col_step for s in sparse] == [2, 3, 3, 7, 0]
+    assert [s.col_step for s in sparse] == [2, 3, 3, 7, 3]   # a scalar multiple keeps its step
+    # from_box measures the step from the first column it keeps
+    shifted = np.pad(step3.box, ((0, 0), (1, 0)))
+    assert LatticeSeq.from_box(params, kind, (0, 0), shifted).col_step == 3
     shapes = [delta, row, col, hollow, dense, zero] + sparse
     for a in shapes:
         for b in shapes:

@@ -350,16 +350,6 @@ def test_laurent_symbol_admissible(sys_q1):
     assert sym.max_imag < 1e-12
 
 
-@pytest.mark.parametrize("grid", [64, 16])
-def test_laurent_plot_is_the_separate_mesh_bitwise(sys_q1, grid):
-    # at grid 64 the plot is read off the first mesh of the bounds, at 16 it
-    # is summed on its own; both equal the plot mesh summed alone
-    p = sys_q1.params
-    coeff = inner_right(sys_q1.window, sys_q1.window, p, 6.0)
-    (alone,) = frame._symbol_mesh(coeff, (p.density * coeff.values,), (grid, grid))
-    assert np.array_equal(laurent_symbol(sys_q1.window, p, grid=grid).values, alone.real)
-
-
 def test_laurent_symbol_unavailable():
     p = TorusParams(0.52, 0.5)  # 1/(αβ) not an integer
     spec = grid_for_radius(6.0)

@@ -187,29 +187,6 @@ def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, 
     assert abs(_chern_double_sum(v, v3, twist) - expected) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("nq", [1, 2])
-@pytest.mark.parametrize("live, step", [((-4, -2, 0, 2, 4), 2), ((-3, -1, 1, 3), 1)],
-                         ids=["even", "odd"])
-def test_chern_double_sum_on_live_columns(nq, live, step):
-    # v lives on the columns n₂ in `live`; the kernel reads v, the twist and v₃
-    # on step·ℤ only, so v₃'s other columns may hold NaN.  {±1, ±3} lies on no
-    # sublattice through n₂ = 0 and is summed uncompressed.
-    rng = np.random.default_rng(nq + step)
-    m1, m2 = 5, 9
-    shape, big = (nq, nq, m1, m2), (nq, nq, 2 * m1 - 1, 2 * m2 - 1)
-    v = np.zeros(shape, dtype=complex)
-    cols = np.array(live) + m2 // 2
-    v[..., cols] = rng.normal(size=shape)[..., cols] + 1j * rng.normal(size=shape)[..., cols]
-    v3 = rng.normal(size=big) + 1j * rng.normal(size=big)
-    theta = 0.37
-    expected, scale = naive_chern_double_sum(v, v3, theta)
-    unread = np.arange(2 * m2 - 1) % step != (m2 - 1) % step   # n₂ ∉ step·ℤ
-    v3[..., unread] = np.nan
-    n1s, n2s = np.arange(m1) - m1 // 2, np.arange(m2) - m2 // 2
-    twist = np.exp(2j * np.pi * theta * np.outer(n1s, n2s))
-    assert abs(_chern_double_sum(v, v3, twist) - expected) <= 1e-12 * scale
-
-
 def _signal(params, seed):
     """Unit-norm random signal on a small q-channel grid."""
     spec = GridSpec(L=8.0, N=32, q=params.q)
