@@ -266,10 +266,10 @@ def trace_r(b: LatticeSeq) -> complex:
 # -- the atom kernel ---------------------------------------------------------
 
 
-def _box_axes(params: TorusParams, kind: LatticeKind, radius: float, scale: int = 1):
-    """Generator indices |n₁| ≤ scale·K₁, |n₂| ≤ scale·K₂ of the box at `radius`."""
+def _box_axes(params: TorusParams, kind: LatticeKind, radius: float):
+    """Generator indices |n₁| ≤ K₁, |n₂| ≤ K₂ of the index box at `radius`."""
     k1, k2 = index_bounds(params, kind, radius)
-    return np.arange(-scale * k1, scale * k1 + 1), np.arange(-scale * k2, scale * k2 + 1)
+    return np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
 
 
 def _atoms(g: GridSignal, gen, n1s, n2s):
@@ -356,12 +356,11 @@ def act_right(f: GridSignal, b: LatticeSeq) -> GridSignal:
 
 
 def _pairing(f: GridSignal, g: GridSignal, params: TorusParams, kind: LatticeKind,
-             radius: float, scale: int = 1):
-    """⟨f, π(ν)g⟩ on the index box of `kind` at `radius` (`scale` times as
-    wide, as in _box_axes), and the box axes."""
+             radius: float):
+    """⟨f, π(ν)g⟩ on the index box of `kind` at `radius`, and the box axes."""
     _check_same_spec(f, g)
     _check_params_spec(params, f.spec)
-    n1s, n2s = _box_axes(params, kind, radius, scale)
+    n1s, n2s = _box_axes(params, kind, radius)
     return _analyse(f, *_atoms(g, lattice_generators(params, kind), n1s, n2s)), n1s, n2s
 
 

@@ -24,9 +24,9 @@ ladder, truncation radius, seed, and library version; identical
 configuration and seed reproduce identical reports apart from the
 timestamp.  Exit codes, assigned in main() alone: 0 all checks passed,
 1 an asserted identity failed its tolerance (a failed verdict, or a
-ToleranceError raised inside the chain), 2 configuration error or
-unreadable input (ValueError, OSError), 3 frame failure (NotAFrameError),
-4 iterative-solver failure (ConvergenceError).
+ToleranceError raised inside the chain), 2 configuration error, grid fault
+(GridError) or unreadable input (ValueError, OSError), 3 frame failure
+(NotAFrameError), 4 iterative-solver failure (ConvergenceError).
 """
 
 from __future__ import annotations
@@ -45,11 +45,11 @@ from .lattice import LatticeKind, TorusParams
 from .signal import GridSpec, random_timefreq_probe, save_signal
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
-from .frame import (TIGHT_TOL, ConvergenceError, NotAFrameError, ToleranceError,
+from .frame import (TIGHT_TOL, ConvergenceError, GridError, NotAFrameError, ToleranceError,
                     laurent_symbol, reconstruction_residual, wexler_raz_residual)
 # kept as a module attribute for tools that patch it here (perfbench/spans.py)
 from .frame import canonical_dual  # noqa: F401
-from .geometry import (Pipeline, SeamError, build_window, derive, grid_for_radius,
+from .geometry import (Pipeline, build_window, derive, grid_for_radius,
                        tolerance_ladder)
 from .moyal import (continuous_energy, default_window_corpus, eigen_residual,
                     load_corpus_file, moyal_check)
@@ -310,7 +310,7 @@ def _sweep_point(job):
     """One CSV row; a failure goes to its `error` column.  A point is verified
     when pipe.passes() holds and c1 rounds to q; otherwise `error` names the
     checks it failed.  `passed` (not in the CSV) is false on a missed
-    tolerance, a dual at the seam or an unverified point; frame and solver
+    tolerance, a grid fault (GridError) or an unverified point; frame and solver
     failures do not fail a sweep that verifies some other point."""
     alpha, beta, args_dict = job
     args = argparse.Namespace(**{**args_dict, "alpha": alpha, "beta": beta})
@@ -319,7 +319,7 @@ def _sweep_point(job):
     try:
         pipe = _pipeline(args)
         pipe.report()
-    except (ToleranceError, SeamError) as exc:
+    except (ToleranceError, GridError) as exc:
         return {**row, "error": str(exc), "passed": False}
     except (NotAFrameError, ConvergenceError) as exc:
         return {**row, "error": str(exc), "passed": True}

@@ -47,6 +47,10 @@ class ToleranceError(ValueError):
     """Raised when an asserted identity misses its tolerance."""
 
 
+class GridError(ValueError):
+    """Raised when the grid does not represent S_g or a window's lattice sums."""
+
+
 FRAME_REL = 1e-6          # A ≤ FRAME_REL·B: not a frame; below −FRAME_REL·max: grid error
 PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
 SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
@@ -103,7 +107,7 @@ def frame_bounds(sys: FrameSystem, seed: int = 7):
     Rayleigh–Ritz estimates of _rayleigh_ritz (`seed` fixes its probes),
     which lie inside the spectrum: the residuals are {"rayleigh_A",
     "rayleigh_B"}.  Raises NotAFrameError, which carries both values, unless
-    _is_frame(A, B), and ValueError when the grid does not represent S_g
+    _is_frame(A, B), and GridError when the grid does not represent S_g
     (_require_positive on the symbol mesh or the Ritz values).
     """
     if sys.params.integer_adjoint_twist:
@@ -132,9 +136,9 @@ def _negative(values) -> bool:
 
 
 def _require_positive(values, what: str):
-    """Raise the grid error of a reading that is _negative."""
+    """Raise the GridError of a reading that is _negative."""
     if _negative(values):
-        raise ValueError(f"the frame operator's symbol is negative ({what} min "
+        raise GridError(f"the frame operator's symbol is negative ({what} min "
                          f"{float(np.min(values)):.3e}, max {float(np.max(values)):.3e}): "
                          "the grid does not represent S_g; raise --N or lower --radius")
 
@@ -280,7 +284,7 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
     reading of least residual if it is within `tol`, else ConvergenceError.
     Past the first k whose Ritz values fail _require_positive (checked at
     powers of two, then bisected) the grid no longer represents S_g: the best
-    earlier reading is returned if it is within `tol`, else the ValueError.
+    earlier reading is returned if it is within `tol`, else the GridError.
     """
     g = sys.window
     residuals, u, k = [1.0], np.ones(1), 0   # u_j = p_j(0)·residuals[-1]
@@ -314,7 +318,7 @@ def canonical_tight(sys: FrameSystem) -> GridSignal:
     t is tight exactly when ⟨t, π°(ν°)t⟩ = q|αβ|·δ, so until
     wexler_raz_residual(t, t) at the system's radius is at most TIGHT_TOL.
     Raises ConvergenceError when the largest dimension misses TIGHT_TOL, and
-    ValueError when a reading fails _require_positive.
+    GridError when a reading fails _require_positive.
     """
     for basis, alphas, hess in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
         evals, evecs = _ritz(alphas, hess, len(alphas))

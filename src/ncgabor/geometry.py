@@ -8,7 +8,8 @@ derivatives are ∇₁ = 2πi·M and ∇₂ = D, with constant curvature
     c₁(p) = (2πi|αβ|)⁻¹ · tr(p ♮ [(∂₁p)♮(∂₂p) − (∂₂p)♮(∂₁p)])
 
 is evaluated both through the twisted algebra (chern_trace) and through an
-independent double lattice sum over short-time Fourier samples (chern_sum).
+independent double lattice sum over short-time Fourier samples (chern_sum),
+both of ⟨g,h⟩ on the index box at R and 0 outside it: they differ by roundoff.
 The sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)² + (∂₂p)²) is bounded
 below by |c₁(p)| and attained exactly when one of the self-duality
 equations (∂₁p ± i∂₂p)♮p = 0 holds.
@@ -27,7 +28,7 @@ import numpy as np
 from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_l, twisted_conv,
                       l1_diff, _pairing, _twist_phase)
-from .frame import (FrameSystem, ToleranceError, canonical_dual, canonical_tight,
+from .frame import (FrameSystem, GridError, ToleranceError, canonical_dual, canonical_tight,
                     frame_bounds, lift_scalar_window, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, load_signal, norm)
@@ -71,18 +72,20 @@ def chern_trace(p: LatticeSeq) -> complex:
 CHANNEL_TOL = 1e-13  # channel tables below this magnitude add nothing to the Chern sum
 
 
-def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> complex:
-    """Σ (n₁'n₂ − n₁n₂')·V[l,c](ν)·V[l',c'](ν')·V₃[−l−l',−c−c'](−ν−ν')
+def _chern_double_sum(v: np.ndarray, twist: np.ndarray) -> complex:
+    """Σ (n₁'n₂ − n₁n₂')·V[l,c](ν)·V[l',c'](ν')·V[−l−l',−c−c'](−ν−ν')
     ·T(n₁,n₂)·T(n₁',n₂'+n₂)·exp 2πi(lc + l'(c'+c))/Q over ν, ν' in the box
     |n₁| ≤ k₁, |n₂| ≤ k₂ and the channel pairs (l,c), (l',c') of ℤ_Q², with
     T(n₁,n₂) = e^{2πiθn₁n₂} read from `twist`[n₁+k₁, n₂+k₂].
 
-    v[l,c,a,b] is V at (a−k₁, b−k₂), v3 the third factor at (a−2k₁, b−2k₂)
-    on the doubled box; channels of v below CHANNEL_TOL are skipped.  For
-    each s₁ = n₁+n₁' the ν'-sum is one GEMM with the Hankel slice V₃(−s₁, ·).
+    v[l,c,a,b] is V at (a−k₁, b−k₂), and V is 0 outside that box, also in
+    the third factor; channels of v below CHANNEL_TOL are skipped.  For each
+    s₁ = n₁+n₁' with |s₁| ≤ k₁, the only rows where V(−s₁, ·) can be nonzero,
+    the ν'-sum is one GEMM with the Hankel slice of V(−s₁, ·), zero-padded.
     """
     nq, _, m1, m2 = v.shape
-    n1s, n2s = np.arange(m1) - (m1 - 1) // 2, np.arange(m2) - (m2 - 1) // 2
+    k1, k2 = (m1 - 1) // 2, (m2 - 1) // 2
+    n1s, n2s = np.arange(m1) - k1, np.arange(m2) - k2
     chan = np.exp(2j * np.pi * np.outer(np.arange(nq), np.arange(nq)) / nq)
     hankel = np.add.outer(np.arange(m2), np.arange(m2))     # n₂' + n₂ + 2k₂
     active = [(l, c) for l in range(nq) for c in range(nq)
@@ -93,13 +96,14 @@ def _chern_double_sum(v: np.ndarray, v3: np.ndarray, twist: np.ndarray) -> compl
         for lp, cp in active:
             second = v[lp, cp] * twist * chan[lp, (cp + c) % nq]  # V(ν')·e^{2πiθn₁'n₂'}
             second = np.stack([second, second * n2s])             # weights 1 and n₂'
-            third = v3[(-l - lp) % nq, (-c - cp) % nq, ::-1, ::-1]  # [s + 2k] = V₃(−s)
-            for s1 in range(2 * m1 - 1):                          # s₁ + 2k₁
-                rows = np.arange(max(0, s1 - m1 + 1), min(m1, s1 + 1))   # ν' rows
-                g0, g2 = second[:, rows] @ third[s1, hankel]
-                own = first[s1 - rows] * twist[rows]              # V(ν)·e^{2πiθn₁'n₂}
-                total += np.sum(own * (n1s[rows, None] * n2s * g0
-                                       - n1s[s1 - rows, None] * g2))
+            # [s₁ + k₁, n₂ + 2k₂] = V(−s₁, −n₂), 0 for |n₂| > k₂
+            third = np.pad(v[(-l - lp) % nq, (-c - cp) % nq], [(0, 0), (k2, k2)])[::-1, ::-1]
+            for s1 in range(-k1, k1 + 1):
+                rows = np.arange(max(0, s1), min(m1, m1 + s1))   # ν' rows
+                nu = s1 + 2 * k1 - rows                           # ν rows
+                g0, g2 = second[:, rows] @ third[s1 + k1, hankel]
+                own = first[nu] * twist[rows]                     # V(ν)·e^{2πiθn₁'n₂}
+                total += np.sum(own * (n1s[rows, None] * n2s * g0 - n1s[nu, None] * g2))
     return total
 
 
@@ -111,17 +115,15 @@ def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
 
       (2π/(i|αβ|)) Σ_{ν,ν'} (λ'γ−λγ') V(ν)V(ν')V(−ν−ν')·conj(φ(ν',ν'+ν))·conj(φ(ν,ν))
 
-    with V(ν) = ⟨g, π(ν)h⟩ sampled on the truncated lattice (the third
-    factor on the doubled box); the channel twist is inside θ = αβ + rs/q.
+    with V(ν) = ⟨g, π(ν)h⟩ on the index box at `radius` and 0 outside it, in
+    every factor, as in chern_trace; the channel twist is inside θ = αβ + rs/q.
     """
     kind = LatticeKind.TIME_FREQ
-    vbig, n1s, n2s = _pairing(g, h, params, kind, radius, scale=2)
-    k1, k2 = n1s[-1] // 2, n2s[-1] // 2
-    v, vbig = vbig[None, None, k1:3 * k1 + 1, k2:3 * k2 + 1], vbig[None, None]
-    twist = np.conj(_twist_phase(params, kind, n1s[k1:3 * k1 + 1], n2s[k2:3 * k2 + 1]))
+    v, n1s, n2s = _pairing(g, h, params, kind, radius)
+    twist = np.conj(_twist_phase(params, kind, n1s, n2s))
     t_step, _, f_step, _ = lattice_generators(params, kind)
     # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
-    return (_chern_double_sum(v, vbig, twist) * t_step * f_step * 2 * np.pi
+    return (_chern_double_sum(v[None, None], twist) * t_step * f_step * 2 * np.pi
             / (1j * abs(params.alpha * params.beta)))
 
 
@@ -179,10 +181,6 @@ def seam_mass(window: GridSignal, radius: float) -> float:
     return float(np.sum(np.abs(window.values[:, outside]) ** 2)) / total
 
 
-class SeamError(ValueError):
-    """Raised when a window or its dual reaches the periodisation seam."""
-
-
 class Pipeline:
     """The soliton chain of one window on one lattice, each stage computed once.
 
@@ -196,7 +194,7 @@ class Pipeline:
     ToleranceError when p misses idempotency at the frame rung 10²ε₀; c₁ by
     trace, E and the self-duality residuals read it first.  A window that
     reaches the periodisation seam is rejected before any solve, and a dual
-    or tight window before any check reads it (SeamError).  chern_ok,
+    or tight window before any check reads it (GridError).  chern_ok,
     energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
@@ -209,11 +207,11 @@ class Pipeline:
         self._seam_gate("window", window)
 
     def _seam_gate(self, name: str, f: GridSignal) -> GridSignal:
-        """f, unless its seam_mass reaches the frame rung (SeamError); S_g⁻¹g and
+        """f, unless its seam_mass reaches the frame rung (GridError); S_g⁻¹g and
         S_g^{−1/2}g are gated too: S_g's adjoint modulations need not be L-periodic."""
         tail = seam_mass(f, self.radius)
         if tail >= self.tolerances["frame"]:
-            raise SeamError(
+            raise GridError(
                 f"{name} reaches the periodisation seam: relative mass {tail:.3e} "
                 f"outside |x| <= L/2 - radius = {f.spec.L / 2 - self.radius:g}; "
                 "widen L or reduce the radius")
@@ -327,7 +325,7 @@ class Pipeline:
         e, e_win, gap = self.energy_trace, self.energy_window, self.gap
         (sd_plus, sd_minus), (w_plus, w_minus) = self.self_duality, self.w_residuals
         if e < 0:
-            raise ValueError("energy must be nonnegative")
+            raise ToleranceError("energy must be nonnegative")
         p, spec = self.params, self.window.spec
         return {
             "params": {"alpha": p.alpha, "beta": p.beta, "r": p.r, "s": p.s, "q": p.q},

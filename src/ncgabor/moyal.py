@@ -166,9 +166,8 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     if ring >= RING_TOL:
         raise ValueError(f"window leaves the quadrature box: relative mass {ring:.3e} "
                          f"on the outermost ring of |x|, |omega| <= box = {box:g}")
-    padded = np.pad(p, [(0, 0)] * 2 + [(nodes[-1], nodes[-1])] * 2)
     twist = np.conj(_twist_phase(lat, kind, nodes, nodes))
-    return _chern_double_sum(p, padded, twist) * step ** 6 * 2 * np.pi * q ** 2 / 1j
+    return _chern_double_sum(p, twist) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
 
 def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSignal:

@@ -252,6 +252,19 @@ def test_sweep_records_a_dual_at_the_seam_and_fails(tmp_path):
     assert "relative mass 1.103e-06" in rows[2]["error"]
 
 
+def test_sweep_records_a_negative_symbol_in_its_row(tmp_path):
+    # at alpha = 0.8 the dual's Lanczos run reads a negative Ritz value, a grid
+    # fault: its row records it, like a seam fault, and the sweep fails
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--window", "hermite:1", "--alpha-range", "0.5,0.8",
+                 "--beta-range", "0.8", "--csv", str(csv_path), "--out", str(out)]) == 1
+    assert _load(out)["results"]["points"] == 2
+    header, *lines = csv_path.read_text().strip().splitlines()
+    rows = [dict(zip(header.split(","), next(csv.reader([line])))) for line in lines]
+    assert [float(r["alpha"]) for r in rows] == [0.5, 0.8]
+    assert rows[1]["error"].startswith("the frame operator's symbol is negative")
+
+
 def test_sweep_records_a_lift_failure_in_its_row(tmp_path):
     # the lifted Gaussian is no frame at beta = 1 (its scalar lattice is
     # critical): that row records the lift's failure, and the beta = 1/3 point
@@ -413,6 +426,13 @@ def test_negative_symbol_is_a_grid_error_exit_code(flags, capsys, tmp_path, monk
     err = capsys.readouterr().err
     assert "configuration error: the frame operator's symbol is negative" in err
     assert "raise --N or lower --radius" in err
+
+
+def test_negative_energy_is_a_tolerance_failure_exit_code(monkeypatch, capsys):
+    # E >= 0 is an identity of the chain: a negative reading fails it (exit 1)
+    monkeypatch.setattr(geometry, "energy", lambda p: -1.0)
+    assert main(["verify-soliton"]) == 1
+    assert "tolerance failure: energy must be nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--alpha", "1", "--beta", "1"], ["--window", "hermite:3"]])

@@ -106,6 +106,28 @@ def test_chern_q1(q1_pipeline, params_q1):
     assert abs(c1 - c1s) < 1e-5
 
 
+def _perturbed_gaussian(spec):
+    g = gaussian(spec)
+    return g + (0.10 * norm(g)) * hermite(spec, 2)
+
+
+@pytest.mark.parametrize("params, window", [
+    (TorusParams(0.5, 0.5), "gaussian"),
+    (TorusParams(0.62, 0.62), "gaussian"),
+    (TorusParams(0.5, 1 / 3, 1, 1, 2), "lifted_gaussian"),
+    (TorusParams(0.5, 2 / 15, 1, 1, 3), "lifted_gaussian"),
+    (TorusParams(0.5, 2 / 91, 1, 1, 7), "lifted_gaussian"),
+    (TorusParams(0.5, 0.5), _perturbed_gaussian),
+], ids=["q1", "a=b=0.62", "q2_flagship", "q3_b=2/15", "q7_b=2/91", "perturbed"])
+def test_two_chern_formulas_agree_to_roundoff(params, window):
+    # both formulas sum the same table, p = ⟨g,h⟩ on the box at R and 0
+    # outside it, so they differ by roundoff, not by truncation
+    spec = grid_for_radius(6.0, q=params.q)
+    g = window(spec) if callable(window) else build_window(window, spec, params)
+    pipe = Pipeline(params, g, radius=6.0)
+    assert abs(pipe.c1_trace - pipe.c1_sum) <= 1e-13
+
+
 def test_chern_rejects_non_projection(params_q1, rng):
     # the pipeline's defect stage gates every formula that needs p♮p = p
     zero = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,

@@ -1,13 +1,16 @@
 """Every imported name in src/, tests/ and demos/ is referenced, no
 `except` handler in src/ swallows its exception with a bare `pass` (every
-failure is classified or re-raised), and no function in src/ imports from
-the package: its modules import each other at the top.
+failure is classified or re-raised), no function in src/ imports from
+the package: its modules import each other at the top, and every exception
+class in src/ is declared in frame.py, so the failure types that the CLI
+maps to exit codes are read in one module.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -61,3 +64,28 @@ def local_relative_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_function_local_relative_import(path):
     assert local_relative_imports(path) == []
+
+
+def exception_classes(paths):
+    """(file name, class name) of each class in `paths` that derives, through
+    classes of `paths` or directly, from a builtin exception or from a class
+    whose name ends in Error or Exception."""
+    defs = [(path.name, node.name, [getattr(base, "id", getattr(base, "attr", ""))
+                                    for base in node.bases])
+            for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ClassDef)]
+    names = {name for name, obj in vars(builtins).items()
+             if isinstance(obj, type) and issubclass(obj, BaseException)}
+    found = set()
+    while new := {(file, name) for file, name, bases in defs
+                  if any(b in names or b.endswith(("Error", "Exception")) for b in bases)} - found:
+        found |= new
+        names |= {name for _, name in new}
+    return found
+
+
+def test_exception_classes_are_declared_in_frame():
+    found = exception_classes(SOURCES)
+    assert {name for _, name in found} >= {"ToleranceError", "GridError", "NotAFrameError",
+                                           "ConvergenceError"}
+    assert {file for file, _ in found} == {"frame.py"}
