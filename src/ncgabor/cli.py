@@ -116,7 +116,7 @@ def _setup(args):
     return params, grid
 
 
-def _emit(args, results, summary, passed) -> int:
+def _emit(args, tolerances, results, summary, passed) -> int:
     """Write the JSON report to --out, print its summary, return exit 0 or 1."""
     report = {
         "command": args.command,
@@ -125,7 +125,7 @@ def _emit(args, results, summary, passed) -> int:
         "config": {k: (repr(v) if isinstance(v, complex) else v)
                    for k, v in sorted(vars(args).items())
                    if k not in ("func", "out", "config")},
-        "tolerances": tolerance_ladder(args.eps0),
+        "tolerances": tolerances,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "results": results,
         "results_summary": summary,
@@ -470,7 +470,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.config:
             args = parser.parse_args([args.command, *_config_argv(args.config), *argv[1:]])
-        return _emit(args, *args.func(args, cache(partial(_pipeline, args))))
+        # the ladder is built, and --eps0 checked, before the view runs
+        return _emit(args, tolerance_ladder(args.eps0),
+                     *args.func(args, cache(partial(_pipeline, args))))
     except ToleranceError as exc:   # a ValueError, so it is matched first
         return _fail("tolerance failure", exc, EXIT_IDENTITY)
     except NotAFrameError as exc:

@@ -8,15 +8,15 @@ derivatives are ∇₁ = 2πi·M and ∇₂ = D, with constant curvature
     c₁(p) = (2πi|αβ|)⁻¹ · tr(p ♮ [(∂₁p)♮(∂₂p) − (∂₂p)♮(∂₁p)])
 
 is evaluated both through the twisted algebra (chern_trace) and through an
-independent double lattice sum over short-time Fourier samples (chern_sum),
-both of ⟨g,h⟩ on the index box at R and 0 outside it: they differ by roundoff.
+independent double lattice sum (chern_sum), both of p alone, read as 0
+outside its box: they differ by roundoff.
 The sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)² + (∂₂p)²) is bounded
 below by |c₁(p)| and attained exactly when one of the self-duality
 equations (∂₁p ± i∂₂p)♮p = 0 holds.
 
-chern_trace, energy and sd_residuals are plain formulas: each takes as its
-hypothesis that p is a projection and does not check it.  Pipeline checks
-it once per window, in its defect stage, and is the record of the run.
+chern_trace, chern_sum, energy and sd_residuals are plain formulas that take
+p to be a projection without checking it.  Pipeline checks it once per
+window, in its defect stage, and is the record of the run.
 """
 
 from __future__ import annotations
@@ -25,9 +25,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, lattice_generators, soliton_admissible
+from .lattice import TorusParams, lattice_generators, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_l, twisted_conv,
-                      l1_diff, _pairing, _twist_phase)
+                      l1_diff, _twist_phase)
 from .frame import (FrameSystem, GridError, ToleranceError, canonical_dual, canonical_tight,
                     frame_bounds, lift_scalar_window, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
@@ -107,24 +107,24 @@ def _chern_double_sum(v: np.ndarray, twist: np.ndarray) -> complex:
     return total
 
 
-def chern_sum(g: GridSignal, h: GridSignal, params: TorusParams,
-              radius: float) -> complex:
-    """c₁ of ⟨g,h⟩ as an explicit double lattice sum over STFT samples.
+def chern_sum(p: LatticeSeq) -> complex:
+    """c₁(p) as an explicit double lattice sum; p must be a projection.
 
     Independent of the twisted-algebra route: evaluates
 
-      (2π/(i|αβ|)) Σ_{ν,ν'} (λ'γ−λγ') V(ν)V(ν')V(−ν−ν')·conj(φ(ν',ν'+ν))·conj(φ(ν,ν))
+      (2π/(i|αβ|)) Σ_{ν,ν'} (λ'γ−λγ') p(ν)p(ν')p(−ν−ν')·conj(φ(ν',ν'+ν))·conj(φ(ν,ν))
 
-    with V(ν) = ⟨g, π(ν)h⟩ on the index box at `radius` and 0 outside it, in
-    every factor, as in chern_trace; the channel twist is inside θ = αβ + rs/q.
+    with p on the smallest centred box that holds its box and 0 outside it,
+    in every factor, as in chern_trace; the channel twist is inside θ = αβ + rs/q.
     """
-    kind = LatticeKind.TIME_FREQ
-    v, n1s, n2s = _pairing(g, h, params, kind, radius)
-    twist = np.conj(_twist_phase(params, kind, n1s, n2s))
-    t_step, _, f_step, _ = lattice_generators(params, kind)
+    lo, hi = np.array(p.origin), np.array(p.origin) + p.box.shape - 1
+    k = np.maximum(-lo, hi)   # the centred box |n₁| ≤ k₁, |n₂| ≤ k₂
+    v = np.pad(p.box, np.stack([k + lo, k - hi], axis=1))
+    twist = np.conj(_twist_phase(p.params, p.kind, *(np.arange(-j, j + 1) for j in k)))
+    t_step, _, f_step, _ = lattice_generators(p.params, p.kind)
     # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
     return (_chern_double_sum(v[None, None], twist) * t_step * f_step * 2 * np.pi
-            / (1j * abs(params.alpha * params.beta)))
+            / (1j * abs(p.params.alpha * p.params.beta)))
 
 
 def energy(p: LatticeSeq) -> float:
@@ -155,7 +155,9 @@ def sd_residuals(p: LatticeSeq):
 
 
 def tolerance_ladder(eps0: float) -> dict:
-    """One ladder from ε₀: algebra ε₀, frame 10²ε₀, Chern/energy 10³ε₀."""
+    """One ladder from ε₀ > 0: algebra ε₀, frame 10²ε₀, Chern/energy 10³ε₀, each finite."""
+    if not 0 < 1e3 * eps0 < np.inf:
+        raise ValueError(f"eps0 must be finite and positive, with 1e3*eps0 finite: got {eps0!r}")
     return {"algebra": eps0, "frame": 1e2 * eps0, "chern": 1e3 * eps0}
 
 
@@ -185,17 +187,17 @@ class Pipeline:
     """The soliton chain of one window on one lattice, each stage computed once.
 
     window g → frame system → bounds (A, B) → canonical dual h → projection
-    p = ⟨g,h⟩ → c₁ by two formulas → energy E ≥ |c₁| → self-duality and W
-    residuals.  Stages are computed on first access and cached, so a report
-    pays only for the stages it reads.  The bounds come from frame_bounds
-    (the Laurent symbol at an integer adjoint twist, Rayleigh–Ritz
-    elsewhere), and the W residuals from the dual's projection onto the
-    adjoint-shift span of g.  The defect stage forms p♮p once and raises
-    ToleranceError when p misses idempotency at the frame rung 10²ε₀; c₁ by
-    trace, E and the self-duality residuals read it first.  A window that
-    reaches the periodisation seam is rejected before any solve, and a dual
-    or tight window before any check reads it (GridError).  chern_ok,
-    energy_ok and passes() are the verdicts, report() the JSON record.
+    p = ⟨g,h⟩, the one analysis on Λ×Γ → c₁ by two formulas → energy E ≥ |c₁|
+    → self-duality and W residuals.  Stages are computed on first access and
+    cached, so a report pays only for the stages it reads.  The bounds come
+    from frame_bounds (the Laurent symbol at an integer adjoint twist,
+    Rayleigh–Ritz elsewhere), and the W residuals from the dual's projection
+    onto the adjoint-shift span of g.  The defect stage forms p♮p once and
+    raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
+    both c₁ formulas, both energy forms and the self-duality residuals read it
+    first.  A window that reaches the periodisation seam is rejected before
+    any solve, and a dual or tight window before any check reads it (GridError).
+    chern_ok, energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
     def __init__(self, params: TorusParams, window: GridSignal,
@@ -262,7 +264,7 @@ class Pipeline:
 
     @cached_property
     def c1_sum(self) -> complex:
-        return chern_sum(self.window, self.dual, self.params, self.radius)
+        return chern_sum(self._checked_projection)
 
     @property
     def chern_ok(self) -> bool:
@@ -276,7 +278,7 @@ class Pipeline:
 
     @cached_property
     def energy_window(self) -> float:
-        return energy_window_form(self.projection)
+        return energy_window_form(self._checked_projection)
 
     @property
     def gap(self) -> float:

@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from ncgabor import frame, geometry
+from ncgabor import algebra, cli, frame, geometry
 from ncgabor.cli import CSV_COLUMNS, build_parser, main
+from ncgabor.lattice import LatticeKind
 from ncgabor.signal import GridSignal, gaussian, save_signal
 
 
@@ -462,11 +463,12 @@ def test_vanishing_frame_operator_is_a_frame_failure_exit_code(scale, tmp_path,
 
 
 def _count_calls(monkeypatch, name, owner=frame):
-    """Count calls of <owner>.<name> through every module holding it."""
+    """Record the positional arguments of every call of <owner>.<name>,
+    through every module holding it."""
     original, calls = getattr(owner, name), []
 
     def counted(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for module_name, module in list(sys.modules.items()):
@@ -479,6 +481,25 @@ def test_verify_soliton_checks_idempotency_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "projection_residual", geometry)
     assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
     assert len(calls) == 1
+
+
+def test_verify_soliton_analyses_the_time_frequency_lattice_once(tmp_path, monkeypatch):
+    # p = ⟨g,h⟩ is analysed once, by inner_left, and both c₁ formulas read it
+    calls = _count_calls(monkeypatch, "_pairing", algebra)
+    assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
+    assert [args[3] for args in calls].count(LatticeKind.TIME_FREQ) == 1
+
+
+@pytest.mark.parametrize("eps0", ["0", "nan", "inf", "-1e-8", "1e306"])   # 1e3*1e306 = inf
+@pytest.mark.parametrize("command", ["verify-soliton", "dual", "moyal"])
+def test_eps0_not_finite_and_positive_exit_code(command, eps0, tmp_path, monkeypatch,
+                                                capsys):
+    setups = _count_calls(monkeypatch, "_setup", cli)
+    out = tmp_path / "r.json"
+    assert main([command, f"--eps0={eps0}", "--out", str(out)]) == 2
+    assert ("configuration error: eps0 must be finite and positive"
+            in capsys.readouterr().err)
+    assert setups == [] and not out.exists()   # refused before the view runs
 
 
 def test_run_and_sweep_share_the_soliton_pipeline(tmp_path, monkeypatch):
@@ -556,8 +577,6 @@ def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
 
 
 def test_run_axioms_gates_every_identity(tmp_path, monkeypatch):
-    from ncgabor import cli
-
     def residuals(params, rng):
         worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
                                "leibniz", "unit"), 0.0)

@@ -96,13 +96,13 @@ def test_gaussian_eigen_relation(spec1):
         assert norm(v - lam * g) / norm(g) < 1e-8
 
 
-def test_chern_q1(q1_pipeline, params_q1):
-    g, h, p = q1_pipeline
+def test_chern_q1(q1_pipeline):
+    _, _, p = q1_pipeline
     assert projection_residual(p) < 1e-6
     c1 = chern_trace(p)
     assert abs(c1 - 1.0) < 1e-6
     assert abs(c1.imag) < 1e-8
-    c1s = chern_sum(g, h, params_q1, 6.0)
+    c1s = chern_sum(p)
     assert abs(c1 - c1s) < 1e-5
 
 
@@ -136,7 +136,8 @@ def test_chern_rejects_non_projection(params_q1, rng):
     for p in (random_seq(params_q1, LatticeKind.TIME_FREQ, rng), zero):
         pipe = Pipeline(params_q1, gaussian(grid_for_radius(6.0)))
         pipe.projection = p   # no frame solve: the gate alone is under test
-        for stage in ("defect", "c1_trace", "energy_trace", "self_duality"):
+        for stage in ("defect", "c1_trace", "c1_sum", "energy_trace", "energy_window",
+                      "self_duality"):
             with pytest.raises(ToleranceError, match="not a projection"):
                 getattr(pipe, stage)
 

@@ -7,7 +7,8 @@ and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
 The ♮-product and star phases and the Chern sums' twist table are compared
-with exact rational phases.
+with exact rational phases, and the two c₁ formulas with each other on random
+boxes that hold the origin off their centre.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the reconstruction sum) is compared with single shifts through `tf_shift` on
 a small grid, and the Chern kernel with a term-by-term loop on random tables.
@@ -123,10 +124,13 @@ def test_product_and_star_phases_match_exact_rationals(params, kind, k, m):
 
 
 def _chern_sum_table(params, radius):
-    """The twist table chern_sum hands to the Chern kernel."""
-    g = _signal(params, 0)
+    """The twist table chern_sum hands to the Chern kernel for a p of ones on
+    the whole index box at `radius`, so that no pruning can shrink its box."""
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    p = LatticeSeq(params, LatticeKind.TIME_FREQ, (n1s[0], n2s[0]),
+                   np.ones((n1s.size, n2s.size)))
     with mock.patch.object(geometry, "_chern_double_sum", return_value=0j) as kernel:
-        geometry.chern_sum(g, g, params, radius)
+        geometry.chern_sum(p)
     return kernel.call_args.args[1]
 
 
@@ -187,6 +191,22 @@ def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, 
     n1s, n2s = np.arange(m1) - m1 // 2, np.arange(m2) - m2 // 2
     twist = np.exp(2j * np.pi * theta * np.outer(n1s, n2s))
     assert abs(_chern_double_sum(v, twist) - expected) <= 1e-12 * scale
+
+
+@PROPERTY
+@given(lattices(), st.tuples(st.integers(2, 5), st.integers(2, 7)),
+       st.tuples(st.integers(0, 6), st.integers(0, 6)), SEEDS)
+@example(TorusParams(0.5, 2 / 91, 1, 1, 7), (4, 7), (1, 3), 0)   # origin (−1, −3)
+def test_chern_sum_matches_chern_trace_off_centre(params, shape, zero_at, seed):
+    # the double sum is the trace formula with its products written out, so
+    # the two agree on any finitely supported p, also on a box that holds the
+    # origin off its centre and that chern_sum must centre
+    rng = np.random.default_rng(seed)
+    origin = (-(zero_at[0] % shape[0]), -(zero_at[1] % shape[1]))
+    box = rng.uniform(0.1, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    p = LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, origin, box)
+    scale = p.l1_norm() ** 3 * np.abs(p.index).max() ** 2
+    assert abs(geometry.chern_trace(p) - geometry.chern_sum(p)) <= 1e-12 * scale
 
 
 def _signal(params, seed):
