@@ -256,6 +256,25 @@ def trace_l(a: LatticeSeq) -> complex:
     return a.value_at(0, 0)
 
 
+def trace_pairing(a: LatticeSeq, b: LatticeSeq) -> complex:
+    """τ(a, b) = tr(a♮b) = Σ_k a(k)·b(−k)·exp(−2πi·t·k₁k₂) on Λ×Γ, summed over
+    the overlap of a's box with b's reflected box, with no product formed.
+    A value at most PRUNE_TOL is 0, as trace_l reads the pruned (a♮b)(0)."""
+    _check_compatible(a, b)
+    if a.kind is not LatticeKind.TIME_FREQ:
+        raise ValueError("trace_pairing expects sequences on the time-frequency lattice")
+    lo = [max(a.origin[k], 1 - b.origin[k] - b.box.shape[k]) for k in (0, 1)]
+    hi = [min(a.origin[k] + a.box.shape[k], 1 - b.origin[k]) for k in (0, 1)]
+    if lo[0] >= hi[0] or lo[1] >= hi[1]:
+        return 0.0j
+    a_part = a.box[tuple(slice(l - o, h - o) for l, h, o in zip(lo, hi, a.origin))]
+    b_part = b.box[tuple(slice(1 - h - o, 1 - l - o) for l, h, o in zip(lo, hi, b.origin))]
+    phase = np.conj(_twist_phase(a.params, a.kind, np.arange(lo[0], hi[0]),
+                                 np.arange(lo[1], hi[1])))
+    tau = complex(np.sum(a_part * b_part[::-1, ::-1] * phase))
+    return tau if abs(tau) > PRUNE_TOL else 0.0j
+
+
 def trace_r(b: LatticeSeq) -> complex:
     """tr°(b) = q|αβ|·b(0) on the adjoint lattice."""
     if b.kind is not LatticeKind.ADJOINT:
@@ -266,9 +285,11 @@ def trace_r(b: LatticeSeq) -> complex:
 # -- the atom kernel ---------------------------------------------------------
 
 
-def _box_axes(params: TorusParams, kind: LatticeKind, radius: float):
-    """Generator indices |n₁| ≤ K₁, |n₂| ≤ K₂ of the index box at `radius`."""
+def _box_axes(params: TorusParams, kind: LatticeKind, radius: float, spec: GridSpec):
+    """Generator indices |n₁| ≤ K₁, |n₂| ≤ K₂ of the index box at `radius`,
+    refused from K₁, K₂ alone when its atoms on `spec` exceed BOX_BUDGET."""
     k1, k2 = index_bounds(params, kind, radius)
+    _check_atom_box(2 * k1 + 1, 2 * k2 + 1, spec)
     return np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
 
 
@@ -360,7 +381,7 @@ def _pairing(f: GridSignal, g: GridSignal, params: TorusParams, kind: LatticeKin
     """⟨f, π(ν)g⟩ on the index box of `kind` at `radius`, and the box axes."""
     _check_same_spec(f, g)
     _check_params_spec(params, f.spec)
-    n1s, n2s = _box_axes(params, kind, radius)
+    n1s, n2s = _box_axes(params, kind, radius, f.spec)
     return _analyse(f, *_atoms(g, lattice_generators(params, kind), n1s, n2s)), n1s, n2s
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, lattice_generators
+from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators
 from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, inner_left, inner_right, l1_diff,
                       twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
                       _check_params_spec, _right_action, _synthesise, _translates,
@@ -434,10 +434,11 @@ def adjoint_shift_family(g: GridSignal, params: TorusParams,
                          radius: float) -> np.ndarray:
     """Matrix whose columns are π°(ν°)g over the truncated adjoint lattice,
     refused before allocation above BOX_BUDGET cells."""
-    n1s, n2s = _box_axes(params, LatticeKind.ADJOINT, radius)
-    if n1s.size * n2s.size * g.values.size > BOX_BUDGET:
-        raise ValueError(f"a {n1s.size}x{n2s.size} adjoint shift family of {g.values.size}"
+    m1, m2 = (2 * k + 1 for k in index_bounds(params, LatticeKind.ADJOINT, radius))
+    if m1 * m2 * g.values.size > BOX_BUDGET:
+        raise ValueError(f"a {m1}x{m2} adjoint shift family of {g.values.size}"
                          f"-sample columns exceeds {BOX_BUDGET} cells")
+    n1s, n2s = _box_axes(params, LatticeKind.ADJOINT, radius, g.spec)
     tg, mod = _atoms(g, lattice_generators(params, LatticeKind.ADJOINT), n1s, n2s)
     cols = tg[:, None, :] * mod[None, :, :]
     cols *= np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))[:, :, None]
@@ -474,7 +475,7 @@ def reconstruction_residual(probes, g: GridSignal, h: GridSignal,
     _check_same_spec(g, h)
     _check_params_spec(params, g.spec)
     gen = lattice_generators(params, LatticeKind.TIME_FREQ)
-    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius, g.spec)
     tg, mod = _atoms(g, gen, n1s, n2s)
     th = tg if h is g else _translates(h, gen, n1s)
 

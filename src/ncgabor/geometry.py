@@ -14,6 +14,10 @@ The sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)² + (∂₂p)²) is
 below by |c₁(p)| and attained exactly when one of the self-duality
 equations (∂₁p ± i∂₂p)♮p = 0 holds.
 
+The two products P± = (∂₁p ± i∂₂p)♮p of those equations (sd_products) hold
+all that c₁ by trace needs; it and E read them, and ∂ⱼp, through the trace
+pairing τ(a, b) = tr(a♮b), which forms no product.
+
 chern_trace, chern_sum, energy and sd_residuals are plain formulas that take
 p to be a projection without checking it.  Pipeline checks it once per
 window, in its defect stage, and is the record of the run.
@@ -26,8 +30,8 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import TorusParams, lattice_generators, soliton_admissible
-from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_l, twisted_conv,
-                      l1_diff, _twist_phase)
+from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_pairing,
+                      twisted_conv, l1_diff, _twist_phase)
 from .frame import (FrameSystem, GridError, ToleranceError, canonical_dual, canonical_tight,
                     frame_bounds, lift_scalar_window, wexler_raz_residual)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
@@ -61,11 +65,22 @@ def projection_residual(p: LatticeSeq) -> float:
     return l1_diff(twisted_conv(p, p), p) / n
 
 
-def chern_trace(p: LatticeSeq) -> complex:
-    """c₁(p) from the algebra trace formula; p must be a projection."""
+def sd_products(p: LatticeSeq) -> tuple:
+    """P± = (∂₁p ± i∂₂p)♮p, read by chern_trace and sd_residuals."""
     d1, d2 = derive(p, 1), derive(p, 2)
-    comm = twisted_conv(d1, d2) - twisted_conv(d2, d1)
-    val = trace_l(twisted_conv(p, comm))
+    return twisted_conv(d1 + 1j * d2, p), twisted_conv(d1 + (-1j) * d2, p)
+
+
+def chern_trace(p: LatticeSeq, products: tuple | None = None) -> complex:
+    """c₁(p) from the algebra trace formula; p must be a projection.
+
+    By associativity and the trace's cyclicity, tr(p♮[∂₁p, ∂₂p]) =
+    τ(∂₂p♮p, ∂₁p) − τ(∂₁p♮p, ∂₂p), with ∂₁p♮p = (P₊ + P₋)/2 and
+    ∂₂p♮p = (P₊ − P₋)/(2i) from `products`, sd_products(p) unless given.
+    """
+    plus, minus = sd_products(p) if products is None else products
+    d1p, d2p = (plus + minus) * 0.5, (plus - minus) * -0.5j
+    val = trace_pairing(d2p, derive(p, 1)) - trace_pairing(d1p, derive(p, 2))
     return val / (2j * np.pi * abs(p.params.alpha * p.params.beta))
 
 
@@ -128,10 +143,10 @@ def chern_sum(p: LatticeSeq) -> complex:
 
 
 def energy(p: LatticeSeq) -> float:
-    """Sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p));
-    p must be a projection."""
+    """Sigma-model energy E(p) = (4π|αβ|)⁻¹·tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p)) by
+    two trace pairings; p must be a projection."""
     d1, d2 = derive(p, 1), derive(p, 2)
-    raw = trace_l(twisted_conv(d1, d1)) + trace_l(twisted_conv(d2, d2))
+    raw = trace_pairing(d1, d1) + trace_pairing(d2, d2)
     return raw.real / (4 * np.pi * abs(p.params.alpha * p.params.beta))
 
 
@@ -143,15 +158,14 @@ def energy_window_form(p: LatticeSeq) -> float:
     return s * np.pi / abs(p.params.alpha * p.params.beta)
 
 
-def sd_residuals(p: LatticeSeq):
-    """ℓ¹ norms of (∂₁p + i∂₂p)♮p and (∂₁p − i∂₂p)♮p for a projection p.
+def sd_residuals(p: LatticeSeq, products: tuple | None = None):
+    """ℓ¹ norms of P± = (∂₁p ± i∂₂p)♮p for a projection p, from `products`,
+    sd_products(p) unless given.
 
     One of them vanishes exactly at an energy minimizer; then E(p) = |c₁(p)|.
     """
-    d1, d2 = derive(p, 1), derive(p, 2)
-    plus = twisted_conv(d1 + 1j * d2, p).l1_norm()
-    minus = twisted_conv(d1 + (-1j) * d2, p).l1_norm()
-    return plus, minus
+    plus, minus = sd_products(p) if products is None else products
+    return plus.l1_norm(), minus.l1_norm()
 
 
 def tolerance_ladder(eps0: float) -> dict:
@@ -195,8 +209,10 @@ class Pipeline:
     onto the adjoint-shift span of g.  The defect stage forms p♮p once and
     raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
     both c₁ formulas, both energy forms and the self-duality residuals read it
-    first.  A window that reaches the periodisation seam is rejected before
-    any solve, and a dual or tight window before any check reads it (GridError).
+    first.  The sd_products stage forms P± once for c₁ by trace and the
+    self-duality residuals: three ♮-products per run.  A window that reaches
+    the periodisation seam is rejected before any solve, and a dual or tight
+    window before any check reads it (GridError).
     chern_ok, energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
@@ -259,8 +275,12 @@ class Pipeline:
         return self.projection
 
     @cached_property
+    def sd_products(self) -> tuple:
+        return sd_products(self._checked_projection)
+
+    @cached_property
     def c1_trace(self) -> complex:
-        return chern_trace(self._checked_projection)
+        return chern_trace(self._checked_projection, self.sd_products)
 
     @cached_property
     def c1_sum(self) -> complex:
@@ -293,7 +313,7 @@ class Pipeline:
     @cached_property
     def self_duality(self) -> tuple:
         """ℓ¹ norms of (∂₁p ± i∂₂p)♮p."""
-        return sd_residuals(self._checked_projection)
+        return sd_residuals(self._checked_projection, self.sd_products)
 
     @cached_property
     def w_residuals(self) -> tuple:

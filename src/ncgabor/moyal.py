@@ -156,7 +156,7 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     q, dx = g.spec.q, g.spec.dx
     step = max(1, int(round(step / dx))) * dx
     lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
-    nodes, _ = _box_axes(lat, kind, box)
+    nodes, _ = _box_axes(lat, kind, box, g.spec)
     # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
     p = np.array([[_analyse(g, *_atoms(tf_shift(g, PhasePoint(0.0, l, 0.0, c)),
                                        lattice_generators(lat, kind), nodes, nodes))

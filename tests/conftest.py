@@ -10,9 +10,10 @@ from hypothesis import Phase, settings, strategies as st
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
-from ncgabor.algebra import PRUNE_TOL, LatticeSeq, _atoms, _box_axes, _twist_phase
+from ncgabor.algebra import (PRUNE_TOL, LatticeSeq, trace_l, twisted_conv, _atoms, _box_axes,
+                             _twist_phase)
 from ncgabor.frame import adjoint_span_residual
-from ncgabor.geometry import covariant
+from ncgabor.geometry import covariant, derive
 from ncgabor.moyal import PhaseGrid, _stft_chunks
 
 
@@ -158,7 +159,7 @@ def dense_frame_operator(sys):
     quotients of the band-concentrated probes of frame_bounds."""
     gen = lattice_generators(sys.params, LatticeKind.TIME_FREQ)
     tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
-                                                 sys.radius))
+                                                 sys.radius, sys.window.spec))
     return sys.window.spec.dx * (tg.T @ tg.conj()) * (mod.T @ mod.conj())
 
 
@@ -195,3 +196,17 @@ def entry_sum(a, b, sign, prune=PRUNE_TOL):
     bitwise."""
     return LatticeSeq.from_entries(a.params, a.kind, np.vstack([a.index, b.index]),
                                    np.concatenate([a.values, sign * b.values]), prune=prune)
+
+
+def eight_product_figures(p):
+    """c₁, E and the self-duality residuals of p with every ♮-product formed:
+    tr(p♮[(∂₁p)♮(∂₂p) − (∂₂p)♮(∂₁p)])/(2πi|αβ|), tr((∂₁p)♮(∂₁p) + (∂₂p)♮(∂₂p))
+    /(4π|αβ|) and ‖(∂₁p ± i∂₂p)♮p‖₁, each trace read off its product's
+    (0, 0) entry: the reference for the trace pairings of `geometry`."""
+    d1, d2 = derive(p, 1), derive(p, 2)
+    area = abs(p.params.alpha * p.params.beta)
+    comm = twisted_conv(d1, d2) - twisted_conv(d2, d1)
+    c1 = trace_l(twisted_conv(p, comm)) / (2j * np.pi * area)
+    e = (trace_l(twisted_conv(d1, d1)) + trace_l(twisted_conv(d2, d2))).real / (4 * np.pi * area)
+    sd = tuple(twisted_conv(d1 + sign * d2, p).l1_norm() for sign in (1j, -1j))
+    return c1, e, sd

@@ -2,6 +2,7 @@ import csv
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,6 +387,20 @@ def test_atom_box_over_budget_exit_code(tmp_path, capsys):
     assert "a 2101x2101 box of 512-sample atoms exceeds" in capsys.readouterr().err
 
 
+def test_atom_box_is_refused_from_its_index_bounds(tmp_path, capsys):
+    # the box of radius 1e6 is refused from K₁ and K₂ alone: no array of its
+    # size exists first, such as its two 2·10⁶-entry axes (16 MB)
+    tracemalloc.start()
+    try:
+        code = main(["chern", "--radius", "1e6", "--out", str(tmp_path / "r.json")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    assert ("configuration error: a 1000001x1000001 box of 512-sample atoms exceeds"
+            in capsys.readouterr().err)
+
+
 def test_dual_reaching_the_seam_exit_code(monkeypatch, capsys):
     # the dual is gated at the seam by the window's rule: a stub dual centred
     # on x = L/2 puts half its mass outside |x| <= L/2 - radius
@@ -481,6 +496,14 @@ def test_verify_soliton_checks_idempotency_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, "projection_residual", geometry)
     assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
     assert len(calls) == 1
+
+
+def test_verify_soliton_forms_three_products(tmp_path, monkeypatch):
+    # p♮p for the defect and P± = (∂₁p ± i∂₂p)♮p; c₁ by trace and E read
+    # trace pairings, not products
+    calls = _count_calls(monkeypatch, "twisted_conv", algebra)
+    assert main(["verify-soliton", "--out", str(tmp_path / "sol.json")]) == 0
+    assert len(calls) == 3
 
 
 def test_verify_soliton_analyses_the_time_frequency_lattice_once(tmp_path, monkeypatch):

@@ -18,7 +18,8 @@ from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               energy_window_form, grid_for_radius,
                               projection_residual, sd_residuals,
                               soliton_experiment)
-from conftest import gaussian_probe, loop_twisted_conv, lstsq_w_residuals, random_seq
+from conftest import (eight_product_figures, gaussian_probe, loop_twisted_conv,
+                      lstsq_w_residuals, random_seq)
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +112,7 @@ def _perturbed_gaussian(spec):
     return g + (0.10 * norm(g)) * hermite(spec, 2)
 
 
-@pytest.mark.parametrize("params, window", [
+SIX_LATTICES = pytest.mark.parametrize("params, window", [
     (TorusParams(0.5, 0.5), "gaussian"),
     (TorusParams(0.62, 0.62), "gaussian"),
     (TorusParams(0.5, 1 / 3, 1, 1, 2), "lifted_gaussian"),
@@ -119,13 +120,33 @@ def _perturbed_gaussian(spec):
     (TorusParams(0.5, 2 / 91, 1, 1, 7), "lifted_gaussian"),
     (TorusParams(0.5, 0.5), _perturbed_gaussian),
 ], ids=["q1", "a=b=0.62", "q2_flagship", "q3_b=2/15", "q7_b=2/91", "perturbed"])
+
+
+def _six_lattice_pipeline(params, window):
+    spec = grid_for_radius(6.0, q=params.q)
+    g = window(spec) if callable(window) else build_window(window, spec, params)
+    return Pipeline(params, g, radius=6.0)
+
+
+@SIX_LATTICES
 def test_two_chern_formulas_agree_to_roundoff(params, window):
     # both formulas sum the same table, p = ⟨g,h⟩ on the box at R and 0
     # outside it, so they differ by roundoff, not by truncation
-    spec = grid_for_radius(6.0, q=params.q)
-    g = window(spec) if callable(window) else build_window(window, spec, params)
-    pipe = Pipeline(params, g, radius=6.0)
+    pipe = _six_lattice_pipeline(params, window)
     assert abs(pipe.c1_trace - pipe.c1_sum) <= 1e-13
+
+
+@SIX_LATTICES
+def test_trace_pairings_match_the_eight_products(params, window):
+    # c₁ and E read off trace pairings of P± and ∂ⱼp agree with every product
+    # formed; the self-duality residuals are the same two products, bitwise
+    pipe = _six_lattice_pipeline(params, window)
+    p = pipe.projection
+    c1, e, sd = eight_product_figures(p)
+    assert abs(chern_trace(p) - c1) <= 1e-13
+    assert abs(energy(p) - e) <= 1e-13
+    assert sd_residuals(p) == sd
+    assert (pipe.c1_trace, pipe.self_duality) == (chern_trace(p), sd)
 
 
 def test_chern_rejects_non_projection(params_q1, rng):

@@ -7,8 +7,9 @@ and negative-origin supports all occur.  Entries have magnitudes in
 [0.1, 1], as in the fixed-seed tests, so that no product entry lands near
 PRUNE_TOL, where pruning breaks an identity by up to PRUNE_TOL per entry.
 The ♮-product and star phases and the Chern sums' twist table are compared
-with exact rational phases, and the two c₁ formulas with each other on random
-boxes that hold the origin off their centre.
+with exact rational phases, the trace pairing with the trace of the product
+on random boxes, and the two c₁ formulas with each other on random boxes
+that hold the origin off their centre.
 The atom kernel (actions, lattice inner products, the adjoint shift family,
 the reconstruction sum) is compared with single shifts through `tf_shift` on
 a small grid, and the Chern kernel with a term-by-term loop on random tables.
@@ -37,9 +38,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
-                             l1_diff, load_seq, save_seq, twisted_conv, twisted_star,
-                             _box_axes)
-from ncgabor.algebra import BOX_BUDGET
+                             l1_diff, load_seq, save_seq, trace_l, trace_pairing, twisted_conv,
+                             twisted_star, _box_axes)
+from ncgabor.algebra import BOX_BUDGET, PRUNE_TOL
 from ncgabor.frame import (FrameSystem, NotAFrameError, adjoint_shift_family, canonical_dual,
                            canonical_tight, frame_bounds, laurent_symbol,
                            reconstruction_residual, wexler_raz_residual, _rayleigh_ritz)
@@ -94,6 +95,45 @@ def test_twisted_conv_matches_naive_loop(seqs):
     assert l1_diff(twisted_conv(a, b), naive_twisted_conv(a, b)) < tol
 
 
+@st.composite
+def boxes(draw, params):
+    """A sequence on Λ×Γ with a random box, origin in [-6, 6]² and up to 5×5
+    entries of magnitude in [0.1, 1]; some are empty."""
+    shape = draw(st.tuples(st.integers(0, 5), st.integers(0, 5)))
+    origin = draw(st.tuples(st.integers(-6, 6), st.integers(-6, 6)))
+    rng = np.random.default_rng(draw(SEEDS))
+    box = rng.uniform(0.1, 1.0, shape) * np.exp(2j * np.pi * rng.uniform(size=shape))
+    return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, origin, box)
+
+
+@PROPERTY
+@given(st.data())
+def test_trace_pairing_is_the_trace_of_the_product(data):
+    # τ(a, b) = tr(a♮b) without the product, on boxes that overlap b's
+    # reflection in part, in whole or not at all
+    params = data.draw(lattices())
+    a, b = data.draw(boxes(params)), data.draw(boxes(params))
+    expected = trace_l(twisted_conv(a, b))
+    assert abs(trace_pairing(a, b) - expected) <= 1e-13 * a.l1_norm() * b.l1_norm()
+
+
+def test_trace_pairing_special_cases():
+    params = TorusParams(0.5, 2 / 91, 1, 1, 7)
+    kind = LatticeKind.TIME_FREQ
+    a = LatticeSeq.from_box(params, kind, (0, 0), np.ones((2, 2)))
+    far = LatticeSeq.from_box(params, kind, (5, 5), np.ones((2, 2)))   # reflection disjoint
+    empty = LatticeSeq.from_entries(params, kind, np.zeros((0, 2)), np.zeros(0))
+    for x, y in [(a, far), (a, empty), (empty, a), (empty, empty)]:
+        assert trace_pairing(x, y) == 0 and trace_l(twisted_conv(x, y)) == 0
+    # τ = 1 + (−1 + 3e−15) lies below PRUNE_TOL: exactly 0, as the pruned product
+    one_two = LatticeSeq.from_entries(params, kind, [(0, 0), (1, 0)], [1.0, 1.0])
+    cancel = LatticeSeq.from_entries(params, kind, [(0, 0), (-1, 0)], [1.0, -1.0 + 3e-15])
+    assert 0 < abs(1.0 + (-1.0 + 3e-15)) <= PRUNE_TOL
+    assert trace_pairing(one_two, cancel) == 0 and trace_l(twisted_conv(one_two, cancel)) == 0
+    with pytest.raises(ValueError, match="time-frequency"):
+        trace_pairing(*(LatticeSeq.delta(params, LatticeKind.ADJOINT) for _ in range(2)))
+
+
 def _exact_phase(params, kind, n):
     """exp(2πi·t·n) with t·n reduced mod 1 in exact rationals, t the twist of
     `kind` computed from the exact values of the float steps α and β."""
@@ -126,7 +166,8 @@ def test_product_and_star_phases_match_exact_rationals(params, kind, k, m):
 def _chern_sum_table(params, radius):
     """The twist table chern_sum hands to the Chern kernel for a p of ones on
     the whole index box at `radius`, so that no pruning can shrink its box."""
-    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius,
+                         GridSpec(L=8.0, N=32, q=params.q))
     p = LatticeSeq(params, LatticeKind.TIME_FREQ, (n1s[0], n2s[0]),
                    np.ones((n1s.size, n2s.size)))
     with mock.patch.object(geometry, "_chern_double_sum", return_value=0j) as kernel:
@@ -140,7 +181,8 @@ def _chern_sum_table(params, radius):
 def test_chern_phase_table_matches_exact_rationals(params, radius):
     # chern_sum's twist table e^{2πiθn₁n₂} on its single box is exp(2πi·t·(−n₁n₂)),
     # t = −θ the Λ×Γ twist; only the float part αβ may round with n₁n₂
-    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius)
+    n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius,
+                         GridSpec(L=8.0, N=32, q=params.q))
     table = _chern_sum_table(params, radius)
     assert table.shape == (n1s.size, n2s.size)
     eps = np.finfo(float).eps
@@ -347,7 +389,7 @@ def test_duality_principle(params):
     sys_ = FrameSystem(g, params, 6.0)
     h, t = canonical_dual(sys_), canonical_tight(sys_)
     assert wexler_raz_residual(g, h, params, 6.0) < 1e-6
-    m1, m2 = (axis.size for axis in _box_axes(params, LatticeKind.TIME_FREQ, 6.0))
+    m1, m2 = (2 * k + 1 for k in index_bounds(params, LatticeKind.TIME_FREQ, 6.0))
     if max(m1 * m2, (m1 + m2) * g.values.size) > BOX_BUDGET:
         with pytest.raises(ValueError, match="exceeds"):
             inner_left(g, h, params, 6.0)
