@@ -180,34 +180,98 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
 # -- twisted algebra ---------------------------------------------------------
 
 
-def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray:
-    """exp(2πi·t·n₁n₂) on the grid n1s × n2s, t = real + num/q = lattice_twist.
+PHASE_REACH = 1 << 15   # |n₁n₂| up to which cocycle phases are read off a table
+PHASE_TABLES = 8        # tables kept at once; the oldest is dropped first
+_phase_tables: dict = {}   # (params, kind) → exp(2πi·t·n) at n = 0..h, −h..−1; oldest first
 
-    The rational part enters as (num·n₁n₂ mod q)/q, reduced in integers, and
+
+def _phase_formula(params: TorusParams, kind: LatticeKind, n) -> np.ndarray:
+    """exp(2πi·t·n) at integers n, t = real + num/q = lattice_twist.
+
+    The rational part enters as (num·n mod q)/q, reduced in integers, and
     the sum is reduced mod 1 before it is scaled by 2π, so only the float
-    part's rounding grows with n₁n₂.  The one evaluation of the cocycle phase.
+    part's rounding grows with n.
     """
     real, num = lattice_twist(params, kind)
-    n = np.outer(n1s, n2s)
     return np.exp(2j * np.pi * ((real * n + num * n % params.q / params.q) % 1.0))
 
 
+def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray:
+    """exp(2πi·t·n₁n₂) on the grid of the integer arrays n1s × n2s.
+
+    The one evaluation of the cocycle phase.  Values are read off a table of
+    `_phase_formula` over |n| ≤ h, one per (params, kind), so each is bitwise
+    the formula's own.  A table is built on first use with h the least power
+    of two (at least 64) above the grid's largest |n₁n₂|, rebuilt larger when
+    a grid reaches past it, and at most PHASE_TABLES are kept; a grid that
+    reaches past PHASE_REACH is evaluated by the formula, so the tables hold
+    at most PHASE_TABLES·(2·PHASE_REACH + 1) values whatever the indices.
+    """
+    n = n1s[:, None] * n2s
+    reach = int(np.abs(n).max(initial=0))
+    if reach > PHASE_REACH:
+        return _phase_formula(params, kind, n)
+    key = (params, kind)
+    table = _phase_tables.get(key)
+    if table is None or 2 * reach >= table.size:
+        half = min(PHASE_REACH, max(64, 1 << reach.bit_length()))
+        # n = 0..h, then −h..−1: numpy's negative indices read table[n] for |n| ≤ h
+        ns = np.concatenate([np.arange(half + 1), np.arange(-half, 0)])
+        table = _phase_formula(params, kind, ns)
+        _phase_tables.pop(key, None)
+        if len(_phase_tables) >= PHASE_TABLES:
+            del _phase_tables[next(iter(_phase_tables))]
+        _phase_tables[key] = table
+    return table[n]
+
+
+def _row_groups(rows, r2: int, group: int):
+    """(i₀, i₁) of each group of a₁'s nonzero `rows`: a group starts at a
+    nonzero row, takes the next while it lies fewer than `group` rows from
+    the start and fewer than r₂ zero rows follow the previous one, and ends
+    after its last nonzero row."""
+    k = 0
+    while k < len(rows):
+        i0, end = rows[k], k + 1
+        while end < len(rows) and rows[end] < i0 + group and rows[end] - rows[end - 1] <= r2:
+            end += 1
+        yield i0, rows[end - 1] + 1
+        k = end
+
+
+def _band_product(rows1: np.ndarray, cols2: np.ndarray, phase: np.ndarray) -> np.ndarray:
+    """Σ_{(i,v)} L[I, (i,v)]·R[(i,v), J] for k consecutive rows of a₁ (k×c₁),
+    w columns of a₂ (r₂×w) and the phase on their grid (k×w), with
+
+        L[I, i, v] = a₂[I−i, v]·phase[i, v],   R[i, v, J] = a₁[i, J−v],
+
+    the two banded block-Toeplitz factors, each written into zeros through
+    a strided view of its band: a (k+r₂−1)×(w+c₁−1) block of the product."""
+    (k, c1), (r2, w) = rows1.shape, cols2.shape
+    lhs = np.zeros((k + r2 - 1, k, w), dtype=np.complex128)
+    s0, s1, s2 = lhs.strides   # band[i, u, v] = L[i+u, i, v]
+    np.multiply(cols2, phase[:, None], out=np.ndarray((k, r2, w), lhs.dtype, lhs,
+                                                      strides=(s0 + s1, s0, s2)))
+    rhs = np.zeros((k, w, w + c1 - 1), dtype=np.complex128)
+    s0, s1, s2 = rhs.strides   # band[i, v, j] = R[i, v, v+j]
+    np.ndarray((k, w, c1), rhs.dtype, rhs, strides=(s0, s1 + s2, s2))[...] = rows1[:, None]
+    return lhs.reshape(k + r2 - 1, k * w) @ rhs.reshape(k * w, w + c1 - 1)
+
+
 def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
-    """♮-product as one batched matrix product over the nonzero rows i of a₁:
+    """♮-product as one GEMM per group of a₁'s rows (`_band_product`).
 
-        out[i:i+r₂, :] += (a₂ · phase[i]) @ Toep(a₁[i])ᵀ,
-
-    with Toep(a₁[i])[J, v] = a₁[i, J−v] the (c₁+c₂−1) × c₂ Toeplitz matrix of
-    the row, copied from a reversed strided view of the rows padded with c₂−1
-    zeros on each side.  Both boxes are first sliced to every step-th column,
-    step the gcd of their `col_step`s: the product runs on those columns, with
-    the phase at their true n₂, and fills every step-th column of the output
-    box.  An entry that no a₁(k)·a₂(m−k) reaches, such as one in the columns
-    between, is a sum of products with 0, an exact 0, so the support is that
-    of the entry-by-entry sum.  The rows go in groups and the Toeplitz columns
-    in blocks, so that the stacked factors and products of one step stay
-    within BOX_BUDGET cells; a factor wider than that takes one product per
-    block of its columns.
+    Both boxes are first sliced to every step-th column, step the gcd of
+    their `col_step`s: the product runs on those columns, with the phase at
+    their true n₂, and fills every step-th column of the output box.  An
+    entry that no a₁(k)·a₂(m−k) reaches, such as one in the columns between,
+    is a sum of products with 0, an exact 0, so the support is that of the
+    entry-by-entry sum.  A group ends before a gap of r₂ or more zero rows
+    of a₁, across which the outputs do not meet, and spans at most
+    max(8, 4·r₂) rows, so that L's band fills at least an eighth of it.
+    Fewer rows go in a group, and a₂'s columns in blocks, one GEMM each
+    into the output columns the block reaches, so that one GEMM's factors
+    and product stay within BOX_BUDGET cells.
     """
     _check_compatible(a1, a2)
     if not a1.box.size or not a2.box.size:
@@ -215,28 +279,26 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     col = math.gcd(a1.col_step, a2.col_step) or 1
     b1, b2 = a1.box[:, ::col], a2.box[:, ::col]
     (r1, c1), (r2, c2) = b1.shape, b2.shape
-    width = c1 + c2 - 1
     full = _zeros(r1 + r2 - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
-    out = full[:, :col * width:col]   # the columns that products reach
-    rows = b1.any(axis=1).nonzero()[0]
-    phase = _twist_phase(a1.params, a1.kind, a1.origin[0] + rows,
-                         np.arange(a2.origin[1], a2.origin[1] + col * c2, col))
-    block = min(width, BOX_BUDGET // c2)
-    group = max(1, min(rows.size, BOX_BUDGET // (block * c2 + r2 * c2 + r2 * block)))
-    padded = np.zeros((group, width + c2 - 1), dtype=np.complex128)
-    step = padded.itemsize   # window[k, J, v] = padded[k, c2−1 + J − v]
-    window = np.ndarray((group, width, c2), padded.dtype, padded, (c2 - 1) * step,
-                        (padded.strides[0], step, -step))
-    toep = np.empty((group, block, c2), dtype=np.complex128)
-    for g in range(0, rows.size, group):
-        rs = rows[g:g + group]
-        padded[:rs.size, c2 - 1:width] = b1[rs]
-        phased = b2 * phase[g:g + group, None, :]
-        for j in range(0, width, block):
-            cols = toep[:rs.size, :width - j]
-            cols[:] = window[:rs.size, j:j + block]
-            for i, prod in zip(rs.tolist(), phased @ cols.swapaxes(1, 2)):
-                out[i:i + r2, j:j + block] += prod
+    out = full[:, :col * (c1 + c2 - 1):col]   # the columns that products reach
+    rows = b1.any(axis=1).nonzero()[0].tolist()
+
+    def cells(g, b):   # L, R and L·R of a g-row group and b of a₂'s columns
+        return (g + r2 - 1) * (g * b + b + c1 - 1) + g * b * (b + c1 - 1)
+
+    block = c2
+    while block > 1 and cells(1, block) > BOX_BUDGET:
+        block = (block + 1) // 2
+    group = min(max(8, 4 * r2), rows[-1] - rows[0] + 1) if rows else 1
+    while group > 1 and cells(group, block) > BOX_BUDGET:
+        group //= 2
+    n2s = np.arange(a2.origin[1], a2.origin[1] + col * c2, col)
+    for i0, i1 in _row_groups(rows, r2, group):
+        n1s = np.arange(a1.origin[0] + i0, a1.origin[0] + i1)
+        for v in range(0, c2, block):
+            phase = _twist_phase(a1.params, a1.kind, n1s, n2s[v:v + block])
+            out[i0:i1 + r2 - 1, v:v + block + c1 - 1] += _band_product(
+                b1[i0:i1], b2[:, v:v + block], phase)
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     return LatticeSeq.from_box(a1.params, a1.kind, origin, full)
 

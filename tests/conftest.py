@@ -23,9 +23,10 @@ PROPERTY = settings(derandomize=True, deadline=None, max_examples=60, database=N
 
 
 @st.composite
-def lattices(draw):
-    """(α, β, r, s, q ≤ 7) with r, s coprime to q (r = s = 0 at q = 1)."""
-    q = draw(st.integers(1, 7))
+def lattices(draw, qs=None):
+    """(α, β, r, s, q) with r, s coprime to q (r = s = 0 at q = 1), q drawn
+    from `qs` when given, else from 1..7."""
+    q = draw(st.integers(1, 7) if qs is None else st.sampled_from(qs))
     slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
     steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
     return TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)

@@ -1,11 +1,15 @@
-import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ncgabor.lattice import LatticeKind, TorusParams
+from ncgabor.lattice import LatticeKind, TorusParams, lattice_twist
 from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
 from ncgabor import algebra
 from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
@@ -13,8 +17,9 @@ from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_
                              trace_l, trace_r, twisted_conv, twisted_star)
 from ncgabor.frame import adjoint_shift_family
 from ncgabor.geometry import Pipeline, build_window, derive, grid_for_radius
-from conftest import (PROPERTY, entry_sum, gaussian_probe, loop_twisted_conv, naive_act_left,
-                      naive_act_right, naive_twisted_conv, phase_point, random_seq)
+from conftest import (PROPERTY, entry_sum, gaussian_probe, lattices, loop_twisted_conv,
+                      naive_act_left, naive_act_right, naive_twisted_conv, phase_point,
+                      random_seq)
 
 BOTH_KINDS = [LatticeKind.TIME_FREQ, LatticeKind.ADJOINT]
 
@@ -84,10 +89,7 @@ def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
 def box_pairs(draw):
     """Two random boxes of at most 12×12 on one lattice with q ∈ {1, 2, 3, 7},
     some entries and some interior rows zero, at random origins."""
-    q = draw(st.sampled_from([1, 2, 3, 7]))
-    slopes = st.sampled_from([v for v in range(q) if math.gcd(v, q) == 1])
-    steps = st.floats(0.25, 1.5) | st.floats(-1.5, -0.25)
-    params = TorusParams(draw(steps), draw(steps), draw(slopes), draw(slopes), q)
+    params = draw(lattices(qs=(1, 2, 3, 7)))
     kind = draw(st.sampled_from(BOTH_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     seqs = []
@@ -108,6 +110,75 @@ def test_batched_rows_match_the_entry_loop(seqs):
     _assert_matches_loop(*seqs)
 
 
+def closed_phase(params, kind, n1s, n2s):
+    """exp(2πi·t·n₁n₂) by the closed formula on the whole grid n1s × n2s."""
+    real, num = lattice_twist(params, kind)
+    n = np.outer(n1s, n2s)
+    return np.exp(2j * np.pi * ((real * n + num * n % params.q / params.q) % 1.0))
+
+
+def _assert_closed_phase_bits(params, kind, n1s, n2s):
+    got, want = algebra._twist_phase(params, kind, n1s, n2s), closed_phase(params, kind, n1s, n2s)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(lattices(qs=(1, 2, 3, 7)), st.sampled_from(BOTH_KINDS),
+       st.tuples(st.integers(-40, 40), st.integers(-40, 40)),
+       st.tuples(st.integers(1, 20), st.integers(1, 20)), st.sampled_from([1, 2, 3, 7]))
+def test_twist_phase_is_the_closed_formula_bitwise(params, kind, origin, shape, step):
+    n1s = np.arange(origin[0], origin[0] + shape[0])
+    n2s = np.arange(origin[1], origin[1] + shape[1])
+    far = np.arange(-3, 4) * algebra.PHASE_REACH
+    with mock.patch.object(algebra, "_phase_tables", {}):
+        grids = [(n1s, n2s),                                        # a box, as a product reads it
+                 tuple(-n[::-1] for n in (n1s, n2s)),                # reversed, as twisted_star
+                 (n1s, np.arange(origin[1], origin[1] + step * shape[1], step)),   # compressed
+                 (n1s, 40 * n2s),                                   # a wider table
+                 (np.array([1, -1]), np.array([algebra.PHASE_REACH])),   # at the table's bound
+                 (n1s, far),                                        # past it: the formula
+                 (n1s, n2s)]                                        # the grown table again
+        for n1, n2 in grids:
+            _assert_closed_phase_bits(params, kind, n1, n2)
+        tables = algebra._phase_tables
+        assert list(tables) == [(params, kind)]
+        assert tables[(params, kind)].size <= 2 * algebra.PHASE_REACH + 1
+
+
+def test_phase_tables_answer_only_for_their_own_lattice():
+    # two lattices that share α (and r, s, q), called in turn, and more
+    # lattices than are kept: each call reads its own lattice's phases
+    n1s, n2s = np.arange(-6, 7), np.arange(-9, 10)
+    same_alpha = [TorusParams(0.5, beta, 1, 1, 3) for beta in (2 / 15, 1 / 6)]
+    assert not np.array_equal(*(closed_phase(p, LatticeKind.TIME_FREQ, n1s, n2s)
+                                for p in same_alpha))
+    many = [TorusParams(0.5, 1 / (3 * d), 1, 1, 3) for d in range(2, 2 + algebra.PHASE_TABLES)]
+    with mock.patch.object(algebra, "_phase_tables", {}):
+        for _ in range(3):
+            for params in same_alpha + many:
+                for kind in BOTH_KINDS:
+                    _assert_closed_phase_bits(params, kind, n1s, n2s)
+            assert len(algebra._phase_tables) <= algebra.PHASE_TABLES
+
+
+def test_no_phase_table_is_built_at_import():
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    probe = "import ncgabor.cli, ncgabor.algebra as a; assert a._phase_tables == {}"
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+
+
+@pytest.mark.parametrize("rows, r2, group, expected", [
+    ([0, 1, 3, 4, 6, 7, 8, 9], 2, 4, [(0, 4), (4, 8), (8, 10)]),   # at most 4 rows a group
+    ([0, 1, 4, 5], 2, 8, [(0, 2), (4, 6)]),         # a gap of 2 = r₂ zero rows ends a group
+    ([0, 1, 3, 4], 2, 8, [(0, 5)]),                 # a gap of 1 does not
+    ([0, 2100], 2101, 525, [(0, 1), (2100, 2101)]),
+    ([], 3, 1, [])], ids=["group size", "gap of r2", "gap below r2", "far rows", "no rows"])
+def test_row_groups_end_at_gaps_of_r2_zero_rows(rows, r2, group, expected):
+    assert list(algebra._row_groups(rows, r2, group)) == expected
+
+
 def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypatch):
     def box(rows, cols, hollow=(), step=1):
         values = rng.normal(size=(rows, cols)) + 1j * rng.normal(size=(rows, cols))
@@ -115,10 +186,13 @@ def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypa
         values[:, np.arange(cols) % step != 0] = 0
         return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-2, 1), values)
 
-    pairs = [(box(4, 12, hollow=[1]), box(3, 12)),   # Toeplitz columns in blocks of 16
-             (box(10, 3, hollow=[2, 5]), box(2, 3)),  # rows in groups of 6
-             # compressed to 11 columns: blocks of 18, rows one at a time
-             (box(3, 21, step=2), box(1, 21, step=2))]
+    # at 200 cells, the factors L, R and L·R of a g-row group and b of a₂'s
+    # columns take (g+r₂−1)(gb+b+c₁−1) + gb(b+c₁−1)
+    pairs = [(box(4, 12, hollow=[1]), box(3, 12)),   # rows one at a time, a₂ in 6-column blocks
+             (box(10, 3, hollow=[2, 5]), box(2, 3)),  # groups of 4 rows holding rows 2 and 5
+             # compressed to 11 columns: rows one at a time, a₂ in blocks of 6 and 5
+             (box(3, 21, step=2), box(1, 21, step=2)),
+             (box(1, 12), box(1, 12))]                # a single row, a₂ in two 6-column blocks
     monkeypatch.setattr(algebra, "BOX_BUDGET", 200)
     for a, b in pairs:
         _assert_matches_loop(a, b)
@@ -389,24 +463,59 @@ def test_product_box_is_refused_before_allocation(params_q1):
         twisted_conv(row, col)                       # 2101x2101 does not
 
 
-def test_wide_product_copies_its_toeplitz_factor_in_budget_blocks(params_q1):
-    # the 5999x3000 Toeplitz factor of a 1x3000 row would take 288 MB
-    row = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
-                                  [(0, 0), (0, 2999)], [1.0, 1.0])
+def _traced_product(a, b):
+    """twisted_conv(a, b) and the peak of the memory traced while it runs."""
     tracemalloc.start()
     try:
-        prod = twisted_conv(row, row)
+        prod = twisted_conv(a, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert prod.index.tolist() == [[0, 0], [0, 2999], [0, 5998]]
+    return prod, peak
+
+
+def test_wide_product_copies_its_toeplitz_factor_in_budget_blocks(params_q1):
+    # the 3000x5999 Toeplitz factor R of a 1x3000 row would take 288 MB and is
+    # written in four blocks of a₂'s columns; the entry at (0,1) keeps the
+    # column step at 1, so the box is not compressed
+    row = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
+                                  [(0, 0), (0, 1), (0, 2999)], [1.0, 1.0, 1.0])
+    assert row.col_step == 1
+    prod, peak = _traced_product(row, row)
+    assert prod.index.tolist() == [[0, n] for n in (0, 1, 2, 2999, 3000, 5998)]
     assert l1_diff(prod, loop_twisted_conv(row, row)) == 0.0
     assert peak < 16 * BOX_BUDGET + (1 << 20)
 
 
+def _far_apart_pairs(params):
+    rng = np.random.default_rng(25)
+    kind = LatticeKind.TIME_FREQ
+
+    def seq(index):
+        values = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+        return LatticeSeq.from_entries(params, kind, index, values)
+
+    col = seq([(0, 0), (2100, 0)])
+    hollow = seq([(n, j) for n in (0, 2000) for j in range(100)])   # 2001 rows, 2 nonzero
+    row = seq([(0, j) for j in range(100)])
+    far1, far2 = seq([(10 ** 5, 0)]), seq([(0, 10 ** 5)])   # |n₁n₂| = 10¹⁰ past the table
+    return {"col-col": (col, col), "hollow-row": (hollow, row), "delta-delta": (far1, far2)}
+
+
+@pytest.mark.parametrize("name", ["col-col", "hollow-row", "delta-delta"])
+def test_far_apart_operands_match_the_entry_loop_in_budget(params_q2, name):
+    a, b = _far_apart_pairs(params_q2)[name]
+    prod, peak = _traced_product(a, b)
+    assert peak < 16 * BOX_BUDGET + (1 << 20)
+    old = loop_twisted_conv(a, b)
+    assert np.array_equal(prod.index, old.index)
+    assert l1_diff(prod, old) <= 1e-15 * a.l1_norm() * b.l1_norm()
+    assert prod.values.size == {"col-col": 3, "hollow-row": 398, "delta-delta": 1}[name]
+
+
 def test_lifted_q7_product_stays_in_budget(rng):
     # 17 × 547 boxes filling one column in seven, as the lifted windows at
-    # q = 7, β = 2/91: the rows go in groups whose factors fill the budget
+    # q = 7, β = 2/91: compressed to 17 × 79, one group and one GEMM
     params = TorusParams(0.5, 2 / 91, 1, 1, 7)
 
     def lifted():
@@ -415,12 +524,7 @@ def test_lifted_q7_product_stays_in_budget(rng):
         return LatticeSeq.from_box(params, LatticeKind.TIME_FREQ, (-8, -273), box)
 
     a, b = lifted(), lifted()
-    tracemalloc.start()
-    try:
-        prod = twisted_conv(a, b)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    prod, peak = _traced_product(a, b)
     assert peak < 16 * BOX_BUDGET + (1 << 20)
     old = loop_twisted_conv(a, b)
     assert np.array_equal(prod.index, old.index)
