@@ -4,19 +4,19 @@ By the fundamental identity ⟨f,g⟩·h = f·⟨g,h⟩°, the frame operator of
 window g over Λ×Γ is S_g f = Σ_ν ⟨f, π(ν)g⟩ π(ν)g = f·⟨g,g⟩° (Janssen's
 representation): a few dozen adjoint-lattice terms for windows of Gaussian
 class.  The canonical dual S_g⁻¹g and the canonical tight window S_g^{−1/2}g
-are read off one Lanczos run on that form, started at g.  Where
-the adjoint twist is an integer the form is a Laurent operator, and the frame
-bounds are the extremes of its symbol, read from the coefficients ⟨g,g⟩°
-without an apply; elsewhere they are Rayleigh–Ritz estimates.  One verdict,
-_is_frame(A, B), serves frame_bounds, the symbol's Riesz test and the lift;
-FrameSystem refuses S_g = 0.  Duality of a pair (g,h) is tested through the
-biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁ and through reconstruction
-on probes; a tight window is its own dual (h = g).
+are read off one Lanczos run on that form, started at g and stopped by the
+dual's residual.  Where the adjoint twist is an integer the form is a Laurent
+operator, and the frame bounds are the extremes of its symbol, read from the
+coefficients ⟨g,g⟩° without an apply; elsewhere they are Rayleigh–Ritz
+estimates.  One verdict, _is_frame(A, B), serves frame_bounds, the symbol's
+Riesz test and the lift; FrameSystem refuses S_g = 0.  Duality of a pair
+(g,h) is tested through the biorthogonality residual ‖⟨g,h⟩_adjoint − δ₀‖₁
+and through reconstruction on probes; a tight window is its own dual (h = g).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -56,9 +56,8 @@ PROBES = 24               # band-concentrated probes of the Rayleigh-Ritz bounds
 SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
 MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
 MESH_POINTS = 1 << 20     # ... or until it holds this many points
-CG_TARGET = 1e-12         # relative residual at which canonical_dual returns at once
-TIGHT_TOL = 1e-6          # Lanczos stop at WR(t, t); reconstruction gate of `tight`
-KRYLOV_DIMS = (20, 40, 80, 160)  # Lanczos dimensions at which the tight window is read
+CG_TARGET = 1e-13         # dual residual at which the Lanczos run stops at once
+TIGHT_TOL = 1e-6          # WR(t, t) gate of canonical_tight; reconstruction gate of `tight`
 PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
 
 
@@ -80,7 +79,7 @@ class FrameSystem:
     window: GridSignal
     params: TorusParams
     radius: float = 6.0
-    bounds_residuals: Optional[dict] = None
+    bounds_residuals: Optional[dict] = field(default=None, init=False)
 
     def __post_init__(self):
         _check_params_spec(self.params, self.window.spec)
@@ -219,21 +218,20 @@ def _rayleigh_ritz(sys: FrameSystem, seed: int):
     }
 
 
-def _lanczos(apply_op, start: GridSignal, dims):
+def _lanczos(apply_op, start: GridSignal, steps: int):
     """Lanczos tridiagonalization with full reorthogonalization.
 
     One orthonormal basis v₁ = start/‖start‖, v₂, … of the Krylov space,
-    extended step by step: yields (basis vectors, α, H) when its dimension k
-    reaches each of the ascending `dims`, or earlier and last when the Krylov
-    space becomes invariant.  The (k+1)×k Hessenberg H holds every coefficient
-    a step removes, three-term and reorthogonalization, so apply_op·V_k =
-    V_{k+1}·H, self-adjoint apply_op or not; α₁…α_k and H's subdiagonal make
-    the Lanczos tridiagonal T_k.  The first k steps do not depend on how far
-    the basis is extended.  The lists are live, not copies; H is a view.
+    extended step by step: yields (basis vectors, α, H) at every dimension
+    k ≤ `steps`, and last when the Krylov space becomes invariant.  The
+    (k+1)×k Hessenberg H holds every coefficient a step removes, three-term
+    and reorthogonalization, so apply_op·V_k = V_{k+1}·H, self-adjoint
+    apply_op or not; α₁…α_k and H's subdiagonal make the Lanczos tridiagonal
+    T_k.  The lists are live, not copies; H is a view.
     """
     spec, hess = start.spec, np.zeros((17, 16), complex)
     vs, alphas = [start.values.ravel() / (norm(start) / np.sqrt(spec.dx))], []
-    for j in range(max(dims, default=0)):
+    for j in range(steps):
         if j == hess.shape[1]:   # H doubles as the basis outgrows it
             hess = np.pad(hess, ((0, j), (0, j)))
         w = apply_op(GridSignal(spec, vs[-1].reshape(spec.q, spec.N))).values.ravel()
@@ -248,8 +246,7 @@ def _lanczos(apply_op, start: GridSignal, dims):
             hess[i, j] += c
             w = w - c * u
         hess[j + 1, j] = b = float(np.linalg.norm(w))
-        if b < 1e-14 or j + 1 in dims:
-            yield vs, alphas, hess[:j + 2, :j + 1]
+        yield vs, alphas, hess[:j + 2, :j + 1]
         if b < 1e-14:
             return
         vs.append(w / b)
@@ -271,24 +268,22 @@ def _krylov_window(g: GridSignal, basis, y) -> GridSignal:
     return GridSignal(spec, values.reshape(spec.q, spec.N))
 
 
-def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
-                   max_iter: int = 500) -> GridSignal:
-    """Canonical dual window h = S_g^{-1} g = ‖g‖·V_k·H_k⁻¹e₁ (full orthogonalization).
-
-    Read off the Lanczos run of S_g started at g at every Krylov dimension k up
-    to `max_iter`.  With v_{k+1} = p_k(S_g)v₁, the residual S_g h − g is
-    parallel to v_{k+1} and its relative size is 1/|p_k(0)|, where
-    h_{k+1,k}·p_k(0) = −Σ_{i≤k} h_{ik}·p_{i−1}(0): exact by the Arnoldi
-    relation, self-adjoint apply or not, with no further apply.  Returns at the
-    first k whose residual is at most min(CG_TARGET, tol); at `max_iter`, the
-    reading of least residual if it is within `tol`, else ConvergenceError.
-    Past the first k whose Ritz values fail _require_positive (checked at
-    powers of two, then bisected) the grid no longer represents S_g: the best
-    earlier reading is returned if it is within `tol`, else the GridError.
+def _krylov_reading(sys: FrameSystem, tol: float = 1e-7, max_iter: int = 500):
+    """(basis, α, H, m): the Lanczos run of S_g started at g, and the Krylov
+    dimension m at which both canonical windows are read off it: where the
+    dual reading h_k = ‖g‖·V_k·H_k⁻¹e₁ (k ≤ `max_iter`) stops.  With
+    v_{k+1} = p_k(S_g)v₁, the residual S_g h_k − g is parallel to v_{k+1} and
+    its relative size is 1/|p_k(0)|, where h_{k+1,k}·p_k(0) = −Σ_{i≤k}
+    h_{ik}·p_{i−1}(0): exact by the Arnoldi relation, self-adjoint apply or
+    not, with no further apply.  The run stops at the first k whose residual
+    is at most min(CG_TARGET, tol); at `max_iter`, m is the k of least
+    residual if that is within `tol`, else ConvergenceError.  Past the first
+    k whose Ritz values fail _require_positive (checked at powers of two,
+    then bisected) the grid no longer represents S_g: m is the best earlier
+    k if its residual is within `tol`, else the GridError.
     """
-    g = sys.window
     residuals, u, k = [1.0], np.ones(1), 0   # u_j = p_j(0)·residuals[-1]
-    for basis, alphas, hess in _lanczos(sys.apply, g, range(1, max_iter + 1)):
+    for basis, alphas, hess in _lanczos(sys.apply, sys.window, max_iter):
         k = hess.shape[1]
         s = hess[:k, -1] @ u
         ratio = abs(hess[k, -1]) / abs(s)   # of the residuals at k and k − 1
@@ -306,31 +301,35 @@ def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
             _require_positive(_ritz(alphas, hess, k)[0], "Ritz")
         raise ConvergenceError(f"Lanczos: dual residual {min(residuals):.3e} above "
                                f"tol {tol:.1e} by Krylov dimension {k}")
-    m = int(np.argmin(residuals[1:good + 1])) + 1
-    return _krylov_window(g, basis, np.linalg.solve(hess[:m, :m], np.eye(m)[0]))
+    return basis, alphas, hess, int(np.argmin(residuals[1:good + 1])) + 1
+
+
+def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
+                   max_iter: int = 500) -> GridSignal:
+    """Canonical dual window h = S_g^{-1} g = ‖g‖·V_m·H_m⁻¹e₁ (full
+    orthogonalization) at the Krylov dimension m of _krylov_reading."""
+    basis, _, hess, m = _krylov_reading(sys, tol, max_iter)
+    return _krylov_window(sys.window, basis, np.linalg.solve(hess[:m, :m], np.eye(m)[0]))
 
 
 def canonical_tight(sys: FrameSystem) -> GridSignal:
-    """Canonical tight window S_g^{-1/2} g = ‖g‖·V·T_k^{-1/2}e₁.
-
-    Read off the Lanczos run of S_g started at g at each Krylov dimension of
-    KRYLOV_DIMS until the result t is its own dual by the duality principle:
-    t is tight exactly when ⟨t, π°(ν°)t⟩ = q|αβ|·δ, so until
-    wexler_raz_residual(t, t) at the system's radius is at most TIGHT_TOL.
-    Raises ConvergenceError when the largest dimension misses TIGHT_TOL, and
-    GridError when a reading fails _require_positive.
-    """
-    for basis, alphas, hess in _lanczos(sys.apply, sys.window, KRYLOV_DIMS):
-        evals, evecs = _ritz(alphas, hess, len(alphas))
-        _require_positive(evals, "Ritz")
-        evals = np.maximum(evals, evals[-1] * 1e-15)
-        tight = _krylov_window(sys.window, basis, evecs @ (evecs[0] / np.sqrt(evals)))
-        residual = wexler_raz_residual(tight, tight, sys.params, sys.radius)
-        if residual <= TIGHT_TOL:
-            return tight
-    raise ConvergenceError(
-        f"Lanczos: tight-window Wexler-Raz residual {residual:.3e} above "
-        f"tol {TIGHT_TOL:.1e} at Krylov dimension {evals.size}")
+    """Canonical tight window t = S_g^{-1/2} g = ‖g‖·V_m·T_m^{-1/2}e₁ at the
+    dual's Krylov dimension m (_krylov_reading at canonical_dual's defaults).
+    t is tight exactly when ⟨t, π°(ν°)t⟩ = q|αβ|·δ (duality principle):
+    ConvergenceError unless wexler_raz_residual(t, t) at the system's radius
+    is at most TIGHT_TOL, GridError when T_m's Ritz values fail
+    _require_positive."""
+    basis, alphas, hess, m = _krylov_reading(sys)
+    evals, evecs = _ritz(alphas, hess, m)
+    _require_positive(evals, "Ritz")
+    evals = np.maximum(evals, evals[-1] * 1e-15)
+    tight = _krylov_window(sys.window, basis, evecs @ (evecs[0] / np.sqrt(evals)))
+    residual = wexler_raz_residual(tight, tight, sys.params, sys.radius)
+    if residual > TIGHT_TOL:
+        raise ConvergenceError(
+            f"Lanczos: tight-window Wexler-Raz residual {residual:.3e} above "
+            f"tol {TIGHT_TOL:.1e} at Krylov dimension {m}")
+    return tight
 
 
 def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,

@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .lattice import LatticeKind, TorusParams, lattice_generators
 from .algebra import _analyse, _atoms, _box_axes, _twist_phase
 from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
-                     inner, norm, tf_shift)
+                     inner, norm, tf_shift, _unit)
 from .geometry import _chern_double_sum, covariant
 
 RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
@@ -106,6 +106,7 @@ def continuous_energy(g: GridSignal) -> float:
     with A = Σ_k|g(·,k)|², Â = Σ_k|DFT g(·,k)|² and (a⋆a)(j) = Σ_t a(t)a(t−j).
     """
     spec, grid = g.spec, PhaseGrid(g.spec)
+    g = g * 2.0 ** -np.frexp(norm(g))[1]   # by a power of two, exactly: ‖g‖⁴ stays finite
     a = np.stack([np.abs(g.values) ** 2, np.abs(np.fft.fft(g.values, axis=1)) ** 2]).sum(axis=1)
     corr = np.fft.irfft(np.abs(np.fft.rfft(a, axis=1)) ** 2, n=spec.N, axis=1)
     val = spec.q * spec.dx ** 2 * (spec.N * grid.x ** 2 @ corr[0]
@@ -173,12 +174,14 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
 def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSignal:
     """Compactly supported C^{power−1} bump (1−(x/width)²)^power on every
     channel, normalized."""
+    if not width > 0:
+        raise ValueError(f"bump width must be positive, got {width}")
     x = spec.x()
     prof = np.where(np.abs(x) < width, (1 - (x / width) ** 2) ** power, 0.0)
     vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
     vals[:, :] = prof
     out = GridSignal(spec, vals)
-    return out * (1.0 / norm(out))
+    return _unit(out)
 
 
 def bandlimited_noise_window(spec: GridSpec, rng: np.random.Generator,
@@ -189,7 +192,7 @@ def bandlimited_noise_window(spec: GridSpec, rng: np.random.Generator,
     zf[:, np.abs(spec.freqs()) > bandwidth] = 0.0
     prof = np.fft.ifft(zf, axis=1) * np.exp(-np.pi * (spec.x() / envelope) ** 2)[None, :]
     out = GridSignal(spec, prof)
-    return out * (1.0 / norm(out))
+    return _unit(out)
 
 
 def load_corpus_file(path, spec: GridSpec):

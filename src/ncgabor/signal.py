@@ -123,6 +123,14 @@ def norm(f: GridSignal) -> float:
     return float(np.sqrt(f.spec.dx) * np.linalg.norm(f.values))
 
 
+def _unit(f: GridSignal) -> GridSignal:
+    """f/‖f‖; a window that vanishes on the grid raises ValueError."""
+    size = norm(f)
+    if not size:
+        raise ValueError("the window vanishes on the grid")
+    return f * (1.0 / size)
+
+
 def translate(f: GridSignal, lam: float, l: int = 0) -> GridSignal:
     """T_{λ,l} f(x,k) = f(x−λ, k−l); λ need not be a grid multiple."""
     spec = f.spec
@@ -180,6 +188,8 @@ def gaussian(spec: GridSpec, coeffs=None, lam: complex = 0.0) -> GridSignal:
 def hermite(spec: GridSpec, n: int) -> GridSignal:
     """Normalized Hermite function H_n(√(2π)x)e^{−πx²} (Fourier-invariant
     scaling), the same profile on every channel."""
+    if n < 0:
+        raise ValueError(f"Hermite order must be at least 0, got {n}")
     x = spec.x()
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
@@ -188,7 +198,7 @@ def hermite(spec: GridSpec, n: int) -> GridSignal:
     vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
     vals[:, :] = profile[None, :]
     out = GridSignal(spec, vals)
-    return out * (1.0 / norm(out))
+    return _unit(out)
 
 
 def apply_D(f: GridSignal) -> GridSignal:
@@ -251,7 +261,7 @@ def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
         term = np.roll(shifted[t], l[t] % spec.q, axis=0) * chph[t][:, None] * xph[t][None, :]
         acc = acc + z[t] * term
     out = GridSignal(spec, acc)
-    return out * (1.0 / norm(out))
+    return _unit(out)
 
 
 def save_signal(f: GridSignal, path):

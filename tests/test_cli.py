@@ -590,13 +590,24 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
     assert len(csv_path.read_text().strip().splitlines()) == 3
 
 
-@pytest.mark.parametrize("line", ["bad =", "bad gaussian", "h = hermite n=x", "w = sinc"])
+@pytest.mark.parametrize("line", ["bad =", "bad gaussian", "h = hermite n=x", "w = sinc",
+                                  "h = hermite n=-1", "b = bump width=0",
+                                  "n = noise bandwidth=-1"])
 def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     corpus = tmp_path / "corpus.cfg"
     corpus.write_text(f"# two windows\ngaussian = gaussian lam=0\n{line}\n")
     assert main(["moyal", "--q", "1", "--L", "16", "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: corpus line 3" in err and repr(line) in err
+
+
+def test_steep_generalized_gaussian_corpus_line(tmp_path):
+    # e^{−πx² + 50x} peaks near x = 8 at about e¹⁹⁹, so ‖g‖⁴ is past the
+    # largest float; E is scale-invariant, and the Gaussian still attains 1
+    corpus, out = tmp_path / "corpus.cfg", tmp_path / "moyal.json"
+    corpus.write_text("g = gaussian lam=50j\n")
+    assert main(["moyal", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert _load(out)["results"]["corpus"][0]["energy"] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_run_axioms_gates_every_identity(tmp_path, monkeypatch):

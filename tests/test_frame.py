@@ -179,8 +179,8 @@ def test_cg_failure_raises(sys_q2):
 def test_dual_residual_is_exact_near_critical_density(ab, wr_bound):
     # near |αβ| = 1 the Krylov space reaches the seam, where the apply is not
     # self-adjoint; the residual read off the Arnoldi relation stays exact, so
-    # the dual meets its target (read 9.3e-13, 8.7e-13, 8.4e-13) and its
-    # Wexler-Raz residual keeps the order conjugate gradients reached (3.1e-12,
+    # the dual meets its target (read 5.2e-14, 5.8e-14, 6.4e-14) and its
+    # Wexler-Raz residual keeps the order conjugate gradients reached (2.7e-12,
     # 6.2e-11; the 9.2e-4 at 0.99 is the truncation at R = 6)
     params = TorusParams(ab, ab)
     sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), params, 6.0)
@@ -247,7 +247,7 @@ def test_janssen_apply_matches_the_truncated_sum(params):
 def test_dual_and_tight_window_match_the_dense_oracle(params):
     # the dense matrix of the Janssen apply, one apply per unit vector; the
     # dual against its solve, the tight window against the inverse square
-    # root of its Hermitian part (read 8.1e-13 and 4.0e-15 at worst).  The
+    # root of its Hermitian part (read 3.7e-14 and 7.8e-15 at worst).  The
     # Walnut sum truncated at R (conftest.dense_frame_operator) is no oracle
     # here: it differs from the apply at O(1) on unit vectors at the seam
     g = lift_scalar_window(gaussian(grid_for_radius(6.0)), params)
@@ -272,10 +272,16 @@ def test_tight_window(sys_q1):
     assert norm(h - t) / norm(t) < 1e-5
 
 
-def test_tight_window_is_read_at_the_first_krylov_dimension(monkeypatch):
-    # at alpha = beta = 0.62 the Lanczos window is its own dual at dimension
-    # 20: Wexler-Raz (t, t) is at roundoff after 20 applies
-    sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), TorusParams(0.62, 0.62), 6.0)
+def _tight_at_dimension_20(sys_):
+    """S_g^{-1/2}g read off the first 20 Lanczos vectors of S_g started at g."""
+    *_, (basis, alphas, hess) = frame._lanczos(sys_.apply, sys_.window, 20)
+    evals, evecs = frame._ritz(alphas, hess, 20)
+    spec = sys_.window.spec
+    values = np.array(basis[:20]).T @ (evecs @ (evecs[0] / np.sqrt(evals)))
+    return GridSignal(spec, values.reshape(spec.q, spec.N) * norm(sys_.window) / np.sqrt(spec.dx))
+
+
+def _counting_applies(monkeypatch):
     apply, applies = FrameSystem.apply, []
 
     def counted(self, f):
@@ -283,9 +289,39 @@ def test_tight_window_is_read_at_the_first_krylov_dimension(monkeypatch):
         return apply(self, f)
 
     monkeypatch.setattr(FrameSystem, "apply", counted)
+    return applies
+
+
+def test_tight_window_is_read_at_the_first_krylov_dimension(monkeypatch):
+    # at alpha = beta = 0.62 the tight window is read where the dual stops, at
+    # dimension 8, and it is the window of dimension 20 to roundoff
+    sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), TorusParams(0.62, 0.62), 6.0)
+    applies = _counting_applies(monkeypatch)
     t = canonical_tight(sys_)
-    assert len(applies) == 20
-    assert wexler_raz_residual(t, t, sys_.params, 6.0) < 1e-15
+    assert len(applies) == 8
+    assert norm(t - _tight_at_dimension_20(sys_)) < 1e-13 * norm(t)
+
+
+@pytest.mark.parametrize("params, perturbed", [
+    (TorusParams(0.5, 0.5), False), (TorusParams(0.62, 0.62), False),
+    (TorusParams(0.5, 1 / 3, 1, 1, 2), False), (TorusParams(0.5, 2 / 15, 1, 1, 3), False),
+    (TorusParams(0.5, 2 / 91, 1, 1, 7), False), (TorusParams(0.5, 0.5), True)],
+    ids=["q1", "q1_0.62", "q2", "q3", "q7", "q1_perturbed"])
+def test_both_canonical_windows_are_read_at_one_krylov_dimension(params, perturbed,
+                                                                 monkeypatch):
+    # one reading stops the dual and the tight window: the same applies (6, 8,
+    # 9, 5, 5, 6), and the tight window is that of dimension 20 to roundoff
+    # (read at most 1.9e-14 relative); the perturbed window is g + 0.1‖g‖h₂
+    g = lift_scalar_window(gaussian(grid_for_radius(6.0)), params)
+    if perturbed:
+        g = g + (0.10 * norm(g)) * hermite(g.spec, 2)
+    applies, counts = _counting_applies(monkeypatch), []
+    for solve in (canonical_dual, canonical_tight):
+        applies.clear()
+        t = solve(FrameSystem(g, params, 6.0))
+        counts.append(len(applies))
+    assert counts[0] == counts[1]
+    assert norm(t - _tight_at_dimension_20(FrameSystem(g, params, 6.0))) < 1e-13 * norm(t)
 
 
 def test_tight_reconstruction_miss_exit_code(tmp_path):

@@ -3,7 +3,9 @@
 failure is classified or re-raised), no function in src/ imports from
 the package: its modules import each other at the top, and every exception
 class in src/ is declared in frame.py, so the failure types that the CLI
-maps to exit codes are read in one module.
+maps to exit codes are read in one module, and every module-level UPPER_CASE
+constant in src/ is read somewhere in src/, so a retired setting cannot
+linger beside the code that no longer reads it.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -89,3 +91,21 @@ def test_exception_classes_are_declared_in_frame():
     assert {name for _, name in found} >= {"ToleranceError", "GridError", "NotAFrameError",
                                            "ConvergenceError"}
     assert {file for file, _ in found} == {"frame.py"}
+
+
+def unread_constants(paths):
+    """Module-level UPPER_CASE names assigned in `paths` that no code in
+    `paths` reads, as a name or as a module attribute."""
+    trees = [ast.parse(path.read_text()) for path in paths]
+    assigned = {target.id for tree in trees for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in getattr(node, "targets", [getattr(node, "target", None)])
+                if isinstance(target, ast.Name) and target.id.isupper()}
+    read = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+    return sorted(assigned - read)
+
+
+def test_every_constant_is_read():
+    assert unread_constants(SOURCES) == []
