@@ -17,6 +17,7 @@ inner products are one GEMM each over the atoms of an index box, which
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -225,20 +226,6 @@ def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray
     return table[n]
 
 
-def _row_groups(rows, r2: int, group: int):
-    """(i₀, i₁) of each group of a₁'s nonzero `rows`: a group starts at a
-    nonzero row, takes the next while it lies fewer than `group` rows from
-    the start and fewer than r₂ zero rows follow the previous one, and ends
-    after its last nonzero row."""
-    k = 0
-    while k < len(rows):
-        i0, end = rows[k], k + 1
-        while end < len(rows) and rows[end] < i0 + group and rows[end] - rows[end - 1] <= r2:
-            end += 1
-        yield i0, rows[end - 1] + 1
-        k = end
-
-
 def _band_product(rows1: np.ndarray, cols2: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """Σ_{(i,v)} L[I, (i,v)]·R[(i,v), J] for k consecutive rows of a₁ (k×c₁),
     w columns of a₂ (r₂×w) and the phase on their grid (k×w), with
@@ -266,12 +253,12 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     their true n₂, and fills every step-th column of the output box.  An
     entry that no a₁(k)·a₂(m−k) reaches, such as one in the columns between,
     is a sum of products with 0, an exact 0, so the support is that of the
-    entry-by-entry sum.  A group ends before a gap of r₂ or more zero rows
-    of a₁, across which the outputs do not meet, and spans at most
-    max(8, 4·r₂) rows, so that L's band fills at least an eighth of it.
-    Fewer rows go in a group, and a₂'s columns in blocks, one GEMM each
-    into the output columns the block reaches, so that one GEMM's factors
-    and product stay within BOX_BUDGET cells.
+    entry-by-entry sum.  a₁'s nonzero rows are grouped by the cell of a
+    fixed grid, min(max(8, 4·r₂), r₁) rows wide, that holds them, and a
+    group runs from its first to its last nonzero row: L's band fills at
+    least an eighth of a full cell.  The width is halved, and a₂'s columns
+    go in blocks, one GEMM each into the output columns the block reaches,
+    so that one GEMM's factors and product stay within BOX_BUDGET cells.
     """
     _check_compatible(a1, a2)
     if not a1.box.size or not a2.box.size:
@@ -289,11 +276,13 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     block = c2
     while block > 1 and cells(1, block) > BOX_BUDGET:
         block = (block + 1) // 2
-    group = min(max(8, 4 * r2), rows[-1] - rows[0] + 1) if rows else 1
+    group = min(max(8, 4 * r2), r1)
     while group > 1 and cells(group, block) > BOX_BUDGET:
         group //= 2
     n2s = np.arange(a2.origin[1], a2.origin[1] + col * c2, col)
-    for i0, i1 in _row_groups(rows, r2, group):
+    for _, cell in itertools.groupby(rows, lambda i: i // group):
+        cell = list(cell)
+        i0, i1 = cell[0], cell[-1] + 1
         n1s = np.arange(a1.origin[0] + i0, a1.origin[0] + i1)
         for v in range(0, c2, block):
             phase = _twist_phase(a1.params, a1.kind, n1s, n2s[v:v + block])

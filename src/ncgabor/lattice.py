@@ -180,8 +180,8 @@ class LatticePoint:
 
 def index_bounds(p: TorusParams, kind: LatticeKind, radius: float):
     """Largest (K₁, K₂) with |step·K| ≤ radius on each axis."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {radius}")
     t_step, _, f_step, _ = lattice_generators(p, kind)
     k1 = int(math.floor(radius / abs(t_step) + 1e-12))
     k2 = int(math.floor(radius / abs(f_step) + 1e-12))

@@ -32,8 +32,8 @@ class GridSpec:
     q: int = 1
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("period L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"period L must be finite and positive, got {self.L}")
         if self.N <= 0 or self.N % 2:
             raise ValueError("sample count N must be a positive even integer")
         if self.q < 1:

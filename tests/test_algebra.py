@@ -169,14 +169,29 @@ def test_no_phase_table_is_built_at_import():
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 
-@pytest.mark.parametrize("rows, r2, group, expected", [
-    ([0, 1, 3, 4, 6, 7, 8, 9], 2, 4, [(0, 4), (4, 8), (8, 10)]),   # at most 4 rows a group
-    ([0, 1, 4, 5], 2, 8, [(0, 2), (4, 6)]),         # a gap of 2 = r₂ zero rows ends a group
-    ([0, 1, 3, 4], 2, 8, [(0, 5)]),                 # a gap of 1 does not
-    ([0, 2100], 2101, 525, [(0, 1), (2100, 2101)]),
-    ([], 3, 1, [])], ids=["group size", "gap of r2", "gap below r2", "far rows", "no rows"])
-def test_row_groups_end_at_gaps_of_r2_zero_rows(rows, r2, group, expected):
-    assert list(algebra._row_groups(rows, r2, group)) == expected
+def _row_group_cases(params):
+    kind = LatticeKind.TIME_FREQ
+    spaced = LatticeSeq.from_entries(params, kind, [(n, 0) for n in (0, 2, 4, 6, 8)],
+                                     [1.0, 2.0, 3.0, 4.0, 5.0])
+    col = _far_apart_pairs(params)["col-col"][0]
+    return {"spaced-delta": (spaced, LatticeSeq.delta(params, kind)), "col-col": (col, col)}
+
+
+@pytest.mark.parametrize("name, sizes", [
+    ("spaced-delta", [7, 1]),   # a grid of 8 rows: rows 0–6, then row 8
+    ("col-col", [1, 1])],       # 2101 rows halved to 1050 under the budget: rows 0 and 2100
+    ids=["spaced-delta", "col-col"])
+def test_row_groups_are_the_cells_of_a_fixed_grid(params_q2, monkeypatch, name, sizes):
+    groups, band = [], algebra._band_product
+
+    def counted(rows1, cols2, phase):
+        groups.append(rows1.shape[0])
+        return band(rows1, cols2, phase)
+
+    monkeypatch.setattr(algebra, "_band_product", counted)
+    a, b = _row_group_cases(params_q2)[name]
+    _assert_matches_loop(a, b)
+    assert groups == sizes
 
 
 def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypatch):
@@ -189,7 +204,7 @@ def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypa
     # at 200 cells, the factors L, R and L·R of a g-row group and b of a₂'s
     # columns take (g+r₂−1)(gb+b+c₁−1) + gb(b+c₁−1)
     pairs = [(box(4, 12, hollow=[1]), box(3, 12)),   # rows one at a time, a₂ in 6-column blocks
-             (box(10, 3, hollow=[2, 5]), box(2, 3)),  # groups of 4 rows holding rows 2 and 5
+             (box(10, 3, hollow=[2, 5]), box(2, 3)),  # grid of 4 rows: zero rows 2, 5 inside
              # compressed to 11 columns: rows one at a time, a₂ in blocks of 6 and 5
              (box(3, 21, step=2), box(1, 21, step=2)),
              (box(1, 12), box(1, 12))]                # a single row, a₂ in two 6-column blocks

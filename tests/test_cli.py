@@ -3,6 +3,7 @@ import json
 import re
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -523,6 +524,18 @@ def test_eps0_not_finite_and_positive_exit_code(command, eps0, tmp_path, monkeyp
     assert ("configuration error: eps0 must be finite and positive"
             in capsys.readouterr().err)
     assert setups == [] and not out.exists()   # refused before the view runs
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--L", "inf"], "period L must be finite and positive, got inf"),
+    (["--L", "nan"], "period L must be finite and positive, got nan"),
+    (["--L", "16", "--radius", "nan"], "radius must be finite and positive, got nan")],
+    ids=["L-inf", "L-nan", "radius-nan"])
+def test_grid_value_not_finite_exit_code(flags, message, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # refused before any numpy arithmetic warns
+        assert main(["frame", *flags]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 def test_run_and_sweep_share_the_soliton_pipeline(tmp_path, monkeypatch):

@@ -5,7 +5,9 @@ the package: its modules import each other at the top, and every exception
 class in src/ is declared in frame.py, so the failure types that the CLI
 maps to exit codes are read in one module, and every module-level UPPER_CASE
 constant in src/ is read somewhere in src/, so a retired setting cannot
-linger beside the code that no longer reads it.
+linger beside the code that no longer reads it, and every module-level
+private function in src/ is referenced from src/, so a replaced helper
+cannot linger for its unit test alone.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -109,3 +111,19 @@ def unread_constants(paths):
 
 def test_every_constant_is_read():
     assert unread_constants(SOURCES) == []
+
+
+def unreferenced_private_functions(paths):
+    """Module-level functions in `paths` whose names start with one underscore
+    that no code in `paths` references, as a name or as a module attribute."""
+    trees = [ast.parse(path.read_text()) for path in paths]
+    defined = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    referenced = {getattr(node, "id", getattr(node, "attr", None)) for tree in trees
+                  for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+    return sorted(defined - referenced)
+
+
+def test_every_private_function_is_referenced():
+    assert unreferenced_private_functions(SOURCES) == []

@@ -196,3 +196,6 @@ def test_index_bounds_and_points():
     assert pt.l == 1 and pt.c == 0
     with pytest.raises(ValueError):
         index_bounds(p, LatticeKind.TIME_FREQ, -1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            index_bounds(p, LatticeKind.ADJOINT, bad)

@@ -17,6 +17,9 @@ def test_grid_spec_validation():
         GridSpec(N=511)  # odd
     with pytest.raises(ValueError):
         GridSpec(L=-1.0)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridSpec(L=bad)
     with pytest.raises(ValueError):
         GridSpec(q=0)
 
