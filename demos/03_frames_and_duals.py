@@ -35,7 +35,7 @@ probes = [random_timefreq_probe(spec, rng, spread=2.5) for _ in range(10)]
 rec = reconstruction_residual(probes, g, h, params, 6.0)
 print(f"reconstruction residual over 10 random probes: {rec:.2e}")
 
-t = canonical_tight(system)
+t, _ = canonical_tight(system)
 ta, tb = frame_bounds(FrameSystem(t, params, radius=6.0))
 print(f"canonical tight window: bounds A={ta:.8f}, B={tb:.8f}")
 gauge = l1_diff(inner_left(g, h, params, 6.0), inner_left(t, t, params, 6.0))

@@ -181,9 +181,31 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
 # -- twisted algebra ---------------------------------------------------------
 
 
-PHASE_REACH = 1 << 15   # |n₁n₂| up to which cocycle phases are read off a table
-PHASE_TABLES = 8        # tables kept at once; the oldest is dropped first
-_phase_tables: dict = {}   # (params, kind) → exp(2πi·t·n) at n = 0..h, −h..−1; oldest first
+TABLE_CELLS = 1 << 16   # cells the phase-table memo holds at once (1 MiB of complex128)
+PHASE_REACH = 1 << 14   # |n₁n₂| up to which cocycle phases are read off a table
+_tables: dict = {}      # key → read-only phase table, oldest first
+
+
+def _memo(key, build) -> np.ndarray:
+    """The read-only table of `key`, `build()` on first use.
+
+    The one memo of phase tables, keyed by what the table is a function of:
+    the cocycle tables of _twist_phase and the atom phase tables of
+    _translates and _modulations.  A new table drops the oldest ones until
+    the memo holds at most TABLE_CELLS cells; a table larger than that is
+    built and not held.
+    """
+    table = _tables.get(key)
+    if table is None:
+        table = build()
+        table.setflags(write=False)
+        if table.size > TABLE_CELLS:
+            return table
+        held = sum(t.size for t in _tables.values())
+        while held + table.size > TABLE_CELLS:
+            held -= _tables.pop(next(iter(_tables))).size
+        _tables[key] = table
+    return table
 
 
 def _phase_formula(params: TorusParams, kind: LatticeKind, n) -> np.ndarray:
@@ -201,28 +223,25 @@ def _twist_phase(params: TorusParams, kind: LatticeKind, n1s, n2s) -> np.ndarray
     """exp(2πi·t·n₁n₂) on the grid of the integer arrays n1s × n2s.
 
     The one evaluation of the cocycle phase.  Values are read off a table of
-    `_phase_formula` over |n| ≤ h, one per (params, kind), so each is bitwise
-    the formula's own.  A table is built on first use with h the least power
-    of two (at least 64) above the grid's largest |n₁n₂|, rebuilt larger when
-    a grid reaches past it, and at most PHASE_TABLES are kept; a grid that
-    reaches past PHASE_REACH is evaluated by the formula, so the tables hold
-    at most PHASE_TABLES·(2·PHASE_REACH + 1) values whatever the indices.
+    `_phase_formula` over |n| ≤ h, one per (params, kind) held by _memo, so
+    each is bitwise the formula's own.  A table is built on first use with h
+    the least power of two (at least 64) above the grid's largest |n₁n₂|, and
+    replaced by a larger one when a grid reaches past it; a grid that reaches
+    past PHASE_REACH is evaluated by the formula, so no table exceeds
+    2·PHASE_REACH + 1 cells.
     """
     n = n1s[:, None] * n2s
     reach = int(np.abs(n).max(initial=0))
     if reach > PHASE_REACH:
         return _phase_formula(params, kind, n)
-    key = (params, kind)
-    table = _phase_tables.get(key)
+    key = ("cocycle", params, kind)
+    table = _tables.get(key)
     if table is None or 2 * reach >= table.size:
+        _tables.pop(key, None)
         half = min(PHASE_REACH, max(64, 1 << reach.bit_length()))
         # n = 0..h, then −h..−1: numpy's negative indices read table[n] for |n| ≤ h
-        ns = np.concatenate([np.arange(half + 1), np.arange(-half, 0)])
-        table = _phase_formula(params, kind, ns)
-        _phase_tables.pop(key, None)
-        if len(_phase_tables) >= PHASE_TABLES:
-            del _phase_tables[next(iter(_phase_tables))]
-        _phase_tables[key] = table
+        table = _memo(key, lambda: _phase_formula(
+            params, kind, np.concatenate([np.arange(half + 1), np.arange(-half, 0)])))
     return table[n]
 
 
@@ -360,20 +379,29 @@ def _check_atom_box(m1: int, m2: int, spec: GridSpec):
         raise ValueError(f"a {m1}x{m2} box of {size}-sample atoms exceeds {BOX_BUDGET} cells")
 
 
+def _atom_key(factor: str, spec: GridSpec, step: float, ns) -> tuple:
+    """_memo key of an atom phase table: the factor, the grid, the step and
+    the exact index list, so that the translate and the modulation tables of
+    one step and one index list never share a table."""
+    return factor, spec, float(step), ns.dtype.str, ns.tobytes()
+
+
 def _translates(g: GridSignal, gen, n1s) -> np.ndarray:
     """The (M₁, qN) translated windows T_{t_step·a, t_slope·a} g, a in n1s."""
     t_step, t_slope, _, _ = gen
     spec = g.spec
     rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
     tg = np.fft.fft(g.values, axis=1)[rows]       # channel k of row a: ĝ(k − l_a)
-    tg *= np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs()))[:, None, :]
+    tg *= _memo(_atom_key("translate", spec, t_step, n1s),
+                lambda: np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs())))[:, None, :]
     return np.fft.ifft(tg, axis=2).reshape(len(n1s), spec.q * spec.N)
 
 
 def _modulations(spec: GridSpec, gen, n2s) -> np.ndarray:
     """The (M₂, qN) modulations E_{f_step·b, f_slope·b}, b in n2s."""
     _, _, f_step, f_slope = gen
-    xph = np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x()))
+    xph = _memo(_atom_key("modulate", spec, f_step, n2s),
+                lambda: np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x())))
     chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
     return (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), spec.q * spec.N)
 

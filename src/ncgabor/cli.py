@@ -46,7 +46,7 @@ from .signal import GridSpec, random_timefreq_probe, save_signal
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
 from .frame import (TIGHT_TOL, ConvergenceError, GridError, NotAFrameError, ToleranceError,
-                    laurent_symbol, reconstruction_residual, wexler_raz_residual)
+                    laurent_symbol, reconstruction_residual)
 # kept as a module attribute for tools that patch it here (perfbench/spans.py)
 from .frame import canonical_dual  # noqa: F401
 from .geometry import (Pipeline, build_window, derive, grid_for_radius,
@@ -222,8 +222,7 @@ def view_dual(args, pipeline):
 
 def view_tight(args, pipeline):
     pipe = pipeline()
-    tight = pipe.tight   # before p, so a failed tight window costs no dual solve
-    wr = wexler_raz_residual(tight, tight, pipe.params, args.radius)
+    tight, wr = pipe.tight   # before p: the Lanczos run that p's dual reads is the tight window's
     rng = np.random.default_rng(11)   # the three probes of the tight check, whatever --seed
     probes = [random_timefreq_probe(tight.spec, rng, spread=1.8) for _ in range(3)]
     rec = reconstruction_residual(probes, tight, tight, pipe.params, args.radius)

@@ -268,7 +268,7 @@ def _krylov_window(g: GridSignal, basis, y) -> GridSignal:
     return GridSignal(spec, values.reshape(spec.q, spec.N))
 
 
-def _krylov_reading(sys: FrameSystem, tol: float = 1e-7, max_iter: int = 500):
+def _krylov_reading(sys: FrameSystem, tol: float, max_iter: int):
     """(basis, α, H, m): the Lanczos run of S_g started at g, and the Krylov
     dimension m at which both canonical windows are read off it: where the
     dual reading h_k = ‖g‖·V_k·H_k⁻¹e₁ (k ≤ `max_iter`) stops.  With
@@ -304,22 +304,25 @@ def _krylov_reading(sys: FrameSystem, tol: float = 1e-7, max_iter: int = 500):
     return basis, alphas, hess, int(np.argmin(residuals[1:good + 1])) + 1
 
 
-def canonical_dual(sys: FrameSystem, tol: float = 1e-7,
-                   max_iter: int = 500) -> GridSignal:
+def canonical_dual(sys: FrameSystem, tol: float = 1e-7, max_iter: int = 500,
+                   reading=None) -> GridSignal:
     """Canonical dual window h = S_g^{-1} g = ‖g‖·V_m·H_m⁻¹e₁ (full
-    orthogonalization) at the Krylov dimension m of _krylov_reading."""
-    basis, _, hess, m = _krylov_reading(sys, tol, max_iter)
+    orthogonalization) at the Krylov dimension m of _krylov_reading(sys, tol,
+    max_iter), or of `reading()`, which returns that reading when a caller
+    keeps it (Pipeline's, so that its dual and tight window read one run)."""
+    basis, _, hess, m = reading() if reading else _krylov_reading(sys, tol, max_iter)
     return _krylov_window(sys.window, basis, np.linalg.solve(hess[:m, :m], np.eye(m)[0]))
 
 
-def canonical_tight(sys: FrameSystem) -> GridSignal:
-    """Canonical tight window t = S_g^{-1/2} g = ‖g‖·V_m·T_m^{-1/2}e₁ at the
-    dual's Krylov dimension m (_krylov_reading at canonical_dual's defaults).
-    t is tight exactly when ⟨t, π°(ν°)t⟩ = q|αβ|·δ (duality principle):
-    ConvergenceError unless wexler_raz_residual(t, t) at the system's radius
-    is at most TIGHT_TOL, GridError when T_m's Ritz values fail
-    _require_positive."""
-    basis, alphas, hess, m = _krylov_reading(sys)
+def canonical_tight(sys: FrameSystem, reading=None) -> tuple:
+    """(t, WR(t, t)): the canonical tight window t = S_g^{-1/2} g =
+    ‖g‖·V_m·T_m^{-1/2}e₁ at the dual's Krylov dimension m (the reading of
+    canonical_dual at its defaults, or `reading()` as there), and the
+    Wexler–Raz residual of its gate.  t is tight exactly when
+    ⟨t, π°(ν°)t⟩ = q|αβ|·δ (duality principle): ConvergenceError unless
+    wexler_raz_residual(t, t) at the system's radius is at most TIGHT_TOL,
+    GridError when T_m's Ritz values fail _require_positive."""
+    basis, alphas, hess, m = reading() if reading else _krylov_reading(sys, 1e-7, 500)
     evals, evecs = _ritz(alphas, hess, m)
     _require_positive(evals, "Ritz")
     evals = np.maximum(evals, evals[-1] * 1e-15)
@@ -329,7 +332,7 @@ def canonical_tight(sys: FrameSystem) -> GridSignal:
         raise ConvergenceError(
             f"Lanczos: tight-window Wexler-Raz residual {residual:.3e} above "
             f"tol {TIGHT_TOL:.1e} at Krylov dimension {m}")
-    return tight
+    return tight, residual
 
 
 def wexler_raz_residual(g: GridSignal, h: GridSignal, params: TorusParams,

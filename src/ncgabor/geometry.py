@@ -33,7 +33,7 @@ from .lattice import TorusParams, lattice_generators, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_pairing,
                       twisted_conv, l1_diff, _twist_phase)
 from .frame import (FrameSystem, GridError, ToleranceError, canonical_dual, canonical_tight,
-                    frame_bounds, lift_scalar_window, wexler_raz_residual)
+                    frame_bounds, lift_scalar_window, wexler_raz_residual, _krylov_reading)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, load_signal, norm)
 
@@ -203,7 +203,9 @@ class Pipeline:
     window g → frame system → bounds (A, B) → canonical dual h → projection
     p = ⟨g,h⟩, the one analysis on Λ×Γ → c₁ by two formulas → energy E ≥ |c₁|
     → self-duality and W residuals.  Stages are computed on first access and
-    cached, so a report pays only for the stages it reads.  The bounds come
+    cached, so a report pays only for the stages it reads; the dual and the
+    tight window (t with WR(t, t)) are read off one Lanczos run of S_g
+    unless `dual_max_iter` differs from 500.  The bounds come
     from frame_bounds (the Laurent symbol at an integer adjoint twist,
     Rayleigh–Ritz elsewhere), and the W residuals from the dual's projection
     onto the adjoint-shift span of g.  The defect stage forms p♮p once and
@@ -244,13 +246,24 @@ class Pipeline:
         return frame_bounds(self.system, seed=self.seed)
 
     @cached_property
+    def _lanczos(self) -> tuple:
+        """The Lanczos reading of S_g at canonical_dual's defaults, run once:
+        the tight window and, unless dual_max_iter differs, the dual read it."""
+        return _krylov_reading(self.system, 1e-7, 500)
+
+    @cached_property
     def dual(self) -> GridSignal:
-        h = canonical_dual(self.system, max_iter=self.dual_max_iter)
+        shared = self.dual_max_iter == 500
+        h = canonical_dual(self.system, max_iter=self.dual_max_iter,
+                           reading=(lambda: self._lanczos) if shared else None)
         return self._seam_gate("dual window", h)
 
     @cached_property
-    def tight(self) -> GridSignal:
-        return self._seam_gate("tight window", canonical_tight(self.system))
+    def tight(self) -> tuple:
+        """(t, WR(t, t)): the canonical tight window and the Wexler–Raz
+        residual of canonical_tight's gate."""
+        t, wr = canonical_tight(self.system, reading=lambda: self._lanczos)
+        return self._seam_gate("tight window", t), wr
 
     @cached_property
     def wexler_raz(self) -> float:

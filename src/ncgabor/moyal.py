@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import LatticeKind, TorusParams, lattice_generators
-from .algebra import _analyse, _atoms, _box_axes, _twist_phase
+from .algebra import _analyse, _box_axes, _modulations, _translates, _twist_phase
 from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
                      inner, norm, tf_shift, _unit)
 from .geometry import _chern_double_sum, covariant
@@ -158,10 +158,11 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     step = max(1, int(round(step / dx))) * dx
     lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
     nodes, _ = _box_axes(lat, kind, box, g.spec)
+    gen = lattice_generators(lat, kind)
+    mod = _modulations(g.spec, gen, nodes)   # the same for every channel pair
     # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
-    p = np.array([[_analyse(g, *_atoms(tf_shift(g, PhasePoint(0.0, l, 0.0, c)),
-                                       lattice_generators(lat, kind), nodes, nodes))
-                   for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
+    p = np.array([[_analyse(g, _translates(tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen, nodes),
+                            mod) for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
     mass = np.abs(p) ** 2
     ring = 1.0 - mass[..., 1:-1, 1:-1].sum() / mass.sum()
     if ring >= RING_TOL:

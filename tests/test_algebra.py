@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ncgabor.lattice import LatticeKind, TorusParams, lattice_twist
+from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_twist
 from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
 from ncgabor import algebra
 from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
@@ -130,7 +130,7 @@ def test_twist_phase_is_the_closed_formula_bitwise(params, kind, origin, shape, 
     n1s = np.arange(origin[0], origin[0] + shape[0])
     n2s = np.arange(origin[1], origin[1] + shape[1])
     far = np.arange(-3, 4) * algebra.PHASE_REACH
-    with mock.patch.object(algebra, "_phase_tables", {}):
+    with mock.patch.object(algebra, "_tables", {}):
         grids = [(n1s, n2s),                                        # a box, as a product reads it
                  tuple(-n[::-1] for n in (n1s, n2s)),                # reversed, as twisted_star
                  (n1s, np.arange(origin[1], origin[1] + step * shape[1], step)),   # compressed
@@ -140,32 +140,133 @@ def test_twist_phase_is_the_closed_formula_bitwise(params, kind, origin, shape, 
                  (n1s, n2s)]                                        # the grown table again
         for n1, n2 in grids:
             _assert_closed_phase_bits(params, kind, n1, n2)
-        tables = algebra._phase_tables
-        assert list(tables) == [(params, kind)]
-        assert tables[(params, kind)].size <= 2 * algebra.PHASE_REACH + 1
+        tables = algebra._tables
+        # one table per lattice and kind: grown to the bound, and the last,
+        # narrower grid read off it
+        assert list(tables) == [("cocycle", params, kind)]
+        assert tables[("cocycle", params, kind)].size == 2 * algebra.PHASE_REACH + 1
+
+
+def held_cells():
+    return sum(table.size for table in algebra._tables.values())
 
 
 def test_phase_tables_answer_only_for_their_own_lattice():
     # two lattices that share α (and r, s, q), called in turn, and more
-    # lattices than are kept: each call reads its own lattice's phases
-    n1s, n2s = np.arange(-6, 7), np.arange(-9, 10)
+    # lattices than the memo holds: each call reads its own lattice's phases
+    n1s, n2s = np.arange(-6, 7), np.arange(-9, 10)   # one 129-cell table each
     same_alpha = [TorusParams(0.5, beta, 1, 1, 3) for beta in (2 / 15, 1 / 6)]
     assert not np.array_equal(*(closed_phase(p, LatticeKind.TIME_FREQ, n1s, n2s)
                                 for p in same_alpha))
-    many = [TorusParams(0.5, 1 / (3 * d), 1, 1, 3) for d in range(2, 2 + algebra.PHASE_TABLES)]
-    with mock.patch.object(algebra, "_phase_tables", {}):
+    many = [TorusParams(0.5, 1 / (3 * d), 1, 1, 3) for d in range(2, 10)]
+    with mock.patch.object(algebra, "_tables", {}), mock.patch.object(algebra, "TABLE_CELLS", 1024):
         for _ in range(3):
             for params in same_alpha + many:
                 for kind in BOTH_KINDS:
                     _assert_closed_phase_bits(params, kind, n1s, n2s)
-            assert len(algebra._phase_tables) <= algebra.PHASE_TABLES
+                    assert held_cells() <= 1024
+            assert len(algebra._tables) == 1024 // 129
+
+
+def closed_translates(g, gen, n1s):
+    """_translates with its phase by the closed formula."""
+    t_step, t_slope, _, _ = gen
+    spec = g.spec
+    rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
+    tg = np.fft.fft(g.values, axis=1)[rows]
+    tg *= np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs()))[:, None, :]
+    return np.fft.ifft(tg, axis=2).reshape(len(n1s), spec.q * spec.N)
+
+
+def closed_modulations(spec, gen, n2s):
+    """_modulations with its phase by the closed formula."""
+    _, _, f_step, f_slope = gen
+    xph = np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x()))
+    chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
+    return (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), spec.q * spec.N)
+
+
+def _assert_closed_atom_bits(g, gen_t, n1s, gen_m, n2s):
+    """_translates and _modulations, built or read, are bitwise the closed formulas."""
+    for got, want in ((algebra._translates(g, gen_t, n1s), closed_translates(g, gen_t, n1s)),
+                      (algebra._modulations(g.spec, gen_m, n2s),
+                       closed_modulations(g.spec, gen_m, n2s))):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(lattices(qs=(1, 2, 3, 7)), st.sampled_from(BOTH_KINDS),
+       st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
+       st.tuples(st.integers(0, 12), st.integers(0, 12)), st.sampled_from([1, 2, -3]))
+def test_atom_phase_tables_are_the_closed_formula_bitwise(params, kind, origin, shape, step):
+    # index lists as the kernels pass them (a box axis, its nonzero rows, a
+    # stride), each read twice: the first read builds the table, the second
+    # reads it; the lattices draw negative steps too
+    g = gaussian_probe(GridSpec(L=12.0, N=64, q=params.q), np.random.default_rng(shape))
+    gen = lattice_generators(params, kind)
+    n1s = np.arange(origin[0], origin[0] + shape[0])
+    n2s = np.arange(origin[1], origin[1] + step * shape[1], step)
+    with mock.patch.object(algebra, "_tables", {}):
+        for n1, n2 in [(n1s, n2s), (n1s[::2], n2s[::-1]), (n1s, n2s)]:
+            _assert_closed_atom_bits(g, gen, n1, gen, n2)
+        assert {key[0] for key in algebra._tables} <= {"translate", "modulate"}
+
+
+def test_atom_phase_tables_keep_factors_and_grids_apart():
+    # at α = 1, β = −1 translate and modulation steps coincide across the two
+    # lattices: on one grid and one index list each factor reads its own
+    # table; two grids with one spacing Δx read their own tables too
+    params = TorusParams(1.0, -1.0)
+    gens = [lattice_generators(params, kind) for kind in BOTH_KINDS]
+    assert {gen[0] for gen in gens} & {gen[2] for gen in gens}
+    ns = np.arange(-4, 5)
+    grids = [GridSpec(L=8.0, N=64), GridSpec(L=16.0, N=128)]
+    with mock.patch.object(algebra, "_tables", {}):
+        for _ in range(2):
+            for spec in grids:
+                g = gaussian_probe(spec, np.random.default_rng(3))
+                for gen_t in gens:
+                    for gen_m in gens:
+                        _assert_closed_atom_bits(g, gen_t, ns, gen_m, ns)
+        assert len(algebra._tables) == 8   # 2 factors × 2 grids × 2 distinct steps
+
+
+def test_phase_memo_holds_at_most_its_bound():
+    # more atom tables than fit in TABLE_CELLS, and tables larger than it,
+    # which are built and not held; every read is the closed formula's
+    spec = GridSpec(L=16.0, N=512)
+    g = gaussian_probe(spec, np.random.default_rng(1))
+    rows = algebra.TABLE_CELLS // spec.N
+    with mock.patch.object(algebra, "_tables", {}):
+        for width in (rows // 4, rows // 3, rows // 2, rows + 1, rows // 4, rows):
+            gen = (0.5 + width / 100, 0, 0.25 + width / 100, 0)
+            ns = np.arange(-(width // 2), width - width // 2)
+            held = list(algebra._tables)
+            _assert_closed_atom_bits(g, gen, ns, gen, ns)
+            assert held_cells() <= algebra.TABLE_CELLS
+            if width * spec.N > algebra.TABLE_CELLS:
+                assert list(algebra._tables) == held
+        # a table of TABLE_CELLS cells drops every older one
+        assert [(key[0], len(key[-1]) // 8) for key in algebra._tables] == [("modulate", rows)]
+
+
+def test_phase_tables_are_read_only():
+    params = TorusParams(0.5, 1 / 3, 1, 1, 2)
+    g = gaussian(GridSpec(L=16.0, N=128, q=2))
+    with mock.patch.object(algebra, "_tables", {}):
+        inner_right(g, g, params, 3.0)
+        assert {key[0] for key in algebra._tables} == {"cocycle", "translate", "modulate"}
+        for table in algebra._tables.values():
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0
 
 
 def test_no_phase_table_is_built_at_import():
+    # neither a cocycle table nor an atom table
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-    probe = "import ncgabor.cli, ncgabor.algebra as a; assert a._phase_tables == {}"
+    probe = "import ncgabor.cli, ncgabor.moyal, ncgabor.algebra as a; assert a._tables == {}"
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
 
 

@@ -416,10 +416,11 @@ def test_dual_reaching_the_seam_exit_code(monkeypatch, capsys):
 
 
 def test_tight_window_reaching_the_seam_exit_code(monkeypatch, capsys):
-    # the tight window S_g^{-1/2}g is gated at the seam by the dual's rule
-    def at_the_seam(system):
+    # the tight window S_g^{-1/2}g is gated at the seam by the dual's rule;
+    # Pipeline reads the window with the residual of its gate
+    def at_the_seam(system, **kwargs):
         g = system.window
-        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1))
+        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1)), 0.0
 
     monkeypatch.setattr(geometry, "canonical_tight", at_the_seam)
     assert main(["tight"]) == 2

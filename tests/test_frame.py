@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncgabor import frame
+from ncgabor import algebra, frame
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, inner, norm, random_timefreq_probe,
@@ -226,6 +226,26 @@ def test_apply_builds_the_atoms_once_per_radius(sys_q1, rng, monkeypatch):
     assert len(built) == 1
 
 
+def test_apply_builds_no_phase_table_after_the_first(sys_q1, rng, monkeypatch):
+    # the first apply builds the translate phases of the Janssen table's rows;
+    # every later apply reads them off the memo
+    memo, built = algebra._memo, []
+
+    def counted(key, build):
+        return memo(key, lambda: built.append(key[0]) or build())
+
+    monkeypatch.setattr(algebra, "_tables", {})
+    monkeypatch.setattr(algebra, "_memo", counted)
+    fresh = FrameSystem(sys_q1.window, sys_q1.params, sys_q1.radius)
+    f = gaussian_probe(sys_q1.window.spec, rng)
+    built.clear()
+    first = fresh.apply(f)
+    assert built == ["translate"]
+    for _ in range(5):
+        assert np.array_equal(fresh.apply(f).values, first.values)
+    assert built == ["translate"]
+
+
 @pytest.mark.parametrize("params", [
     TorusParams(0.5, 0.5), TorusParams(0.62, 0.62), TorusParams(0.5, 1 / 3, 1, 1, 2),
     TorusParams(0.5, 2 / 15, 1, 1, 3), TorusParams(0.5, 2 / 91, 1, 1, 7)],
@@ -258,11 +278,11 @@ def test_dual_and_tight_window_match_the_dense_oracle(params):
     gv = g.values.ravel()
     h, t = np.linalg.solve(dense, gv), evecs @ ((evecs.conj().T @ gv) / np.sqrt(evals))
     assert np.linalg.norm(canonical_dual(sys_).values.ravel() - h) < 1e-11 * np.linalg.norm(h)
-    assert np.linalg.norm(canonical_tight(sys_).values.ravel() - t) < 1e-13 * np.linalg.norm(t)
+    assert np.linalg.norm(canonical_tight(sys_)[0].values.ravel() - t) < 1e-13 * np.linalg.norm(t)
 
 
 def test_tight_window(sys_q1):
-    t = canonical_tight(sys_q1)
+    t, _ = canonical_tight(sys_q1)
     tight_sys = FrameSystem(t, sys_q1.params, sys_q1.radius)
     a_est, b_est = frame_bounds(tight_sys)
     assert a_est == pytest.approx(1.0, abs=1e-6)
@@ -297,7 +317,7 @@ def test_tight_window_is_read_at_the_first_krylov_dimension(monkeypatch):
     # dimension 8, and it is the window of dimension 20 to roundoff
     sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), TorusParams(0.62, 0.62), 6.0)
     applies = _counting_applies(monkeypatch)
-    t = canonical_tight(sys_)
+    t, _ = canonical_tight(sys_)
     assert len(applies) == 8
     assert norm(t - _tight_at_dimension_20(sys_)) < 1e-13 * norm(t)
 
@@ -318,10 +338,32 @@ def test_both_canonical_windows_are_read_at_one_krylov_dimension(params, perturb
     applies, counts = _counting_applies(monkeypatch), []
     for solve in (canonical_dual, canonical_tight):
         applies.clear()
-        t = solve(FrameSystem(g, params, 6.0))
+        window = solve(FrameSystem(g, params, 6.0))
         counts.append(len(applies))
+    t, _ = window
     assert counts[0] == counts[1]
     assert norm(t - _tight_at_dimension_20(FrameSystem(g, params, 6.0))) < 1e-13 * norm(t)
+
+
+@pytest.mark.parametrize("flags, code, applies", [
+    ([], 0, 6), (["--alpha", "0.62", "--beta", "0.62"], 1, 8),
+    (["--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3), "--r", "1", "--s", "1"], 1, 9),
+    (["--cg-max-iter", "400"], 0, 12)],
+    ids=["q1", "q1_0.62", "q2", "cg_max_iter"])
+def test_one_lanczos_run_per_tight_command(flags, code, applies, tmp_path, monkeypatch):
+    # the tight window and the dual behind the gauge identity are read off one
+    # Lanczos run, m applies of S_g, and the report reads the WR(t, t) of the
+    # tight window's gate; a --cg-max-iter other than 500 caps the dual alone,
+    # which then runs its own reading
+    counted = _counting_applies(monkeypatch)
+    residual, residuals = frame.wexler_raz_residual, []
+    monkeypatch.setattr(frame, "wexler_raz_residual",
+                        lambda *args: residuals.append(residual(*args)) or residuals[-1])
+    out = tmp_path / "tight.json"
+    assert main(["tight", *flags, "--out", str(out)]) == code
+    assert len(counted) == applies
+    with open(out) as fh:
+        assert [json.load(fh)["results"]["wexler_raz_residual"]] == residuals
 
 
 def test_tight_reconstruction_miss_exit_code(tmp_path):
@@ -338,7 +380,7 @@ def test_tight_reconstruction_miss_exit_code(tmp_path):
 
 def test_gauge_identity(sys_q1, dual_q1):
     # <g, S⁻¹g> = <S^{-1/2}g, S^{-1/2}g>
-    t = canonical_tight(sys_q1)
+    t, _ = canonical_tight(sys_q1)
     lhs = inner_left(sys_q1.window, dual_q1, sys_q1.params, 6.0)
     rhs = inner_left(t, t, sys_q1.params, 6.0)
     assert l1_diff(lhs, rhs) < 1e-6

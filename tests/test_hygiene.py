@@ -7,7 +7,11 @@ maps to exit codes are read in one module, and every module-level UPPER_CASE
 constant in src/ is read somewhere in src/, so a retired setting cannot
 linger beside the code that no longer reads it, and every module-level
 private function in src/ is referenced from src/, so a replaced helper
-cannot linger for its unit test alone.
+cannot linger for its unit test alone, and no module-level code in src/
+applies functools.cache or lru_cache(maxsize=None) to a function that takes
+arguments, so no such memo of the package grows without bound (a cache of a
+function of no arguments holds one value; a module-level dict used as a
+memo is beyond what this rule can see).
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -127,3 +131,54 @@ def unreferenced_private_functions(paths):
 
 def test_every_private_function_is_referenced():
     assert unreferenced_private_functions(SOURCES) == []
+
+
+def _is_unbounded_cache(node) -> bool:
+    """`cache` or `functools.cache`, or a call lru_cache(None) or
+    lru_cache(maxsize=None)."""
+    if getattr(node, "id", getattr(node, "attr", None)) == "cache":
+        return True
+    if not isinstance(node, ast.Call) or getattr(
+            node.func, "id", getattr(node.func, "attr", None)) != "lru_cache":
+        return False
+    size = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+    return any(isinstance(v, ast.Constant) and v.value is None for v in size)
+
+
+def _takes_arguments(fn) -> bool:
+    args = fn.args
+    return bool(args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg)
+
+
+def unbounded_caches(path):
+    """Lines of `path` where module-level code, function and method
+    decorators included, applies an unbounded cache, except to a function
+    of no arguments."""
+    found, stack = [], list(ast.parse(path.read_text()).body)
+    while stack:
+        node = stack.pop()
+        if _is_unbounded_cache(node):
+            found.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if _takes_arguments(node):
+                stack.extend(node.decorator_list)   # the body runs at call time
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, lines", [
+    ("@cache\ndef f(x): pass", [1]), ("@functools.cache\ndef f(*x): pass", [1]),
+    ("@lru_cache(None)\ndef f(x=1): pass", [1]), ("f = cache(g)", [1]),
+    ("class C:\n    @lru_cache(maxsize=None)\n    def f(self): pass", [2]),
+    ("@lru_cache(maxsize=1)\ndef f(x): pass", []), ("@cache\ndef f(): pass", []),
+    ("def f():\n    return cache(g)", [])])
+def test_unbounded_cache_rule_finds_each_form(source, lines, tmp_path):
+    path = tmp_path / "case.py"
+    path.write_text(source)
+    assert unbounded_caches(path) == lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
+def test_no_unbounded_module_level_cache(path):
+    assert unbounded_caches(path) == []
