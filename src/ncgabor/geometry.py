@@ -94,31 +94,50 @@ def _chern_double_sum(v: np.ndarray, twist: np.ndarray) -> complex:
     T(n₁,n₂) = e^{2πiθn₁n₂} read from `twist`[n₁+k₁, n₂+k₂].
 
     v[l,c,a,b] is V at (a−k₁, b−k₂), and V is 0 outside that box, also in
-    the third factor; channels of v below CHANNEL_TOL are skipped.  For each
-    s₁ = n₁+n₁' with |s₁| ≤ k₁, the only rows where V(−s₁, ·) can be nonzero,
-    the ν'-sum is one GEMM with the Hankel slice of V(−s₁, ·), zero-padded.
+    the third factor; channels of v below CHANNEL_TOL are skipped.  Each
+    channel stands for the first channel with a bitwise equal table, and the
+    channel phases of all pairs with the same three tables are added up, so
+    _chern_triple_sum runs once per distinct triple: once for a lifted window.
     """
     nq, _, m1, m2 = v.shape
-    k1, k2 = (m1 - 1) // 2, (m2 - 1) // 2
-    n1s, n2s = np.arange(m1) - k1, np.arange(m2) - k2
     chan = np.exp(2j * np.pi * np.outer(np.arange(nq), np.arange(nq)) / nq)
-    hankel = np.add.outer(np.arange(m2), np.arange(m2))     # n₂' + n₂ + 2k₂
+    tables = v.reshape(nq * nq, m1, m2)
+    # rep[l, c]: the first channel whose table is bitwise v[l, c]
+    rep = np.array([next(j for j in range(i + 1) if np.array_equal(tables[j], t))
+                    for i, t in enumerate(tables)]).reshape(nq, nq)
     active = [(l, c) for l in range(nq) for c in range(nq)
               if np.abs(v[l, c]).max() > CHANNEL_TOL]
-    total = 0.0j
+    phases = {}
     for l, c in active:
-        first = v[l, c] * twist * chan[l, c]                      # V(ν)·e^{2πiθn₁n₂}
         for lp, cp in active:
-            second = v[lp, cp] * twist * chan[lp, (cp + c) % nq]  # V(ν')·e^{2πiθn₁'n₂'}
-            second = np.stack([second, second * n2s])             # weights 1 and n₂'
-            # [s₁ + k₁, n₂ + 2k₂] = V(−s₁, −n₂), 0 for |n₂| > k₂
-            third = np.pad(v[(-l - lp) % nq, (-c - cp) % nq], [(0, 0), (k2, k2)])[::-1, ::-1]
-            for s1 in range(-k1, k1 + 1):
-                rows = np.arange(max(0, s1), min(m1, m1 + s1))   # ν' rows
-                nu = s1 + 2 * k1 - rows                           # ν rows
-                g0, g2 = second[:, rows] @ third[s1 + k1, hankel]
-                own = first[nu] * twist[rows]                     # V(ν)·e^{2πiθn₁'n₂}
-                total += np.sum(own * (n1s[rows, None] * n2s * g0 - n1s[nu, None] * g2))
+            key = (rep[l, c], rep[lp, cp], rep[(-l - lp) % nq, (-c - cp) % nq])
+            phases[key] = phases.get(key, 0.0j) + chan[l, c] * chan[lp, (cp + c) % nq]
+    return sum((phase * _chern_triple_sum(tables[i], tables[j], tables[k], twist)
+                for (i, j, k), phase in phases.items()), 0.0j)
+
+
+def _chern_triple_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
+                      twist: np.ndarray) -> complex:
+    """_chern_double_sum's terms of one channel triple with phase 1: V = a at
+    ν, b at ν' and c at −ν−ν'.  For each s₁ = n₁+n₁' with |s₁| ≤ k₁, the only
+    rows where c(−s₁, ·) can be nonzero, the ν'-sum is one GEMM with the
+    Hankel slice of c(−s₁, ·), zero-padded."""
+    m1, m2 = a.shape
+    k1, k2 = (m1 - 1) // 2, (m2 - 1) // 2
+    n1s, n2s = np.arange(m1) - k1, np.arange(m2) - k2
+    hankel = np.add.outer(np.arange(m2), np.arange(m2))     # n₂' + n₂ + 2k₂
+    first = a * twist                                        # V(ν)·e^{2πiθn₁n₂}
+    second = b * twist                                       # V(ν')·e^{2πiθn₁'n₂'}
+    second = np.stack([second, second * n2s])                # weights 1 and n₂'
+    # [s₁ + k₁, n₂ + 2k₂] = V(−s₁, −n₂), 0 for |n₂| > k₂
+    third = np.pad(c, [(0, 0), (k2, k2)])[::-1, ::-1]
+    total = 0.0j
+    for s1 in range(-k1, k1 + 1):
+        rows = np.arange(max(0, s1), min(m1, m1 + s1))   # ν' rows
+        nu = s1 + 2 * k1 - rows                           # ν rows
+        g0, g2 = second[:, rows] @ third[s1 + k1, hankel]
+        own = first[nu] * twist[rows]                     # V(ν)·e^{2πiθn₁'n₂}
+        total += np.sum(own * (n1s[rows, None] * n2s * g0 - n1s[nu, None] * g2))
     return total
 
 
@@ -210,7 +229,8 @@ class Pipeline:
     Rayleigh–Ritz elsewhere), and the W residuals from the dual's projection
     onto the adjoint-shift span of g.  The defect stage forms p♮p once and
     raises ToleranceError when p misses idempotency at the frame rung 10²ε₀;
-    both c₁ formulas, both energy forms and the self-duality residuals read it
+    both c₁ formulas, both energy forms and the self-duality residuals read
+    the bounds (NotAFrameError where `frame` raises it) and then the defect
     first.  The sd_products stage forms P± once for c₁ by trace and the
     self-duality residuals: three ♮-products per run.  A window that reaches
     the periodisation seam is rejected before any solve, and a dual or tight
@@ -284,6 +304,7 @@ class Pipeline:
 
     @property
     def _checked_projection(self) -> LatticeSeq:
+        self.bounds   # raises NotAFrameError where `frame` does
         self.defect   # raises ToleranceError unless p is a projection
         return self.projection
 

@@ -61,31 +61,41 @@ class PhaseGrid:
 
 
 def _stft_chunks(f: GridSignal, g: GridSignal):
-    """Per chunk js of roll-order x nodes, yield js and every node
-    V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered ω nodes."""
+    """Per chunk js of roll-order x nodes, yield (js, v, mult, group) with
+    every node V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered
+    ω nodes read as v[c, group[l], b, m].
+
+    Column l of V depends only on the channels of ḡ rolled by l, so columns
+    whose rolls are bitwise equal share one block: with p the least period of
+    g's channels (p | q), the groups are the classes l mod p, each holding
+    mult = q/p columns.  A lifted window makes one block, a window with
+    pairwise distinct channels q blocks, in the order of l."""
     spec = f.spec
     n, q = spec.N, spec.q
     # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
     fs = spec.dx * np.roll(f.values, n // 2, axis=1)
     gbar = np.conj(g.values)
+    p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
+    group = np.arange(q) % p
     rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
-    k_minus_l = np.subtract.outer(np.arange(q), np.arange(q)) % q
+    k_minus_l = np.subtract.outer(np.arange(q), np.arange(p)) % q
     dft_q = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
     for j0 in range(0, n, CHUNK):
         js = np.arange(j0, min(j0 + CHUNK, n))
-        u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l, b, t]
+        u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l mod p, b, t]
         u *= fs[:, None, None, :]
         v = np.fft.fft(u, axis=3)
-        yield js, v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
+        yield js, v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape), q // p, group
 
 
 def moyal_check(f: GridSignal, g: GridSignal):
     """Both sides of the Moyal identity and their relative error; the left side
-    sums |V_g f|² over every (x, l, ω, c) node, not through Plancherel."""
+    sums |V_g f|² over every (x, l, ω, c) node, not through Plancherel; a
+    block that stands for mult columns l counts mult times."""
     if f.spec != g.spec:
         raise ValueError("grid mismatch")
     grid = PhaseGrid(f.spec)
-    total = sum(np.vdot(v, v).real for _, v in _stft_chunks(f, g))
+    total = sum(mult * np.vdot(v, v).real for _, v, mult, _ in _stft_chunks(f, g))
     lhs = total * grid.x_weight * grid.omega_weight
     rhs = f.spec.q * norm(g) ** 2 * norm(f) ** 2
     return lhs, rhs, abs(lhs - rhs) / abs(rhs)

@@ -89,12 +89,12 @@ def naive_twisted_conv(a, b):
 
 def full_grid_energy(g):
     """π/‖g‖⁴ · Σ (x²+ω²)·|V_g g|²·ΔxΔω over every (x, l, ω, c) node of the
-    phase-space grid: the trapezoid sum `continuous_energy` evaluates by
-    Plancherel."""
+    phase-space grid, V[c,l] read as block group[l]: the trapezoid sum
+    `continuous_energy` evaluates by Plancherel."""
     grid = PhaseGrid(g.spec)
     weight = grid.x[:, None] ** 2 + grid.omega[None, :] ** 2
-    total = sum(float(np.einsum("clbm,bm->", np.abs(v) ** 2, weight[js]))
-                for js, v in _stft_chunks(g, g))
+    total = sum(float(np.einsum("clbm,bm->", np.abs(v[:, group]) ** 2, weight[js]))
+                for js, v, _, group in _stft_chunks(g, g))
     return np.pi * total * grid.x_weight * grid.omega_weight / norm(g) ** 4
 
 

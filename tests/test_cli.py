@@ -122,6 +122,17 @@ def test_lift_failure_reports_the_scalar_frame_bounds(capsys):
         "frame failure: not a frame (numerically): A=-3.107e-03, B=2.003e+00\n")
 
 
+@pytest.mark.parametrize("density", ["2", "1"])
+@pytest.mark.parametrize("command", [["frame"], ["chern"], ["energy"],
+                                     ["run", "--tasks", "chern,energy"]], ids=" ".join)
+def test_formula_stages_exit_where_frame_does(command, density, capsys):
+    # at α = β = 2 or 1 the Gaussian is no frame: every formula stage reads
+    # the bounds before p, so none reports the c1 = E = 0 of a projection of
+    # no frame (αβ = 4) or the dual's seam fault (critical density)
+    assert main([*command, "--alpha", density, "--beta", density]) == 3
+    assert capsys.readouterr().err.startswith("frame failure: not a frame (numerically)")
+
+
 def test_solver_failure_exit_code():
     code = main(["dual", "--alpha", "0.5", "--beta", "0.5",
                  "--cg-max-iter", "1"])
@@ -650,10 +661,11 @@ def test_run_blocks_are_the_subcommand_results(task, tmp_path):
     assert _load(run)["results"] == {task: _load(alone)["results"]}
 
 
-def test_run_chern_estimates_no_frame_bounds(tmp_path, monkeypatch):
+def test_run_chern_estimates_frame_bounds_once(tmp_path, monkeypatch):
+    # c1 reads the bounds before p, so that no frame failure passes as c1 = 0
     bounds_calls = _count_calls(monkeypatch, "frame_bounds")
     assert main(["run", "--tasks", "chern", "--out", str(tmp_path / "run.json")]) == 0
-    assert bounds_calls == []
+    assert len(bounds_calls) == 1
 
 
 def _report_without_timestamp(path):

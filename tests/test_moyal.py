@@ -1,11 +1,14 @@
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ncgabor import geometry
 from ncgabor.lattice import TorusParams
-from ncgabor.signal import GridSpec, PhasePoint, gaussian, hermite, inner, norm, tf_shift
+from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite, inner, norm,
+                            tf_shift)
 from ncgabor.frame import lift_scalar_window
 from ncgabor.moyal import (PhaseGrid, _stft_chunks, bump_window, bandlimited_noise_window,
                            continuous_chern, continuous_energy,
@@ -55,21 +58,61 @@ def test_moyal_random_pairs(rng):
             assert err < 1e-8
 
 
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_stft_nodes_match_their_definition(q, rng):
-    # N = 200 leaves a partial last chunk of x nodes
+@pytest.mark.parametrize("channels, period", [
+    pytest.param((0,), 1, id="1"), pytest.param((0, 1), 2, id="2"),
+    pytest.param((0, 1, 2), 3, id="3"), pytest.param((0, 0, 0), 1, id="lifted3"),
+    pytest.param((0, 1, 0, 1), 2, id="period2"), pytest.param((0, 1, 0), 3, id="aba")])
+def test_stft_nodes_match_their_definition(channels, period, rng):
+    # N = 200 leaves a partial last chunk of x nodes; channel k of g is channel
+    # channels[k] of a random window, so q/period columns l share each block
+    q = len(channels)
     spec = GridSpec(L=12.0, N=200, q=q)
     grid = PhaseGrid(spec)
-    f, g = gaussian_probe(spec, rng, spread=1.5), gaussian_probe(spec, rng, spread=1.5)
+    f = gaussian_probe(spec, rng, spread=1.5)
+    head = gaussian_probe(GridSpec(L=12.0, N=200, q=len(set(channels))), rng, spread=1.5)
+    g = GridSignal(spec, head.values[list(channels)])
     nodes = rng.integers(0, [q, q, spec.N, spec.N], size=(20, 4))   # (c, l, j, m)
     got = {}
-    for js, v in _stft_chunks(f, g):
+    for js, v, mult, group in _stft_chunks(f, g):
+        assert v.shape[1] == period and mult == q // period
+        assert np.array_equal(group, np.arange(q) % period)
         for c, l, j, m in nodes:
             if js[0] <= j <= js[-1]:
-                got[c, l, j, m] = v[c, l, j - js[0], m]
+                got[c, l, j, m] = v[c, group[l], j - js[0], m]
     for c, l, j, m in nodes:
         expected = inner(f, tf_shift(g, PhasePoint(grid.x[j], l, grid.omega[m], c)))
         assert abs(got[c, l, j, m] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("name, rows", [("hermite1", 3), ("noise_a", 9)])
+def test_moyal_check_transforms_each_distinct_column_once(name, rows, monkeypatch):
+    # a channel-constant window at q = 3 makes one block of 3 channel rows per
+    # x node, a window with distinct channels 3 blocks, as the full grid had
+    spec = GridSpec(L=16.0, N=512, q=3)
+    w = {n: w for n, w, _ in load_corpus_file(CORPUS, spec)}[name]
+    f = gaussian_probe(spec, np.random.default_rng(3), spread=2.0)
+    fft, counted = np.fft.fft, []
+
+    def counting_fft(a, *args, **kwargs):
+        counted.append(a.size // a.shape[-1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    _, _, err = moyal_check(f, w)
+    assert sum(counted) == rows * spec.N
+    assert err < 1e-13
+
+
+def test_lifted_continuous_chern_runs_one_channel_triple():
+    # the q = 2 lifted Gaussian has two equal active channel tables (l, 0):
+    # its four channel pairs read one triple of tables
+    scalar = gaussian(GridSpec(L=16.0, N=512, q=1))
+    lifted = lift_scalar_window(scalar, TorusParams(0.5, 1 / 3, 1, 1, 2))
+    with mock.patch.object(geometry, "_chern_triple_sum",
+                           wraps=geometry._chern_triple_sum) as triple:
+        c1 = continuous_chern(lifted)
+    assert triple.call_count == 1
+    assert abs(c1 - 2) < 1e-6
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])

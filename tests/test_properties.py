@@ -216,8 +216,9 @@ def test_seq_file_roundtrip(seqs):
 
 @PROPERTY
 @given(st.integers(1, 3), st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, 3, 5, 7]),
-       st.floats(-2.0, 2.0), st.booleans(), st.integers(0, 2 ** 32 - 1))
-def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, seed):
+       st.floats(-2.0, 2.0), st.booleans(), st.sampled_from(["distinct", "equal", "pairs"]),
+       st.integers(0, 2 ** 32 - 1))
+def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, repeat, seed):
     rng = np.random.default_rng(seed)
 
     def table(rows, cols):
@@ -225,6 +226,12 @@ def test_chern_double_sum_matches_naive_loop(nq, m1, m2, theta, silent_channel, 
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     v = table(m1, m2)
+    # channel tables repeated bitwise share one run of the kernel's s₁ loop
+    flat = v.reshape(nq * nq, m1, m2)
+    if repeat == "equal":
+        flat[:] = flat[0]
+    elif repeat == "pairs":
+        flat[1::2] = flat[0:nq * nq - 1:2]
     if silent_channel:
         v[nq - 1, 0] = 0.0      # skipped by the kernel, summed by the oracle
     # the kernel reads V as 0 outside its box, the oracle reads the padded table
