@@ -32,8 +32,9 @@ import numpy as np
 from .lattice import TorusParams, lattice_generators, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_pairing,
                       twisted_conv, l1_diff, _twist_phase)
-from .frame import (FrameSystem, GridError, ToleranceError, canonical_dual, canonical_tight,
-                    frame_bounds, lift_scalar_window, wexler_raz_residual, _krylov_reading)
+from .frame import (ConvergenceError, FrameSystem, GridError, ToleranceError, canonical_dual,
+                    canonical_tight, frame_bounds, lift_scalar_window, wexler_raz_residual,
+                    _krylov_reading)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, load_signal, norm)
 
@@ -223,8 +224,8 @@ class Pipeline:
     p = ⟨g,h⟩, the one analysis on Λ×Γ → c₁ by two formulas → energy E ≥ |c₁|
     → self-duality and W residuals.  Stages are computed on first access and
     cached, so a report pays only for the stages it reads; the dual and the
-    tight window (t with WR(t, t)) are read off one Lanczos run of S_g
-    unless `dual_max_iter` differs from 500.  The bounds come
+    tight window (t with WR(t, t)) are read off one Lanczos run of S_g of
+    at most `dual_max_iter` dimensions.  The bounds come
     from frame_bounds (the Laurent symbol at an integer adjoint twist,
     Rayleigh–Ritz elsewhere), and the W residuals from the dual's projection
     onto the adjoint-shift span of g.  The defect stage forms p♮p once and
@@ -234,7 +235,8 @@ class Pipeline:
     first.  The sd_products stage forms P± once for c₁ by trace and the
     self-duality residuals: three ♮-products per run.  A window that reaches
     the periodisation seam is rejected before any solve, and a dual or tight
-    window before any check reads it (GridError).
+    window before any check reads it (GridError); a dual or tight solve that
+    fails reads the bounds first (NotAFrameError where `frame` raises it).
     chern_ok, energy_ok and passes() are the verdicts, report() the JSON record.
     """
 
@@ -267,23 +269,33 @@ class Pipeline:
 
     @cached_property
     def _lanczos(self) -> tuple:
-        """The Lanczos reading of S_g at canonical_dual's defaults, run once:
-        the tight window and, unless dual_max_iter differs, the dual read it."""
-        return _krylov_reading(self.system, 1e-7, 500)
+        """The Lanczos reading of S_g at canonical_dual's tolerance and at most
+        dual_max_iter dimensions, run once: the dual and the tight window read it."""
+        return _krylov_reading(self.system, 1e-7, self.dual_max_iter)
+
+    def _bounds_first(self, solve):
+        """solve(); when it fails with GridError or ConvergenceError, the
+        bounds are read before the failure is raised again, so that a lattice
+        where g is no frame is the NotAFrameError of `frame`."""
+        try:
+            return solve()
+        except (GridError, ConvergenceError):
+            self.bounds
+            raise
 
     @cached_property
     def dual(self) -> GridSignal:
-        shared = self.dual_max_iter == 500
-        h = canonical_dual(self.system, max_iter=self.dual_max_iter,
-                           reading=(lambda: self._lanczos) if shared else None)
-        return self._seam_gate("dual window", h)
+        return self._bounds_first(lambda: self._seam_gate(
+            "dual window", canonical_dual(self.system, reading=lambda: self._lanczos)))
 
     @cached_property
     def tight(self) -> tuple:
         """(t, WR(t, t)): the canonical tight window and the Wexler–Raz
         residual of canonical_tight's gate."""
-        t, wr = canonical_tight(self.system, reading=lambda: self._lanczos)
-        return self._seam_gate("tight window", t), wr
+        def solve():
+            t, wr = canonical_tight(self.system, reading=lambda: self._lanczos)
+            return self._seam_gate("tight window", t), wr
+        return self._bounds_first(solve)
 
     @cached_property
     def wexler_raz(self) -> float:

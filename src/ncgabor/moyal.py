@@ -24,10 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .lattice import LatticeKind, TorusParams, lattice_generators
-from .algebra import _analyse, _box_axes, _modulations, _translates, _twist_phase
-from .signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite,
-                     inner, norm, tf_shift, _unit)
+from .lattice import LatticeKind, TorusParams, index_bounds
+from .algebra import BOX_BUDGET, _twist_phase
+from .signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, _unit
 from .geometry import _chern_double_sum, covariant
 
 RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
@@ -60,32 +59,47 @@ class PhaseGrid:
         return 1.0 / self.spec.L
 
 
-def _stft_chunks(f: GridSignal, g: GridSignal):
-    """Per chunk js of roll-order x nodes, yield (js, v, mult, group) with
-    every node V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered
-    ω nodes read as v[c, group[l], b, m].
+def _stft_blocks(f: GridSignal, g: GridSignal):
+    """(blocks, p): p the least period of g's channels (p | q), and
+    blocks(js, contract) the STFT V[c, l, b, ·] = ⟨f, E_{·,c}T_{x_js[b],l}g⟩
+    at the translations by js[b] whole samples, for l < p.
 
     Column l of V depends only on the channels of ḡ rolled by l, so columns
-    whose rolls are bitwise equal share one block: with p the least period of
-    g's channels (p | q), the groups are the classes l mod p, each holding
-    mult = q/p columns.  A lifted window makes one block, a window with
-    pairwise distinct channels q blocks, in the order of l."""
+    whose rolls are bitwise equal are one block: the classes l mod p, each
+    standing for q/p columns.  The translates of ḡ are one gather from a
+    strided view of [ḡ, ḡ]; `contract` sums the rolled products
+    u[k, l, b, t] = Δx·f(x_t', k)·ḡ(x_t' − x_js[b], k − l), t' = t − N/2 mod N,
+    over t against the phases of its ω nodes, and the channel DFT over ℤ_q
+    is one q × q matrix product."""
     spec = f.spec
     n, q = spec.N, spec.q
     # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
     fs = spec.dx * np.roll(f.values, n // 2, axis=1)
     gbar = np.conj(g.values)
     p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
-    group = np.arange(q) % p
     rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
     k_minus_l = np.subtract.outer(np.arange(q), np.arange(p)) % q
     dft_q = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
-    for j0 in range(0, n, CHUNK):
-        js = np.arange(j0, min(j0 + CHUNK, n))
+
+    def blocks(js, contract):
         u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l mod p, b, t]
         u *= fs[:, None, None, :]
-        v = np.fft.fft(u, axis=3)
-        yield js, v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape), q // p, group
+        v = contract(u)
+        return v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
+    return blocks, p
+
+
+def _stft_chunks(f: GridSignal, g: GridSignal):
+    """Per chunk js of roll-order x nodes, yield (js, v, mult, group) with
+    every node V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered
+    ω nodes read as v[c, group[l], b, m]: the blocks of _stft_blocks by
+    time FFT, each standing for mult = q/p columns, group[l] = l mod p."""
+    n, q = f.spec.N, f.spec.q
+    blocks, p = _stft_blocks(f, g)
+    group = np.arange(q) % p
+    for j0 in range(0, n, CHUNK):
+        js = np.arange(j0, min(j0 + CHUNK, n))
+        yield js, blocks(js, lambda u: np.fft.fft(u, axis=3)), q // p, group
 
 
 def moyal_check(f: GridSignal, g: GridSignal):
@@ -159,20 +173,34 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
 
     by the trapezoid rule on the nodes of the lattice TorusParams(step, step)
     (step snapped to Δx·ℤ) in its index box at `box`, channels (l, c) free, p
-    zero outside: chern_sum's kernel and twist table on that lattice.  Equals
-    q, up to quadrature truncation, for every window whose phase-space mass
-    lies inside the box; a table whose relative ℓ² mass on its outermost
-    ring of nodes reaches RING_TOL is refused.
+    zero outside: chern_sum's kernel and twist table on that lattice.  The
+    table p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) is _stft_blocks at
+    the whole-sample shifts x_a, summed over t by one GEMM.  Equals q, up
+    to quadrature truncation, for every window whose phase-space mass lies
+    inside the box; a table whose relative ℓ² mass on its outermost ring
+    of nodes reaches RING_TOL is refused, as are a step or box that is not
+    finite and positive and work arrays above BOX_BUDGET cells.
     """
-    q, dx = g.spec.q, g.spec.dx
-    step = max(1, int(round(step / dx))) * dx
+    spec, q = g.spec, g.spec.q
+    for name, value in (("step", step), ("box", box)):   # in samples, so that none overflows
+        if not 0 < value / spec.dx < np.inf:
+            raise ValueError(f"continuous_chern {name} must be finite and positive "
+                             f"in samples of dx = {spec.dx:g}, got {value}")
+    shift = max(1, int(round(step / spec.dx)))   # x nodes are whole samples
+    step = shift * spec.dx
     lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
-    nodes, _ = _box_axes(lat, kind, box, g.spec)
-    gen = lattice_generators(lat, kind)
-    mod = _modulations(g.spec, gen, nodes)   # the same for every channel pair
-    # p[l,c,a,b] = ⟨g, E_{ω_b,c}T_{x_a,l}g⟩/(q‖g‖²) with window E_{0,c}T_{0,l}g
-    p = np.array([[_analyse(g, _translates(tf_shift(g, PhasePoint(0.0, l, 0.0, c)), gen, nodes),
-                            mod) for c in range(q)] for l in range(q)]) / (q * norm(g) ** 2)
+    side = 2 * index_bounds(lat, kind, box)[0] + 1
+    blocks, period = _stft_blocks(g, g)
+    cells = q * side * max(period * spec.N, q * side)   # rolled products, table
+    if cells > BOX_BUDGET:
+        raise ValueError(f"continuous_chern: {side} nodes a side at q={q}, N={spec.N} "
+                         f"need {cells} cells, above {BOX_BUDGET}; raise step or lower box")
+    nodes = np.arange(side) - side // 2
+    # e^{−2πiω_b x} at the unrolled x of each rolled sample: ω_b need not be an FFT bin
+    phases = np.exp(-2j * np.pi * np.outer(np.roll(spec.x(), spec.N // 2), step * nodes))
+    v = blocks(shift * nodes, lambda u: (u.reshape(-1, spec.N) @ phases).reshape(
+        *u.shape[:-1], side))                            # [c, l mod period, a, b]
+    p = v[:, np.arange(q) % period].swapaxes(0, 1) / (q * norm(g) ** 2)
     mass = np.abs(p) ** 2
     ring = 1.0 - mass[..., 1:-1, 1:-1].sum() / mass.sum()
     if ring >= RING_TOL:

@@ -122,15 +122,24 @@ def test_lift_failure_reports_the_scalar_frame_bounds(capsys):
         "frame failure: not a frame (numerically): A=-3.107e-03, B=2.003e+00\n")
 
 
-@pytest.mark.parametrize("density", ["2", "1"])
+NO_FRAME = {"2": ["--alpha", "2", "--beta", "2"], "1": ["--alpha", "1", "--beta", "1"],
+            "hermite:3": ["--window", "hermite:3"]}
+
+
+@pytest.mark.parametrize("case", list(NO_FRAME))
 @pytest.mark.parametrize("command", [["frame"], ["chern"], ["energy"],
-                                     ["run", "--tasks", "chern,energy"]], ids=" ".join)
-def test_formula_stages_exit_where_frame_does(command, density, capsys):
-    # at α = β = 2 or 1 the Gaussian is no frame: every formula stage reads
-    # the bounds before p, so none reports the c1 = E = 0 of a projection of
-    # no frame (αβ = 4) or the dual's seam fault (critical density)
-    assert main([*command, "--alpha", density, "--beta", density]) == 3
-    assert capsys.readouterr().err.startswith("frame failure: not a frame (numerically)")
+                                     ["run", "--tasks", "chern,energy"], ["dual"], ["tight"]],
+                         ids=" ".join)
+def test_formula_stages_exit_where_frame_does(command, case, capsys):
+    # at α = β = 2 or 1, and for hermite:3 at α = β = 1/2, the window is no
+    # frame: every formula stage reads the bounds before p, so none reports the
+    # c1 = E = 0 of a projection of no frame (αβ = 4), and a dual or tight
+    # solve that fails reads them before its seam or solver fault; the dual at
+    # αβ = 4 meets its tolerance, and its report fails Wexler-Raz (exit 1)
+    written = command == ["dual"] and case == "2"
+    assert main([*command, *NO_FRAME[case]]) == (1 if written else 3)
+    err = capsys.readouterr().err
+    assert err == "" if written else err.startswith("frame failure: not a frame (numerically)")
 
 
 def test_solver_failure_exit_code():
@@ -446,10 +455,11 @@ def test_tight_window_reaching_the_seam_exit_code(monkeypatch, capsys):
     ["laurent-data", "--N", "128"], ["laurent-data", "--radius", "20"]])
 def test_negative_symbol_is_a_grid_error_exit_code(flags, capsys, tmp_path, monkeypatch):
     # S_g >= 0, so mesh values of its symbol far below zero (-1.98 against a
-    # maximum of 12.0 at R = 20, where N = 512 undersamples L = 50), or Ritz
-    # values of its Lanczos run or its Rayleigh-Ritz estimate far below zero
-    # (-2.52 against 8.24 for tight --N 128), show that the grid does not
-    # represent S_g; laurent-data's Riesz verdict reads the same symbol bounds
+    # maximum of 12.0 at R = 20, where N = 512 undersamples L = 50; -2.53
+    # against 8.26 at N = 128, which dual and tight read once their Lanczos
+    # run's Ritz values fail), or a Rayleigh-Ritz estimate far below zero,
+    # show that the grid does not represent S_g; laurent-data's Riesz verdict
+    # reads the same symbol bounds
     monkeypatch.chdir(tmp_path)   # laurent-data writes laurent.dat here
     assert main(flags) == 2
     err = capsys.readouterr().err

@@ -348,13 +348,13 @@ def test_both_canonical_windows_are_read_at_one_krylov_dimension(params, perturb
 @pytest.mark.parametrize("flags, code, applies", [
     ([], 0, 6), (["--alpha", "0.62", "--beta", "0.62"], 1, 8),
     (["--q", "2", "--alpha", "0.5", "--beta", repr(1 / 3), "--r", "1", "--s", "1"], 1, 9),
-    (["--cg-max-iter", "400"], 0, 12)],
-    ids=["q1", "q1_0.62", "q2", "cg_max_iter"])
+    (["--cg-max-iter", "400"], 0, 6), (["--cg-max-iter", "3"], 0, 3)],
+    ids=["q1", "q1_0.62", "q2", "cg_max_iter", "cg_max_iter_3"])
 def test_one_lanczos_run_per_tight_command(flags, code, applies, tmp_path, monkeypatch):
     # the tight window and the dual behind the gauge identity are read off one
     # Lanczos run, m applies of S_g, and the report reads the WR(t, t) of the
-    # tight window's gate; a --cg-max-iter other than 500 caps the dual alone,
-    # which then runs its own reading
+    # tight window's gate; --cg-max-iter caps that one run, and both windows
+    # are read at the capped dimension (WR(t, t) = 1.1e-7 at 3)
     counted = _counting_applies(monkeypatch)
     residual, residuals = frame.wexler_raz_residual, []
     monkeypatch.setattr(frame, "wexler_raz_residual",

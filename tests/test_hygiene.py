@@ -11,7 +11,10 @@ cannot linger for its unit test alone, and no module-level code in src/
 applies functools.cache or lru_cache(maxsize=None) to a function that takes
 arguments, so no such memo of the package grows without bound (a cache of a
 function of no arguments holds one value; a module-level dict used as a
-memo is beyond what this rule can see).
+memo is beyond what this rule can see), and in src/ only algebra.py, which
+defines them, and frame.py, whose frame operator is built of them, import
+the atom kernel's privates, so that the Moyal plane's STFT cannot drift
+back onto the lattice atoms.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -182,3 +185,16 @@ def test_unbounded_cache_rule_finds_each_form(source, lines, tmp_path):
 @pytest.mark.parametrize("path", SOURCES, ids=[str(p.relative_to(ROOT)) for p in SOURCES])
 def test_no_unbounded_module_level_cache(path):
     assert unbounded_caches(path) == []
+
+
+ATOM_KERNEL = {"_analyse", "_atoms", "_translates", "_modulations", "_synthesise", "_right_action"}
+
+
+def atom_kernel_imports(path):
+    """Names of the atom kernel's privates that `path` imports."""
+    return sorted({alias.name for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names} & ATOM_KERNEL)
+
+
+def test_only_algebra_and_frame_import_the_atom_kernel():
+    assert {path.name for path in SOURCES if atom_kernel_imports(path)} <= {"algebra.py", "frame.py"}

@@ -1,3 +1,5 @@
+import math
+import re
 from pathlib import Path
 from unittest import mock
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ncgabor import geometry
+from ncgabor import algebra, geometry, moyal
 from ncgabor.lattice import TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite, inner, norm,
                             tf_shift)
@@ -234,6 +236,64 @@ def test_continuous_chern_non_gaussian(window, q):
     spec = GridSpec(L=16.0, N=512, q=q)
     g = bump_window(spec) if window == "bump" else hermite(spec, int(window[-1]))
     assert abs(continuous_chern(g) - q) < 1e-6
+
+
+def _chern_window(name, q):
+    # at L = 12 the omega nodes b/8 are no FFT bins (1/12): their phases at x and x + L/2 differ
+    spec = GridSpec(L=12.0, N=384, q=q)
+    if name == "lifted":
+        return lift_scalar_window(gaussian(GridSpec(L=12.0, N=384, q=1)),
+                                  TorusParams(0.5, 1 / 3, 1, 1, 2))
+    if name == "distinct":   # pairwise distinct channels: q classes of l
+        return gaussian(spec, coeffs=[1.0, 0.3 - 0.4j, -0.2j][:q], lam=0.8)
+    return hermite(spec, 2) if name == "hermite2" else gaussian(spec)
+
+
+@pytest.mark.parametrize("q, name", [(1, "gaussian"), (2, "lifted"), (2, "distinct"),
+                                     (3, "distinct"), (3, "hermite2")])
+def test_continuous_chern_table_matches_its_definition(q, name, rng):
+    # the double sum reads p[l,c,a,b] = <g, E_{w_b,c}T_{x_a,l}g>/(q|g|^2) on the
+    # nodes x_a = (a-k)*step, w_b = (b-k)*step, step = 0.125 = 4 dx; checked at
+    # 30 nodes with |x|, |w| <= 2.5, where the table is not negligible
+    g = _chern_window(name, q)
+    with mock.patch.object(moyal, "_chern_double_sum", wraps=moyal._chern_double_sum) as kernel:
+        c1 = continuous_chern(g)
+    assert abs(c1 - q) < 1e-6
+    p = kernel.call_args.args[0]
+    k, step = (p.shape[2] - 1) // 2, 4 * g.spec.dx
+    assert p.shape == (q, q, 2 * k + 1, 2 * k + 1) and k == 40
+    scale = q * norm(g) ** 2
+    for l, c, a, b in rng.integers([0, 0, -20, -20], [q, q, 21, 21], size=(30, 4)):
+        nu = PhasePoint(a * step, l, b * step, c)
+        assert abs(p[l, c, a + k, b + k] - inner(g, tf_shift(g, nu)) / scale) < 1e-14
+    if name == "lifted":   # one class of l: the columns l are one table
+        assert np.array_equal(p[0], p[1])
+
+
+def test_continuous_chern_reads_no_atom_table(monkeypatch):
+    # the table is the rolled-product STFT of moyal_check: the phase-table memo
+    # serves only the twist table, no lattice translate or modulation phases
+    keys, memo = [], algebra._memo
+    monkeypatch.setattr(algebra, "_memo", lambda key, build: keys.append(key) or memo(key, build))
+    for q in (1, 2):
+        assert abs(continuous_chern(_chern_window("distinct", q)) - q) < 1e-6
+    assert not {key[0] for key in keys} & {"translate", "modulate"}
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    *(({name: value}, f"{name} must be finite and positive in samples of dx = 0.0078125, "
+                      f"got {value}")
+      for name in ("step", "box") for value in (0.0, -1.0, math.inf, math.nan, 1e308)),
+    ({"step": 1 / 128, "box": 4.0}, "1025 nodes a side at q=3, N=2048 need 18892800 cells"),
+    ({"box": 1e300}, "nodes a side at q=3, N=2048 need")])
+def test_continuous_chern_refuses_bad_arguments(kwargs, match):
+    # step and box must be finite and positive, also in samples (1e308 / dx
+    # overflows); at step = dx = 1/128 and box = 4 the q = 3 window of distinct
+    # channels has 1025 nodes a side, and its rolled products, 3 x 3 x 1025 x
+    # 2048 cells, are refused before they are formed, as is a box of 1e300
+    spec = GridSpec(L=16.0, N=2048, q=3)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        continuous_chern(gaussian(spec, coeffs=[1.0, 0.3 - 0.4j, -0.2j], lam=0.8), **kwargs)
 
 
 @pytest.mark.parametrize("q", [1, 2])
