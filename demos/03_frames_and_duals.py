@@ -35,9 +35,10 @@ probes = [random_timefreq_probe(spec, rng, spread=2.5) for _ in range(10)]
 rec = reconstruction_residual(probes, g, h, params, 6.0)
 print(f"reconstruction residual over 10 random probes: {rec:.2e}")
 
-t, _ = canonical_tight(system)
+t = canonical_tight(system)
 ta, tb = frame_bounds(FrameSystem(t, params, radius=6.0))
-print(f"canonical tight window: bounds A={ta:.8f}, B={tb:.8f}")
+print(f"canonical tight window: bounds A={ta:.8f}, B={tb:.8f}, "
+      f"Wexler-Raz residual {wexler_raz_residual(t, t, params, 6.0):.2e}")
 gauge = l1_diff(inner_left(g, h, params, 6.0), inner_left(t, t, params, 6.0))
 print(f"gauge identity ⟨g,S⁻¹g⟩ = ⟨S^(-1/2)g, S^(-1/2)g⟩: ℓ¹ residual {gauge:.2e}")
 

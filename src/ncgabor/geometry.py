@@ -224,8 +224,9 @@ class Pipeline:
     p = ⟨g,h⟩, the one analysis on Λ×Γ → c₁ by two formulas → energy E ≥ |c₁|
     → self-duality and W residuals.  Stages are computed on first access and
     cached, so a report pays only for the stages it reads; the dual and the
-    tight window (t with WR(t, t)) are read off one Lanczos run of S_g of
-    at most `dual_max_iter` dimensions.  The bounds come
+    tight window are read off one Lanczos run of S_g of at most
+    `dual_max_iter` dimensions and judged by the views, WR(g, h) and WR(t, t)
+    at the frame rung.  The bounds come
     from frame_bounds (the Laurent symbol at an integer adjoint twist,
     Rayleigh–Ritz elsewhere), and the W residuals from the dual's projection
     onto the adjoint-shift span of g.  The defect stage forms p♮p once and
@@ -290,12 +291,11 @@ class Pipeline:
 
     @cached_property
     def tight(self) -> tuple:
-        """(t, WR(t, t)): the canonical tight window and the Wexler–Raz
-        residual of canonical_tight's gate."""
-        def solve():
-            t, wr = canonical_tight(self.system, reading=lambda: self._lanczos)
-            return self._seam_gate("tight window", t), wr
-        return self._bounds_first(solve)
+        """(t, WR(t, t)): the canonical tight window, gated as the dual is, and
+        its Wexler–Raz residual, which `tight` judges at the frame rung."""
+        t = self._bounds_first(lambda: self._seam_gate(
+            "tight window", canonical_tight(self.system, reading=lambda: self._lanczos)))
+        return t, wexler_raz_residual(t, t, self.params, self.radius)
 
     @cached_property
     def wexler_raz(self) -> float:

@@ -133,13 +133,11 @@ NO_FRAME = {"2": ["--alpha", "2", "--beta", "2"], "1": ["--alpha", "1", "--beta"
 def test_formula_stages_exit_where_frame_does(command, case, capsys):
     # at α = β = 2 or 1, and for hermite:3 at α = β = 1/2, the window is no
     # frame: every formula stage reads the bounds before p, so none reports the
-    # c1 = E = 0 of a projection of no frame (αβ = 4), and a dual or tight
-    # solve that fails reads them before its seam or solver fault; the dual at
-    # αβ = 4 meets its tolerance, and its report fails Wexler-Raz (exit 1)
-    written = command == ["dual"] and case == "2"
-    assert main([*command, *NO_FRAME[case]]) == (1 if written else 3)
-    err = capsys.readouterr().err
-    assert err == "" if written else err.startswith("frame failure: not a frame (numerically)")
+    # c1 = E = 0 of a projection of no frame, and a dual or tight solve that
+    # fails reads them before its seam or solver fault; at αβ = 4 > 1 the
+    # frame system itself is refused (density theorem), before any solve
+    assert main([*command, *NO_FRAME[case]]) == 3
+    assert capsys.readouterr().err.startswith("frame failure: not a frame (numerically)")
 
 
 def test_solver_failure_exit_code():
@@ -305,16 +303,29 @@ def test_sweep_records_a_lift_failure_in_its_row(tmp_path):
 
 
 def test_sweep_does_not_verify_a_point_above_critical_density(tmp_path):
-    # at |αβ| = 1.44 the Gaussian is no frame, yet c1 = E = 0 pass the energy
-    # check: the row records c1 and the checks it failed, and the sweep fails
+    # at |αβ| = 1.44 no window generates a frame (density theorem): the row is
+    # the frame failure, with A = 0 and B = ‖⟨g,g⟩°‖₁, and no c1 or energy,
+    # and a sweep that verifies no point fails
     out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
     assert main(["sweep", "--alpha-range", "1.2", "--beta-range", "1.2",
                  "--csv", str(csv_path), "--out", str(out)]) == 1
     assert _load(out)["results"]["failed_points"] == 1
     header, line = csv_path.read_text().strip().splitlines()
     row = dict(zip(header.split(","), next(csv.reader([line]))))
-    assert float(row["c1_re"]) == 0.0 and float(row["energy"]) == 0.0
-    assert row["error"] == "unverified: c1 rounds to 0, not q = 1; wexler_raz_ok failed"
+    assert row["c1_re"] == row["energy"] == ""
+    assert row["error"] == "not a frame (numerically): A=0.000e+00, B=1.415e+00"
+
+
+def test_sweep_row_of_a_point_that_runs_through_unverified(tmp_path, monkeypatch):
+    # a point whose verdict fails keeps its values, its error names the failed
+    # checks, and the sweep fails
+    monkeypatch.setattr(geometry.Pipeline, "chern_ok", property(lambda self: False))
+    out, csv_path = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+    assert main(["sweep", "--csv", str(csv_path), "--out", str(out)]) == 1
+    header, line = csv_path.read_text().strip().splitlines()
+    row = dict(zip(header.split(","), next(csv.reader([line]))))
+    assert abs(float(row["c1_re"]) - 1.0) < 1e-5
+    assert row["error"] == "unverified: chern_ok failed"
 
 
 def test_run_task_pipeline(tmp_path):
@@ -436,11 +447,11 @@ def test_dual_reaching_the_seam_exit_code(monkeypatch, capsys):
 
 
 def test_tight_window_reaching_the_seam_exit_code(monkeypatch, capsys):
-    # the tight window S_g^{-1/2}g is gated at the seam by the dual's rule;
-    # Pipeline reads the window with the residual of its gate
+    # the tight window S_g^{-1/2}g is gated at the seam by the dual's rule,
+    # before its Wexler-Raz residual is read
     def at_the_seam(system, **kwargs):
         g = system.window
-        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1)), 0.0
+        return GridSignal(g.spec, np.roll(g.values, g.spec.N // 2, axis=1))
 
     monkeypatch.setattr(geometry, "canonical_tight", at_the_seam)
     assert main(["tight"]) == 2

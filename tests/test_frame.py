@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from ncgabor import algebra, frame
+from ncgabor import algebra, frame, geometry
 from ncgabor.lattice import LatticeKind, TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian,
                             hermite, inner, norm, random_timefreq_probe,
@@ -278,11 +278,12 @@ def test_dual_and_tight_window_match_the_dense_oracle(params):
     gv = g.values.ravel()
     h, t = np.linalg.solve(dense, gv), evecs @ ((evecs.conj().T @ gv) / np.sqrt(evals))
     assert np.linalg.norm(canonical_dual(sys_).values.ravel() - h) < 1e-11 * np.linalg.norm(h)
-    assert np.linalg.norm(canonical_tight(sys_)[0].values.ravel() - t) < 1e-13 * np.linalg.norm(t)
+    assert np.linalg.norm(canonical_tight(sys_).values.ravel() - t) < 1e-13 * np.linalg.norm(t)
 
 
 def test_tight_window(sys_q1):
-    t, _ = canonical_tight(sys_q1)
+    t = canonical_tight(sys_q1)   # the window alone: its caller judges WR(t, t)
+    assert isinstance(t, GridSignal) and t.spec == sys_q1.window.spec
     tight_sys = FrameSystem(t, sys_q1.params, sys_q1.radius)
     a_est, b_est = frame_bounds(tight_sys)
     assert a_est == pytest.approx(1.0, abs=1e-6)
@@ -317,7 +318,7 @@ def test_tight_window_is_read_at_the_first_krylov_dimension(monkeypatch):
     # dimension 8, and it is the window of dimension 20 to roundoff
     sys_ = FrameSystem(gaussian(grid_for_radius(6.0)), TorusParams(0.62, 0.62), 6.0)
     applies = _counting_applies(monkeypatch)
-    t, _ = canonical_tight(sys_)
+    t = canonical_tight(sys_)
     assert len(applies) == 8
     assert norm(t - _tight_at_dimension_20(sys_)) < 1e-13 * norm(t)
 
@@ -338,9 +339,8 @@ def test_both_canonical_windows_are_read_at_one_krylov_dimension(params, perturb
     applies, counts = _counting_applies(monkeypatch), []
     for solve in (canonical_dual, canonical_tight):
         applies.clear()
-        window = solve(FrameSystem(g, params, 6.0))
+        t = solve(FrameSystem(g, params, 6.0))
         counts.append(len(applies))
-    t, _ = window
     assert counts[0] == counts[1]
     assert norm(t - _tight_at_dimension_20(FrameSystem(g, params, 6.0))) < 1e-13 * norm(t)
 
@@ -352,12 +352,12 @@ def test_both_canonical_windows_are_read_at_one_krylov_dimension(params, perturb
     ids=["q1", "q1_0.62", "q2", "cg_max_iter", "cg_max_iter_3"])
 def test_one_lanczos_run_per_tight_command(flags, code, applies, tmp_path, monkeypatch):
     # the tight window and the dual behind the gauge identity are read off one
-    # Lanczos run, m applies of S_g, and the report reads the WR(t, t) of the
-    # tight window's gate; --cg-max-iter caps that one run, and both windows
-    # are read at the capped dimension (WR(t, t) = 1.1e-7 at 3)
+    # Lanczos run, m applies of S_g, and the report reads the one WR(t, t) that
+    # Pipeline.tight evaluates; --cg-max-iter caps that one run, and both
+    # windows are read at the capped dimension (WR(t, t) = 1.1e-7 at 3)
     counted = _counting_applies(monkeypatch)
-    residual, residuals = frame.wexler_raz_residual, []
-    monkeypatch.setattr(frame, "wexler_raz_residual",
+    residual, residuals = geometry.wexler_raz_residual, []
+    monkeypatch.setattr(geometry, "wexler_raz_residual",
                         lambda *args: residuals.append(residual(*args)) or residuals[-1])
     out = tmp_path / "tight.json"
     assert main(["tight", *flags, "--out", str(out)]) == code
@@ -368,7 +368,7 @@ def test_one_lanczos_run_per_tight_command(flags, code, applies, tmp_path, monke
 
 def test_tight_reconstruction_miss_exit_code(tmp_path):
     # the tight window is exact, but its reconstruction truncated at R = 6
-    # misses TIGHT_TOL: a failing verdict in a written report, not a solver failure
+    # misses the frame rung: a failing verdict in a written report, not a solver failure
     out = tmp_path / "tight.json"
     assert main(["tight", "--alpha", "0.62", "--beta", "0.62", "--out", str(out)]) == 1
     with open(out) as fh:
@@ -378,9 +378,40 @@ def test_tight_reconstruction_miss_exit_code(tmp_path):
     assert rep["results"]["gauge_identity_residual"] < 1e-6
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--eps0", "1e-10"], 1), (["--alpha", "0.62", "--beta", "0.62", "--eps0", "1e-6"], 0)],
+    ids=["q1_eps0_1e-10", "q1_0.62_eps0_1e-6"])
+def test_tight_is_judged_at_the_reports_frame_rung(flags, code, tmp_path):
+    # the tight window's residuals are gated at the frame rung 10²ε₀ that its
+    # report states, as the dual's are: its reconstruction residual, 1.85e-7
+    # at α = β = ½ and 2.6e-6 at 0.62, misses 1e-8 and meets 1e-4
+    out = tmp_path / "tight.json"
+    assert main(["tight", *flags, "--out", str(out)]) == code
+    with open(out) as fh:
+        rep = json.load(fh)
+    tol = rep["tolerances"]["frame"]
+    assert tol == pytest.approx(100 * float(flags[-1]))
+    assert rep["pass"] is (max(rep["results"][key] for key in (
+        "wexler_raz_residual", "reconstruction_residual", "gauge_identity_residual")) < tol)
+
+
+def test_tight_grid_fault_is_a_failed_verdict_as_the_duals(tmp_path, capsys):
+    # at R = 10 and N = 512 the band edge 8.5 lies below R: the tight window
+    # misses Wexler-Raz (1.9e-5), as the dual does (4.1e-5), and both reports
+    # say so (exit 1), not a solver failure
+    flags, out = ["--alpha", "0.9", "--beta", "0.9", "--radius", "10"], tmp_path / "tight.json"
+    assert main(["dual", *flags]) == 1
+    assert main(["tight", *flags, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    with open(out) as fh:
+        rep = json.load(fh)
+    assert rep["pass"] is False
+    assert 1.8e-5 < rep["results"]["wexler_raz_residual"] < 2.0e-5
+
+
 def test_gauge_identity(sys_q1, dual_q1):
     # <g, S⁻¹g> = <S^{-1/2}g, S^{-1/2}g>
-    t, _ = canonical_tight(sys_q1)
+    t = canonical_tight(sys_q1)
     lhs = inner_left(sys_q1.window, dual_q1, sys_q1.params, 6.0)
     rhs = inner_left(t, t, sys_q1.params, 6.0)
     assert l1_diff(lhs, rhs) < 1e-6

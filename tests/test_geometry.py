@@ -149,6 +149,26 @@ def test_trace_pairings_match_the_eight_products(params, window):
     assert (pipe.c1_trace, pipe.self_duality) == (chern_trace(p), sd)
 
 
+@pytest.mark.parametrize("params, window", [
+    (TorusParams(0.5, 0.5), "gaussian"), (TorusParams(0.62, 0.62), "gaussian"),
+    (TorusParams(0.5, 1 / 3, 1, 1, 2), "lifted_gaussian")], ids=["q1", "a=b=0.62", "q2_flagship"])
+def test_complement_is_the_anti_soliton(params, window):
+    # e = δ₀ − p is a projection with c₁(e) = −c₁(p) and E(e) = E(p), and it
+    # solves the anti-self-dual equation ((∂₁ − i∂₂)e)♮e = 0 where p solves the
+    # self-dual one: each c₁ formula's two readings cancel (read at most
+    # 1.0e-15), ∂ⱼe = −∂ⱼp leaves E bitwise, and the vanishing residual
+    # (6.8e-7, 5.4e-5, 4.0e-5) moves to the other sign, against about 9 for the other
+    p = _six_lattice_pipeline(params, window).projection
+    e = LatticeSeq.delta(params, LatticeKind.TIME_FREQ) - p
+    assert projection_residual(e) < 1e-6
+    assert abs(chern_trace(e) + chern_trace(p)) <= 2e-15 * params.q
+    assert abs(chern_sum(e) + chern_sum(p)) <= 2e-15 * params.q
+    assert energy(e) == energy(p)
+    (p_plus, p_minus), (e_plus, e_minus) = sd_residuals(p), sd_residuals(e)
+    assert max(p_plus, e_minus) < 1e-5 * min(p_minus, e_plus)
+    assert min(p_minus, e_plus) > 8
+
+
 def test_chern_rejects_non_projection(params_q1, rng):
     # the pipeline's defect stage gates every formula that needs p♮p = p
     zero = LatticeSeq.from_entries(params_q1, LatticeKind.TIME_FREQ,
@@ -409,5 +429,5 @@ def test_lifts_of_one_scalar_lattice_agree():
 def test_lifted_tight_window_matches_the_vector_lanczos_window():
     params = TorusParams(0.5, 2 / 15, 1, 1, 3)
     pipe = Pipeline(params, build_window("lifted_gaussian", grid_for_radius(6.0, q=3), params))
-    t_lift = lift_channels(canonical_tight(_scalar_system(params))[0], 3) * (1 / np.sqrt(3))
+    t_lift = lift_channels(canonical_tight(_scalar_system(params)), 3) * (1 / np.sqrt(3))
     assert norm(pipe.tight[0] - t_lift) / norm(t_lift) < 1e-12

@@ -14,7 +14,9 @@ function of no arguments holds one value; a module-level dict used as a
 memo is beyond what this rule can see), and in src/ only algebra.py, which
 defines them, and frame.py, whose frame operator is built of them, import
 the atom kernel's privates, so that the Moyal plane's STFT cannot drift
-back onto the lattice atoms.
+back onto the lattice atoms, and ConvergenceError is constructed in
+frame._krylov_reading alone, so that exit 4 keeps its one meaning: the
+Lanczos run missed the dual's tolerance.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -198,3 +200,24 @@ def atom_kernel_imports(path):
 
 def test_only_algebra_and_frame_import_the_atom_kernel():
     assert {path.name for path in SOURCES if atom_kernel_imports(path)} <= {"algebra.py", "frame.py"}
+
+
+def constructions(paths, name):
+    """(file name, innermost enclosing function, "" at module level) of each
+    call of `name` in `paths`."""
+    found = set()
+
+    def visit(node, file, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "id", getattr(child.func, "attr", None)) == name:
+                found.add((file, func))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, file, child.name if inner else func)
+    for path in paths:
+        visit(ast.parse(path.read_text()), path.name, "")
+    return found
+
+
+def test_only_the_lanczos_reading_raises_convergence_error():
+    assert constructions(SOURCES, "ConvergenceError") == {("frame.py", "_krylov_reading")}

@@ -394,8 +394,9 @@ def test_duality_principle(params):
     # refused by the gauge's pairing, never skipped
     g = gaussian(grid_for_radius(6.0, q=params.q))
     sys_ = FrameSystem(g, params, 6.0)
-    h, (t, _) = canonical_dual(sys_), canonical_tight(sys_)
+    h, t = canonical_dual(sys_), canonical_tight(sys_)
     assert wexler_raz_residual(g, h, params, 6.0) < 1e-6
+    assert wexler_raz_residual(t, t, params, 6.0) < 1e-6
     m1, m2 = (2 * k + 1 for k in index_bounds(params, LatticeKind.TIME_FREQ, 6.0))
     if max(m1 * m2, (m1 + m2) * g.values.size) > BOX_BUDGET:
         with pytest.raises(ValueError, match="exceeds"):
