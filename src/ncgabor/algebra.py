@@ -83,12 +83,13 @@ class LatticeSeq:
         keep = np.abs(box) > prune
         rows, cols = keep.any(axis=1).nonzero()[0].tolist(), keep.any(axis=0).nonzero()[0].tolist()
         if not rows:
-            return LatticeSeq(params, kind, (0, 0), _zeros(0, 0))
+            return _lean_seq(params, kind, (0, 0), _zeros(0, 0), 1)
         trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         # col_step, 1 at once when the first two columns are adjacent
         step = 1 if cols[1:2] == [cols[0] + 1] else math.gcd(*[j - cols[0] for j in cols])
-        return LatticeSeq(params, kind, (origin[0] + rows[0], origin[1] + cols[0]),
-                          np.where(keep, box, 0.0)[trim], step)
+        # a complex128 fill makes the box complex128 whatever the input's dtype
+        return _lean_seq(params, kind, (int(origin[0]) + rows[0], int(origin[1]) + cols[0]),
+                         np.where(keep[trim], box[trim], np.complex128(0)), step)
 
     @staticmethod
     def from_entries(params, kind, index, values, *, prune=PRUNE_TOL):
@@ -127,7 +128,7 @@ class LatticeSeq:
         return complex(self.box[i, j]) if inside else 0.0j
 
     def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.values)))
+        return float(np.abs(self.values).sum())
 
     # -- linear structure ----------------------------------------------------
 
@@ -138,7 +139,7 @@ class LatticeSeq:
         return LatticeSeq.from_box(self.params, self.kind, *_aligned_sum(self, other, -1))
 
     def __mul__(self, scalar):
-        return LatticeSeq(self.params, self.kind, self.origin, self.box * scalar, self.col_step)
+        return _lean_seq(self.params, self.kind, self.origin, self.box * scalar, self.col_step)
 
     __rmul__ = __mul__
 
@@ -146,8 +147,18 @@ class LatticeSeq:
         return (-1.0) * self
 
 
+def _lean_seq(params, kind, origin, box, col_step) -> LatticeSeq:
+    """The LatticeSeq of a complex128 `box` and an origin of Python ints,
+    made read-only here without `__post_init__`'s cast: the constructor of
+    `from_box` and of a scalar multiple."""
+    box.setflags(write=False)
+    seq = object.__new__(LatticeSeq)
+    vars(seq).update(params=params, kind=kind, origin=origin, box=box, col_step=col_step)
+    return seq
+
+
 def _check_compatible(a: LatticeSeq, b: LatticeSeq):
-    if a.params != b.params or a.kind != b.kind:
+    if (a.params is not b.params and a.params != b.params) or a.kind is not b.kind:
         raise ValueError("lattice mismatch: sequences live on different lattices")
 
 
@@ -156,6 +167,8 @@ def _aligned_sum(a: LatticeSeq, b: LatticeSeq, sign: int):
     holding both; each entry is a's plus or minus b's, so a sum with one
     side's entry alone is that entry exactly."""
     _check_compatible(a, b)
+    if a.origin == b.origin and a.box.shape == b.box.shape:   # one box: no alignment
+        return a.origin, a.box + b.box if sign > 0 else a.box - b.box
     parts = [s for s in (a, b) if s.box.size]
     if not parts:
         return (0, 0), _zeros(0, 0)
@@ -175,7 +188,7 @@ def l1_diff(a: LatticeSeq, b: LatticeSeq) -> float:
     """Exact ℓ¹ norm of a − b: no pruning, the nonzero entries summed in
     lexicographic order."""
     box = _aligned_sum(a, b, -1)[1]
-    return float(np.sum(np.abs(box[box != 0])))
+    return float(np.abs(box[box != 0]).sum())
 
 
 # -- twisted algebra ---------------------------------------------------------
@@ -278,6 +291,8 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     least an eighth of a full cell.  The width is halved, and a₂'s columns
     go in blocks, one GEMM each into the output columns the block reaches,
     so that one GEMM's factors and product stay within BOX_BUDGET cells.
+    When one cell in budget holds a₁'s rows and all of a₂'s columns, and
+    step is 1, the one GEMM of the whole boxes is the output box.
     """
     _check_compatible(a1, a2)
     if not a1.box.size or not a2.box.size:
@@ -285,9 +300,6 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     col = math.gcd(a1.col_step, a2.col_step) or 1
     b1, b2 = a1.box[:, ::col], a2.box[:, ::col]
     (r1, c1), (r2, c2) = b1.shape, b2.shape
-    full = _zeros(r1 + r2 - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
-    out = full[:, :col * (c1 + c2 - 1):col]   # the columns that products reach
-    rows = b1.any(axis=1).nonzero()[0].tolist()
 
     def cells(g, b):   # L, R and L·R of a g-row group and b of a₂'s columns
         return (g + r2 - 1) * (g * b + b + c1 - 1) + g * b * (b + c1 - 1)
@@ -298,7 +310,15 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
     group = min(max(8, 4 * r2), r1)
     while group > 1 and cells(group, block) > BOX_BUDGET:
         group //= 2
+    origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     n2s = np.arange(a2.origin[1], a2.origin[1] + col * c2, col)
+    if col == 1 and group == r1 and block == c2 and cells(r1, c2) <= BOX_BUDGET:
+        n1s = np.arange(a1.origin[0], a1.origin[0] + r1)
+        return LatticeSeq.from_box(a1.params, a1.kind, origin, _band_product(
+            b1, b2, _twist_phase(a1.params, a1.kind, n1s, n2s)))
+    full = _zeros(r1 + r2 - 1, a1.box.shape[1] + a2.box.shape[1] - 1)
+    out = full[:, :col * (c1 + c2 - 1):col]   # the columns that products reach
+    rows = b1.any(axis=1).nonzero()[0].tolist()
     for _, cell in itertools.groupby(rows, lambda i: i // group):
         cell = list(cell)
         i0, i1 = cell[0], cell[-1] + 1
@@ -307,15 +327,15 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
             phase = _twist_phase(a1.params, a1.kind, n1s, n2s[v:v + block])
             out[i0:i1 + r2 - 1, v:v + block + c1 - 1] += _band_product(
                 b1[i0:i1], b2[:, v:v + block], phase)
-    origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     return LatticeSeq.from_box(a1.params, a1.kind, origin, full)
 
 
 def twisted_star(a: LatticeSeq) -> LatticeSeq:
     """Twisted involution; satisfies (a*)* = a and (a♮b)* = b*♮a*."""
-    n1s, n2s = (-n[::-1] for n in a.axes())
-    diag = _twist_phase(a.params, a.kind, n1s, n2s)
-    origin = (-(a.origin[0] + a.box.shape[0] - 1), -(a.origin[1] + a.box.shape[1] - 1))
+    (rows, cols), (n1, n2) = a.box.shape, a.origin
+    origin = (-(n1 + rows - 1), -(n2 + cols - 1))
+    diag = _twist_phase(a.params, a.kind, np.arange(origin[0], origin[0] + rows),
+                        np.arange(origin[1], origin[1] + cols))
     return LatticeSeq.from_box(a.params, a.kind, origin, diag * np.conj(a.box[::-1, ::-1]))
 
 

@@ -152,20 +152,21 @@ def _random_seq(params, kind, rng, points=8, span=4):
 
 def _axiom_residuals(params, rng):
     """Worst ℓ¹ residual of each twisted-algebra identity over 40 rounds of
-    random supports per lattice, a♮b formed once per round."""
+    random supports per lattice, a♮b and a* formed once per round and δ₀
+    once per lattice."""
     worst = dict.fromkeys(("assoc", "involution", "anti_hom", "trace_cyclic",
                            "leibniz", "unit"), 0.0)
     for kind in (LatticeKind.TIME_FREQ, LatticeKind.ADJOINT):
+        delta = LatticeSeq.delta(params, kind)
         for _ in range(40):
             a, b, c = (_random_seq(params, kind, rng) for _ in range(3))
-            ab = twisted_conv(a, b)   # shared by every identity below
+            ab, star_a = twisted_conv(a, b), twisted_star(a)   # shared by the identities below
             worst["assoc"] = max(worst["assoc"], l1_diff(
                 twisted_conv(ab, c), twisted_conv(a, twisted_conv(b, c))))
             worst["involution"] = max(worst["involution"],
-                                      l1_diff(twisted_star(twisted_star(a)), a))
+                                      l1_diff(twisted_star(star_a), a))
             worst["anti_hom"] = max(worst["anti_hom"], l1_diff(
-                twisted_star(ab), twisted_conv(twisted_star(b), twisted_star(a))))
-            delta = LatticeSeq.delta(params, kind)
+                twisted_star(ab), twisted_conv(twisted_star(b), star_a)))
             worst["unit"] = max(worst["unit"],
                                 l1_diff(twisted_conv(delta, a), a),
                                 l1_diff(twisted_conv(a, delta), a))

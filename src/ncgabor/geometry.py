@@ -44,8 +44,8 @@ def derive(a: LatticeSeq, j: int) -> LatticeSeq:
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
     t_step, _, f_step, _ = lattice_generators(a.params, a.kind)
-    n1s, n2s = a.axes()
-    weight = 2j * np.pi * (t_step * n1s[:, None] if j == 1 else f_step * n2s[None, :])
+    n = a.origin[j - 1] + np.arange(a.box.shape[j - 1])   # the axis of n_j alone
+    weight = 2j * np.pi * (t_step * n[:, None] if j == 1 else f_step * n)
     return LatticeSeq.from_box(a.params, a.kind, a.origin, weight * a.box)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -17,9 +19,9 @@ from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_
                              trace_l, trace_r, twisted_conv, twisted_star)
 from ncgabor.frame import adjoint_shift_family
 from ncgabor.geometry import Pipeline, build_window, derive, grid_for_radius
-from conftest import (PROPERTY, entry_sum, gaussian_probe, lattices, loop_twisted_conv,
-                      naive_act_left, naive_act_right, naive_twisted_conv, phase_point,
-                      random_seq)
+from conftest import (PROPERTY, entry_sum, gaussian_probe, grouped_twisted_conv, lattices,
+                      loop_twisted_conv, naive_act_left, naive_act_right, naive_twisted_conv,
+                      phase_point, random_seq)
 
 BOTH_KINDS = [LatticeKind.TIME_FREQ, LatticeKind.ADJOINT]
 
@@ -86,10 +88,10 @@ def test_twisted_conv_matches_loop_on_edge_shapes(params, kind, rng):
 
 
 @st.composite
-def box_pairs(draw):
-    """Two random boxes of at most 12×12 on one lattice with q ∈ {1, 2, 3, 7},
-    some entries and some interior rows zero, at random origins."""
-    params = draw(lattices(qs=(1, 2, 3, 7)))
+def box_pairs(draw, qs=(1, 2, 3, 7)):
+    """Two random boxes of at most 12×12 on one lattice with q drawn from
+    `qs`, some entries and some interior rows zero, at random origins."""
+    params = draw(lattices(qs=qs))
     kind = draw(st.sampled_from(BOTH_KINDS))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     seqs = []
@@ -577,6 +579,11 @@ def test_product_box_is_refused_before_allocation(params_q1):
     assert twisted_conv(row, row).values.size == 3   # a 1x4201 box fits
     with pytest.raises(ValueError, match="exceeds"):
         twisted_conv(row, col)                       # 2101x2101 does not
+    # column step 1: a one-row a₁ against a one-column a₂ is one cell of the
+    # row grid, and its 2101x2102 product is refused all the same
+    dense_row = LatticeSeq.from_entries(params_q1, kind, [(0, 0), (0, 1), (0, 2101)], [1.0] * 3)
+    with pytest.raises(ValueError, match="exceeds"):
+        twisted_conv(dense_row, col)
 
 
 def _traced_product(a, b):
@@ -645,6 +652,87 @@ def test_lifted_q7_product_stays_in_budget(rng):
     old = loop_twisted_conv(a, b)
     assert np.array_equal(prod.index, old.index)
     assert l1_diff(prod, old) <= 1e-15 * a.l1_norm() * b.l1_norm()
+
+
+def _assert_grouped_bits(a, b):
+    """twisted_conv(a, b) is the grouped loop's product, bit for bit."""
+    new, old = twisted_conv(a, b), grouped_twisted_conv(a, b)
+    assert (new.origin, new.box.shape, new.col_step) == (old.origin, old.box.shape, old.col_step)
+    assert np.array_equal(new.box, old.box)
+
+
+def _with_step(seq, step):
+    """seq with every column not a multiple of `step` from its first zeroed."""
+    box = np.array(seq.box)
+    box[:, np.arange(box.shape[1]) % step != 0] = 0
+    return LatticeSeq.from_box(seq.params, seq.kind, seq.origin, box)
+
+
+@PROPERTY
+@given(box_pairs(qs=(1, 2, 3)), st.sampled_from([1, 2, 3]), st.sampled_from([1, 2, 3]))
+def test_twisted_conv_is_the_grouped_loop_bitwise(seqs, step1, step2):
+    a, b = seqs
+    _assert_grouped_bits(a, b)
+    _assert_grouped_bits(_with_step(a, step1), _with_step(b, step2))
+
+
+def _one_cell_pairs(params, kind, rng):
+    """(name, a, b) pairs whose a₁ rows fit one cell of the row grid."""
+    a, b = random_seq(params, kind, rng), random_seq(params, kind, rng, points=12)
+    delta = LatticeSeq.delta(params, kind)
+    return [("random", a, b), ("delta-left", delta, a), ("delta-delta", delta, delta),
+            ("step 2", _with_step(a, 2), _with_step(b, 2)),
+            ("mixed steps", _with_step(a, 2), _with_step(b, 3))]
+
+
+@pytest.mark.parametrize("kind", BOTH_KINDS, ids=lambda k: k.value)
+def test_twisted_conv_is_the_grouped_loop_on_fixed_cases(params, kind, rng, monkeypatch):
+    a = random_seq(params, kind, rng, points=30)
+    cases = _one_cell_pairs(params, kind, rng) + [
+        ("delta-right", a, LatticeSeq.delta(params, kind)),
+        ("box without entries", a, 0.0 * a), ("no entries on the left", 0.0 * a, a)]
+    if kind is LatticeKind.TIME_FREQ:
+        cases += [(name, *pair) for name, pair in _row_group_cases(params).items()]
+        cases += [(name, *pair) for name, pair in _far_apart_pairs(params).items()]
+    for name, a1, a2 in cases:
+        _assert_grouped_bits(a1, a2)
+    calls, band = [], algebra._band_product
+    monkeypatch.setattr(algebra, "_band_product",
+                        lambda *args: calls.append(1) or band(*args))
+    for name, a1, a2 in _one_cell_pairs(params, kind, rng):
+        calls.clear()
+        twisted_conv(a1, a2)
+        assert len(calls) == 1, name
+
+
+def _made_seqs(params, kind, rng):
+    """(name, sequence) of each way the package makes a LatticeSeq."""
+    a, b = random_seq(params, kind, rng), random_seq(params, kind, rng)
+    real = np.zeros((4, 5))
+    real[1, 1:4] = [1.0, 0.0, 2.0]
+    return [("from_box", LatticeSeq.from_box(params, kind, (np.int64(-3), np.int64(2)), real)),
+            ("from_box empty", LatticeSeq.from_box(params, kind, (5, 5), np.zeros((2, 2)))),
+            ("from_entries", LatticeSeq.from_entries(params, kind, [(1, -2), (0, 4)], [1, 2j])),
+            ("scalar", 2.5 * a), ("negative", -a), ("zero multiple", 0.0 * a),
+            ("star", twisted_star(a)), ("conv", twisted_conv(a, b)),
+            ("stepped conv", twisted_conv(_with_step(a, 2), _with_step(b, 2)))]
+
+
+@pytest.mark.parametrize("kind", BOTH_KINDS, ids=lambda k: k.value)
+def test_every_made_sequence_has_the_dataclass_fields(params, kind, rng, tmp_path):
+    for name, seq in _made_seqs(params, kind, rng):
+        assert seq.box.dtype == np.complex128 and not seq.box.flags.writeable, name
+        assert [type(n) for n in seq.origin] == [int, int] and type(seq.col_step) is int, name
+        ref = LatticeSeq(seq.params, seq.kind, seq.origin, seq.box, seq.col_step)
+        assert vars(seq).keys() == vars(ref).keys(), name
+        for field in dataclasses.fields(LatticeSeq):
+            assert np.array_equal(getattr(seq, field.name), getattr(ref, field.name)), name
+        assert np.array_equal(seq.index, ref.index) and np.array_equal(seq.values, ref.values)
+        assert not seq.index.flags.writeable and not seq.values.flags.writeable, name
+        json.dumps(seq.origin)   # Python ints, as a report writes them
+        save_seq(seq, tmp_path / "made.dat")
+        save_seq(ref, tmp_path / "ref.dat")
+        assert (tmp_path / "made.dat").read_text() == (tmp_path / "ref.dat").read_text(), name
 
 
 def _sum_cases(params, kind, rng):

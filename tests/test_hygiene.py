@@ -16,7 +16,10 @@ defines them, and frame.py, whose frame operator is built of them, import
 the atom kernel's privates, so that the Moyal plane's STFT cannot drift
 back onto the lattice atoms, and ConvergenceError is constructed in
 frame._krylov_reading alone, so that exit 4 keeps its one meaning: the
-Lanczos run missed the dual's tolerance.
+Lanczos run missed the dual's tolerance, and the lean constructor
+algebra._lean_seq, which skips `LatticeSeq.__post_init__`, is called from
+`from_box` and the scalar multiple alone, so that no module builds a
+sequence that skips trimming and pruning.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -221,3 +224,8 @@ def constructions(paths, name):
 
 def test_only_the_lanczos_reading_raises_convergence_error():
     assert constructions(SOURCES, "ConvergenceError") == {("frame.py", "_krylov_reading")}
+
+
+def test_only_the_canonical_forms_call_the_lean_constructor():
+    assert constructions(SOURCES, "_lean_seq") == {("algebra.py", "from_box"),
+                                                   ("algebra.py", "__mul__")}
