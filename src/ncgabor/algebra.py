@@ -139,7 +139,9 @@ class LatticeSeq:
         return LatticeSeq.from_box(self.params, self.kind, *_aligned_sum(self, other, -1))
 
     def __mul__(self, scalar):
-        return _lean_seq(self.params, self.kind, self.origin, self.box * scalar, self.col_step)
+        # a Python complex keeps the box complex128 whatever the scalar's type
+        return _lean_seq(self.params, self.kind, self.origin, self.box * complex(scalar),
+                         self.col_step)
 
     __rmul__ = __mul__
 

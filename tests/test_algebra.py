@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -714,6 +715,7 @@ def _made_seqs(params, kind, rng):
             ("from_box empty", LatticeSeq.from_box(params, kind, (5, 5), np.zeros((2, 2)))),
             ("from_entries", LatticeSeq.from_entries(params, kind, [(1, -2), (0, 4)], [1, 2j])),
             ("scalar", 2.5 * a), ("negative", -a), ("zero multiple", 0.0 * a),
+            ("numpy scalar", a * np.float32(2)), ("fraction", a * Fraction(1, 3)),
             ("star", twisted_star(a)), ("conv", twisted_conv(a, b)),
             ("stepped conv", twisted_conv(_with_step(a, 2), _with_step(b, 2)))]
 
@@ -752,6 +754,7 @@ def _sum_cases(params, kind, rng):
             ("empty left", empty, a),
             ("both empty", empty, empty),
             ("box without entries", a, 0.0 * seq((20, 20), 2, 2)),
+            ("one box", a, seq((-2, 3), 5, 6)),
             ("cancelling", a, a),
             ("rounding-level", a, a * (1 + 1e-15))]
 

@@ -17,9 +17,10 @@ the atom kernel's privates, so that the Moyal plane's STFT cannot drift
 back onto the lattice atoms, and ConvergenceError is constructed in
 frame._krylov_reading alone, so that exit 4 keeps its one meaning: the
 Lanczos run missed the dual's tolerance, and the lean constructor
-algebra._lean_seq, which skips `LatticeSeq.__post_init__`, is called from
-`from_box` and the scalar multiple alone, so that no module builds a
-sequence that skips trimming and pruning.
+algebra._lean_seq, which skips `LatticeSeq.__post_init__`'s cast, is
+called from `from_box` and the scalar multiple alone, where the box is
+already complex128 and the origin already Python ints: the canonical
+form, or a multiple of a sequence already built.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
