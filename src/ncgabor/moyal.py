@@ -66,26 +66,36 @@ def _stft_blocks(f: GridSignal, g: GridSignal):
 
     Column l of V depends only on the channels of ḡ rolled by l, so columns
     whose rolls are bitwise equal are one block: the classes l mod p, each
-    standing for q/p columns.  The translates of ḡ are one gather from a
-    strided view of [ḡ, ḡ]; `contract` sums the rolled products
-    u[k, l, b, t] = Δx·f(x_t', k)·ḡ(x_t' − x_js[b], k − l), t' = t − N/2 mod N,
-    over t against the phases of its ω nodes, and the channel DFT over ℤ_q
-    is one q × q matrix product."""
+    standing for q/p columns.  The channel DFT over ℤ_q splits at p
+    (Cooley–Tukey): with k = r + p·s′ and c = c′ + (q/p)·u, ḡ(k − l) depends
+    on r alone, so the (q/p)-point stage
+    F[r, c′, t] = Σ_{s′} ω_q^{−c′(r+ps′)}·Δx·f(x_t', r + p·s′),
+    t' = t − N/2 mod N, is a function of the probe, formed once.  A block
+    gathers the p × p rolled translates of ḡ from a strided view of [ḡ, ḡ]
+    as u[r, c′, l, b, t] = ḡ(x_t' − x_js[b], r − l), multiplies F into it
+    in place, and `contract` sums it over t against the phases of its ω
+    nodes; the p-point stage over r (none at p = 1) is one p × p matrix
+    product.  At p = q, F is f and the stage is the whole q × q DFT."""
     spec = f.spec
     n, q = spec.N, spec.q
-    # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
-    fs = spec.dx * np.roll(f.values, n // 2, axis=1)
     gbar = np.conj(g.values)
     p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
     rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
-    k_minus_l = np.subtract.outer(np.arange(q), np.arange(p)) % q
-    dft_q = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
+    k = np.arange(q).reshape(q // p, p).T                   # k[r, s′] = r + p·s′
+    twiddle = np.exp(-2j * np.pi * np.arange(q // p)[:, None, None] * k / q)   # [c′, r, s′]
+    # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
+    fs = spec.dx * np.roll(f.values, n // 2, axis=1)
+    probe = (twiddle.swapaxes(0, 1) @ fs[k])[:, :, None, None, :]   # F[r, c′, ·, ·, t]
+    r_minus_l = np.repeat((np.arange(p)[:, None, None] - np.arange(p)) % p, q // p, axis=1)
+    dft_p = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
 
     def blocks(js, contract):
-        u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l mod p, b, t]
-        u *= fs[:, None, None, :]
+        u = rows[r_minus_l[..., None], (n // 2 - js) % n]   # [r, c′, l mod p, b, t]
+        u *= probe
         v = contract(u)
-        return v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
+        if p > 1:
+            v = (dft_p @ v.reshape(p, -1)).reshape(v.shape)
+        return v.reshape(q, p, *v.shape[3:])            # c = c′ + (q/p)·u
     return blocks, p
 
 
@@ -99,7 +109,7 @@ def _stft_chunks(f: GridSignal, g: GridSignal):
     group = np.arange(q) % p
     for j0 in range(0, n, CHUNK):
         js = np.arange(j0, min(j0 + CHUNK, n))
-        yield js, blocks(js, lambda u: np.fft.fft(u, axis=3)), q // p, group
+        yield js, blocks(js, lambda u: np.fft.fft(u, axis=-1)), q // p, group
 
 
 def moyal_check(f: GridSignal, g: GridSignal):
@@ -210,11 +220,18 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     return _chern_double_sum(p, twist) * step ** 6 * 2 * np.pi * q ** 2 / 1j
 
 
+def _check_size(name: str, value: float):
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSignal:
     """Compactly supported C^{power−1} bump (1−(x/width)²)^power on every
-    channel, normalized."""
-    if not width > 0:
-        raise ValueError(f"bump width must be positive, got {width}")
+    channel, normalized; the width must be finite and positive, the power
+    non-negative."""
+    _check_size("bump width", width)
+    if not power >= 0:
+        raise ValueError(f"bump power must be non-negative, got {power}")
     x = spec.x()
     prof = np.where(np.abs(x) < width, (1 - (x / width) ** 2) ** power, 0.0)
     vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
@@ -225,7 +242,10 @@ def bump_window(spec: GridSpec, width: float = 2.0, power: int = 3) -> GridSigna
 
 def bandlimited_noise_window(spec: GridSpec, rng: np.random.Generator,
                              bandwidth: float = 2.5, envelope: float = 3.0) -> GridSignal:
-    """Random band-limited noise under a Gaussian envelope, normalized."""
+    """Random band-limited noise under a Gaussian envelope, normalized; the
+    bandwidth and envelope must be finite and positive."""
+    _check_size("noise bandwidth", bandwidth)
+    _check_size("noise envelope", envelope)
     z = rng.normal(size=(spec.q, spec.N)) + 1j * rng.normal(size=(spec.q, spec.N))
     zf = np.fft.fft(z, axis=1)
     zf[:, np.abs(spec.freqs()) > bandwidth] = 0.0

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import Phase, settings, strategies as st
 
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
@@ -98,6 +99,29 @@ def full_grid_energy(g):
     total = sum(float(np.einsum("clbm,bm->", np.abs(v[:, group]) ** 2, weight[js]))
                 for js, v, _, group in _stft_chunks(g, g))
     return np.pi * total * grid.x_weight * grid.omega_weight / norm(g) ** 4
+
+
+def single_stage_stft_blocks(f, g):
+    """(blocks, p) of `moyal._stft_blocks` with the channel DFT over ℤ_q as
+    one q × q matrix product on every block, kept verbatim from before the
+    DFT was split at the channel period p.  At q = 1 and at p = q the blocks
+    of `_stft_chunks` must equal it bitwise, otherwise to roundoff."""
+    spec = f.spec
+    n, q = spec.N, spec.q
+    # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
+    fs = spec.dx * np.roll(f.values, n // 2, axis=1)
+    gbar = np.conj(g.values)
+    p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
+    rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
+    k_minus_l = np.subtract.outer(np.arange(q), np.arange(p)) % q
+    dft_q = np.exp(-2j * np.pi * np.outer(np.arange(q), np.arange(q)) / q)
+
+    def blocks(js, contract):
+        u = rows[k_minus_l[:, :, None], (n // 2 - js) % n]   # [k, l mod p, b, t]
+        u *= fs[:, None, None, :]
+        v = contract(u)
+        return v if q == 1 else (dft_q @ v.reshape(q, -1)).reshape(v.shape)
+    return blocks, p
 
 
 def naive_chern_double_sum(v, v3, theta):

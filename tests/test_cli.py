@@ -638,7 +638,9 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("line", ["bad =", "bad gaussian", "h = hermite n=x", "w = sinc",
                                   "h = hermite n=-1", "b = bump width=0",
-                                  "n = noise bandwidth=-1"])
+                                  "n = noise bandwidth=-1", "n = noise bandwidth=nan",
+                                  "n = noise envelope=inf", "n = noise envelope=0",
+                                  "b = bump width=inf", "b = bump power=-1"])
 def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     corpus = tmp_path / "corpus.cfg"
     corpus.write_text(f"# two windows\ngaussian = gaussian lam=0\n{line}\n")

@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +18,7 @@ from ncgabor.moyal import (PhaseGrid, _stft_chunks, bump_window, bandlimited_noi
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
                            load_corpus_file, moyal_check)
-from conftest import full_grid_energy, gaussian_probe
+from conftest import full_grid_energy, gaussian_probe, single_stage_stft_blocks
 
 
 SPEC = GridSpec(L=16.0, N=512, q=1)
@@ -63,7 +64,10 @@ def test_moyal_random_pairs(rng):
 @pytest.mark.parametrize("channels, period", [
     pytest.param((0,), 1, id="1"), pytest.param((0, 1), 2, id="2"),
     pytest.param((0, 1, 2), 3, id="3"), pytest.param((0, 0, 0), 1, id="lifted3"),
-    pytest.param((0, 1, 0, 1), 2, id="period2"), pytest.param((0, 1, 0), 3, id="aba")])
+    pytest.param((0, 1, 0, 1), 2, id="period2"), pytest.param((0, 1, 0), 3, id="aba"),
+    pytest.param((0, 1, 2, 0, 1, 2), 3, id="period3of6"),
+    pytest.param((0, 1, 0, 1, 0, 1), 2, id="period2of6"),
+    pytest.param((0,) * 4, 1, id="lifted4"), pytest.param((0,) * 6, 1, id="lifted6")])
 def test_stft_nodes_match_their_definition(channels, period, rng):
     # N = 200 leaves a partial last chunk of x nodes; channel k of g is channel
     # channels[k] of a random window, so q/period columns l share each block
@@ -84,6 +88,46 @@ def test_stft_nodes_match_their_definition(channels, period, rng):
     for c, l, j, m in nodes:
         expected = inner(f, tf_shift(g, PhasePoint(grid.x[j], l, grid.omega[m], c)))
         assert abs(got[c, l, j, m] - expected) < 1e-12
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_stft_chunks_match_the_single_stage_dft(q):
+    # against one q x q channel DFT per block: bitwise at q = 1 and for every
+    # window of distinct channels (p = q, the noise windows and the default
+    # corpus's random channels), within 1e-15 max|V| for the lifted windows (p = 1)
+    spec = GridSpec(L=16.0, N=512, q=q)
+    f = gaussian_probe(spec, np.random.default_rng(q), spread=2.0)
+    periods = set()
+    for name, w, _ in load_corpus_file(CORPUS, spec) + default_window_corpus(spec):
+        oracle, p = single_stage_stft_blocks(f, w)
+        periods.add(p)
+        gap = scale = 0.0
+        for js, v, _, _ in _stft_chunks(f, w):
+            old = oracle(js, lambda u: np.fft.fft(u, axis=3))
+            if p == q:
+                assert np.array_equal(v, old), name
+            gap, scale = max(gap, np.abs(v - old).max()), max(scale, np.abs(old).max())
+        assert gap <= 1e-15 * scale, name
+    assert periods == {1, q}
+
+
+@pytest.mark.parametrize("window, kwargs, match", [
+    ("noise", {"bandwidth": math.nan}, "noise bandwidth must be finite and positive, got nan"),
+    ("noise", {"bandwidth": -1.0}, "noise bandwidth must be finite and positive, got -1.0"),
+    ("noise", {"envelope": math.inf}, "noise envelope must be finite and positive, got inf"),
+    ("noise", {"envelope": 0.0}, "noise envelope must be finite and positive, got 0.0"),
+    ("bump", {"width": math.inf}, "bump width must be finite and positive, got inf"),
+    ("bump", {"width": math.nan}, "bump width must be finite and positive, got nan"),
+    ("bump", {"power": -1}, "bump power must be non-negative, got -1")])
+def test_window_sizes_are_refused_by_name(window, kwargs, match):
+    # refused before any array is formed, so numpy warns of nothing
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(match)):
+            if window == "bump":
+                bump_window(SPEC, **kwargs)
+            else:
+                bandlimited_noise_window(SPEC, np.random.default_rng(0), **kwargs)
 
 
 @pytest.mark.parametrize("name, rows", [("hermite1", 3), ("noise_a", 9)])
