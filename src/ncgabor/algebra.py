@@ -1,9 +1,11 @@
 """Twisted convolution algebras on truncated lattices and the module actions.
 
 Finitely supported sequences a on Λ×Γ (or b on Γ⊥×Λ⊥) stand in for the
-weighted ℓ¹ algebra elements, each stored as a complex box over a rectangle
-of generator index pairs (n₁,n₂).  For lattice points indexed by integer
-pairs the 2-cocycle collapses to a single twist constant t per lattice:
+weighted ℓ¹ algebra elements, each a `LatticeSeq` stored as a complex box
+over a rectangle of generator index pairs (n₁,n₂) and built by its one
+constructor, which casts the box and origin.  For lattice points indexed
+by integer pairs the 2-cocycle collapses to a single twist constant t per
+lattice:
 
     (a₁ ♮ a₂)(m) = Σ_k a₁(k) a₂(m−k) · exp(2πi·t·k₁(m−k)₂),
     (a*)(m)      = exp(2πi·t·m₁m₂) · conj(a(−m)),
@@ -38,7 +40,7 @@ def _zeros(rows, cols) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LatticeSeq:
     """Finitely supported complex sequence on one of the two lattices.
 
@@ -57,11 +59,13 @@ class LatticeSeq:
     box: np.ndarray
     col_step: int = 1
 
-    def __post_init__(self):
-        box = np.asarray(self.box, dtype=np.complex128)
+    def __init__(self, params, kind, origin, box, col_step=1):
+        """The one constructor: the box cast to complex128 (no copy when it
+        is already) and made read-only, the origin made Python ints."""
+        box = np.asarray(box, np.complex128)
         box.setflags(write=False)
-        object.__setattr__(self, "origin", (int(self.origin[0]), int(self.origin[1])))
-        object.__setattr__(self, "box", box)
+        vars(self).update(params=params, kind=kind, origin=(int(origin[0]), int(origin[1])),
+                          box=box, col_step=col_step)
 
     @cached_property
     def index(self) -> np.ndarray:
@@ -83,13 +87,13 @@ class LatticeSeq:
         keep = np.abs(box) > prune
         rows, cols = keep.any(axis=1).nonzero()[0].tolist(), keep.any(axis=0).nonzero()[0].tolist()
         if not rows:
-            return _lean_seq(params, kind, (0, 0), _zeros(0, 0), 1)
+            return LatticeSeq(params, kind, (0, 0), _zeros(0, 0))
         trim = (slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1))
         # col_step, 1 at once when the first two columns are adjacent
         step = 1 if cols[1:2] == [cols[0] + 1] else math.gcd(*[j - cols[0] for j in cols])
         # a complex128 fill makes the box complex128 whatever the input's dtype
-        return _lean_seq(params, kind, (int(origin[0]) + rows[0], int(origin[1]) + cols[0]),
-                         np.where(keep[trim], box[trim], np.complex128(0)), step)
+        return LatticeSeq(params, kind, (origin[0] + rows[0], origin[1] + cols[0]),
+                          np.where(keep[trim], box[trim], np.complex128(0)), step)
 
     @staticmethod
     def from_entries(params, kind, index, values, *, prune=PRUNE_TOL):
@@ -140,23 +144,13 @@ class LatticeSeq:
 
     def __mul__(self, scalar):
         # a Python complex keeps the box complex128 whatever the scalar's type
-        return _lean_seq(self.params, self.kind, self.origin, self.box * complex(scalar),
-                         self.col_step)
+        return LatticeSeq(self.params, self.kind, self.origin, self.box * complex(scalar),
+                          self.col_step)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         return (-1.0) * self
-
-
-def _lean_seq(params, kind, origin, box, col_step) -> LatticeSeq:
-    """The LatticeSeq of a complex128 `box` and an origin of Python ints,
-    made read-only here without `__post_init__`'s cast: the constructor of
-    `from_box` and of a scalar multiple."""
-    box.setflags(write=False)
-    seq = object.__new__(LatticeSeq)
-    vars(seq).update(params=params, kind=kind, origin=origin, box=box, col_step=col_step)
-    return seq
 
 
 def _check_compatible(a: LatticeSeq, b: LatticeSeq):

@@ -46,8 +46,8 @@ from .lattice import LatticeKind, TorusParams
 from .signal import GridSpec, random_timefreq_probe, save_signal
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
-from .frame import (ConvergenceError, GridError, NotAFrameError, ToleranceError,
-                    laurent_symbol, reconstruction_residual)
+from .frame import (DUAL_MAX_ITER, ConvergenceError, GridError, NotAFrameError,
+                    ToleranceError, laurent_symbol, reconstruction_residual)
 # kept as a module attribute for tools that patch it here (perfbench/spans.py)
 from .frame import canonical_dual  # noqa: F401
 from .geometry import (Pipeline, build_window, derive, grid_for_radius,
@@ -60,6 +60,8 @@ EXIT_IDENTITY = 1
 EXIT_CONFIG = 2
 EXIT_FRAME = 3
 EXIT_SOLVER = 4
+
+AXIOM_TOL = 1e-11   # check-axioms' gate on every twisted-algebra identity residual
 
 CSV_COLUMNS = ["alpha", "beta", "r", "s", "q", "A", "B", "c1_re", "c1_im",
                "energy", "gap", "sd_plus", "sd_minus", "W_residual",
@@ -187,16 +189,16 @@ def _axiom_residuals(params, rng):
 def view_check_axioms(args, pipeline):
     params, _ = _setup(args)
     worst = _axiom_residuals(params, np.random.default_rng(args.seed))
-    return ({"residuals": worst, "tolerance": 1e-11},
+    return ({"residuals": worst, "tolerance": AXIOM_TOL},
             {k: f"{v:.2e}" for k, v in worst.items()},
-            all(v < 1e-11 for v in worst.values()))
+            all(v < AXIOM_TOL for v in worst.values()))
 
 
 def _pipeline(args) -> Pipeline:
     params, grid = _setup(args)
     window = build_window(args.window, grid, params, args.lam)
     return Pipeline(params, window, args.radius, eps0=args.eps0, seed=args.seed,
-                    dual_max_iter=getattr(args, "cg_max_iter", 500))
+                    dual_max_iter=getattr(args, "cg_max_iter", DUAL_MAX_ITER))
 
 
 def view_frame(args, pipeline):
@@ -427,7 +429,7 @@ def build_parser():
         _add_common(sp)
         if "export" in extras:
             sp.add_argument("--export-window", type=str, default=None)
-            sp.add_argument("--cg-max-iter", type=int, default=500)
+            sp.add_argument("--cg-max-iter", type=int, default=DUAL_MAX_ITER)
         if "csv" in extras:
             sp.add_argument("--csv", type=str, default=None)
         if "mesh" in extras:

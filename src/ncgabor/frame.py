@@ -58,6 +58,8 @@ SYMBOL_MESH = 64          # points a side of the first symbol mesh of the bounds
 MESH_REL = 1e-3           # the mesh is refined until its error is at most MESH_REL·A
 MESH_POINTS = 1 << 20     # ... or until it holds this many points
 CG_TARGET = 1e-13         # dual residual at which the Lanczos run stops at once
+DUAL_TOL = 1e-7           # dual residual the Lanczos run must reach (ConvergenceError)
+DUAL_MAX_ITER = 500       # ... within this many steps: the --cg-max-iter default
 PAIR_TOL = 1e-6           # Wexler-Raz and idempotency gates of project_dual_pair
 
 
@@ -308,8 +310,8 @@ def _krylov_reading(sys: FrameSystem, tol: float, max_iter: int):
     return basis, alphas, hess, int(np.argmin(residuals[1:good + 1])) + 1
 
 
-def canonical_dual(sys: FrameSystem, tol: float = 1e-7, max_iter: int = 500,
-                   reading=None) -> GridSignal:
+def canonical_dual(sys: FrameSystem, tol: float = DUAL_TOL,
+                   max_iter: int = DUAL_MAX_ITER, reading=None) -> GridSignal:
     """Canonical dual window h = S_g^{-1} g = ‖g‖·V_m·H_m⁻¹e₁ (full
     orthogonalization) at the Krylov dimension m of _krylov_reading(sys, tol,
     max_iter), or of `reading()`, which returns that reading when a caller
@@ -324,7 +326,7 @@ def canonical_tight(sys: FrameSystem, reading=None) -> GridSignal:
     or `reading()` as there); GridError when T_m's Ritz values fail
     _require_positive.  t is tight exactly when WR(t, t) vanishes (duality
     principle), which the caller judges, as it judges the dual's."""
-    basis, alphas, hess, m = reading() if reading else _krylov_reading(sys, 1e-7, 500)
+    basis, alphas, hess, m = reading() if reading else _krylov_reading(sys, DUAL_TOL, DUAL_MAX_ITER)
     evals, evecs = _ritz(alphas, hess, m)
     _require_positive(evals, "Ritz")
     evals = np.maximum(evals, evals[-1] * 1e-15)

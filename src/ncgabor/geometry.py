@@ -32,9 +32,9 @@ import numpy as np
 from .lattice import TorusParams, lattice_generators, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_pairing,
                       twisted_conv, l1_diff, _twist_phase)
-from .frame import (ConvergenceError, FrameSystem, GridError, ToleranceError, canonical_dual,
-                    canonical_tight, frame_bounds, lift_scalar_window, wexler_raz_residual,
-                    _krylov_reading)
+from .frame import (DUAL_MAX_ITER, DUAL_TOL, ConvergenceError, FrameSystem, GridError,
+                    ToleranceError, canonical_dual, canonical_tight, frame_bounds,
+                    lift_scalar_window, wexler_raz_residual, _krylov_reading)
 from .signal import (GridSignal, GridSpec, apply_D, apply_M, gaussian,
                      hermite, load_signal, norm)
 
@@ -243,7 +243,7 @@ class Pipeline:
 
     def __init__(self, params: TorusParams, window: GridSignal,
                  radius: float = 6.0, eps0: float = 1e-8, seed: int = 7,
-                 dual_max_iter: int = 500):
+                 dual_max_iter: int = DUAL_MAX_ITER):
         self.params, self.window, self.radius = params, window, radius
         self.seed, self.dual_max_iter = seed, dual_max_iter
         self.tolerances = tolerance_ladder(eps0)
@@ -272,7 +272,7 @@ class Pipeline:
     def _lanczos(self) -> tuple:
         """The Lanczos reading of S_g at canonical_dual's tolerance and at most
         dual_max_iter dimensions, run once: the dual and the tight window read it."""
-        return _krylov_reading(self.system, 1e-7, self.dual_max_iter)
+        return _krylov_reading(self.system, DUAL_TOL, self.dual_max_iter)
 
     def _bounds_first(self, solve):
         """solve(); when it fails with GridError or ConvergenceError, the

@@ -13,13 +13,13 @@ built from g reduces to a weighted phase-space integral
 
 with equality exactly on generalized Gaussians c_k·e^{−πx²−iλx}, the only
 windows satisfying (∇₁±i∇₂)g ∈ span{g}.  Quadrature is the tensor
-trapezoid rule of the periodized grid (x on the sample grid, ω on the FFT
-bins, spectrally exact for the represented band-limited class).
+trapezoid rule of the periodized grid, spectrally exact for the represented
+band-limited class, read off the GridSpec: x on the shifts j·Δx wrapped to
+[−L/2, L/2), the sample grid in roll order np.roll(spec.x(), N/2), with
+weight Δx; ω on the FFT bins spec.freqs(), with weight 1/L.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -31,32 +31,6 @@ from .geometry import _chern_double_sum, covariant
 
 RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
 CHUNK = 16        # x nodes per block of the full-grid STFT
-
-
-@dataclass(frozen=True)
-class PhaseGrid:
-    """Phase-space quadrature nodes and weights attached to a sampling grid."""
-
-    spec: GridSpec
-
-    @property
-    def x(self) -> np.ndarray:
-        """Translation nodes jΔx wrapped to [−L/2, L/2), in roll order."""
-        spec = self.spec
-        return (spec.dx * np.arange(spec.N) + spec.L / 2) % spec.L - spec.L / 2
-
-    @property
-    def x_weight(self) -> float:
-        return self.spec.dx
-
-    @property
-    def omega(self) -> np.ndarray:
-        """FFT-ordered frequency nodes; extent N/L with step 1/L."""
-        return np.fft.fftfreq(self.spec.N, d=self.spec.dx)
-
-    @property
-    def omega_weight(self) -> float:
-        return 1.0 / self.spec.L
 
 
 def _stft_blocks(f: GridSignal, g: GridSignal):
@@ -118,9 +92,8 @@ def moyal_check(f: GridSignal, g: GridSignal):
     block that stands for mult columns l counts mult times."""
     if f.spec != g.spec:
         raise ValueError("grid mismatch")
-    grid = PhaseGrid(f.spec)
     total = sum(mult * np.vdot(v, v).real for _, v, mult, _ in _stft_chunks(f, g))
-    lhs = total * grid.x_weight * grid.omega_weight
+    lhs = total * f.spec.dx * (1.0 / f.spec.L)   # the weights Δx of x and 1/L of ω
     rhs = f.spec.q * norm(g) ** 2 * norm(f) ** 2
     return lhs, rhs, abs(lhs - rhs) / abs(rhs)
 
@@ -139,13 +112,14 @@ def continuous_energy(g: GridSignal) -> float:
 
     with A = Σ_k|g(·,k)|², Â = Σ_k|DFT g(·,k)|² and (a⋆a)(j) = Σ_t a(t)a(t−j).
     """
-    spec, grid = g.spec, PhaseGrid(g.spec)
+    spec = g.spec
     g = g * 2.0 ** -np.frexp(norm(g))[1]   # by a power of two, exactly: ‖g‖⁴ stays finite
     a = np.stack([np.abs(g.values) ** 2, np.abs(np.fft.fft(g.values, axis=1)) ** 2]).sum(axis=1)
     corr = np.fft.irfft(np.abs(np.fft.rfft(a, axis=1)) ** 2, n=spec.N, axis=1)
-    val = spec.q * spec.dx ** 2 * (spec.N * grid.x ** 2 @ corr[0]
-                                   + grid.omega ** 2 @ corr[1] / spec.N)
-    return float(np.pi * val * grid.x_weight * grid.omega_weight / norm(g) ** 4)
+    x = np.roll(spec.x(), spec.N // 2)   # the shifts j·Δx wrapped to [−L/2, L/2), from 0
+    val = spec.q * spec.dx ** 2 * (spec.N * x ** 2 @ corr[0]
+                                   + spec.freqs() ** 2 @ corr[1] / spec.N)
+    return float(np.pi * val * spec.dx * (1.0 / spec.L) / norm(g) ** 4)
 
 
 def continuous_inner_right(f: GridSignal, g: GridSignal) -> complex:

@@ -15,6 +15,7 @@ with the 2-cocycle φ(ν₁,ν₂) = exp(−2πi(λ₁γ₂ + l₁c₂/q)).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,6 +132,17 @@ def _unit(f: GridSignal) -> GridSignal:
     return f * (1.0 / size)
 
 
+@contextmanager
+def _finite(name: str):
+    """Refuse, as a ValueError naming the parameter `name`, a floating-point
+    overflow or invalid operation in the block, before numpy warns of it."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError:
+        raise ValueError(f"{name} overflows floating point on the grid") from None
+
+
 def translate(f: GridSignal, lam: float, l: int = 0) -> GridSignal:
     """T_{λ,l} f(x,k) = f(x−λ, k−l); λ need not be a grid multiple."""
     spec = f.spec
@@ -166,17 +178,20 @@ def gaussian(spec: GridSpec, coeffs=None, lam: complex = 0.0) -> GridSignal:
     periodization seam x = ±L/2 is below TAIL_TOL relative to the peak.
     """
     lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"Gaussian lam must be finite, got {lam}")
     x = spec.x()
 
     def envelope(t):
         return np.exp(-np.pi * t ** 2 + lam.imag * t)
 
-    peak = envelope(np.clip(lam.imag / (2 * np.pi), -spec.L / 2, spec.L / 2))
-    seam = max(envelope(np.array(-spec.L / 2)), envelope(np.array(spec.L / 2)))
+    with _finite(f"Gaussian lam = {lam}"):
+        peak = envelope(np.clip(lam.imag / (2 * np.pi), -spec.L / 2, spec.L / 2))
+        seam = max(envelope(np.array(-spec.L / 2)), envelope(np.array(spec.L / 2)))
+        profile = np.exp(-np.pi * x ** 2 - 1j * lam * x)
     if seam > TAIL_TOL * peak:
         raise ValueError("period too small: Gaussian tail does not vanish at ±L/2")
 
-    profile = np.exp(-np.pi * x ** 2 - 1j * lam * x)
     if coeffs is None:
         coeffs = np.ones(spec.q)
     coeffs = np.asarray(coeffs, dtype=np.complex128)
@@ -187,18 +202,19 @@ def gaussian(spec: GridSpec, coeffs=None, lam: complex = 0.0) -> GridSignal:
 
 def hermite(spec: GridSpec, n: int) -> GridSignal:
     """Normalized Hermite function H_n(√(2π)x)e^{−πx²} (Fourier-invariant
-    scaling), the same profile on every channel."""
+    scaling), the same profile on every channel; an order whose profile or
+    its norm overflows on the grid is refused."""
     if n < 0:
         raise ValueError(f"Hermite order must be at least 0, got {n}")
     x = spec.x()
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
-    profile = np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * x, coeffs)
-    profile = profile * np.exp(-np.pi * x ** 2)
-    vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    vals[:, :] = profile[None, :]
-    out = GridSignal(spec, vals)
-    return _unit(out)
+    with _finite(f"Hermite order {n}"):
+        profile = np.polynomial.hermite.hermval(np.sqrt(2 * np.pi) * x, coeffs)
+        profile = profile * np.exp(-np.pi * x ** 2)
+        vals = np.zeros((spec.q, spec.N), dtype=np.complex128)
+        vals[:, :] = profile[None, :]
+        return _unit(GridSignal(spec, vals))
 
 
 def apply_D(f: GridSignal) -> GridSignal:

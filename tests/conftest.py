@@ -17,7 +17,7 @@ from ncgabor.algebra import (PRUNE_TOL, LatticeSeq, trace_l, twisted_conv, _atom
                              _band_product, _check_compatible, _twist_phase, _zeros)
 from ncgabor.frame import adjoint_span_residual
 from ncgabor.geometry import covariant, derive
-from ncgabor.moyal import PhaseGrid, _stft_chunks
+from ncgabor.moyal import _stft_chunks
 
 
 # no explain phase: it re-runs each failing example and cost 12-15 s per failure report
@@ -94,11 +94,12 @@ def full_grid_energy(g):
     """π/‖g‖⁴ · Σ (x²+ω²)·|V_g g|²·ΔxΔω over every (x, l, ω, c) node of the
     phase-space grid, V[c,l] read as block group[l]: the trapezoid sum
     `continuous_energy` evaluates by Plancherel."""
-    grid = PhaseGrid(g.spec)
-    weight = grid.x[:, None] ** 2 + grid.omega[None, :] ** 2
+    spec = g.spec
+    x = np.roll(spec.x(), spec.N // 2)   # roll order: the shifts j·Δx from 0
+    weight = x[:, None] ** 2 + spec.freqs()[None, :] ** 2
     total = sum(float(np.einsum("clbm,bm->", np.abs(v[:, group]) ** 2, weight[js]))
                 for js, v, _, group in _stft_chunks(g, g))
-    return np.pi * total * grid.x_weight * grid.omega_weight / norm(g) ** 4
+    return np.pi * total * spec.dx * (1.0 / spec.L) / norm(g) ** 4
 
 
 def single_stage_stft_blocks(f, g):

@@ -717,7 +717,10 @@ def _made_seqs(params, kind, rng):
             ("scalar", 2.5 * a), ("negative", -a), ("zero multiple", 0.0 * a),
             ("numpy scalar", a * np.float32(2)), ("fraction", a * Fraction(1, 3)),
             ("star", twisted_star(a)), ("conv", twisted_conv(a, b)),
-            ("stepped conv", twisted_conv(_with_step(a, 2), _with_step(b, 2)))]
+            ("stepped conv", twisted_conv(_with_step(a, 2), _with_step(b, 2))),
+            ("float box", LatticeSeq(params, kind, (1, -1), real)),
+            ("numpy origin", LatticeSeq(params, kind, np.array([-3, 2]), a.box, a.col_step)),
+            ("delta", LatticeSeq.delta(params, kind))]
 
 
 @pytest.mark.parametrize("kind", BOTH_KINDS, ids=lambda k: k.value)

@@ -11,7 +11,7 @@ import pytest
 from ncgabor import algebra, cli, frame, geometry
 from ncgabor.cli import CSV_COLUMNS, build_parser, main
 from ncgabor.lattice import LatticeKind
-from ncgabor.signal import GridSignal, gaussian, save_signal
+from ncgabor.signal import GridSignal, gaussian, load_signal, save_signal
 
 
 def _load(path):
@@ -163,6 +163,18 @@ def test_tight_command(tmp_path):
     code = main(["tight", "--alpha", "0.5", "--beta", "0.5", "--out", str(out)])
     assert code == 0
     assert _load(out)["results"]["gauge_identity_residual"] < 1e-6
+
+
+@pytest.mark.parametrize("command", ["dual", "tight"])
+def test_exported_window_reads_back_bitwise(command, tmp_path):
+    # the file holds the pipeline's own window: every sample, repr-exact
+    argv = [command, "--alpha", "0.5", "--beta", "0.5", "--export-window",
+            str(tmp_path / "w.sig")]
+    assert main([*argv, "--out", str(tmp_path / "r.json")]) == 0
+    pipe = cli._pipeline(build_parser().parse_args(argv))
+    window = pipe.dual if command == "dual" else pipe.tight[0]
+    exported = load_signal(tmp_path / "w.sig")
+    assert exported.spec == window.spec and np.array_equal(exported.values, window.values)
 
 
 def test_flagship_tight_reconstruction_miss_writes_a_failing_report(tmp_path, capsys):
@@ -388,6 +400,15 @@ def test_malformed_window_file_exit_code(tmp_path, capsys):
     wfile.write_text("\n".join([rows[0], "3 7 1.0 0.0", *rows[2:]]) + "\n")
     assert main(["frame", "--window", f"file:{wfile}"]) == 2
     assert "line 2: sample (3, 7) is repeated or outside q = 1" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flags, message", [
+    (["--window", "hermite:400"], "Hermite order 400 overflows floating point on the grid"),
+    (["--lam", "inf"], "Gaussian lam must be finite, got (inf+0j)")])
+def test_overflowing_window_parameter_exit_code(flags, message, capsys):
+    assert main(["frame", *flags]) == 2
+    assert f"configuration error: {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("window", ["hermitefoo", "hermite:2:3"])
@@ -640,7 +661,10 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
                                   "h = hermite n=-1", "b = bump width=0",
                                   "n = noise bandwidth=-1", "n = noise bandwidth=nan",
                                   "n = noise envelope=inf", "n = noise envelope=0",
-                                  "b = bump width=inf", "b = bump power=-1"])
+                                  "b = bump width=inf", "b = bump power=-1",
+                                  "x = gaussian lam=inf", "x = gaussian lam=1e300j",
+                                  "x = hermite n=400"])
+@pytest.mark.filterwarnings("error")   # every line is refused before numpy warns
 def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     corpus = tmp_path / "corpus.cfg"
     corpus.write_text(f"# two windows\ngaussian = gaussian lam=0\n{line}\n")

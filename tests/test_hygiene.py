@@ -16,11 +16,10 @@ defines them, and frame.py, whose frame operator is built of them, import
 the atom kernel's privates, so that the Moyal plane's STFT cannot drift
 back onto the lattice atoms, and ConvergenceError is constructed in
 frame._krylov_reading alone, so that exit 4 keeps its one meaning: the
-Lanczos run missed the dual's tolerance, and the lean constructor
-algebra._lean_seq, which skips `LatticeSeq.__post_init__`'s cast, is
-called from `from_box` and the scalar multiple alone, where the box is
-already complex128 and the origin already Python ints: the canonical
-form, or a multiple of a sequence already built.
+Lanczos run missed the dual's tolerance, and no code in src/ builds an
+object through a `__new__` call such as `object.__new__`, so every
+instance passes through its class's one constructor (`LatticeSeq.__init__`
+casts every box and origin).
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -227,6 +226,5 @@ def test_only_the_lanczos_reading_raises_convergence_error():
     assert constructions(SOURCES, "ConvergenceError") == {("frame.py", "_krylov_reading")}
 
 
-def test_only_the_canonical_forms_call_the_lean_constructor():
-    assert constructions(SOURCES, "_lean_seq") == {("algebra.py", "from_box"),
-                                                   ("algebra.py", "__mul__")}
+def test_no_object_is_built_through_object_new():
+    assert constructions(SOURCES, "__new__") == set()

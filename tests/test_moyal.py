@@ -13,7 +13,7 @@ from ncgabor.lattice import TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite, inner, norm,
                             tf_shift)
 from ncgabor.frame import lift_scalar_window
-from ncgabor.moyal import (PhaseGrid, _stft_chunks, bump_window, bandlimited_noise_window,
+from ncgabor.moyal import (_stft_chunks, bump_window, bandlimited_noise_window,
                            continuous_chern, continuous_energy,
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
@@ -68,14 +68,15 @@ def test_moyal_random_pairs(rng):
     pytest.param((0, 1, 2, 0, 1, 2), 3, id="period3of6"),
     pytest.param((0, 1, 0, 1, 0, 1), 2, id="period2of6"),
     pytest.param((0,) * 4, 1, id="lifted4"), pytest.param((0,) * 6, 1, id="lifted6")])
-def test_stft_nodes_match_their_definition(channels, period, rng):
+def test_stft_nodes_match_their_definition(channels, period):
     # N = 200 leaves a partial last chunk of x nodes; channel k of g is channel
-    # channels[k] of a random window, so q/period columns l share each block
-    q = len(channels)
+    # channels[k] of a random window of pairwise distinct channels, so
+    # q/period columns l share each block
+    q, rng = len(channels), np.random.default_rng(29)
     spec = GridSpec(L=12.0, N=200, q=q)
-    grid = PhaseGrid(spec)
     f = gaussian_probe(spec, rng, spread=1.5)
     head = gaussian_probe(GridSpec(L=12.0, N=200, q=len(set(channels))), rng, spread=1.5)
+    assert len({row.tobytes() for row in head.values}) == head.spec.q
     g = GridSignal(spec, head.values[list(channels)])
     nodes = rng.integers(0, [q, q, spec.N, spec.N], size=(20, 4))   # (c, l, j, m)
     got = {}
@@ -85,8 +86,9 @@ def test_stft_nodes_match_their_definition(channels, period, rng):
         for c, l, j, m in nodes:
             if js[0] <= j <= js[-1]:
                 got[c, l, j, m] = v[c, group[l], j - js[0], m]
+    x = np.roll(spec.x(), spec.N // 2)   # roll order: the shifts j·Δx from 0
     for c, l, j, m in nodes:
-        expected = inner(f, tf_shift(g, PhasePoint(grid.x[j], l, grid.omega[m], c)))
+        expected = inner(f, tf_shift(g, PhasePoint(x[j], l, spec.freqs()[m], c)))
         assert abs(got[c, l, j, m] - expected) < 1e-12
 
 
@@ -118,16 +120,25 @@ def test_stft_chunks_match_the_single_stage_dft(q):
     ("noise", {"envelope": 0.0}, "noise envelope must be finite and positive, got 0.0"),
     ("bump", {"width": math.inf}, "bump width must be finite and positive, got inf"),
     ("bump", {"width": math.nan}, "bump width must be finite and positive, got nan"),
-    ("bump", {"power": -1}, "bump power must be non-negative, got -1")])
+    ("bump", {"power": -1}, "bump power must be non-negative, got -1"),
+    ("gaussian", {"lam": math.inf}, "Gaussian lam must be finite, got (inf+0j)"),
+    ("gaussian", {"lam": complex(math.nan)}, "Gaussian lam must be finite, got (nan+0j)"),
+    ("gaussian", {"lam": 1e300j}, "Gaussian lam = 1e+300j overflows floating point on the grid"),
+    ("gaussian", {"lam": 1e308}, "Gaussian lam = (1e+308+0j) overflows floating point on the grid"),
+    ("hermite", {"n": 400}, "Hermite order 400 overflows floating point on the grid"),
+    # at n = 150 the profile is finite and its norm overflows
+    ("hermite", {"n": 150}, "Hermite order 150 overflows floating point on the grid")])
 def test_window_sizes_are_refused_by_name(window, kwargs, match):
-    # refused before any array is formed, so numpy warns of nothing
+    # refused before any array is formed or an overflow reaches numpy's
+    # warnings, so numpy warns of nothing
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=re.escape(match)):
-            if window == "bump":
-                bump_window(SPEC, **kwargs)
-            else:
+            if window == "noise":
                 bandlimited_noise_window(SPEC, np.random.default_rng(0), **kwargs)
+            else:
+                {"bump": bump_window, "gaussian": gaussian, "hermite": hermite}[window](
+                    SPEC, **kwargs)
 
 
 @pytest.mark.parametrize("name, rows", [("hermite1", 3), ("noise_a", 9)])
@@ -170,12 +181,17 @@ def test_continuous_energy_matches_the_full_grid(q):
         assert abs(continuous_energy(w) - oracle) <= 1e-12 * oracle, name
 
 
-def test_phase_grid_nodes():
-    grid = PhaseGrid(SPEC)
-    assert grid.x[0] == pytest.approx(0.0)       # roll order starts at zero shift
-    assert grid.x.min() == pytest.approx(-8.0)
-    assert grid.omega_weight == pytest.approx(1 / 16)
-    assert grid.x_weight == pytest.approx(SPEC.dx)
+def test_roll_order_nodes_are_the_wrapped_shifts():
+    # the x nodes of the Moyal sums, the sample grid read N/2 samples late, are
+    # the shifts j·Δx wrapped to [−L/2, L/2): bitwise where N is a power of
+    # two, so that every sum is exact, to roundoff where it is not (N = 200)
+    for L, N in [(16.0, 512), (22.0, 512), (10.0, 256), (30.0, 1024), (12.0, 200)]:
+        spec = GridSpec(L=L, N=N)
+        x = np.roll(spec.x(), N // 2)
+        wrapped = (spec.dx * np.arange(N) + L / 2) % L - L / 2
+        assert x[0] == 0.0 and x.min() == -L / 2
+        assert np.array_equal(x, wrapped) == (N != 200)
+        assert np.abs(x - wrapped).max() <= 4 * np.finfo(float).eps * L
 
 
 def test_continuous_energy_gaussian_scale_invariant():
