@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators, lattice_twist
+from .lattice import LatticeKind, TorusParams, index_bounds, lattice_shift, lattice_twist
 from .signal import GridSignal, GridSpec, _check_same_spec
 
 PRUNE_TOL = 1e-14  # entries below this magnitude are dropped after arithmetic
@@ -40,7 +40,7 @@ def _zeros(rows, cols) -> np.ndarray:
     return np.zeros((rows, cols), dtype=np.complex128)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class LatticeSeq:
     """Finitely supported complex sequence on one of the two lattices.
 
@@ -51,6 +51,7 @@ class LatticeSeq:
     an entry lie a multiple of `col_step` columns from the first: `from_box`
     sets it to the gcd of those offsets (0 when one column holds them all),
     a scalar multiple keeps it, and the default 1 claims nothing.
+    Equality is identity, so sequences are hashable.
     """
 
     params: TorusParams
@@ -118,13 +119,6 @@ class LatticeSeq:
         """Generator indices n₁ of the box rows and n₂ of its columns."""
         return (self.origin[0] + np.arange(self.box.shape[0]),
                 self.origin[1] + np.arange(self.box.shape[1]))
-
-    def phase_coords(self):
-        """(λ, l, γ, c) arrays of the support points."""
-        t_step, t_slope, f_step, f_slope = lattice_generators(self.params, self.kind)
-        n1, n2 = self.index[:, 0], self.index[:, 1]
-        q = self.params.q
-        return t_step * n1, (t_slope * n1) % q, f_step * n2, (f_slope * n2) % q
 
     def value_at(self, n1: int, n2: int) -> complex:
         i, j = n1 - self.origin[0], n2 - self.origin[1]
@@ -379,14 +373,15 @@ def _box_axes(params: TorusParams, kind: LatticeKind, radius: float, spec: GridS
     return np.arange(-k1, k1 + 1), np.arange(-k2, k2 + 1)
 
 
-def _atoms(g: GridSignal, gen, n1s, n2s):
-    """The Gabor atoms E_{f_step·b, f_slope·b} T_{t_step·a, t_slope·a} g of the
-    index box n1s × n2s, as two factors: the (M₁, qN) translated windows `tg`
-    and the (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  Refused
-    before allocation when the box or the two factors exceed BOX_BUDGET cells.
+def _atoms(g: GridSignal, params: TorusParams, kind: LatticeKind, n1s, n2s):
+    """The Gabor atoms E_{γ_b, c_b} T_{λ_a, l_a} g of the index box n1s × n2s
+    of `kind`, as two factors: the (M₁, qN) translated windows `tg` and the
+    (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  Refused before
+    allocation when the box or the two factors exceed BOX_BUDGET cells.
     """
     _check_atom_box(len(n1s), len(n2s), g.spec)
-    return _translates(g, gen, n1s), _modulations(g.spec, gen, n2s)
+    return (_translates(g, *lattice_shift(params, kind, 1, n1s)),
+            _modulations(g.spec, *lattice_shift(params, kind, 2, n2s)))
 
 
 def _check_atom_box(m1: int, m2: int, spec: GridSpec):
@@ -395,31 +390,29 @@ def _check_atom_box(m1: int, m2: int, spec: GridSpec):
         raise ValueError(f"a {m1}x{m2} box of {size}-sample atoms exceeds {BOX_BUDGET} cells")
 
 
-def _atom_key(factor: str, spec: GridSpec, step: float, ns) -> tuple:
-    """_memo key of an atom phase table: the factor, the grid, the step and
-    the exact index list, so that the translate and the modulation tables of
-    one step and one index list never share a table."""
-    return factor, spec, float(step), ns.dtype.str, ns.tobytes()
+def _atom_key(factor: str, spec: GridSpec, shift: np.ndarray) -> tuple:
+    """_memo key of an atom phase table: the factor, the grid and the exact
+    shifts, so that the translate and the modulation tables never share a
+    table, and index lists with equal shifts do."""
+    return factor, spec, shift.dtype.str, shift.tobytes()
 
 
-def _translates(g: GridSignal, gen, n1s) -> np.ndarray:
-    """The (M₁, qN) translated windows T_{t_step·a, t_slope·a} g, a in n1s."""
-    t_step, t_slope, _, _ = gen
+def _translates(g: GridSignal, lam: np.ndarray, l: np.ndarray) -> np.ndarray:
+    """The (M₁, qN) translated windows T_{λ_a, l_a} g, one per shift (λ_a, l_a)."""
     spec = g.spec
-    rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
+    rows = (np.arange(spec.q)[None, :] - l[:, None]) % spec.q
     tg = np.fft.fft(g.values, axis=1)[rows]       # channel k of row a: ĝ(k − l_a)
-    tg *= _memo(_atom_key("translate", spec, t_step, n1s),
-                lambda: np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs())))[:, None, :]
-    return np.fft.ifft(tg, axis=2).reshape(len(n1s), spec.q * spec.N)
+    tg *= _memo(_atom_key("translate", spec, lam),
+                lambda: np.exp(-2j * np.pi * np.outer(lam, spec.freqs())))[:, None, :]
+    return np.fft.ifft(tg, axis=2).reshape(len(lam), spec.q * spec.N)
 
 
-def _modulations(spec: GridSpec, gen, n2s) -> np.ndarray:
-    """The (M₂, qN) modulations E_{f_step·b, f_slope·b}, b in n2s."""
-    _, _, f_step, f_slope = gen
-    xph = _memo(_atom_key("modulate", spec, f_step, n2s),
-                lambda: np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x())))
-    chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
-    return (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), spec.q * spec.N)
+def _modulations(spec: GridSpec, gam: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The (M₂, qN) modulations E_{γ_b, c_b}, one per shift (γ_b, c_b)."""
+    xph = _memo(_atom_key("modulate", spec, gam),
+                lambda: np.exp(2j * np.pi * np.outer(gam, spec.x())))
+    chph = np.exp(2j * np.pi * np.outer(c, np.arange(spec.q)) / spec.q)
+    return (chph[:, :, None] * xph[:, None, :]).reshape(len(gam), spec.q * spec.N)
 
 
 def _analyse(f: GridSignal, tg: np.ndarray, mod: np.ndarray) -> np.ndarray:
@@ -439,11 +432,12 @@ def _right_action(b: LatticeSeq, spec: GridSpec):
     that hold a nonzero entry, against which the translates of f sum."""
     n1s, n2s = b.axes()
     _check_atom_box(len(n1s), len(n2s), spec)
-    gen = lattice_generators(b.params, LatticeKind.ADJOINT)
-    coeff = b.box * np.conj(_twist_phase(b.params, LatticeKind.ADJOINT, n1s, n2s))
+    params, kind = b.params, LatticeKind.ADJOINT
+    coeff = b.box * np.conj(_twist_phase(params, kind, n1s, n2s))
     rows = coeff.any(axis=1)
-    n1s, table = n1s[rows], coeff[rows] @ _modulations(spec, gen, n2s)
-    return lambda f: _synthesise(_translates(f, gen, n1s), table, spec)
+    table = coeff[rows] @ _modulations(spec, *lattice_shift(params, kind, 2, n2s))
+    shift = lattice_shift(params, kind, 1, n1s[rows])
+    return lambda f: _synthesise(_translates(f, *shift), table, spec)
 
 
 def _check_params_spec(params: TorusParams, spec: GridSpec):
@@ -459,7 +453,7 @@ def act_left(a: LatticeSeq, f: GridSignal) -> GridSignal:
     if a.kind is not LatticeKind.TIME_FREQ:
         raise ValueError("act_left expects a time-frequency lattice sequence")
     _check_params_spec(a.params, f.spec)
-    tg, mod = _atoms(f, lattice_generators(a.params, LatticeKind.TIME_FREQ), *a.axes())
+    tg, mod = _atoms(f, a.params, LatticeKind.TIME_FREQ, *a.axes())
     return _synthesise(tg, a.box @ mod, f.spec)
 
 
@@ -477,7 +471,7 @@ def _pairing(f: GridSignal, g: GridSignal, params: TorusParams, kind: LatticeKin
     _check_same_spec(f, g)
     _check_params_spec(params, f.spec)
     n1s, n2s = _box_axes(params, kind, radius, f.spec)
-    return _analyse(f, *_atoms(g, lattice_generators(params, kind), n1s, n2s)), n1s, n2s
+    return _analyse(f, *_atoms(g, params, kind, n1s, n2s)), n1s, n2s
 
 
 def inner_left(f: GridSignal, g: GridSignal, params: TorusParams,

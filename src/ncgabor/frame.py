@@ -22,7 +22,7 @@ from typing import Optional
 
 import numpy as np
 
-from .lattice import LatticeKind, TorusParams, index_bounds, lattice_generators
+from .lattice import LatticeKind, TorusParams, lattice_shift
 from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, inner_left, inner_right, l1_diff,
                       twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
                       _check_params_spec, _right_action, _synthesise, _translates,
@@ -356,11 +356,11 @@ def project_dual_pair(g: GridSignal, h: GridSignal, params: TorusParams,
     if wr > PAIR_TOL:
         raise ToleranceError(f"not dual: Wexler-Raz residual {wr:.3e} > {PAIR_TOL:.1e}")
     a = inner_left(g, h, params, radius)
-    idem = (twisted_conv(a, a) - a).l1_norm()
+    idem = l1_diff(twisted_conv(a, a), a)
     if idem > PAIR_TOL:
         raise ToleranceError(f"projection residual too large: {idem:.3e}")
     if require_self_adjoint:
-        sa = (twisted_star(a) - a).l1_norm()
+        sa = l1_diff(twisted_star(a), a)
         if sa > PAIR_TOL:
             raise ToleranceError(f"projection not self-adjoint: {sa:.3e}")
     return a
@@ -434,12 +434,11 @@ def adjoint_shift_family(g: GridSignal, params: TorusParams,
                          radius: float) -> np.ndarray:
     """Matrix whose columns are π°(ν°)g over the truncated adjoint lattice,
     refused before allocation above BOX_BUDGET cells."""
-    m1, m2 = (2 * k + 1 for k in index_bounds(params, LatticeKind.ADJOINT, radius))
-    if m1 * m2 * g.values.size > BOX_BUDGET:
-        raise ValueError(f"a {m1}x{m2} adjoint shift family of {g.values.size}"
-                         f"-sample columns exceeds {BOX_BUDGET} cells")
     n1s, n2s = _box_axes(params, LatticeKind.ADJOINT, radius, g.spec)
-    tg, mod = _atoms(g, lattice_generators(params, LatticeKind.ADJOINT), n1s, n2s)
+    if len(n1s) * len(n2s) * g.values.size > BOX_BUDGET:
+        raise ValueError(f"a {len(n1s)}x{len(n2s)} adjoint shift family of {g.values.size}"
+                         f"-sample columns exceeds {BOX_BUDGET} cells")
+    tg, mod = _atoms(g, params, LatticeKind.ADJOINT, n1s, n2s)
     cols = tg[:, None, :] * mod[None, :, :]
     cols *= np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))[:, :, None]
     return cols.reshape(-1, g.values.size).T
@@ -474,10 +473,9 @@ def reconstruction_residual(probes, g: GridSignal, h: GridSignal,
     dropped, as inner_left does."""
     _check_same_spec(g, h)
     _check_params_spec(params, g.spec)
-    gen = lattice_generators(params, LatticeKind.TIME_FREQ)
     n1s, n2s = _box_axes(params, LatticeKind.TIME_FREQ, radius, g.spec)
-    tg, mod = _atoms(g, gen, n1s, n2s)
-    th = tg if h is g else _translates(h, gen, n1s)
+    tg, mod = _atoms(g, params, LatticeKind.TIME_FREQ, n1s, n2s)
+    th = tg if h is g else _translates(h, *lattice_shift(params, LatticeKind.TIME_FREQ, 1, n1s))
 
     def residual(f: GridSignal) -> float:
         _check_same_spec(f, g)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .lattice import TorusParams, lattice_generators, soliton_admissible
+from .lattice import TorusParams, lattice_shift, soliton_admissible
 from .algebra import (LatticeSeq, act_right, inner_left, inner_right, trace_pairing,
                       twisted_conv, l1_diff, _twist_phase)
 from .frame import (DUAL_MAX_ITER, DUAL_TOL, ConvergenceError, FrameSystem, GridError,
@@ -43,9 +43,9 @@ def derive(a: LatticeSeq, j: int) -> LatticeSeq:
     """∂_j: multiply entries by 2πiλ (j=1) or 2πiγ (j=2); same form on both lattices."""
     if j not in (1, 2):
         raise ValueError("derivation index must be 1 or 2")
-    t_step, _, f_step, _ = lattice_generators(a.params, a.kind)
+    step, _ = lattice_shift(a.params, a.kind, j, 1)
     n = a.origin[j - 1] + np.arange(a.box.shape[j - 1])   # the axis of n_j alone
-    weight = 2j * np.pi * (t_step * n[:, None] if j == 1 else f_step * n)
+    weight = 2j * np.pi * (step * n[:, None] if j == 1 else step * n)
     return LatticeSeq.from_box(a.params, a.kind, a.origin, weight * a.box)
 
 
@@ -156,7 +156,7 @@ def chern_sum(p: LatticeSeq) -> complex:
     k = np.maximum(-lo, hi)   # the centred box |n₁| ≤ k₁, |n₂| ≤ k₂
     v = np.pad(p.box, np.stack([k + lo, k - hi], axis=1))
     twist = np.conj(_twist_phase(p.params, p.kind, *(np.arange(-j, j + 1) for j in k)))
-    t_step, _, f_step, _ = lattice_generators(p.params, p.kind)
+    (t_step, _), (f_step, _) = (lattice_shift(p.params, p.kind, j, 1) for j in (1, 2))
     # λ'γ − λγ' = t_step·f_step·(n₁'n₂ − n₁n₂')
     return (_chern_double_sum(v[None, None], twist) * t_step * f_step * 2 * np.pi
             / (1j * abs(p.params.alpha * p.params.beta)))
@@ -173,7 +173,7 @@ def energy(p: LatticeSeq) -> float:
 def energy_window_form(p: LatticeSeq) -> float:
     """E(g) = (π/|αβ|)·Σ_ν (λ²+γ²)·|p(ν)|² for p = ⟨g, π(ν)h⟩ = inner_left(g, h)
     on the truncated lattice."""
-    lam, _, gam, _ = p.phase_coords()
+    (lam, _), (gam, _) = (lattice_shift(p.params, p.kind, j, p.index[:, j - 1]) for j in (1, 2))
     s = float(np.sum((lam ** 2 + gam ** 2) * np.abs(p.values) ** 2))
     return s * np.pi / abs(p.params.alpha * p.params.beta)
 

@@ -153,6 +153,14 @@ def lattice_generators(p: TorusParams, kind: LatticeKind):
     return adj.time_step, adj.time_slope, adj.freq_step, adj.freq_slope
 
 
+def lattice_shift(p: TorusParams, kind: LatticeKind, j: int, n):
+    """The one index→phase-space map, on axis j: (λ, l) = (t_step·n, t_slope·n)
+    for j = 1 and (γ, c) = (f_step·n, f_slope·n) for j = 2, at the generator
+    index n (an int or an integer array), with the channel not reduced mod q."""
+    gen = lattice_generators(p, kind)
+    return gen[2 * j - 2] * n, gen[2 * j - 1] * n
+
+
 def lattice_twist(p: TorusParams, kind: LatticeKind) -> tuple[float, int]:
     """Twist t = real + num/q of the pair cocycle exp(2πi·t·n₁m₂), as (real, num).
 
@@ -182,23 +190,13 @@ def index_bounds(p: TorusParams, kind: LatticeKind, radius: float):
     """Largest (K₁, K₂) with |step·K| ≤ radius on each axis."""
     if not 0 < radius < math.inf:
         raise ValueError(f"radius must be finite and positive, got {radius}")
-    t_step, _, f_step, _ = lattice_generators(p, kind)
-    k1 = int(math.floor(radius / abs(t_step) + 1e-12))
-    k2 = int(math.floor(radius / abs(f_step) + 1e-12))
-    return k1, k2
+    steps = lattice_generators(p, kind)[::2]   # t_step, f_step
+    return tuple(int(math.floor(radius / abs(step) + 1e-12)) for step in steps)
 
 
 def point_at(p: TorusParams, kind: LatticeKind, n1: int, n2: int) -> LatticePoint:
-    t_step, t_slope, f_step, f_slope = lattice_generators(p, kind)
-    return LatticePoint(
-        n1=n1,
-        n2=n2,
-        lam=t_step * n1,
-        l=(t_slope * n1) % p.q,
-        gamma=f_step * n2,
-        c=(f_slope * n2) % p.q,
-        kind=kind,
-    )
+    (lam, l), (gamma, c) = lattice_shift(p, kind, 1, n1), lattice_shift(p, kind, 2, n2)
+    return LatticePoint(n1=n1, n2=n2, lam=lam, l=l % p.q, gamma=gamma, c=c % p.q, kind=kind)
 
 
 def enumerate_lattice(p: TorusParams, kind: LatticeKind, radius: float):

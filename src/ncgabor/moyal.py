@@ -234,7 +234,8 @@ def load_corpus_file(path, spec: GridSpec):
     One window per line: "name = kind key=value ...", kinds gaussian
     (lam=complex), hermite (n=int), bump (width=, power=), noise
     (bandwidth=, envelope=, seed=).  Only gaussian entries count as
-    generalized Gaussians for minimizer screening.
+    generalized Gaussians for minimizer screening.  A key the kind does not
+    read, or a key given twice, is refused.
     """
     out = []
     with open(path) as fh:
@@ -255,19 +256,26 @@ def _corpus_entry(line: str, spec: GridSpec):
     if not (name and sep and fields) or not all("=" in f for f in fields[1:]):
         raise ValueError("expected 'name = kind key=value ...'")
     kind, opts = fields[0], dict(f.split("=", 1) for f in fields[1:])
+    if len(opts) < len(fields) - 1:
+        keys = [f.split("=", 1)[0] for f in fields[1:]]
+        raise ValueError(f"key {max(keys, key=keys.count)!r} is given twice")
     if kind == "gaussian":
-        return name, gaussian(spec, lam=complex(opts.get("lam", "0"))), True
-    if kind == "hermite":
-        return name, hermite(spec, int(opts.get("n", "1"))), False
-    if kind == "bump":
-        return name, bump_window(spec, width=float(opts.get("width", "2")),
-                                 power=int(opts.get("power", "3"))), False
-    if kind == "noise":
-        rng = np.random.default_rng(int(opts.get("seed", "0")))
-        return name, bandlimited_noise_window(
-            spec, rng, bandwidth=float(opts.get("bandwidth", "2.5")),
-            envelope=float(opts.get("envelope", "3.0"))), False
-    raise ValueError(f"unknown corpus window kind {kind!r}")
+        entry = gaussian(spec, lam=complex(opts.pop("lam", "0"))), True
+    elif kind == "hermite":
+        entry = hermite(spec, int(opts.pop("n", "1"))), False
+    elif kind == "bump":
+        entry = bump_window(spec, width=float(opts.pop("width", "2")),
+                            power=int(opts.pop("power", "3"))), False
+    elif kind == "noise":
+        rng = np.random.default_rng(int(opts.pop("seed", "0")))
+        entry = bandlimited_noise_window(
+            spec, rng, bandwidth=float(opts.pop("bandwidth", "2.5")),
+            envelope=float(opts.pop("envelope", "3.0"))), False
+    else:
+        raise ValueError(f"unknown corpus window kind {kind!r}")
+    if opts:
+        raise ValueError(f"a {kind} window reads no key {min(opts)!r}")
+    return (name, *entry)
 
 
 def default_window_corpus(spec: GridSpec, seed: int = 23):

@@ -9,7 +9,7 @@ import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import Phase, settings, strategies as st
 
-from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators
+from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_shift
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
 from ncgabor import algebra
@@ -60,6 +60,11 @@ def phase_point(params, kind, n1, n2):
     """PhasePoint of a lattice index pair."""
     t_step, t_slope, f_step, f_slope = lattice_generators(params, kind)
     return PhasePoint(t_step * n1, t_slope * n1, f_step * n2, f_slope * n2)
+
+
+def support_shifts(a):
+    """(λ, γ) arrays of the support points of a lattice sequence."""
+    return tuple(lattice_shift(a.params, a.kind, j, a.index[:, j - 1])[0] for j in (1, 2))
 
 
 def random_seq(params, kind, rng, points=8, span=3, unit_l1=True):
@@ -185,9 +190,8 @@ def dense_frame_operator(sys):
     matrix, in its discrete Walnut form S = Δx·(tgᵀ·conj tg) ⊙ (modᵀ·conj mod)
     over the atom factors; its largest eigenvalue bounds the Rayleigh
     quotients of the band-concentrated probes of frame_bounds."""
-    gen = lattice_generators(sys.params, LatticeKind.TIME_FREQ)
-    tg, mod = _atoms(sys.window, gen, *_box_axes(sys.params, LatticeKind.TIME_FREQ,
-                                                 sys.radius, sys.window.spec))
+    tg, mod = _atoms(sys.window, sys.params, LatticeKind.TIME_FREQ,
+                     *_box_axes(sys.params, LatticeKind.TIME_FREQ, sys.radius, sys.window.spec))
     return sys.window.spec.dx * (tg.T @ tg.conj()) * (mod.T @ mod.conj())
 
 

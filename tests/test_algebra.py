@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_twist
+from ncgabor.lattice import LatticeKind, TorusParams, lattice_shift, lattice_twist
 from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
 from ncgabor import algebra
 from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
@@ -22,7 +22,7 @@ from ncgabor.frame import adjoint_shift_family
 from ncgabor.geometry import Pipeline, build_window, derive, grid_for_radius
 from conftest import (PROPERTY, entry_sum, gaussian_probe, grouped_twisted_conv, lattices,
                       loop_twisted_conv, naive_act_left, naive_act_right, naive_twisted_conv,
-                      phase_point, random_seq)
+                      phase_point, random_seq, support_shifts)
 
 BOTH_KINDS = [LatticeKind.TIME_FREQ, LatticeKind.ADJOINT]
 
@@ -171,29 +171,27 @@ def test_phase_tables_answer_only_for_their_own_lattice():
             assert len(algebra._tables) == 1024 // 129
 
 
-def closed_translates(g, gen, n1s):
+def closed_translates(g, lam, l):
     """_translates with its phase by the closed formula."""
-    t_step, t_slope, _, _ = gen
     spec = g.spec
-    rows = (np.arange(spec.q)[None, :] - (t_slope * n1s)[:, None]) % spec.q
+    rows = (np.arange(spec.q)[None, :] - l[:, None]) % spec.q
     tg = np.fft.fft(g.values, axis=1)[rows]
-    tg *= np.exp(-2j * np.pi * np.outer(t_step * n1s, spec.freqs()))[:, None, :]
-    return np.fft.ifft(tg, axis=2).reshape(len(n1s), spec.q * spec.N)
+    tg *= np.exp(-2j * np.pi * np.outer(lam, spec.freqs()))[:, None, :]
+    return np.fft.ifft(tg, axis=2).reshape(len(lam), spec.q * spec.N)
 
 
-def closed_modulations(spec, gen, n2s):
+def closed_modulations(spec, gam, c):
     """_modulations with its phase by the closed formula."""
-    _, _, f_step, f_slope = gen
-    xph = np.exp(2j * np.pi * np.outer(f_step * n2s, spec.x()))
-    chph = np.exp(2j * np.pi * np.outer(f_slope * n2s, np.arange(spec.q)) / spec.q)
-    return (chph[:, :, None] * xph[:, None, :]).reshape(len(n2s), spec.q * spec.N)
+    xph = np.exp(2j * np.pi * np.outer(gam, spec.x()))
+    chph = np.exp(2j * np.pi * np.outer(c, np.arange(spec.q)) / spec.q)
+    return (chph[:, :, None] * xph[:, None, :]).reshape(len(gam), spec.q * spec.N)
 
 
-def _assert_closed_atom_bits(g, gen_t, n1s, gen_m, n2s):
+def _assert_closed_atom_bits(g, time_shift, freq_shift):
     """_translates and _modulations, built or read, are bitwise the closed formulas."""
-    for got, want in ((algebra._translates(g, gen_t, n1s), closed_translates(g, gen_t, n1s)),
-                      (algebra._modulations(g.spec, gen_m, n2s),
-                       closed_modulations(g.spec, gen_m, n2s))):
+    for got, want in ((algebra._translates(g, *time_shift), closed_translates(g, *time_shift)),
+                      (algebra._modulations(g.spec, *freq_shift),
+                       closed_modulations(g.spec, *freq_shift))):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
@@ -206,32 +204,49 @@ def test_atom_phase_tables_are_the_closed_formula_bitwise(params, kind, origin, 
     # stride), each read twice: the first read builds the table, the second
     # reads it; the lattices draw negative steps too
     g = gaussian_probe(GridSpec(L=12.0, N=64, q=params.q), np.random.default_rng(shape))
-    gen = lattice_generators(params, kind)
     n1s = np.arange(origin[0], origin[0] + shape[0])
     n2s = np.arange(origin[1], origin[1] + step * shape[1], step)
     with mock.patch.object(algebra, "_tables", {}):
         for n1, n2 in [(n1s, n2s), (n1s[::2], n2s[::-1]), (n1s, n2s)]:
-            _assert_closed_atom_bits(g, gen, n1, gen, n2)
+            _assert_closed_atom_bits(g, lattice_shift(params, kind, 1, n1),
+                                     lattice_shift(params, kind, 2, n2))
         assert {key[0] for key in algebra._tables} <= {"translate", "modulate"}
 
 
 def test_atom_phase_tables_keep_factors_and_grids_apart():
-    # at α = 1, β = −1 translate and modulation steps coincide across the two
+    # at α = 1, β = −1 translate and modulation shifts coincide across the two
     # lattices: on one grid and one index list each factor reads its own
     # table; two grids with one spacing Δx read their own tables too
     params = TorusParams(1.0, -1.0)
-    gens = [lattice_generators(params, kind) for kind in BOTH_KINDS]
-    assert {gen[0] for gen in gens} & {gen[2] for gen in gens}
     ns = np.arange(-4, 5)
+    time = [lattice_shift(params, kind, 1, ns) for kind in BOTH_KINDS]
+    freq = [lattice_shift(params, kind, 2, ns) for kind in BOTH_KINDS]
+    assert {t[0].tobytes() for t in time} == {f[0].tobytes() for f in freq}
     grids = [GridSpec(L=8.0, N=64), GridSpec(L=16.0, N=128)]
     with mock.patch.object(algebra, "_tables", {}):
         for _ in range(2):
             for spec in grids:
                 g = gaussian_probe(spec, np.random.default_rng(3))
-                for gen_t in gens:
-                    for gen_m in gens:
-                        _assert_closed_atom_bits(g, gen_t, ns, gen_m, ns)
-        assert len(algebra._tables) == 8   # 2 factors × 2 grids × 2 distinct steps
+                for time_shift in time:
+                    for freq_shift in freq:
+                        _assert_closed_atom_bits(g, time_shift, freq_shift)
+        assert len(algebra._tables) == 8   # 2 factors × 2 grids × 2 distinct shifts
+
+
+def test_index_lists_with_equal_shifts_share_one_atom_table():
+    # λ = 0.5·(2, 4) on one lattice and 1·(1, 2) on another are one shift
+    # list, read off one table; the channels l of the two lists still differ
+    spec = GridSpec(L=8.0, N=64, q=3)
+    g = gaussian_probe(spec, np.random.default_rng(5))
+    shifts = [lattice_shift(TorusParams(alpha, 1.0, 1, 1, 3), LatticeKind.TIME_FREQ, 1,
+                            np.array(ns)) for alpha, ns in ((0.5, [2, 4]), (1.0, [1, 2]))]
+    assert shifts[0][0].tobytes() == shifts[1][0].tobytes()
+    assert (shifts[0][1] % 3).tolist() != (shifts[1][1] % 3).tolist()
+    with mock.patch.object(algebra, "_tables", {}):
+        for lam, l in shifts:
+            got = algebra._translates(g, lam, l)
+            assert got.tobytes() == closed_translates(g, lam, l).tobytes()
+        assert [key[0] for key in algebra._tables] == ["translate"]
 
 
 def test_phase_memo_holds_at_most_its_bound():
@@ -242,10 +257,10 @@ def test_phase_memo_holds_at_most_its_bound():
     rows = algebra.TABLE_CELLS // spec.N
     with mock.patch.object(algebra, "_tables", {}):
         for width in (rows // 4, rows // 3, rows // 2, rows + 1, rows // 4, rows):
-            gen = (0.5 + width / 100, 0, 0.25 + width / 100, 0)
             ns = np.arange(-(width // 2), width - width // 2)
             held = list(algebra._tables)
-            _assert_closed_atom_bits(g, gen, ns, gen, ns)
+            _assert_closed_atom_bits(g, ((0.5 + width / 100) * ns, 0 * ns),
+                                     ((0.25 + width / 100) * ns, 0 * ns))
             assert held_cells() <= algebra.TABLE_CELLS
             if width * spec.N > algebra.TABLE_CELLS:
                 assert list(algebra._tables) == held
@@ -489,14 +504,14 @@ def test_module_compatibility_left(params, rng):
     # compare on the common radius-6 box: products extend the support
     diff = lhs - rhs
     mask = np.ones(len(diff.values), dtype=bool)
-    lam, _, gam, _ = diff.phase_coords()
+    lam, gam = support_shifts(diff)
     mask &= (np.abs(lam) <= 6.0) & (np.abs(gam) <= 6.0)
     assert float(np.sum(np.abs(diff.values[mask]))) < 1e-8
 
     lhs2 = twisted_conv(inner_left(f, g, params, 6.0), twisted_star(a))
     rhs2 = inner_left(f, act_left(a, g), params, 6.0)
     diff2 = lhs2 - rhs2
-    lam2, _, gam2, _ = diff2.phase_coords()
+    lam2, gam2 = support_shifts(diff2)
     m2 = (np.abs(lam2) <= 6.0) & (np.abs(gam2) <= 6.0)
     assert float(np.sum(np.abs(diff2.values[m2]))) < 1e-8
 
@@ -508,14 +523,14 @@ def test_module_compatibility_right(params, rng):
     lhs = twisted_conv(inner_right(f, g, params, 6.0), b)
     rhs = inner_right(f, act_right(g, b), params, 6.0)
     diff = lhs - rhs
-    lam, _, gam, _ = diff.phase_coords()
+    lam, gam = support_shifts(diff)
     m = (np.abs(lam) <= 6.0) & (np.abs(gam) <= 6.0)
     assert float(np.sum(np.abs(diff.values[m]))) < 1e-8
 
     lhs2 = twisted_conv(twisted_star(b), inner_right(f, g, params, 6.0))
     rhs2 = inner_right(act_right(f, b), g, params, 6.0)
     diff2 = lhs2 - rhs2
-    lam2, _, gam2, _ = diff2.phase_coords()
+    lam2, gam2 = support_shifts(diff2)
     m2 = (np.abs(lam2) <= 6.0) & (np.abs(gam2) <= 6.0)
     assert float(np.sum(np.abs(diff2.values[m2]))) < 1e-8
 
@@ -786,3 +801,21 @@ def test_atom_box_is_refused_before_allocation(params_q1):
         inner_left(g, g, params_q1, 600.0)
     with pytest.raises(ValueError, match="93x93 adjoint shift family .* exceeds"):
         adjoint_shift_family(g, params_q1, 92.0)     # 93·93·512 cells, factors fit
+
+
+def test_sequences_compare_and_hash_by_identity(params_q1):
+    # two equal 2 × 2 boxes: equality is identity, and a sequence is hashable
+    a, b = (LatticeSeq.from_box(params_q1, LatticeKind.TIME_FREQ, (0, 0), np.ones((2, 2)))
+            for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b, a}) == 2
+
+
+def test_actions_and_pairings_refuse_the_wrong_lattice_or_grid(params_q1, params_q2):
+    f = gaussian(GridSpec(L=16.0, N=128))
+    with pytest.raises(ValueError, match="channel mismatch: lattice q=2, grid q=1"):
+        inner_left(f, f, params_q2, 3.0)
+    with pytest.raises(ValueError, match="act_left expects a time-frequency lattice sequence"):
+        act_left(LatticeSeq.delta(params_q1, LatticeKind.ADJOINT), f)
+    with pytest.raises(ValueError, match="act_right expects an adjoint lattice sequence"):
+        act_right(f, LatticeSeq.delta(params_q1, LatticeKind.TIME_FREQ))

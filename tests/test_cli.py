@@ -663,7 +663,9 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
                                   "n = noise envelope=inf", "n = noise envelope=0",
                                   "b = bump width=inf", "b = bump power=-1",
                                   "x = gaussian lam=inf", "x = gaussian lam=1e300j",
-                                  "x = hermite n=400"])
+                                  "x = hermite n=400", "x = gaussian lamda=2",
+                                  "x = bump widht=9", "x = bump width=3 width=9",
+                                  "x = noise seed=1 bandwidth=2 seed=2"])
 @pytest.mark.filterwarnings("error")   # every line is refused before numpy warns
 def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     corpus = tmp_path / "corpus.cfg"

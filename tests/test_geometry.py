@@ -19,7 +19,7 @@ from ncgabor.geometry import (Pipeline, build_window, chern_sum,
                               projection_residual, sd_residuals,
                               soliton_experiment)
 from conftest import (eight_product_figures, gaussian_probe, loop_twisted_conv,
-                      lstsq_w_residuals, random_seq)
+                      lstsq_w_residuals, random_seq, support_shifts)
 
 
 @pytest.fixture(scope="module")
@@ -36,8 +36,10 @@ def test_derive_of_delta(params_q1):
     d = LatticeSeq.delta(params_q1, LatticeKind.TIME_FREQ)
     assert derive(d, 1).l1_norm() == 0.0
     assert derive(d, 2).l1_norm() == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="derivation index must be 1 or 2"):
         derive(d, 3)
+    with pytest.raises(ValueError, match="covariant derivative index must be 1 or 2"):
+        covariant(gaussian(GridSpec(L=16.0, N=128)), 3)
 
 
 def test_derive_trace_vanishes(params_q1, rng):
@@ -280,7 +282,7 @@ def test_dual_pair_derivative_identity(params_q1, rng):
         t2 = twisted_conv(inner_left(f1, g, params_q1, radius),
                           inner_left(covariant(h, j), f2, params_q1, radius))
         total = t1 + t2
-        lam, _, gam, _ = total.phase_coords()
+        lam, gam = support_shifts(total)
         mask = (np.abs(lam) <= radius) & (np.abs(gam) <= radius)
         assert float(np.sum(np.abs(total.values[mask]))) < 1e-6
 
@@ -339,6 +341,8 @@ def test_build_window(params_q2, tmp_path):
     save_signal(h, tmp_path / "h.sig")
     assert np.array_equal(build_window(f"file:{tmp_path / 'h.sig'}", spec, params_q2).values,
                           h.values)
+    with pytest.raises(ValueError, match="window file grid .* does not match"):
+        build_window(f"file:{tmp_path / 'h.sig'}", grid_for_radius(6.0, n=256, q=2), params_q2)
     for bad in ("nope", "hermitefoo", "hermite:2:3", "hermite:"):
         with pytest.raises(ValueError, match="unknown window"):
             build_window(bad, spec, params_q2)

@@ -19,7 +19,9 @@ frame._krylov_reading alone, so that exit 4 keeps its one meaning: the
 Lanczos run missed the dual's tolerance, and no code in src/ builds an
 object through a `__new__` call such as `object.__new__`, so every
 instance passes through its class's one constructor (`LatticeSeq.__init__`
-casts every box and origin).
+casts every box and origin), and in src/ only lattice.py calls
+`lattice_generators`: its `index_bounds` and the one index→phase-space map
+`lattice_shift`, which every atom, derivation and lattice point reads.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -228,3 +230,8 @@ def test_only_the_lanczos_reading_raises_convergence_error():
 
 def test_no_object_is_built_through_object_new():
     assert constructions(SOURCES, "__new__") == set()
+
+
+def test_only_the_phase_space_map_reads_the_generators():
+    assert constructions(SOURCES, "lattice_generators") == {("lattice.py", "index_bounds"),
+                                                           ("lattice.py", "lattice_shift")}

@@ -55,6 +55,8 @@ def test_mod_inverse_rejects_non_coprime():
         mod_inverse(2, 4)
     with pytest.raises(ValueError):
         mod_inverse(1, 1)
+    with pytest.raises(ValueError, match="modulus must be a positive integer, got q=0"):
+        mod_inverse(1, 0)
 
 
 def test_params_validation():
@@ -68,6 +70,8 @@ def test_params_validation():
         TorusParams(1.0, 1.0, r=5, s=1, q=4)  # out of range
     with pytest.raises(ValueError):
         TorusParams(1.0, 1.0, q=0)
+    with pytest.raises(ValueError, match="lattice steps must be finite"):
+        TorusParams(math.inf, 1.0)
 
 
 def test_twists():

@@ -13,7 +13,7 @@ from ncgabor.lattice import TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite, inner, norm,
                             tf_shift)
 from ncgabor.frame import lift_scalar_window
-from ncgabor.moyal import (_stft_chunks, bump_window, bandlimited_noise_window,
+from ncgabor.moyal import (_corpus_entry, _stft_chunks, bump_window, bandlimited_noise_window,
                            continuous_chern, continuous_energy,
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
@@ -371,3 +371,22 @@ def test_bump_and_noise_windows(rng):
     assert np.all(np.abs(b.values[0][np.abs(SPEC.x()) > 2.0]) == 0.0)
     n = bandlimited_noise_window(SPEC, rng)
     assert norm(n) == pytest.approx(1.0)
+
+
+def test_moyal_check_and_eigen_residual_refusals():
+    spec = GridSpec(L=16.0, N=128)
+    with pytest.raises(ValueError, match="grid mismatch"):
+        moyal_check(gaussian(spec), gaussian(GridSpec(L=16.0, N=256)))
+    with pytest.raises(ValueError, match="zero window"):
+        eigen_residual(GridSignal(spec, np.zeros((1, spec.N))), 1)
+
+
+@pytest.mark.parametrize("line, message", [
+    ("x = gaussian lamda=2", "a gaussian window reads no key 'lamda'"),
+    ("x = bump widht=9", "a bump window reads no key 'widht'"),
+    ("x = hermite n=2 lam=1", "a hermite window reads no key 'lam'"),
+    ("x = bump width=3 width=9", "key 'width' is given twice"),
+    ("x = noise seed=1 bandwidth=2 seed=2", "key 'seed' is given twice")])
+def test_corpus_entry_names_the_key_it_refuses(line, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _corpus_entry(line, GridSpec(L=16.0, N=128))

@@ -294,3 +294,15 @@ def test_random_probe_is_its_term_by_term_sum(q):
         probe = random_timefreq_probe(spec, np.random.default_rng(seed), spread=2.2)
         oracle = gaussian_probe(spec, np.random.default_rng(seed), spread=2.2, terms=6)
         assert np.array_equal(probe.values, oracle.values)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda spec: GridSignal(spec, np.zeros((2, spec.N))),
+     "values must have shape (q, N) = (1, 64), got (2, 64)"),
+    (lambda spec: GridSignal(spec, np.where(np.arange(spec.N) == 3, np.nan, 0.0)[None, :]),
+     "signal values must be finite"),
+    (lambda spec: gaussian(spec, coeffs=[1.0, 2.0]),
+     "need one coefficient per channel, got shape (2,)")])
+def test_malformed_signals_are_refused(build, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(GridSpec(L=12.0, N=64))
