@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from functools import cache, partial
@@ -356,7 +357,7 @@ def view_sweep(args, pipeline):
     betas = _parse_range(args.beta_range)
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     jobs = [(a, b, args_dict) for a in alphas for b in betas]
-    processes = min(args.workers, len(jobs))
+    processes = min(args.workers, len(jobs), os.cpu_count() or 1)
     if processes > 1:
         from multiprocessing import Pool
         with Pool(processes=processes) as pool:

@@ -386,10 +386,13 @@ def laurent_symbol(g: GridSignal, params: TorusParams, grid: int = 64,
     then the Gram matrix is Laurent, and g is a Riesz sequence over the
     adjoint lattice iff a frame over Λ×Γ: `is_riesz` is _is_frame on the
     bounds of frame_bounds (_symbol_bounds, grid rule included), false for a
-    zero window (A = B = 0).  A mesh `grid` below 1 is refused.
+    zero window (A = B = 0).  A mesh `grid` below 1, or of more than
+    MESH_POINTS points, is refused before it is allocated.
     """
     if grid < 1:
         raise ValueError(f"Laurent mesh must be at least 1, got {grid}")
+    if grid * grid > MESH_POINTS:
+        raise ValueError(f"Laurent mesh {grid}x{grid} exceeds {MESH_POINTS} points")
     if not params.integer_adjoint_twist:
         raise ValueError(
             "Laurent structure unavailable: (alpha*beta*q^2)^-1 + r°s°/q "

@@ -258,7 +258,9 @@ def involution_dagger(f: GridSignal) -> GridSignal:
 
 def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
                           spread: float = 2.5) -> GridSignal:
-    """Random unit-norm combination of PROBE_TERMS shifted/modulated Gaussians.
+    """Random unit-norm combination of PROBE_TERMS Gaussian atoms
+    E_{γ,c}T_{λ,l}g of g(x,k) = exp(−πx²), each in its closed form
+    exp(2πi(γx + kc/q))·exp(−π(x−λ)²): T_{·,l} fixes the channel-constant g.
 
     Time-frequency content is confined to max(|λ|,|γ|) ≲ spread, which keeps
     truncated lattice sums accurate for such probes.
@@ -266,18 +268,11 @@ def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
     draws = [(rng.uniform(-spread, spread), rng.integers(0, spec.q),
               rng.uniform(-spread, spread), rng.integers(0, spec.q),
               complex(rng.normal(), rng.normal())) for _ in range(PROBE_TERMS)]
-    lam, l, gamma, c, z = (np.array(d) for d in zip(*draws))
-    # every term's tf_shift(gaussian(spec), ν), in translate's and modulate's arithmetic
-    phase = np.exp(-2j * np.pi * spec.freqs()[None, :] * lam[:, None])
-    shifted = np.fft.ifft(np.fft.fft(gaussian(spec).values, axis=1) * phase[:, None, :], axis=2)
-    xph = np.exp(2j * np.pi * spec.x()[None, :] * gamma[:, None])
-    chph = np.exp(2j * np.pi * np.arange(spec.q)[None, :] * c[:, None] / spec.q)
-    acc = np.zeros((spec.q, spec.N), dtype=np.complex128)
-    for t in range(PROBE_TERMS):
-        term = np.roll(shifted[t], l[t] % spec.q, axis=0) * chph[t][:, None] * xph[t][None, :]
-        acc = acc + z[t] * term
-    out = GridSignal(spec, acc)
-    return _unit(out)
+    lam, _, gamma, c, z = (np.array(d) for d in zip(*draws))
+    x = spec.x()
+    atoms = np.exp(-np.pi * (x - lam[:, None]) ** 2 + 2j * np.pi * gamma[:, None] * x)
+    chph = np.exp(2j * np.pi * np.outer(np.arange(spec.q), c) / spec.q)
+    return _unit(GridSignal(spec, (chph * z) @ atoms))
 
 
 def save_signal(f: GridSignal, path):

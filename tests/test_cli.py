@@ -417,11 +417,14 @@ def test_unknown_window_exit_code(window, capsys):
     assert f"configuration error: unknown window {window!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("mesh", ["0", "-4"])
+@pytest.mark.parametrize("mesh", ["0", "-4", "1025", "100000"])
 def test_laurent_mesh_below_one_exit_code(mesh, tmp_path, monkeypatch, capsys):
+    # a mesh below 1, or above MESH_POINTS = 1024² points, is refused before allocation
     monkeypatch.chdir(tmp_path)   # laurent-data would write laurent.dat here
     assert main(["laurent-data", "--mesh", mesh]) == 2
-    assert f"Laurent mesh must be at least 1, got {mesh}" in capsys.readouterr().err
+    reason = (f"Laurent mesh must be at least 1, got {mesh}" if int(mesh) < 1
+              else f"Laurent mesh {mesh}x{mesh} exceeds 1048576 points")
+    assert reason in capsys.readouterr().err
     assert not (tmp_path / "laurent.dat").exists()
 
 
@@ -633,7 +636,9 @@ def test_sweep_rejects_bad_input(flags, tmp_path, capsys):
 
 
 def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
+    # ... nor than the machine's processors
     import multiprocessing
+    import os
     sizes = []
 
     class SerialPool:
@@ -651,10 +656,13 @@ def test_sweep_pool_is_no_larger_than_the_job_list(tmp_path, monkeypatch):
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     csv_path = tmp_path / "sweep.csv"
-    assert main(["sweep", "--alpha-range", "0.5,0.5", "--workers", "8",
-                 "--csv", str(csv_path), "--out", str(tmp_path / "s.json")]) == 0
-    assert sizes == [2]
-    assert len(csv_path.read_text().strip().splitlines()) == 3
+    for points, workers, cpus in ((2, "8", 8), (3, "64", 2)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert main(["sweep", "--alpha-range", ",".join(["0.5"] * points),
+                     "--workers", workers, "--csv", str(csv_path),
+                     "--out", str(tmp_path / "s.json")]) == 0
+        assert len(csv_path.read_text().strip().splitlines()) == points + 1
+    assert sizes == [2, 2]
 
 
 @pytest.mark.parametrize("line", ["bad =", "bad gaussian", "h = hermite n=x", "w = sinc",

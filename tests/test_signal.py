@@ -288,12 +288,39 @@ def test_immutability(spec1):
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_random_probe_is_its_term_by_term_sum(q):
-    # the frame-bound, tight-window and reconstruction probes, bit for bit
+    # the frame-bound, tight-window, reconstruction and Moyal probes, bit for bit:
+    # Σ z·exp(2πikc/q)·exp(−π(x−λ)² + 2πiγx) over the draws (λ, l, γ, c, z),
+    # as one (q×6)·(6×N) product; and Σ z·tf_shift(gaussian, ν) to roundoff
     spec = GridSpec(L=22.0, N=512, q=q)
+    x, k = spec.x(), np.arange(q)
     for seed in (0, 7):
+        rng = np.random.default_rng(seed)
+        lam, _, gamma, c, z = (np.array(d) for d in zip(*[
+            (rng.uniform(-2.2, 2.2), rng.integers(0, q), rng.uniform(-2.2, 2.2),
+             rng.integers(0, q), complex(rng.normal(), rng.normal())) for _ in range(6)]))
+        atoms = np.array([np.exp(-np.pi * (x - lam[t]) ** 2 + 2j * np.pi * gamma[t] * x)
+                          for t in range(6)])
+        terms = (np.exp(2j * np.pi * np.outer(k, c) / q) * z) @ atoms
         probe = random_timefreq_probe(spec, np.random.default_rng(seed), spread=2.2)
+        assert np.array_equal(probe.values, terms * (1.0 / norm(GridSignal(spec, terms))))
         oracle = gaussian_probe(spec, np.random.default_rng(seed), spread=2.2, terms=6)
-        assert np.array_equal(probe.values, oracle.values)
+        scale = np.abs(probe.values).max()
+        assert np.abs(probe.values - oracle.values).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("L", [16.0, 22.0])
+@pytest.mark.parametrize("spread", [1.8, 2.2, 2.5])
+def test_random_probe_is_confined_to_its_spread(q, L, spread):
+    # the docstring's max(|λ|,|γ|) ≲ spread: under 1e-20 of the mass lies
+    # outside |x| ≤ spread + 3, and under 1e-20 outside |ω| ≤ spread + 3
+    spec = GridSpec(L=L, N=512, q=q)
+    for seed in range(4):
+        f = random_timefreq_probe(spec, np.random.default_rng(seed), spread=spread).values
+        for mass, axis in ((np.abs(f) ** 2, spec.x()),
+                           (np.abs(np.fft.fft(f, axis=1)) ** 2, spec.freqs())):
+            outside = mass[:, np.abs(axis) > spread + 3].sum()
+            assert outside <= 1e-20 * mass.sum()
 
 
 @pytest.mark.parametrize("build, message", [
