@@ -122,7 +122,8 @@ def _chern_triple_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     """_chern_double_sum's terms of one channel triple with phase 1: V = a at
     ν, b at ν' and c at −ν−ν'.  For each s₁ = n₁+n₁' with |s₁| ≤ k₁, the only
     rows where c(−s₁, ·) can be nonzero, the ν'-sum is one GEMM with the
-    Hankel slice of c(−s₁, ·), zero-padded."""
+    Hankel slice of c(−s₁, ·), zero-padded.  The ν' rows of s₁ are a slice
+    of b and its ν rows a slice of a read backwards: views, not copies."""
     m1, m2 = a.shape
     k1, k2 = (m1 - 1) // 2, (m2 - 1) // 2
     n1s, n2s = np.arange(m1) - k1, np.arange(m2) - k2
@@ -132,13 +133,14 @@ def _chern_triple_sum(a: np.ndarray, b: np.ndarray, c: np.ndarray,
     second = np.stack([second, second * n2s])                # weights 1 and n₂'
     # [s₁ + k₁, n₂ + 2k₂] = V(−s₁, −n₂), 0 for |n₂| > k₂
     third = np.pad(c, [(0, 0), (k2, k2)])[::-1, ::-1]
+    first_rev, n1s_rev = first[::-1], n1s[::-1]   # row i of these is row 2k₁ − i
     total = 0.0j
     for s1 in range(-k1, k1 + 1):
-        rows = np.arange(max(0, s1), min(m1, m1 + s1))   # ν' rows
-        nu = s1 + 2 * k1 - rows                           # ν rows
+        rows = slice(max(0, s1), min(m1, m1 + s1))       # ν' rows
+        nu = slice(rows.start - s1, rows.stop - s1)      # ν = s₁ + 2k₁ − ν', reversed
         g0, g2 = second[:, rows] @ third[s1 + k1, hankel]
-        own = first[nu] * twist[rows]                     # V(ν)·e^{2πiθn₁'n₂}
-        total += np.sum(own * (n1s[rows, None] * n2s * g0 - n1s[nu, None] * g2))
+        own = first_rev[nu] * twist[rows]                 # V(ν)·e^{2πiθn₁'n₂}
+        total += np.sum(own * (n1s[rows, None] * n2s * g0 - n1s_rev[nu, None] * g2))
     return total
 
 

@@ -22,7 +22,6 @@ weight Δx; ω on the FFT bins spec.freqs(), with weight 1/L.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .lattice import LatticeKind, TorusParams, index_bounds
 from .algebra import BOX_BUDGET, _twist_phase
@@ -33,10 +32,16 @@ RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
 CHUNK = 16        # x nodes per block of the full-grid STFT
 
 
-def _stft_blocks(f: GridSignal, g: GridSignal):
-    """(blocks, p): p the least period of g's channels (p | q), and
-    blocks(js, contract) the STFT V[c, l, b, ·] = ⟨f, E_{·,c}T_{x_js[b],l}g⟩
-    at the translations by js[b] whole samples, for l < p.
+def _channel_period(g: GridSignal) -> int:
+    """p, the least period of g's channels (p | q): g(·, k + p) = g(·, k) bitwise."""
+    v, q = g.values, g.spec.q
+    return next((d for d in range(1, q) if q % d == 0 and np.array_equal(v[d:], v[:-d])), q)
+
+
+def _stft_blocks(f: GridSignal, g: GridSignal, p: int, count: int, step: int, width: int):
+    """blocks(js, contract): the STFT V[c, l, b, ·] = ⟨f, E_{·,c}T_{x_js[b],l}g⟩
+    at the translations by js[b] = js[0] + step·b whole samples, b < len(js)
+    ≤ count, for l < p, p = _channel_period(g).
 
     Column l of V depends only on the channels of ḡ rolled by l, so columns
     whose rolls are bitwise equal are one block: the classes l mod p, each
@@ -44,46 +49,73 @@ def _stft_blocks(f: GridSignal, g: GridSignal):
     (Cooley–Tukey): with k = r + p·s′ and c = c′ + (q/p)·u, ḡ(k − l) depends
     on r alone, so the (q/p)-point stage
     F[r, c′, t] = Σ_{s′} ω_q^{−c′(r+ps′)}·Δx·f(x_t', r + p·s′),
-    t' = t − N/2 mod N, is a function of the probe, formed once.  A block
-    gathers the p × p rolled translates of ḡ from a strided view of [ḡ, ḡ]
-    as u[r, c′, l, b, t] = ḡ(x_t' − x_js[b], r − l), multiplies F into it
-    in place, and `contract` sums it over t against the phases of its ω
-    nodes; the p-point stage over r (none at p = 1) is one p × p matrix
-    product.  At p = q, F is f and the stage is the whole q × q DFT."""
+    t' = t − N/2 mod N, is a function of the probe, formed once.  The p × p
+    rolled translates ḡ(x_t' − x_js[b], r − l) of a block are one strided
+    view of a tile of ḡ (2p − 1 channel rows, periodic in t over the span
+    of a block, strides (row, 0, −row, −step, 1) over [r, c′, l, b, t]); one
+    broadcast product writes u = view·F into the first buffer, `contract`
+    sums u over t against the phases of its `width` ω nodes (the time FFT
+    in place, width = N), and the p-point stage over r (none at p = 1) is
+    one p × p matrix product into the second buffer.
+    Both buffers are allocated here, for `count` nodes; a block is a view of
+    one of them, valid until the next call.  At p = q, F is f and the stage
+    is the whole q × q DFT."""
     spec = f.spec
     n, q = spec.N, spec.q
-    gbar = np.conj(g.values)
-    p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
-    rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
+    span = step * (count - 1)   # samples from a block's last node to its first
+    # tile[i, s] = ḡ(s mod N, i + 1 mod p): row p − 1 + r − l is channel r − l, and
+    # a block's view starts at s ≥ span and ends below 2N + span − 1
+    tile = np.conj(g.values)[np.ix_((np.arange(2 * p - 1) + 1) % p,
+                                    np.arange(2 * n + span - 1) % n)]
+    row, item = tile.strides
     k = np.arange(q).reshape(q // p, p).T                   # k[r, s′] = r + p·s′
     twiddle = np.exp(-2j * np.pi * np.arange(q // p)[:, None, None] * k / q)   # [c′, r, s′]
     # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
     fs = spec.dx * np.roll(f.values, n // 2, axis=1)
     probe = (twiddle.swapaxes(0, 1) @ fs[k])[:, :, None, None, :]   # F[r, c′, ·, ·, t]
-    r_minus_l = np.repeat((np.arange(p)[:, None, None] - np.arange(p)) % p, q // p, axis=1)
     dft_p = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+    first = np.empty(q * p * count * n, complex)
+    second = np.empty(q * p * count * width if p > 1 else 0, complex)
 
     def blocks(js, contract):
-        u = rows[r_minus_l[..., None], (n // 2 - js) % n]   # [r, c′, l mod p, b, t]
-        u *= probe
+        shape = (p, q // p, p, len(js), n)                 # [r, c′, l mod p, b, t]
+        start = span + (n // 2 - js[0] - span) % n        # t = 0 of node 0, ≥ span
+        view = np.ndarray(shape, complex, tile, (p - 1) * row + start * item,
+                          (row, 0, -row, -step * item, item))
+        with np.errstate():   # restores the ufunc buffer size on exit
+            # numpy's least buffer, below one t row: the ufunc reads every row of
+            # the view in place, where its default 8192 packs rows into copies
+            np.setbufsize(16)
+            u = np.multiply(view, probe, out=first[:q * p * len(js) * n].reshape(shape))
         v = contract(u)
         if p > 1:
-            v = (dft_p @ v.reshape(p, -1)).reshape(v.shape)
-        return v.reshape(q, p, *v.shape[3:])            # c = c′ + (q/p)·u
-    return blocks, p
+            v = np.matmul(dft_p, v.reshape(p, -1), out=second[:v.size].reshape(p, -1))
+        return v.reshape(q, p, len(js), -1)              # c = c′ + (q/p)·u
+    return blocks
 
 
 def _stft_chunks(f: GridSignal, g: GridSignal):
     """Per chunk js of roll-order x nodes, yield (js, v, mult, group) with
     every node V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered
-    ω nodes read as v[c, group[l], b, m]: the blocks of _stft_blocks by
-    time FFT, each standing for mult = q/p columns, group[l] = l mod p."""
+    ω nodes read as v[c, group[l], b, m]: the blocks of _stft_blocks by an
+    in-place time FFT, each standing for mult = q/p columns, group[l] =
+    l mod p.  v is a view of the chunk buffers, valid only until the next
+    chunk overwrites it.  A chunk holds min(CHUNK, BOX_BUDGET // cells)
+    nodes, with cells = q·p·N per node in each buffer (one at p = 1, two
+    else); a grid on which one node exceeds BOX_BUDGET is refused before
+    either buffer exists."""
     n, q = f.spec.N, f.spec.q
-    blocks, p = _stft_blocks(f, g)
+    p = _channel_period(g)
+    cells = q * p * n * (2 if p > 1 else 1)
+    chunk = min(CHUNK, BOX_BUDGET // cells)
+    if chunk < 1:
+        raise ValueError(f"Moyal STFT: one x node at q={q}, p={p}, N={n} needs {cells} "
+                         f"cells, above {BOX_BUDGET}")
+    blocks = _stft_blocks(f, g, p, chunk, 1, n)
     group = np.arange(q) % p
-    for j0 in range(0, n, CHUNK):
-        js = np.arange(j0, min(j0 + CHUNK, n))
-        yield js, blocks(js, lambda u: np.fft.fft(u, axis=-1)), q // p, group
+    for j0 in range(0, n, chunk):
+        js = np.arange(j0, min(j0 + chunk, n))
+        yield js, blocks(js, lambda u: np.fft.fft(u, axis=-1, out=u)), q // p, group
 
 
 def moyal_check(f: GridSignal, g: GridSignal):
@@ -174,11 +206,12 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     step = shift * spec.dx
     lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
     side = 2 * index_bounds(lat, kind, box)[0] + 1
-    blocks, period = _stft_blocks(g, g)
+    period = _channel_period(g)
     cells = q * side * max(period * spec.N, q * side)   # rolled products, table
     if cells > BOX_BUDGET:
         raise ValueError(f"continuous_chern: {side} nodes a side at q={q}, N={spec.N} "
                          f"need {cells} cells, above {BOX_BUDGET}; raise step or lower box")
+    blocks = _stft_blocks(g, g, period, side, shift, side)
     nodes = np.arange(side) - side // 2
     # e^{−2πiω_b x} at the unrolled x of each rolled sample: ω_b need not be an FFT bin
     phases = np.exp(-2j * np.pi * np.outer(np.roll(spec.x(), spec.N // 2), step * nodes))

@@ -263,8 +263,15 @@ def random_timefreq_probe(spec: GridSpec, rng: np.random.Generator,
     exp(2πi(γx + kc/q))·exp(−π(x−λ)²): T_{·,l} fixes the channel-constant g.
 
     Time-frequency content is confined to max(|λ|,|γ|) ≲ spread, which keeps
-    truncated lattice sums accurate for such probes.
+    truncated lattice sums accurate for such probes.  As `gaussian` does for
+    the centred window, a grid is refused before any draw when an atom at
+    |λ| = spread keeps more than TAIL_TOL of its peak at the seam x = ±L/2.
     """
+    seam = np.exp(-np.pi * max(spec.L / 2 - spread, 0.0) ** 2)
+    if seam > TAIL_TOL:
+        raise ValueError(f"period too small for probes of spread {spread:g}: at L = "
+                         f"{spec.L:g} an atom at |lambda| = {spread:g} keeps {seam:.1e} "
+                         f"of its peak at ±L/2")
     draws = [(rng.uniform(-spread, spread), rng.integers(0, spec.q),
               rng.uniform(-spread, spread), rng.integers(0, spec.q),
               complex(rng.normal(), rng.normal())) for _ in range(PROBE_TERMS)]

@@ -130,6 +130,50 @@ def single_stage_stft_blocks(f, g):
     return blocks, p
 
 
+def gathered_stft_blocks(f, g):
+    """`moyal._stft_blocks` kept verbatim from before its blocks were
+    streamed through reused buffers, an oracle that the blocks of
+    `_stft_chunks` and of `continuous_chern` must equal bitwise.
+
+    (blocks, p): p the least period of g's channels (p | q), and
+    blocks(js, contract) the STFT V[c, l, b, ·] = ⟨f, E_{·,c}T_{x_js[b],l}g⟩
+    at the translations by js[b] whole samples, for l < p.
+
+    Column l of V depends only on the channels of ḡ rolled by l, so columns
+    whose rolls are bitwise equal are one block: the classes l mod p, each
+    standing for q/p columns.  The channel DFT over ℤ_q splits at p
+    (Cooley–Tukey): with k = r + p·s′ and c = c′ + (q/p)·u, ḡ(k − l) depends
+    on r alone, so the (q/p)-point stage
+    F[r, c′, t] = Σ_{s′} ω_q^{−c′(r+ps′)}·Δx·f(x_t', r + p·s′),
+    t' = t − N/2 mod N, is a function of the probe, formed once.  A block
+    gathers the p × p rolled translates of ḡ from a strided view of [ḡ, ḡ]
+    as u[r, c′, l, b, t] = ḡ(x_t' − x_js[b], r − l), multiplies F into it
+    in place, and `contract` sums it over t against the phases of its ω
+    nodes; the p-point stage over r (none at p = 1) is one p × p matrix
+    product.  At p = q, F is f and the stage is the whole q × q DFT."""
+    spec = f.spec
+    n, q = spec.N, spec.q
+    gbar = np.conj(g.values)
+    p = next((d for d in range(1, q) if q % d == 0 and np.array_equal(gbar[d:], gbar[:-d])), q)
+    rows = sliding_window_view(np.concatenate([gbar, gbar], axis=1), n, axis=1)  # ḡ(k, s+t)
+    k = np.arange(q).reshape(q // p, p).T                   # k[r, s′] = r + p·s′
+    twiddle = np.exp(-2j * np.pi * np.arange(q // p)[:, None, None] * k / q)   # [c′, r, s′]
+    # e^{−2πi x₀ ω_m} = (−1)^m, x₀ = −L/2, is a half-period shift: read f, ḡ N/2 samples late
+    fs = spec.dx * np.roll(f.values, n // 2, axis=1)
+    probe = (twiddle.swapaxes(0, 1) @ fs[k])[:, :, None, None, :]   # F[r, c′, ·, ·, t]
+    r_minus_l = np.repeat((np.arange(p)[:, None, None] - np.arange(p)) % p, q // p, axis=1)
+    dft_p = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
+
+    def blocks(js, contract):
+        u = rows[r_minus_l[..., None], (n // 2 - js) % n]   # [r, c′, l mod p, b, t]
+        u *= probe
+        v = contract(u)
+        if p > 1:
+            v = (dft_p @ v.reshape(p, -1)).reshape(v.shape)
+        return v.reshape(q, p, *v.shape[3:])            # c = c′ + (q/p)·u
+    return blocks, p
+
+
 def naive_chern_double_sum(v, v3, theta):
     """Reduced Chern double sum term by term over (ν, l, c) and (ν', l', c').
 

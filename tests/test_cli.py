@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncgabor import algebra, cli, frame, geometry
+from ncgabor import algebra, cli, frame, geometry, moyal
 from ncgabor.cli import CSV_COLUMNS, build_parser, main
 from ncgabor.lattice import LatticeKind
 from ncgabor.signal import GridSignal, gaussian, load_signal, save_signal
@@ -681,6 +681,32 @@ def test_malformed_corpus_line_exit_code(line, tmp_path, capsys):
     assert main(["moyal", "--q", "1", "--L", "16", "--corpus", str(corpus)]) == 2
     err = capsys.readouterr().err
     assert "configuration error: corpus line 3" in err and repr(line) in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    # L = 5 with a corpus of no Gaussian: only the probe can refuse the grid
+    (["--L", "5", "--corpus", "no_gaussian.cfg"], "at L = 5 an atom at |lambda| = 2 keeps 4.6e-01"),
+    # L = 8 with the default corpus, whose windows all fit
+    (["--L", "8"], "at L = 8 an atom at |lambda| = 2 keeps 3.5e-06")])
+def test_moyal_probe_reaching_the_seam_exit_code(flags, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)   # the corpus is read, and the report would be written, here
+    (tmp_path / "no_gaussian.cfg").write_text("h = hermite n=1\nb = bump width=2\n")
+    assert main(["moyal", *flags, "--out", "moyal.json"]) == 2
+    err = capsys.readouterr().err
+    assert ("configuration error: period too small for probes of spread 2: " + message) in err
+    assert "Traceback" not in err and not (tmp_path / "moyal.json").exists()
+
+
+def test_moyal_node_over_budget_exit_code(tmp_path, monkeypatch, capsys):
+    # the default corpus's first window, the lifted Gaussian at q = 3, holds
+    # 3·512 cells per x node: a budget below that is refused before the STFT
+    monkeypatch.setattr(moyal, "BOX_BUDGET", 1000)
+    out = tmp_path / "moyal.json"
+    assert main(["moyal", "--q", "3", "--r", "1", "--s", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("configuration error: Moyal STFT: one x node at q=3, p=1, N=512 needs 1536 "
+            "cells, above 1000") in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_steep_generalized_gaussian_corpus_line(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -18,7 +19,8 @@ from ncgabor.moyal import (_corpus_entry, _stft_chunks, bump_window, bandlimited
                            continuous_inner_right, continuous_trace_r,
                            default_window_corpus, eigen_residual,
                            load_corpus_file, moyal_check)
-from conftest import full_grid_energy, gaussian_probe, single_stage_stft_blocks
+from conftest import (full_grid_energy, gathered_stft_blocks, gaussian_probe,
+                      single_stage_stft_blocks)
 
 
 SPEC = GridSpec(L=16.0, N=512, q=1)
@@ -113,6 +115,87 @@ def test_stft_chunks_match_the_single_stage_dft(q):
     assert periods == {1, q}
 
 
+@pytest.mark.parametrize("n", [200, 512])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6])
+def test_stft_chunks_match_the_gathered_blocks(q, n):
+    # the blocks streamed through two reused buffers are bitwise those of the
+    # gathered rolled translates (N = 200 leaves a partial last chunk), and
+    # every chunk is a view of one buffer: nothing is allocated per chunk
+    spec = GridSpec(L=16.0, N=n, q=q)
+    f = gaussian_probe(spec, np.random.default_rng(q), spread=2.0)
+    for name, w, _ in load_corpus_file(CORPUS, spec):
+        oracle, _ = gathered_stft_blocks(f, w)
+        chunks = _stft_chunks(f, w)
+        js, first, _, _ = next(chunks)
+        assert np.array_equal(first, oracle(js, lambda u: np.fft.fft(u, axis=-1))), name
+        for js, v, _, _ in chunks:
+            assert np.shares_memory(v, first), name
+            assert np.array_equal(v, oracle(js, lambda u: np.fft.fft(u, axis=-1))), name
+
+
+@pytest.mark.parametrize("q, box", [(1, 5.0), (1, 9.0), (1, 12.0), (2, 9.0)])
+def test_continuous_chern_blocks_match_the_gathered_blocks(q, box, monkeypatch):
+    # continuous_chern's x nodes, 4 samples apart, span 320 samples at box = 5
+    # and more than the 512-sample period at box = 9 (576) and 12 (768); its
+    # blocks are bitwise those of the gather, for one class of l at q = 1 and
+    # for the two distinct channels at q = 2 (the p-point stage's buffer)
+    spec = GridSpec(L=16.0, N=512, q=q)
+    g = gaussian(spec, coeffs=[1.0, 0.3 - 0.4j][:q], lam=0.8)
+    streamed, checked = moyal._stft_blocks, []
+
+    def checking_blocks(f, w, *args):
+        blocks, (oracle, _) = streamed(f, w, *args), gathered_stft_blocks(f, w)
+
+        def both(js, contract):
+            v = blocks(js, contract)
+            checked.append(np.array_equal(v, oracle(js, contract)))
+            return v
+        return both
+
+    monkeypatch.setattr(moyal, "_stft_blocks", checking_blocks)
+    assert abs(continuous_chern(g, box=box) - q) < 1e-6
+    assert checked == [True]
+
+
+def test_moyal_check_allocates_nothing_per_chunk():
+    # one q = 3 noise_a check (p = 3: 32 chunks of 16 x nodes) holds its two
+    # chunk buffers and the tile of conj(g), 2p - 1 rows of 2N + 14 samples,
+    # and at most 64 KiB besides; a block formed per chunk would add 1.2 MB
+    spec = GridSpec(L=16.0, N=512, q=3)
+    w = {n: w for n, w, _ in load_corpus_file(CORPUS, spec)}["noise_a"]
+    f = gaussian_probe(spec, np.random.default_rng(3), spread=2.0)
+    moyal_check(f, w)   # the FFT's plan cache is filled once
+    tracemalloc.start()
+    try:
+        moyal_check(f, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffers, tile = 2 * 3 * 3 * moyal.CHUNK * spec.N, 5 * (2 * spec.N + moyal.CHUNK - 2)
+    assert peak <= 16 * (buffers + tile) + (64 << 10)
+
+
+def test_moyal_chunk_is_sized_from_the_budget(monkeypatch):
+    # one x node at q = 3, N = 512 holds 3·1·512 cells for a lifted window and
+    # 2·3·3·512 (two buffers) for distinct channels; a budget of 5 such nodes
+    # makes chunks of 5, whose sums agree with the chunks of 16 to roundoff
+    spec = GridSpec(L=16.0, N=512, q=3)
+    f = gaussian_probe(spec, np.random.default_rng(3), spread=2.0)
+    windows = {n: w for n, w, _ in load_corpus_file(CORPUS, spec)}
+    for name, cells in [("hermite1", 3 * 512), ("noise_a", 2 * 3 * 3 * 512)]:
+        _, rhs, err = moyal_check(f, windows[name])
+        monkeypatch.setattr(moyal, "BOX_BUDGET", 5 * cells + 1)
+        assert {len(js) for js, _, _, _ in _stft_chunks(f, windows[name])} == {5, 2}
+        _, rhs_small, err_small = moyal_check(f, windows[name])
+        assert rhs_small == rhs and abs(err_small - err) < 1e-15
+        monkeypatch.setattr(moyal, "BOX_BUDGET", cells - 1)
+        with pytest.raises(ValueError, match=re.escape(
+                f"one x node at q=3, p={3 if name == 'noise_a' else 1}, N=512 needs "
+                f"{cells} cells, above {cells - 1}")):
+            moyal_check(f, windows[name])
+        monkeypatch.undo()
+
+
 @pytest.mark.parametrize("window, kwargs, match", [
     ("noise", {"bandwidth": math.nan}, "noise bandwidth must be finite and positive, got nan"),
     ("noise", {"bandwidth": -1.0}, "noise bandwidth must be finite and positive, got -1.0"),
@@ -148,15 +231,17 @@ def test_moyal_check_transforms_each_distinct_column_once(name, rows, monkeypatc
     spec = GridSpec(L=16.0, N=512, q=3)
     w = {n: w for n, w, _ in load_corpus_file(CORPUS, spec)}[name]
     f = gaussian_probe(spec, np.random.default_rng(3), spread=2.0)
-    fft, counted = np.fft.fft, []
+    fft, counted, in_place = np.fft.fft, [], []
 
     def counting_fft(a, *args, **kwargs):
         counted.append(a.size // a.shape[-1])
+        in_place.append(kwargs.get("out") is a)
         return fft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "fft", counting_fft)
     _, _, err = moyal_check(f, w)
     assert sum(counted) == rows * spec.N
+    assert all(in_place)   # every FFT writes into the block it transforms
     assert err < 1e-13
 
 

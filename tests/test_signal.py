@@ -323,6 +323,21 @@ def test_random_probe_is_confined_to_its_spread(q, L, spread):
             assert outside <= 1e-20 * mass.sum()
 
 
+@pytest.mark.parametrize("L, spread, kept", [(5.0, 2.0, "4.6e-01"), (8.0, 2.0, "3.5e-06"),
+                                             (10.0, 2.5, "3.0e-09"), (16.0, 5.1, "3.4e-12")])
+def test_random_probe_reaching_the_seam_is_refused_before_it_draws(L, spread, kept):
+    # as gaussian() refuses the centred window, by the mass an atom at
+    # |λ| = spread keeps at x = ±L/2, relative to its peak, against TAIL_TOL
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=re.escape(
+            f"period too small for probes of spread {spread:g}: at L = {L:g} an atom at "
+            f"|lambda| = {spread:g} keeps {kept} of its peak at ±L/2")):
+        random_timefreq_probe(GridSpec(L=L, N=256), rng, spread=spread)
+    assert rng.bit_generator.state == state
+    random_timefreq_probe(GridSpec(L=16.0, N=256), rng, spread=5.0)   # 5.3e-13 is kept
+
+
 @pytest.mark.parametrize("build, message", [
     (lambda spec: GridSignal(spec, np.zeros((2, spec.N))),
      "values must have shape (q, N) = (1, 64), got (2, 64)"),
