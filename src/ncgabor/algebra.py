@@ -27,16 +27,14 @@ from functools import cached_property
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, index_bounds, lattice_shift, lattice_twist
-from .signal import GridSignal, GridSpec, _check_same_spec
+from .signal import GridSignal, GridSpec, _check_same_spec, _fit_budget
 
 PRUNE_TOL = 1e-14  # entries below this magnitude are dropped after arithmetic
-BOX_BUDGET = 1 << 22  # cells (64 MiB); larger boxes are refused before allocation
 
 
 def _zeros(rows, cols) -> np.ndarray:
     """Zero box of the given shape, refused above BOX_BUDGET cells."""
-    if rows * cols > BOX_BUDGET:
-        raise ValueError(f"a {rows}x{cols} lattice box exceeds {BOX_BUDGET} cells")
+    _fit_budget(rows * cols, f"a {rows}x{cols} lattice box")
     return np.zeros((rows, cols), dtype=np.complex128)
 
 
@@ -295,14 +293,14 @@ def twisted_conv(a1: LatticeSeq, a2: LatticeSeq) -> LatticeSeq:
         return (g + r2 - 1) * (g * b + b + c1 - 1) + g * b * (b + c1 - 1)
 
     block = c2
-    while block > 1 and cells(1, block) > BOX_BUDGET:
+    while block > 1 and not _fit_budget(cells(1, block)):
         block = (block + 1) // 2
     group = min(max(8, 4 * r2), r1)
-    while group > 1 and cells(group, block) > BOX_BUDGET:
+    while group > 1 and not _fit_budget(cells(group, block)):
         group //= 2
     origin = (a1.origin[0] + a2.origin[0], a1.origin[1] + a2.origin[1])
     n2s = np.arange(a2.origin[1], a2.origin[1] + col * c2, col)
-    if col == 1 and group == r1 and block == c2 and cells(r1, c2) <= BOX_BUDGET:
+    if col == 1 and group == r1 and block == c2 and _fit_budget(cells(r1, c2)):
         n1s = np.arange(a1.origin[0], a1.origin[0] + r1)
         return LatticeSeq.from_box(a1.params, a1.kind, origin, _band_product(
             b1, b2, _twist_phase(a1.params, a1.kind, n1s, n2s)))
@@ -376,18 +374,16 @@ def _box_axes(params: TorusParams, kind: LatticeKind, radius: float, spec: GridS
 def _atoms(g: GridSignal, params: TorusParams, kind: LatticeKind, n1s, n2s):
     """The Gabor atoms E_{γ_b, c_b} T_{λ_a, l_a} g of the index box n1s × n2s
     of `kind`, as two factors: the (M₁, qN) translated windows `tg` and the
-    (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  Refused before
-    allocation when the box or the two factors exceed BOX_BUDGET cells.
+    (M₂, qN) modulations `mod`; atom (a, b) is mod[b]·tg[a].  The caller
+    refuses the box first (`_box_axes`, `_check_atom_box`).
     """
-    _check_atom_box(len(n1s), len(n2s), g.spec)
     return (_translates(g, *lattice_shift(params, kind, 1, n1s)),
             _modulations(g.spec, *lattice_shift(params, kind, 2, n2s)))
 
 
 def _check_atom_box(m1: int, m2: int, spec: GridSpec):
     size = spec.q * spec.N
-    if max(m1 * m2, (m1 + m2) * size) > BOX_BUDGET:
-        raise ValueError(f"a {m1}x{m2} box of {size}-sample atoms exceeds {BOX_BUDGET} cells")
+    _fit_budget(max(m1 * m2, (m1 + m2) * size), f"a {m1}x{m2} box of {size}-sample atoms")
 
 
 def _atom_key(factor: str, spec: GridSpec, shift: np.ndarray) -> tuple:
@@ -430,8 +426,8 @@ def _right_action(b: LatticeSeq, spec: GridSpec):
     """f ↦ f·b on signals of `spec`, with the half that does not read f built
     once: the (rows, qN) table (b·conj φ(ν°,ν°)) @ mod over the rows n₁ of b
     that hold a nonzero entry, against which the translates of f sum."""
+    _check_atom_box(*b.box.shape, spec)
     n1s, n2s = b.axes()
-    _check_atom_box(len(n1s), len(n2s), spec)
     params, kind = b.params, LatticeKind.ADJOINT
     coeff = b.box * np.conj(_twist_phase(params, kind, n1s, n2s))
     rows = coeff.any(axis=1)
@@ -453,6 +449,7 @@ def act_left(a: LatticeSeq, f: GridSignal) -> GridSignal:
     if a.kind is not LatticeKind.TIME_FREQ:
         raise ValueError("act_left expects a time-frequency lattice sequence")
     _check_params_spec(a.params, f.spec)
+    _check_atom_box(*a.box.shape, f.spec)
     tg, mod = _atoms(f, a.params, LatticeKind.TIME_FREQ, *a.axes())
     return _synthesise(tg, a.box @ mod, f.spec)
 

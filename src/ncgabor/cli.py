@@ -44,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .lattice import LatticeKind, TorusParams
-from .signal import GridSpec, random_timefreq_probe, save_signal
+from .signal import GridSpec, random_timefreq_probe, save_signal, _fit_budget
 from .algebra import (LatticeSeq, inner_left, l1_diff, trace_l,
                       twisted_conv, twisted_star)
 from .frame import (DUAL_MAX_ITER, ConvergenceError, GridError, NotAFrameError,
@@ -297,13 +297,14 @@ def view_moyal(args, pipeline):
 
 
 def _parse_range(text):
-    """'a', 'a:b:h' (finite, h > 0) or comma list -> non-empty list of floats."""
+    """'a', 'a:b:h' (finite, h > 0, ≤ BOX_BUDGET points) or comma list -> non-empty floats."""
     if ":" in text:
         start, stop, step = (float(v) for v in text.split(":"))
         if not (step > 0 and np.isfinite([start, stop, step]).all()):
             raise ValueError(f"range {text!r} needs finite start:stop:step with step > 0")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        values = [start + i * step for i in range(n)]
+        n = np.floor((stop - start) / step + 1e-9) + 1   # a float: it may be inf
+        _fit_budget(n, f"sweep range {text!r} of {n:.0f} points")
+        values = [start + i * step for i in range(int(n))]
     else:
         values = [float(v) for v in text.split(",")]
     if not values:
@@ -355,6 +356,7 @@ def view_sweep(args, pipeline):
         raise ValueError(f"--workers must be at least 1, got {args.workers}")
     alphas = _parse_range(args.alpha_range)
     betas = _parse_range(args.beta_range)
+    _fit_budget(len(alphas) * len(betas), f"a {len(alphas)}x{len(betas)} sweep grid")
     args_dict = {k: v for k, v in vars(args).items() if k != "func"}
     jobs = [(a, b, args_dict) for a in alphas for b in betas]
     processes = min(args.workers, len(jobs), os.cpu_count() or 1)

@@ -23,11 +23,10 @@ from typing import Optional
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, lattice_shift
-from .algebra import (BOX_BUDGET, PRUNE_TOL, LatticeSeq, inner_left, inner_right, l1_diff,
-                      twisted_conv, twisted_star, _analyse, _atoms, _box_axes,
-                      _check_params_spec, _right_action, _synthesise, _translates,
-                      _twist_phase)
-from .signal import (GridSignal, GridSpec, _check_same_spec, inner, norm,
+from .algebra import (PRUNE_TOL, LatticeSeq, inner_left, inner_right, l1_diff, twisted_conv,
+                      twisted_star, _analyse, _atoms, _box_axes, _check_params_spec,
+                      _right_action, _synthesise, _translates, _twist_phase)
+from .signal import (GridSignal, GridSpec, _check_same_spec, _fit_budget, inner, norm,
                      random_timefreq_probe)
 
 
@@ -438,9 +437,8 @@ def adjoint_shift_family(g: GridSignal, params: TorusParams,
     """Matrix whose columns are π°(ν°)g over the truncated adjoint lattice,
     refused before allocation above BOX_BUDGET cells."""
     n1s, n2s = _box_axes(params, LatticeKind.ADJOINT, radius, g.spec)
-    if len(n1s) * len(n2s) * g.values.size > BOX_BUDGET:
-        raise ValueError(f"a {len(n1s)}x{len(n2s)} adjoint shift family of {g.values.size}"
-                         f"-sample columns exceeds {BOX_BUDGET} cells")
+    _fit_budget(len(n1s) * len(n2s) * g.values.size, f"a {len(n1s)}x{len(n2s)} adjoint "
+                f"shift family of {g.values.size}-sample columns")
     tg, mod = _atoms(g, params, LatticeKind.ADJOINT, n1s, n2s)
     cols = tg[:, None, :] * mod[None, :, :]
     cols *= np.conj(_twist_phase(params, LatticeKind.ADJOINT, n1s, n2s))[:, :, None]

@@ -24,8 +24,8 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import LatticeKind, TorusParams, index_bounds
-from .algebra import BOX_BUDGET, _twist_phase
-from .signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, _unit
+from .algebra import _twist_phase
+from .signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, _fit_budget, _unit
 from .geometry import _chern_double_sum, covariant
 
 RING_TOL = 1e-8  # continuous_chern's admissible table mass on the box edge
@@ -57,9 +57,9 @@ def _stft_blocks(f: GridSignal, g: GridSignal, p: int, count: int, step: int, wi
     sums u over t against the phases of its `width` ω nodes (the time FFT
     in place, width = N), and the p-point stage over r (none at p = 1) is
     one p × p matrix product into the second buffer.
-    Both buffers are allocated here, for `count` nodes; a block is a view of
-    one of them, valid until the next call.  At p = q, F is f and the stage
-    is the whole q × q DFT."""
+    Both buffers are allocated here, as one array of count·_stft_cells
+    cells; a block is a view of one of them, valid until the next call.  At
+    p = q, F is f and the stage is the whole q × q DFT."""
     spec = f.spec
     n, q = spec.N, spec.q
     span = step * (count - 1)   # samples from a block's last node to its first
@@ -74,8 +74,8 @@ def _stft_blocks(f: GridSignal, g: GridSignal, p: int, count: int, step: int, wi
     fs = spec.dx * np.roll(f.values, n // 2, axis=1)
     probe = (twiddle.swapaxes(0, 1) @ fs[k])[:, :, None, None, :]   # F[r, c′, ·, ·, t]
     dft_p = np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(p)) / p)
-    first = np.empty(q * p * count * n, complex)
-    second = np.empty(q * p * count * width if p > 1 else 0, complex)
+    first, second = np.split(np.empty(count * _stft_cells(spec, p, width), complex),
+                             [q * p * count * n])
 
     def blocks(js, contract):
         shape = (p, q // p, p, len(js), n)                 # [r, c′, l mod p, b, t]
@@ -94,23 +94,25 @@ def _stft_blocks(f: GridSignal, g: GridSignal, p: int, count: int, step: int, wi
     return blocks
 
 
+def _stft_cells(spec: GridSpec, p: int, width: int) -> int:
+    """Cells per x node of _stft_blocks' two buffers (q·p·N, and q·p·width at p > 1)."""
+    return spec.q * p * (spec.N + (width if p > 1 else 0))
+
+
 def _stft_chunks(f: GridSignal, g: GridSignal):
     """Per chunk js of roll-order x nodes, yield (js, v, mult, group) with
     every node V[c,l,b,m] = ⟨f, E_{ω_m,c}T_{x_js[b],l}g⟩ on the FFT-ordered
     ω nodes read as v[c, group[l], b, m]: the blocks of _stft_blocks by an
     in-place time FFT, each standing for mult = q/p columns, group[l] =
     l mod p.  v is a view of the chunk buffers, valid only until the next
-    chunk overwrites it.  A chunk holds min(CHUNK, BOX_BUDGET // cells)
-    nodes, with cells = q·p·N per node in each buffer (one at p = 1, two
-    else); a grid on which one node exceeds BOX_BUDGET is refused before
-    either buffer exists."""
+    chunk overwrites it.  A chunk holds as many nodes, up to CHUNK, as
+    BOX_BUDGET holds _stft_cells; a grid on which one node exceeds
+    BOX_BUDGET is refused before either buffer exists."""
     n, q = f.spec.N, f.spec.q
     p = _channel_period(g)
-    cells = q * p * n * (2 if p > 1 else 1)
-    chunk = min(CHUNK, BOX_BUDGET // cells)
-    if chunk < 1:
-        raise ValueError(f"Moyal STFT: one x node at q={q}, p={p}, N={n} needs {cells} "
-                         f"cells, above {BOX_BUDGET}")
+    cells = _stft_cells(f.spec, p, n)
+    chunk = min(CHUNK, _fit_budget(cells, f"Moyal STFT: one x node at q={q}, p={p}, "
+                                          f"N={n} ({cells} cells)"))
     blocks = _stft_blocks(f, g, p, chunk, 1, n)
     group = np.arange(q) % p
     for j0 in range(0, n, chunk):
@@ -195,7 +197,7 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     to quadrature truncation, for every window whose phase-space mass lies
     inside the box; a table whose relative ℓ² mass on its outermost ring
     of nodes reaches RING_TOL is refused, as are a step or box that is not
-    finite and positive and work arrays above BOX_BUDGET cells.
+    finite and positive and STFT buffers and table above BOX_BUDGET cells.
     """
     spec, q = g.spec, g.spec.q
     for name, value in (("step", step), ("box", box)):   # in samples, so that none overflows
@@ -207,10 +209,9 @@ def continuous_chern(g: GridSignal, step: float = 0.125, box: float = 5.0) -> co
     lat, kind = TorusParams(step, step), LatticeKind.TIME_FREQ
     side = 2 * index_bounds(lat, kind, box)[0] + 1
     period = _channel_period(g)
-    cells = q * side * max(period * spec.N, q * side)   # rolled products, table
-    if cells > BOX_BUDGET:
-        raise ValueError(f"continuous_chern: {side} nodes a side at q={q}, N={spec.N} "
-                         f"need {cells} cells, above {BOX_BUDGET}; raise step or lower box")
+    cells = side * _stft_cells(spec, period, side) + (q * side) ** 2   # buffers, table
+    _fit_budget(cells, f"continuous_chern (raise step or lower box): a box of {side} nodes "
+                       f"a side at q={q}, N={spec.N} needing {cells} cells at p={period}")
     blocks = _stft_blocks(g, g, period, side, shift, side)
     nodes = np.arange(side) - side // 2
     # e^{−2πiω_b x} at the unrolled x of each rolled sample: ω_b need not be an FFT bin
@@ -314,22 +315,29 @@ def _corpus_entry(line: str, spec: GridSpec):
 def default_window_corpus(spec: GridSpec, seed: int = 23):
     """Twelve windows: four generalized Gaussians, Hermites, bumps, noise.
 
-    Returns a list of (name, signal, is_generalized_gaussian).
+    Returns a list of (name, signal, is_generalized_gaussian), built in
+    order; a window refused on `spec` is named, as a corpus file's line is.
     """
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=spec.q) + 1j * rng.normal(size=spec.q)
     entries = [
-        ("gaussian", gaussian(spec), True),
-        ("gaussian_lam2", gaussian(spec, lam=2.0), True),
-        ("gaussian_lam_complex", gaussian(spec, lam=1.0 + 0.7j), True),
-        ("gaussian_random_channels", gaussian(spec, coeffs=coeffs), True),
-        ("hermite1", hermite(spec, 1), False),
-        ("hermite2", hermite(spec, 2), False),
-        ("hermite3", hermite(spec, 3), False),
-        ("bump_w2", bump_window(spec, width=2.0), False),
-        ("bump_w3", bump_window(spec, width=3.0, power=4), False),
-        ("noise_a", bandlimited_noise_window(spec, rng), False),
-        ("noise_b", bandlimited_noise_window(spec, rng, bandwidth=1.5), False),
-        ("noise_c", bandlimited_noise_window(spec, rng, bandwidth=3.5, envelope=2.5), False),
+        ("gaussian", lambda: gaussian(spec), True),
+        ("gaussian_lam2", lambda: gaussian(spec, lam=2.0), True),
+        ("gaussian_lam_complex", lambda: gaussian(spec, lam=1.0 + 0.7j), True),
+        ("gaussian_random_channels", lambda: gaussian(spec, coeffs=coeffs), True),
+        ("hermite1", lambda: hermite(spec, 1), False),
+        ("hermite2", lambda: hermite(spec, 2), False),
+        ("hermite3", lambda: hermite(spec, 3), False),
+        ("bump_w2", lambda: bump_window(spec, width=2.0), False),
+        ("bump_w3", lambda: bump_window(spec, width=3.0, power=4), False),
+        ("noise_a", lambda: bandlimited_noise_window(spec, rng), False),
+        ("noise_b", lambda: bandlimited_noise_window(spec, rng, bandwidth=1.5), False),
+        ("noise_c", lambda: bandlimited_noise_window(spec, rng, bandwidth=3.5, envelope=2.5), False),
     ]
-    return entries
+    out = []
+    for name, build, is_gauss in entries:
+        try:
+            out.append((name, build(), is_gauss))
+        except ValueError as exc:
+            raise ValueError(f"default corpus window {name!r}: {exc}") from None
+    return out

@@ -22,6 +22,15 @@ import numpy as np
 
 TAIL_TOL = 1e-12  # admissible relative window mass at the periodization seam
 PROBE_TERMS = 6   # Gaussian atoms summed by random_timefreq_probe
+BOX_BUDGET = 1 << 22  # cells (64 MiB complex) of a grid, box or work array a flag sizes
+
+
+def _fit_budget(cells, what=None):
+    """How many arrays of `cells` cells fit in BOX_BUDGET, read at call time;
+    when none does, the one that `what` names is refused before it exists."""
+    if cells > BOX_BUDGET and what:
+        raise ValueError(f"{what} exceeds {BOX_BUDGET} cells")
+    return BOX_BUDGET // max(cells, 1)
 
 
 @dataclass(frozen=True)
@@ -39,6 +48,7 @@ class GridSpec:
             raise ValueError("sample count N must be a positive even integer")
         if self.q < 1:
             raise ValueError("channel count q must be >= 1")
+        _fit_budget(self.q * self.N, f"a grid of q·N = {self.q}·{self.N} samples")
 
     @property
     def dx(self) -> float:

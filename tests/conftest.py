@@ -12,7 +12,7 @@ from hypothesis import Phase, settings, strategies as st
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_generators, lattice_shift
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, cocycle,
                             gaussian, norm, tf_shift)
-from ncgabor import algebra
+from ncgabor import signal
 from ncgabor.algebra import (PRUNE_TOL, LatticeSeq, trace_l, twisted_conv, _atoms, _box_axes,
                              _band_product, _check_compatible, _twist_phase, _zeros)
 from ncgabor.frame import adjoint_span_residual
@@ -268,7 +268,7 @@ def loop_twisted_conv(a1, a2):
 def grouped_twisted_conv(a1, a2):
     """♮-product as one GEMM per group of a₁'s nonzero rows on the fixed
     grid, for every operand: the grouped loop of `twisted_conv` before its
-    one-cell case, kept verbatim (BOX_BUDGET read off the module, so a test
+    one-cell case, kept verbatim (BOX_BUDGET read off signal.py, so a test
     that lowers it lowers it here too).  `twisted_conv` must equal it
     bitwise."""
     _check_compatible(a1, a2)
@@ -285,10 +285,10 @@ def grouped_twisted_conv(a1, a2):
         return (g + r2 - 1) * (g * b + b + c1 - 1) + g * b * (b + c1 - 1)
 
     block = c2
-    while block > 1 and cells(1, block) > algebra.BOX_BUDGET:
+    while block > 1 and cells(1, block) > signal.BOX_BUDGET:
         block = (block + 1) // 2
     group = min(max(8, 4 * r2), r1)
-    while group > 1 and cells(group, block) > algebra.BOX_BUDGET:
+    while group > 1 and cells(group, block) > signal.BOX_BUDGET:
         group //= 2
     n2s = np.arange(a2.origin[1], a2.origin[1] + col * c2, col)
     for _, cell in itertools.groupby(rows, lambda i: i // group):

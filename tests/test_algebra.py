@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ncgabor.lattice import LatticeKind, TorusParams, lattice_shift, lattice_twist
-from ncgabor.signal import GridSpec, cocycle, gaussian, inner, norm
-from ncgabor import algebra
-from ncgabor.algebra import (BOX_BUDGET, LatticeSeq, act_left, act_right, inner_left,
+from ncgabor.signal import BOX_BUDGET, GridSpec, cocycle, gaussian, inner, norm
+from ncgabor import algebra, signal
+from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left,
                              inner_right, l1_diff, load_seq, save_seq,
                              trace_l, trace_r, twisted_conv, twisted_star)
 from ncgabor.frame import adjoint_shift_family
@@ -327,7 +327,7 @@ def test_budget_blocks_and_row_groups_match_the_entry_loop(params, rng, monkeypa
              # compressed to 11 columns: rows one at a time, a₂ in blocks of 6 and 5
              (box(3, 21, step=2), box(1, 21, step=2)),
              (box(1, 12), box(1, 12))]                # a single row, a₂ in two 6-column blocks
-    monkeypatch.setattr(algebra, "BOX_BUDGET", 200)
+    monkeypatch.setattr(signal, "BOX_BUDGET", 200)
     for a, b in pairs:
         _assert_matches_loop(a, b)
 

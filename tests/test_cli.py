@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from ncgabor import algebra, cli, frame, geometry, moyal
+from ncgabor import algebra, cli, frame, geometry, signal
 from ncgabor.cli import CSV_COLUMNS, build_parser, main
 from ncgabor.lattice import LatticeKind
 from ncgabor.signal import GridSignal, gaussian, load_signal, save_signal
@@ -697,15 +697,28 @@ def test_moyal_probe_reaching_the_seam_exit_code(flags, message, tmp_path, monke
     assert "Traceback" not in err and not (tmp_path / "moyal.json").exists()
 
 
+def test_default_corpus_names_its_refused_window(tmp_path, capsys):
+    # at L = 5 the default corpus's first window, the Gaussian, keeps more than
+    # TAIL_TOL of its peak at ±L/2; the refusal names it, as a corpus line is
+    out = tmp_path / "moyal.json"
+    assert main(["moyal", "--L", "5", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("configuration error: default corpus window 'gaussian': period too small: "
+            "Gaussian tail does not vanish at ±L/2") in err
+    assert "Traceback" not in err and not out.exists()
+
+
 def test_moyal_node_over_budget_exit_code(tmp_path, monkeypatch, capsys):
-    # the default corpus's first window, the lifted Gaussian at q = 3, holds
-    # 3·512 cells per x node: a budget below that is refused before the STFT
-    monkeypatch.setattr(moyal, "BOX_BUDGET", 1000)
+    # at q = 3 the lifted windows of the default corpus (p = 1) hold 3·512
+    # cells per x node, the grid's q·N, and run in chunks of 3 under a budget
+    # of 5000; its fourth window, a Gaussian with distinct channels (p = 3),
+    # holds 2·3·3·512 in two buffers and is refused before its STFT
+    monkeypatch.setattr(signal, "BOX_BUDGET", 5000)
     out = tmp_path / "moyal.json"
     assert main(["moyal", "--q", "3", "--r", "1", "--s", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert ("configuration error: Moyal STFT: one x node at q=3, p=1, N=512 needs 1536 "
-            "cells, above 1000") in err
+    assert ("configuration error: Moyal STFT: one x node at q=3, p=3, N=512 (9216 cells) "
+            "exceeds 5000 cells") in err
     assert "Traceback" not in err and not out.exists()
 
 

@@ -10,7 +10,11 @@ the invariants that tie their exit codes together:
         (the tight window's own reconstruction check).
 
 Tier-1 runs the triples of TRIPLES; a triple is added, never removed, and an
-invariant is relaxed only with its reason in CHANGES.md.
+invariant is relaxed only with its reason in CHANGES.md.  Tier-1 also runs
+the oversize rows: under a budget patched below the default grid's q·N,
+every subcommand exits 2 naming the grid, and a signal-file header or a
+sweep range over the real budget exits 2 before anything large exists;
+none of them writes a report or prints a traceback.
 
     PYTHONPATH=src python tests/test_exit_matrix.py
 
@@ -24,15 +28,18 @@ import io
 import itertools
 import json
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from tempfile import TemporaryDirectory
 
 import pytest
 
+from ncgabor import signal
 from ncgabor.cli import main
 
 COMMANDS = ("frame", "dual", "tight", "chern", "energy", "verify-soliton")
+SUBCOMMANDS = COMMANDS + ("check-axioms", "moyal", "laurent-data", "run", "sweep")
 FULL_STEPS = (0.5, 0.62, 0.8, 1.0, 1.2, 2.0)
 FULL_WINDOWS = ("gaussian", "hermite:1", "hermite:3")
 
@@ -85,6 +92,37 @@ def violations(alpha, beta, outcome):
 def test_exit_codes_agree_across_commands(alpha, beta, window, tmp_path):
     outcome = run_triple(alpha, beta, window, tmp_path)
     assert violations(alpha, beta, outcome) == [], outcome
+
+
+@pytest.mark.parametrize("command", SUBCOMMANDS)
+def test_grid_over_the_budget_exits_2(command, tmp_path, monkeypatch, capsys):
+    # the default grid holds q·N = 512 samples, one more than the budget
+    monkeypatch.setattr(signal, "BOX_BUDGET", 511)
+    monkeypatch.chdir(tmp_path)   # where sweep and laurent-data would write their files
+    assert main([command, "--out", "report.json"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error: a grid of q·N = 1·512 samples exceeds 511 cells" in err
+    assert "Traceback" not in err and not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["dual", "--window", "file:big.sig"],
+     "big.sig, line 1: a grid of q·N = 1·100000000000 samples exceeds 4194304 cells"),
+    (["sweep", "--alpha-range", "0:1:1e-12"],
+     "sweep range '0:1:1e-12' of 1000000000001 points exceeds 4194304 cells")],
+    ids=["signal-header", "sweep-range"])
+def test_oversize_input_exits_2_before_allocating(argv, message, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "big.sig").write_text("16.0 100000000000 1\n")
+    tracemalloc.start()
+    try:
+        code = main([*argv, "--out", "report.json"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    err = capsys.readouterr().err
+    assert code == 2 and peak < 1 << 20 and f"configuration error: {message}" in err
+    assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
 def full_matrix():

@@ -21,7 +21,11 @@ object through a `__new__` call such as `object.__new__`, so every
 instance passes through its class's one constructor (`LatticeSeq.__init__`
 casts every box and origin), and in src/ only lattice.py calls
 `lattice_generators`: its `index_bounds` and the one index→phase-space map
-`lattice_shift`, which every atom, derivation and lattice point reads.
+`lattice_shift`, which every atom, derivation and lattice point reads, and
+BOX_BUDGET is assigned and read in signal.py alone: no other module in
+src/ imports it, compares against it or sizes an array from it, so every
+refusal and sizing rule reads the one budget through `signal._fit_budget`
+at call time, and a test that patches it once reaches every check.
 
 Package `__init__.py` files are skipped, because their imports are the
 package's re-exports, and so is an import on a line marked `# noqa: F401`.
@@ -235,3 +239,20 @@ def test_no_object_is_built_through_object_new():
 def test_only_the_phase_space_map_reads_the_generators():
     assert constructions(SOURCES, "lattice_generators") == {("lattice.py", "index_bounds"),
                                                            ("lattice.py", "lattice_shift")}
+
+
+def budget_references(path):
+    """How `path` refers to BOX_BUDGET: "assigned", "imported" or "read"."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "BOX_BUDGET" for a in node.names):
+            found.add("imported")
+        elif getattr(node, "id", getattr(node, "attr", None)) == "BOX_BUDGET":
+            found.add("assigned" if isinstance(node.ctx, ast.Store) else "read")
+    return found
+
+
+def test_the_budget_has_one_owner():
+    found = {path.name: budget_references(path) for path in SOURCES}
+    assert {name: refs for name, refs in found.items() if refs} == {
+        "signal.py": {"assigned", "read"}}

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ncgabor import algebra, geometry, moyal
+from ncgabor import algebra, geometry, moyal, signal
 from ncgabor.lattice import TorusParams
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, gaussian, hermite, inner, norm,
                             tf_shift)
@@ -184,14 +184,14 @@ def test_moyal_chunk_is_sized_from_the_budget(monkeypatch):
     windows = {n: w for n, w, _ in load_corpus_file(CORPUS, spec)}
     for name, cells in [("hermite1", 3 * 512), ("noise_a", 2 * 3 * 3 * 512)]:
         _, rhs, err = moyal_check(f, windows[name])
-        monkeypatch.setattr(moyal, "BOX_BUDGET", 5 * cells + 1)
+        monkeypatch.setattr(signal, "BOX_BUDGET", 5 * cells + 1)
         assert {len(js) for js, _, _, _ in _stft_chunks(f, windows[name])} == {5, 2}
         _, rhs_small, err_small = moyal_check(f, windows[name])
         assert rhs_small == rhs and abs(err_small - err) < 1e-15
-        monkeypatch.setattr(moyal, "BOX_BUDGET", cells - 1)
+        monkeypatch.setattr(signal, "BOX_BUDGET", cells - 1)
         with pytest.raises(ValueError, match=re.escape(
-                f"one x node at q=3, p={3 if name == 'noise_a' else 1}, N=512 needs "
-                f"{cells} cells, above {cells - 1}")):
+                f"one x node at q=3, p={3 if name == 'noise_a' else 1}, N=512 "
+                f"({cells} cells) exceeds {cells - 1} cells")):
             moyal_check(f, windows[name])
         monkeypatch.undo()
 
@@ -429,13 +429,15 @@ def test_continuous_chern_reads_no_atom_table(monkeypatch):
     *(({name: value}, f"{name} must be finite and positive in samples of dx = 0.0078125, "
                       f"got {value}")
       for name in ("step", "box") for value in (0.0, -1.0, math.inf, math.nan, 1e308)),
-    ({"step": 1 / 128, "box": 4.0}, "1025 nodes a side at q=3, N=2048 need 18892800 cells"),
-    ({"box": 1e300}, "nodes a side at q=3, N=2048 need")])
+    ({"step": 1 / 128, "box": 4.0},
+     "1025 nodes a side at q=3, N=2048 needing 37804050 cells at p=3 exceeds 4194304 cells"),
+    ({"box": 1e300}, "nodes a side at q=3, N=2048 needing")])
 def test_continuous_chern_refuses_bad_arguments(kwargs, match):
     # step and box must be finite and positive, also in samples (1e308 / dx
     # overflows); at step = dx = 1/128 and box = 4 the q = 3 window of distinct
-    # channels has 1025 nodes a side, and its rolled products, 3 x 3 x 1025 x
-    # 2048 cells, are refused before they are formed, as is a box of 1e300
+    # channels has 1025 nodes a side, and its two STFT buffers, 3·3·1025 x
+    # (2048 + 1025) cells, and its 3·3·1025² table are refused before they are
+    # formed, as is a box of 1e300
     spec = GridSpec(L=16.0, N=2048, q=3)
     with pytest.raises(ValueError, match=re.escape(match)):
         continuous_chern(gaussian(spec, coeffs=[1.0, 0.3 - 0.4j, -0.2j], lam=0.8), **kwargs)

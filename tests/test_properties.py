@@ -40,7 +40,7 @@ from hypothesis import example, given, strategies as st
 from ncgabor.algebra import (LatticeSeq, act_left, act_right, inner_left, inner_right,
                              l1_diff, load_seq, save_seq, trace_l, trace_pairing, twisted_conv,
                              twisted_star, _box_axes)
-from ncgabor.algebra import BOX_BUDGET, PRUNE_TOL
+from ncgabor.algebra import PRUNE_TOL
 from ncgabor.frame import (FrameSystem, NotAFrameError, adjoint_shift_family, canonical_dual,
                            canonical_tight, frame_bounds, laurent_symbol,
                            reconstruction_residual, wexler_raz_residual, _rayleigh_ritz)
@@ -49,7 +49,8 @@ from ncgabor.geometry import _chern_double_sum, grid_for_radius
 from ncgabor.lattice import (LatticeKind, TorusParams, index_bounds, lattice_generators,
                              lattice_twist, mod_inverse)
 from ncgabor.moyal import continuous_energy
-from ncgabor.signal import GridSignal, GridSpec, gaussian, hermite, inner, norm, tf_shift
+from ncgabor.signal import (BOX_BUDGET, GridSignal, GridSpec, gaussian, hermite, inner, norm,
+                            tf_shift)
 from conftest import (PROPERTY, dense_frame_operator, lattices, naive_act_left,
                       naive_act_right, naive_chern_double_sum, naive_twisted_conv,
                       phase_point)

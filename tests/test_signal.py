@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from ncgabor import signal
+from ncgabor.algebra import LatticeSeq, inner_left, twisted_conv
+from ncgabor.cli import _parse_range, main
+from ncgabor.frame import adjoint_shift_family
+from ncgabor.lattice import LatticeKind, TorusParams
+from ncgabor.moyal import continuous_chern, moyal_check
 from ncgabor.signal import (GridSignal, GridSpec, PhasePoint, apply_D, apply_M,
                             cocycle, fourier_transform, gaussian, inner,
                             involution_dagger, load_signal, modulate, norm,
                             random_timefreq_probe, save_signal, tf_shift,
                             translate)
-from conftest import gaussian_probe
+from conftest import gaussian_probe, grouped_twisted_conv
 
 
 def test_grid_spec_validation():
@@ -270,7 +276,10 @@ def test_signal_roundtrip(tmp_path, spec1, rng):
     (lambda rows: rows + [rows[1]], 18, "(0, 0) is repeated"),
     (lambda rows: rows[:2] + ["0 1 1.0"] + rows[3:], 3, "expected 4, got 3"),
     (lambda rows: rows[:10], 10, "ends after 9 of q·N = 16 samples"),
-], ids=["header", "out_of_range", "negative", "repeated", "short_row", "missing_rows"])
+    (lambda rows: ["16.0 100000000000 1"] + rows[1:], 1,
+     "a grid of q·N = 1·100000000000 samples exceeds 4194304 cells"),
+], ids=["header", "out_of_range", "negative", "repeated", "short_row", "missing_rows",
+        "oversize_header"])
 def test_malformed_signal_file_names_its_line(edit, line, reason, tmp_path):
     # the header "L N q", then exactly one "k j re im" row per sample
     path = tmp_path / "sig.dat"
@@ -348,3 +357,39 @@ def test_random_probe_reaching_the_seam_is_refused_before_it_draws(L, spread, ke
 def test_malformed_signals_are_refused(build, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(GridSpec(L=12.0, N=64))
+
+
+def test_one_patch_of_the_budget_reaches_every_check(monkeypatch, tmp_path, capsys):
+    # one budget of 200 cells, patched in signal.py alone, refuses each array
+    # below; each grid used fits it (q·N = 32 and 64)
+    monkeypatch.setattr(signal, "BOX_BUDGET", 200)
+    monkeypatch.chdir(tmp_path)   # where a sweep that ran would write its CSV
+    params, small = TorusParams(0.5, 0.5), GridSpec(L=8.0, N=32)
+    g = gaussian(small)
+    path = tmp_path / "sig.dat"
+    path.write_text("16.0 512 1\n")
+    tf = LatticeKind.TIME_FREQ
+    w = gaussian(GridSpec(L=8.0, N=32, q=2), coeffs=[1.0, 0.5])   # channel period 2
+    refusals = [
+        (lambda: GridSpec(N=512), "a grid of q·N = 1·512 samples"),
+        (lambda: load_signal(path), "line 1: a grid of q·N = 1·512 samples"),
+        (lambda: LatticeSeq.from_entries(params, tf, [(0, 0), (14, 14)], [1.0, 1.0]),
+         "a 15x15 lattice box"),
+        (lambda: inner_left(g, g, params, 1.0), "a 5x5 box of 32-sample atoms"),   # (5+5)·32
+        (lambda: adjoint_shift_family(g, params, 2.0),   # 3·3·32; its factors take (3+3)·32
+         "a 3x3 adjoint shift family of 32-sample columns"),
+        (lambda: moyal_check(gaussian(w.spec), w), "one x node at q=2, p=2, N=32 (256 cells)"),
+        (lambda: continuous_chern(g), "41 nodes a side at q=1, N=32 needing 2993 cells at p=1"),
+        (lambda: _parse_range("0:1:0.001"), "sweep range '0:1:0.001' of 1001 points"),
+    ]
+    for build, what in refusals:
+        with pytest.raises(ValueError, match=re.escape(f"{what} exceeds 200 cells")):
+            build()
+    assert main(["sweep", "--alpha-range", "0:1:0.05", "--beta-range", "0:1:0.05"]) == 2
+    assert "a 21x21 sweep grid exceeds 200 cells" in capsys.readouterr().err
+    # the ♮-product splits its GEMMs in the same budget, as the oracle does
+    rng = np.random.default_rng(5)
+    a, b = (LatticeSeq.from_box(params, tf, (-2, 1), rng.normal(size=(rows, 12)) + 1j)
+            for rows in (4, 3))
+    got, want = twisted_conv(a, b), grouped_twisted_conv(a, b)
+    assert got.origin == want.origin and np.array_equal(got.box, want.box)
